@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import models as M
 from . import taylor as ta
 from .errors import DomainError
-from .kernels import PsiEvaluator, eta_grid, phi_callable
+from .kernels import eta_grid, phi_callable, spectral_rule
 from .numerics import Bracket, find_root, maximize_1d
 
 PI = math.pi
@@ -79,20 +79,16 @@ class Verdict:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _require_finite(params: Mapping[str, float]) -> None:
+    bad = [name for name, value in params.items() if not math.isfinite(value)]
+    if bad:
+        raise DomainError(f"{' and '.join(bad)} must be finite")
 
 
 # -- threshold machinery ------------------------------------------------------
-
-_PSI_EVALUATORS: Dict[float, PsiEvaluator] = {}
-
-
-def _evaluator(beta: float) -> PsiEvaluator:
-    ev = _PSI_EVALUATORS.get(beta)
-    if ev is None:
-        ev = PsiEvaluator(beta)
-        _PSI_EVALUATORS[beta] = ev
-    return ev
 
 
 def scan_range(beta: float, periods: float = 3.0) -> float:
@@ -104,7 +100,8 @@ def psi_max(beta: float, tol: float = 1e-9) -> float:
     """Global maximum Psi(b) of psi_b over t >= 0.
 
     Pinned to the exact endpoint values 1 and 2; in between, a 2048-point
-    scan over [0, 3 pi / sin(pi/b)] plus golden-section refinement.
+    scan over [0, 3 pi / sin(pi/b)] (one vectorized call of the spectral
+    rule) plus golden-section refinement.
     """
     if not 1.0 <= beta <= 2.0:
         raise DomainError("psi_max requires beta in [1, 2]")
@@ -112,7 +109,7 @@ def psi_max(beta: float, tol: float = 1e-9) -> float:
         return 1.0
     if beta == 2.0:
         return 2.0
-    ev = _evaluator(beta)
+    ev = spectral_rule(beta)
     _, value = maximize_1d(ev.psi, Bracket(0.0, scan_range(beta)), tol)
     return value
 
@@ -144,7 +141,8 @@ def eta_negative_witness(
     Negativity refutes complete monotonicity of 1/(x^a (1+x^b)) exactly;
     absence of negativity on a finite grid proves nothing.  Sign changes
     are refined locally before reporting.  At a = 0 the kernel degenerates
-    to phi_b itself (the power-law factor becomes a point mass).
+    to phi_b itself (the power-law factor becomes a point mass).  A value
+    that is not finite (a NaN from invalid input) never becomes a witness.
     """
     ts = np.linspace(0.0, scan_range(beta, periods), n_points)
     if alpha == 0.0:
@@ -163,6 +161,8 @@ def eta_negative_witness(
     else:
         fvals = eta_grid(alpha, beta, fine)
     j = int(np.argmin(fvals))
+    if not math.isfinite(fvals[j]):
+        return None
     return Certificate("eta_sign", float(fine[j]), None, float(fvals[j]))
 
 
@@ -255,6 +255,7 @@ def lcm_scan(
 
 def classify_aux_cm(alpha: float, beta: float, alpha_tol: float = 0.05) -> Verdict:
     """Complete monotonicity of 1/(x^alpha (1 + x^beta))."""
+    _require_finite({"alpha": alpha, "beta": beta})
     if alpha < 0.0 or beta < 0.0:
         raise DomainError("alpha and beta must be >= 0")
     if beta > 2.0:
@@ -289,6 +290,7 @@ def classify_aux_cm(alpha: float, beta: float, alpha_tol: float = 0.05) -> Verdi
 
 def classify_aux_lcm(alpha: float, beta: float, tol: float = 1e-6) -> Verdict:
     """Logarithmic complete monotonicity of 1/(x^alpha (1 + x^beta))."""
+    _require_finite({"alpha": alpha, "beta": beta})
     if alpha < 0.0 or beta < 0.0:
         raise DomainError("alpha and beta must be >= 0")
     if beta > 2.0:
@@ -322,6 +324,7 @@ def classify_aux_lcm(alpha: float, beta: float, tol: float = 1e-6) -> Verdict:
 def classify_dagum(beta: float, gamma: float, tol: float = 1e-6) -> Verdict:
     """Complete monotonicity (hence all-dimension positive definiteness) of
     the correlation 1 - (x^beta/(1+x^beta))^gamma."""
+    _require_finite({"beta": beta, "gamma": gamma})
     if beta <= 0.0 or gamma <= 0.0:
         raise DomainError("beta and gamma must be > 0")
     product = beta * gamma
@@ -374,6 +377,7 @@ def classify_dagum(beta: float, gamma: float, tol: float = 1e-6) -> Verdict:
 
 def classify_g(alpha: float, lam: float) -> Verdict:
     """Complete monotonicity of 1/(x^alpha (1 + x^2)^lambda)."""
+    _require_finite({"alpha": alpha, "lambda": lam})
     if alpha < 0.0 or lam < 0.0:
         raise DomainError("alpha and lambda must be >= 0")
     if alpha == 1.0 and lam <= 1.0:
@@ -459,4 +463,4 @@ class ThresholdTable:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -19,14 +19,21 @@ in log space (the exponents cancel analytically, avoiding overflow for b
 close to 1).  The denominator 1 + 2 s^b cos(b pi) + s^(2b) has no real
 zero for b in (1, 2), but it dips to sin^2(b pi) near s^b = -cos(b pi);
 quadrature knots are seeded at that resonance.
+
+Grid work goes through ``PsiEvaluator`` instead: one fixed composite
+Gauss-Legendre rule on the arctangent-substituted tau integral, whose
+Laplace sums give tau, psi and phi = rho' + tau' on whole grids (the
+psi_max scan, the phi tables behind eta).  The adaptive routes above stay
+as its independent check.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -41,7 +48,6 @@ PI = math.pi
 ENDPOINT_BAND = 2.5e-4
 
 DEFAULT_CFG = QuadConfig()
-TRUNC_CFG = QuadConfig(tail_cutoff_strategy="truncate_at_T")
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,19 @@ def _ladder(lo: float, hi: float, levels: int = 45) -> list:
     out = [lo + span * 2.0 ** (-k) for k in range(1, levels + 1)]
     out += [lo + span * (1.0 - 2.0 ** (-k)) for k in range(1, levels + 1)]
     return out
+
+
+def _panel_rule(lo: float, hi: float, levels: int, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre (nodes, weights) on the panels of ``_ladder``."""
+    breaks = sorted(set(_ladder(lo, hi, levels) + [lo, hi]))
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    nodes = []
+    weights = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        h = 0.5 * (b - a)
+        nodes.append(0.5 * (a + b) + h * xg)
+        weights.append(h * wg)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _resonance_knots(beta: float, sigma: float, c: float, upper: float) -> list:
@@ -290,13 +309,19 @@ def psi(beta: float, t: float, cfg: Optional[QuadConfig] = None) -> KernelValue:
     return KernelValue(rho_kernel(beta, t) + tau_v, tau_e, "quadrature_primary")
 
 
+# Rows of t per block of a Laplace sum: 256 rows x 1000 nodes is about 2 MB.
+_BLOCK_ROWS = 256
+
+
 class PsiEvaluator:
-    """Fast tabulated evaluator of tau_b / psi_b on vectors of t.
+    """Spectral Gauss-Legendre rule for tau_b, psi_b and phi_b on vectors of t.
 
     Precomputes composite Gauss-Legendre nodes of the arctangent-substituted
     tau integral (panels refined geometrically toward both ends, where the
-    small-y kink and the large-t mass live).  Suitable for dense grid scans;
-    agreement with the adaptive routes is covered by the test suite.
+    small-y kink and the large-t mass live).  Every value is a Laplace sum
+    over those nodes, taken in blocks of t so that a dense grid never holds
+    the whole t-by-node matrix.  Agreement with the adaptive routes is
+    covered by the test suite.
     """
 
     def __init__(self, beta: float, levels: int = 50, order: int = 10):
@@ -304,49 +329,82 @@ class PsiEvaluator:
             raise DomainError("PsiEvaluator requires beta in (1, 2)")
         self.beta = beta
         sigma, c = _consts(beta)
-        w_hi = (2.0 - beta) * PI
-        breaks = sorted(
-            set(
-                [w_hi * 2.0 ** (-k) for k in range(1, levels + 1)]
-                + [w_hi * (1.0 - 2.0 ** (-k)) for k in range(1, levels + 1)]
-                + [0.0, w_hi]
-            )
-        )
-        xg, wg = np.polynomial.legendre.leggauss(order)
-        nodes = []
-        weights = []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            h = 0.5 * (b - a)
-            nodes.append(0.5 * (a + b) + h * xg)
-            weights.append(h * wg)
-        w = np.concatenate(nodes)
-        self._weights = np.concatenate(weights)
+        w, self._weights = _panel_rule(0.0, (2.0 - beta) * PI, levels, order)
         y = np.maximum(sigma / np.tan(w) - c, 0.0)
         self._decay = y ** (1.0 / beta)
 
+    def _laplace_sum(self, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """sum_i v_i exp(-t d_i) for each t in the 1-D array ``ts``.
+
+        Each row is reduced on its own (einsum, not BLAS gemv), so a value
+        does not depend on how many t share its block.
+        """
+        out = np.empty(ts.size)
+        for start in range(0, ts.size, _BLOCK_ROWS):
+            block = np.multiply.outer(-ts[start : start + _BLOCK_ROWS], self._decay)
+            np.exp(block, out=block)
+            out[start : start + _BLOCK_ROWS] = np.einsum("ij,j->i", block, v)
+        return out
+
     def tau_values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.exp(-np.outer(ts, self._decay)) @ self._weights / (self.beta * PI)
+        return self._laplace_sum(ts, self._weights) / (self.beta * PI)
 
     def psi_values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         return rho_values(self.beta, ts) + self.tau_values(ts)
 
-    def psi(self, t: float) -> float:
-        return float(self.psi_values(np.array([t]))[0])
+    def phi_values(self, ts) -> np.ndarray:
+        """phi_b = rho_b' + tau_b', with the exact limit phi_b(0) = 0."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        a = PI / self.beta
+        osc = -(2.0 / self.beta) * np.exp(ts * math.cos(a)) * np.cos(a + ts * math.sin(a))
+        tau_prime = self._laplace_sum(ts, self._weights * self._decay) / (self.beta * PI)
+        vals = osc - tau_prime
+        vals[ts == 0.0] = 0.0
+        return vals
+
+    def psi(self, t):
+        """psi_b at one t (returns a float) or on an array of t (an array)."""
+        vals = self.psi_values(t)
+        return vals if np.ndim(t) else float(vals[0])
 
 
-# -- tabulated phi for convolution / transform workloads ---------------------
+# -- per-beta cache: the spectral rule and the phi table built from it --------
 
-_PHI_TABLES: Dict[float, Tuple[float, CubicSpline]] = {}
-_PHI_LOCK = threading.Lock()
+# Distinct betas kept, least recently used dropped first.  An entry is the
+# rule (about 16 kB) and at most one phi spline (under 0.3 MB).
+BETA_CACHE_SIZE = 32
+_Entry = Tuple[PsiEvaluator, float, Optional[CubicSpline]]
+_BETA_CACHE: "OrderedDict[float, _Entry]" = OrderedDict()
+_BETA_LOCK = threading.Lock()
+
+
+def _cache_entry(beta: float) -> _Entry:
+    """(rule, table horizon, table) for beta; the caller holds _BETA_LOCK."""
+    entry = _BETA_CACHE.get(beta)
+    if entry is None:
+        entry = (PsiEvaluator(beta), 0.0, None)
+        _BETA_CACHE[beta] = entry
+        if len(_BETA_CACHE) > BETA_CACHE_SIZE:
+            _BETA_CACHE.popitem(last=False)
+    else:
+        _BETA_CACHE.move_to_end(beta)
+    return entry
+
+
+def spectral_rule(beta: float) -> PsiEvaluator:
+    """The cached PsiEvaluator for beta in (1, 2)."""
+    with _BETA_LOCK:
+        return _cache_entry(beta)[0]
 
 
 def phi_callable(beta: float, t_max: float) -> Callable:
     """Vectorized t -> phi_b(t) on [0, t_max].
 
     Closed forms at the endpoint band; elsewhere a cubic spline through
-    adaptively integrated values (cached per beta, grown on demand).
+    values of phi_b built from the spectral rule (``PsiEvaluator``), cached
+    with the rule per beta and grown on demand.
     """
     if not 1.0 <= beta <= 2.0:
         raise DomainError("phi requires beta in [1, 2]")
@@ -354,20 +412,19 @@ def phi_callable(beta: float, t_max: float) -> Callable:
         return lambda ts: np.exp(-np.asarray(ts, dtype=float))
     if abs(beta - 2.0) < ENDPOINT_BAND:
         return lambda ts: np.sin(np.asarray(ts, dtype=float))
-    with _PHI_LOCK:
-        cached = _PHI_TABLES.get(beta)
-        if cached is not None and cached[0] >= t_max:
-            return cached[1]
+    with _BETA_LOCK:
+        rule, hi, table = _cache_entry(beta)
+        if table is not None and hi >= t_max:
+            return table
         hi = max(t_max, 10.0)
         # phi(t) - phi(0) - phi'(0) t ~ t^beta near 0 (the second derivative
         # blows up), so the head grid must be geometric and tight.
         grid = np.concatenate(
             [[0.0], np.geomspace(1e-8, 1.0, 400, endpoint=False), np.arange(1.0, hi + 0.05, 0.05)]
         )
-        vals = np.array([_phi_primary(beta, float(t), DEFAULT_CFG)[0] for t in grid])
-        spline = CubicSpline(grid, vals)
-        _PHI_TABLES[beta] = (hi, spline)
-        return spline
+        table = CubicSpline(grid, rule.phi_values(grid))
+        _BETA_CACHE[beta] = (rule, hi, table)
+        return table
 
 
 # Absolute accuracy allowance for spline-tabulated phi values.
@@ -426,22 +483,7 @@ def eta_grid(alpha: float, beta: float, ts, panels: int = 24, order: int = 8) ->
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
         raise DomainError("t must be >= 0")
-    breaks = sorted(
-        set(
-            [2.0 ** (-k) for k in range(1, panels + 1)]
-            + [1.0 - 2.0 ** (-k) for k in range(1, panels + 1)]
-            + [0.0, 1.0]
-        )
-    )
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    nodes = []
-    weights = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        h = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + h * xg)
-        weights.append(h * wg)
-    xi = np.concatenate(nodes)
-    wq = np.concatenate(weights)
+    xi, wq = _panel_rule(0.0, 1.0, panels, order)
 
     if abs(beta - 1.0) < ENDPOINT_BAND:
         phi_vec = lambda s: np.exp(-s)  # noqa: E731

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
+import numpy as np
+
 from .errors import ConvergenceError, NoSignChangeError
 
 # Gauss-Kronrod (7, 15) nodes on [-1, 1] and weights; the 7-point Gauss rule
@@ -261,7 +263,7 @@ def _integrate_semi_infinite(f, lo, cfg, decay, knots):
 
 
 def maximize_1d(
-    f: Callable[[float], float],
+    f: Callable,
     bracket: Bracket,
     tol: float = 1e-7,
     *,
@@ -271,22 +273,20 @@ def maximize_1d(
 
     A coarse scan (the objective may oscillate, so pure local search can
     miss the global peak) locates the best grid cell; golden-section then
-    refines it.  Returns ``(t_star, f_star)``.
+    refines it.  ``f`` must accept an ndarray as well as a float: the scan
+    is one call on the whole grid, the refinement calls it on floats.
+    Returns ``(t_star, f_star)``.
     """
     lo, hi = bracket.lo, bracket.hi
     n = max(grid_points, 4)
     step = (hi - lo) / n
-    best_i = 0
-    best_v = -math.inf
-    xs = [lo + i * step for i in range(n + 1)]
+    xs = lo + np.arange(n + 1) * step
     xs[-1] = hi
-    for i, x in enumerate(xs):
-        v = f(x)
-        if v > best_v:
-            best_v = v
-            best_i = i
-    a = xs[max(best_i - 1, 0)]
-    b = xs[min(best_i + 1, n)]
+    vals = np.asarray(f(xs), dtype=float)
+    best_i = int(np.argmax(vals))
+    best_v = float(vals[best_i])
+    a = float(xs[max(best_i - 1, 0)])
+    b = float(xs[min(best_i + 1, n)])
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -302,9 +302,9 @@ def maximize_1d(
             d = a + invphi * (b - a)
             fd = f(d)
     t_star = 0.5 * (a + b)
-    f_star = f(t_star)
+    f_star = float(f(t_star))
     if best_v > f_star:
-        t_star, f_star = xs[best_i], best_v
+        t_star, f_star = float(xs[best_i]), best_v
     return t_star, f_star
 
 

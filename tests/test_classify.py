@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from dagum import classify as C
 from dagum.errors import DomainError
-from dagum.kernels import PsiEvaluator
+from dagum.kernels import PsiEvaluator, spectral_rule
 
 PI = math.pi
 
@@ -238,3 +240,43 @@ def test_classifier_domain_errors():
         C.classify_g(-1.0, 0.5)
     with pytest.raises(DomainError):
         C.beta_star(0.0)
+
+
+def test_psi_max_concurrent_matches_serial():
+    # fresh betas, each asked for twice, from more threads than cores
+    betas = [1.311, 1.472, 1.623, 1.311, 1.834, 1.472, 1.623, 1.834]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            rules = list(pool.map(spectral_rule, betas[::-1]))
+            concurrent = list(pool.map(C.psi_max, betas))
+    finally:
+        sys.setswitchinterval(interval)
+    by_beta = {}
+    for b, rule in zip(betas[::-1], rules):
+        assert by_beta.setdefault(b, rule) is rule  # one cached rule per beta
+    assert concurrent == [C.psi_max(b) for b in betas]
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_classifiers_reject_non_finite(bad):
+    for fn, args in (
+        (C.classify_aux_cm, (bad, 1.5)),
+        (C.classify_aux_cm, (0.3, bad)),
+        (C.classify_aux_lcm, (bad, 1.5)),
+        (C.classify_dagum, (1.5, bad)),
+        (C.classify_g, (bad, 0.5)),
+    ):
+        with pytest.raises(DomainError):
+            fn(*args)
+
+
+def test_eta_witness_never_from_nan():
+    assert C.eta_negative_witness(math.nan, 1.5, n_points=64) is None
+
+
+def test_verdict_json_is_strict():
+    verdict = C.Verdict("ProvenNotCM", C.NUMERIC_BASIS, C.Certificate("eta_sign", 1.0, None, math.nan))
+    with pytest.raises(ValueError):
+        verdict.to_json()

@@ -96,6 +96,13 @@ def test_classify_requires_family_params(capsys):
     assert code == 2
 
 
+def test_classify_rejects_nan(capsys):
+    code, out, err = run(["classify", "aux-cm", "--alpha", "nan", "--beta", "1.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid parameters" in err
+
+
 def test_figure1_small_grid(tmp_path, capsys):
     out_path = tmp_path / "fig1.csv"
     code, _, _ = run(["figure1", "--grid", "1:2:11", "-o", str(out_path)], capsys)

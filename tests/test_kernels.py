@@ -153,6 +153,37 @@ def test_psi_evaluator_agrees_with_scalar():
             assert table[i] == pytest.approx(K.psi(beta, float(t)).value, abs=1e-8)
 
 
+def test_psi_values_blocks_match_scalar():
+    # sizes around the Laplace-sum block of 256 rows; values must not
+    # depend on how many t share a block
+    ev = K.PsiEvaluator(1.5)
+    for n in (1, 255, 256, 257, 2049):
+        ts = np.linspace(0.0, 20.0, n)
+        table = ev.psi_values(ts)
+        assert np.array_equal(table, [ev.psi(float(t)) for t in ts])
+    assert isinstance(ev.psi(1.0), float)
+
+
+@pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.8, 1.98))
+def test_phi_table_matches_adaptive_route(beta):
+    # the table's values at its knots come from the spectral rule; pin them
+    # to the independent adaptive route at 130 knots spread over [1e-8, 40]
+    table = K.phi_callable(beta, 40.0)
+    knots = table.x[(table.x >= 1e-8) & (table.x <= 40.0)]
+    ts = knots[np.linspace(0, knots.size - 1, 130).round().astype(int)]
+    adaptive = np.array([K.phi(beta, float(t), "primary").value for t in ts])
+    assert np.max(np.abs(table(ts) - adaptive)) <= 1e-8
+    assert float(table(0.0)) == 0.0
+
+
+def test_beta_cache_is_bounded():
+    betas = np.linspace(1.401, 1.409, K.BETA_CACHE_SIZE + 5)
+    rules = [K.spectral_rule(float(b)) for b in betas]
+    assert len(K._BETA_CACHE) == K.BETA_CACHE_SIZE
+    assert K.spectral_rule(float(betas[-1])) is rules[-1]
+    assert float(betas[0]) not in K._BETA_CACHE
+
+
 def test_eta_alpha_one_is_psi():
     for beta, t in ((1.5, 2.0), (1.5, 6.0), (1.9, 3.0)):
         assert K.eta(1.0, beta, t).value == pytest.approx(K.psi(beta, t).value, abs=1e-6)

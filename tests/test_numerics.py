@@ -64,7 +64,7 @@ def test_nonconvergence_reports_partial():
 
 
 def test_maximize_one_minus_cos():
-    t, v = maximize_1d(lambda t: 1.0 - math.cos(t), Bracket(0.0, 2.0 * PI), 1e-10)
+    t, v = maximize_1d(lambda t: 1.0 - np.cos(t), Bracket(0.0, 2.0 * PI), 1e-10)
     assert t == pytest.approx(PI, abs=1e-6)
     assert v == pytest.approx(2.0, abs=1e-12)
 
@@ -91,7 +91,7 @@ def test_maximize_psi_against_dense_grid_oracle():
 
 
 def test_maximize_constant_shift_invariance():
-    f = lambda t: math.sin(t) * math.exp(-0.1 * t)  # noqa: E731
+    f = lambda t: np.sin(t) * np.exp(-0.1 * t)  # noqa: E731
     t1, v1 = maximize_1d(f, Bracket(0.0, 10.0), 1e-9)
     t2, v2 = maximize_1d(lambda t: f(t) + 5.0, Bracket(0.0, 10.0), 1e-9)
     assert t1 == pytest.approx(t2, abs=1e-6)
