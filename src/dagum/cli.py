@@ -9,6 +9,7 @@ decimals, repr-formatted floats (round-trip exact), newline-terminated.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -106,8 +107,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise DomainError(f"grid must be start:stop:count, got {spec!r}") from None
-    if n < 1 or hi < lo:
-        raise DomainError("grid needs count >= 1 and stop >= start")
+    if not (n >= 1 and lo <= hi and math.isfinite(hi - lo)):
+        raise DomainError("grid needs count >= 1 and finite stop >= start")
     return np.linspace(lo, hi, n)
 
 
@@ -192,6 +193,8 @@ def _cmd_eval(cfg: RunConfig) -> int:
     rho = M.correlation(cfg.model, cfg.params)
     if (cfg.x is None) == (cfg.grid is None):
         raise DomainError("provide exactly one of --x or --grid")
+    if cfg.x is not None and not math.isfinite(cfg.x):
+        raise DomainError("--x must be finite")
     xs = [float(cfg.x)] if cfg.x is not None else [float(v) for v in _parse_grid(cfg.grid)]
     lines = ["x,value"]
     for x in xs:

@@ -22,9 +22,10 @@ quadrature knots are seeded at that resonance.
 
 Grid work goes through ``PsiEvaluator`` instead: one fixed composite
 Gauss-Legendre rule on the arctangent-substituted tau integral, whose
-Laplace sums give tau, psi and phi = rho' + tau' on whole grids (the
-psi_max scan, the phi tables behind eta).  The adaptive routes above stay
-as its independent check.
+Laplace sums give tau, psi, phi = rho' + tau' and eta on whole grids (the
+psi_max scan, the eta sign scans).  eta is the same branch-cut inversion
+as tau, with alpha-dependent weights on the same nodes.  The adaptive
+routes above stay as its independent check.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 from .numerics import QuadConfig, integrate
@@ -248,20 +248,25 @@ def _phi_primary(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
 
 
 def _phi_alternate(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
-    """Integration-by-parts route with the arctan weight; valid for t > 0."""
+    """Integration-by-parts route with the arctan weight; valid for t > 0.
+
+    The weight is shifted by pi/2 to decay like s^(-b); the shift is exact
+    because (1 - ts) e^{-ts} integrates to 0 over [0, inf).
+    """
     if t <= 0.0:
         raise DomainError("the integrated-by-parts route requires t > 0")
     sigma, c = _consts(beta)
     sin_bpi = -sigma
 
     def g(s: float) -> float:
-        return math.atan((s ** beta + c) / sin_bpi) * (1.0 - t * s) * math.exp(-t * s)
+        weight = math.atan((s ** beta + c) / sin_bpi) + 0.5 * PI
+        return weight * (1.0 - t * s) * math.exp(-t * s)
 
     if t >= 0.5 and cfg.tail_cutoff_strategy == "exp_substitution":
         v, e = integrate(g, 0.0, math.inf, cfg, decay=t)
     else:
         hi = 45.0 / t
-        v, e = integrate(g, 0.0, hi, cfg, knots=[1.0, 10.0, hi / 2.0])
+        v, e = integrate(g, 0.0, hi, cfg, knots=_ladder(0.0, hi, 40))
     return -(v / (beta * PI)) + _phi_oscillatory_term(beta, t), e / (beta * PI)
 
 
@@ -314,7 +319,8 @@ _BLOCK_ROWS = 256
 
 
 class PsiEvaluator:
-    """Spectral Gauss-Legendre rule for tau_b, psi_b and phi_b on vectors of t.
+    """Spectral Gauss-Legendre rule for tau_b, psi_b, phi_b and eta_{a,b} on
+    vectors of t.
 
     Precomputes composite Gauss-Legendre nodes of the arctangent-substituted
     tau integral (panels refined geometrically toward both ends, where the
@@ -337,13 +343,20 @@ class PsiEvaluator:
         """sum_i v_i exp(-t d_i) for each t in the 1-D array ``ts``.
 
         Each row is reduced on its own (einsum, not BLAS gemv), so a value
-        does not depend on how many t share its block.
+        does not depend on how many t share its block.  The decays fall with
+        i; a block skips the leading nodes where exp(-t d) underflows to 0
+        (and is slowest) for all its t, in multiples of 64, so the remaining
+        terms keep their einsum lanes and every sum stays bit-identical.
         """
+        d = self._decay
         out = np.empty(ts.size)
         for start in range(0, ts.size, _BLOCK_ROWS):
-            block = np.multiply.outer(-ts[start : start + _BLOCK_ROWS], self._decay)
+            rows = ts[start : start + _BLOCK_ROWS]
+            # exp(-x) is exactly 0 in double precision for x > 745.14
+            skip = int(np.count_nonzero(d * rows.min() > 746.0)) // 64 * 64
+            block = np.multiply.outer(-rows, d[skip:])
             np.exp(block, out=block)
-            out[start : start + _BLOCK_ROWS] = np.einsum("ij,j->i", block, v)
+            out[start : start + _BLOCK_ROWS] = np.einsum("ij,j->i", block, v[skip:])
         return out
 
     def tau_values(self, ts) -> np.ndarray:
@@ -364,71 +377,63 @@ class PsiEvaluator:
         vals[ts == 0.0] = 0.0
         return vals
 
+    def eta_values(self, alpha: float, ts) -> np.ndarray:
+        """eta_{a,b} for 0 < a <= 1 by the branch-cut sum of ``eta_grid``."""
+        b, d = self.beta, self._decay
+        v = self._weights * d ** (1.0 - alpha) * (
+            math.sin(PI * (b - alpha)) - d ** b * math.sin(PI * alpha)
+        ) / (PI * _consts(b)[0] * b)
+        ts = np.asarray(ts, dtype=float)
+        pos = ts > 0.0
+        tp, a = ts[pos], PI / b
+        out = np.zeros(ts.shape)
+        out[pos] = (
+            tp ** (alpha - 1.0) / math.gamma(alpha)
+            - (2.0 / b) * np.exp(tp * math.cos(a)) * np.cos(tp * math.sin(a) + (1.0 - alpha) * a)
+            + self._laplace_sum(tp, v)
+        )
+        return out
+
     def psi(self, t):
         """psi_b at one t (returns a float) or on an array of t (an array)."""
         vals = self.psi_values(t)
         return vals if np.ndim(t) else float(vals[0])
 
 
-# -- per-beta cache: the spectral rule and the phi table built from it --------
+# -- per-beta cache of spectral rules ----------------------------------------
 
-# Distinct betas kept, least recently used dropped first.  An entry is the
-# rule (about 16 kB) and at most one phi spline (under 0.3 MB).
+# Distinct betas kept, least recently used dropped first (a rule is 16 kB).
 BETA_CACHE_SIZE = 32
-_Entry = Tuple[PsiEvaluator, float, Optional[CubicSpline]]
-_BETA_CACHE: "OrderedDict[float, _Entry]" = OrderedDict()
+_BETA_CACHE: "OrderedDict[float, PsiEvaluator]" = OrderedDict()
 _BETA_LOCK = threading.Lock()
-
-
-def _cache_entry(beta: float) -> _Entry:
-    """(rule, table horizon, table) for beta; the caller holds _BETA_LOCK."""
-    entry = _BETA_CACHE.get(beta)
-    if entry is None:
-        entry = (PsiEvaluator(beta), 0.0, None)
-        _BETA_CACHE[beta] = entry
-        if len(_BETA_CACHE) > BETA_CACHE_SIZE:
-            _BETA_CACHE.popitem(last=False)
-    else:
-        _BETA_CACHE.move_to_end(beta)
-    return entry
 
 
 def spectral_rule(beta: float) -> PsiEvaluator:
     """The cached PsiEvaluator for beta in (1, 2)."""
     with _BETA_LOCK:
-        return _cache_entry(beta)[0]
+        rule = _BETA_CACHE.get(beta)
+        if rule is None:
+            rule = _BETA_CACHE[beta] = PsiEvaluator(beta)
+            if len(_BETA_CACHE) > BETA_CACHE_SIZE:
+                _BETA_CACHE.popitem(last=False)
+        else:
+            _BETA_CACHE.move_to_end(beta)
+        return rule
 
 
-def phi_callable(beta: float, t_max: float) -> Callable:
-    """Vectorized t -> phi_b(t) on [0, t_max].
+def phi_callable(beta: float) -> Callable:
+    """Vectorized t -> phi_b(t) for t >= 0.
 
-    Closed forms at the endpoint band; elsewhere a cubic spline through
-    values of phi_b built from the spectral rule (``PsiEvaluator``), cached
-    with the rule per beta and grown on demand.
+    Closed forms at the endpoint band; elsewhere the spectral rule's
+    ``phi_values``, which returns a 1-D array.
     """
     if not 1.0 <= beta <= 2.0:
         raise DomainError("phi requires beta in [1, 2]")
     if abs(beta - 1.0) < ENDPOINT_BAND:
-        return lambda ts: np.exp(-np.asarray(ts, dtype=float))
+        return lambda ts: np.exp(-np.atleast_1d(np.asarray(ts, dtype=float)))
     if abs(beta - 2.0) < ENDPOINT_BAND:
-        return lambda ts: np.sin(np.asarray(ts, dtype=float))
-    with _BETA_LOCK:
-        rule, hi, table = _cache_entry(beta)
-        if table is not None and hi >= t_max:
-            return table
-        hi = max(t_max, 10.0)
-        # phi(t) - phi(0) - phi'(0) t ~ t^beta near 0 (the second derivative
-        # blows up), so the head grid must be geometric and tight.
-        grid = np.concatenate(
-            [[0.0], np.geomspace(1e-8, 1.0, 400, endpoint=False), np.arange(1.0, hi + 0.05, 0.05)]
-        )
-        table = CubicSpline(grid, rule.phi_values(grid))
-        _BETA_CACHE[beta] = (rule, hi, table)
-        return table
-
-
-# Absolute accuracy allowance for spline-tabulated phi values.
-PHI_TABLE_SLACK = 2e-7
+        return lambda ts: np.sin(np.atleast_1d(np.asarray(ts, dtype=float)))
+    return spectral_rule(beta).phi_values
 
 
 def eta(
@@ -438,7 +443,8 @@ def eta(
 
     The sign of eta decides complete monotonicity of 1/(x^a (1+x^b)); at
     a = 1 it reduces to psi_b(t).  The (t-s)^(a-1) endpoint is removed by
-    the substitution w = (t-s)^a.
+    the substitution w = (t-s)^a.  This adaptive route is the independent
+    check of ``eta_grid``.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
@@ -447,18 +453,13 @@ def eta(
     if not 1.0 <= beta <= 2.0:
         raise DomainError("eta requires beta in [1, 2]")
     cfg = cfg or DEFAULT_CFG
-
     if abs(beta - 1.0) < ENDPOINT_BAND:
         phi_s = lambda s: math.exp(-s)  # noqa: E731
-        table_slack = 0.0
     elif abs(beta - 2.0) < ENDPOINT_BAND:
         phi_s = math.sin
-        table_slack = 0.0
     else:
-        spline = phi_callable(beta, t)
-        phi_s = lambda s: float(spline(s))  # noqa: E731
-        table_slack = PHI_TABLE_SLACK * t ** alpha / math.gamma(alpha + 1.0)
-
+        phi_vec = spectral_rule(beta).phi_values
+        phi_s = lambda s: float(phi_vec(s)[0])  # noqa: E731
     inv_alpha = 1.0 / alpha
 
     def g(w: float) -> float:
@@ -469,32 +470,39 @@ def eta(
 
     v, e = integrate(g, 0.0, t ** alpha, cfg, knots=_ladder(0.0, t ** alpha, 40))
     scale = 1.0 / (alpha * math.gamma(alpha))
-    return KernelValue(v * scale, e * scale + table_slack, "quadrature_primary")
+    return KernelValue(v * scale, e * scale, "quadrature_primary")
 
 
-def eta_grid(alpha: float, beta: float, ts, panels: int = 24, order: int = 8) -> np.ndarray:
+def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     """Vectorized eta_{a,b} over a grid of t >= 0 (for threshold scans).
 
-    Uses Gamma(a) eta(t) = (t^a / a) int_0^1 phi(t (1 - xi^(1/a))) d(xi)
-    with fixed composite Gauss-Legendre nodes refined toward both ends.
+    For 1 < b < 2, the branch-cut inversion of 1/(x^a (1+x^b)) - x^(-a) on
+    the spectral rule's nodes d_i, weights w_i (A = pi/b, sigma = -sin(b pi)):
+
+        eta(t) = t^(a-1)/Gamma(a) - (2/b) e^{t cos A} cos(t sin A + (1-a) A)
+                 + sum_i v_i e^{-t d_i},   eta(0) = 0,
+        v_i = w_i d_i^(1-a) [sin(pi (b-a)) - d_i^b sin(pi a)] / (pi sigma b).
+
+    It holds for 0 < a < b + 1, but for a > 1 the rule does not resolve the
+    endpoint singularity of d^(1-a) (4e-6 off at b = 1.5, a = 2), so a <= 1
+    is required.  The absolute error grows like eps t^(a-1) as t -> 0.  In
+    the endpoint bands, Gamma(a) eta(t) = (t^a / a) int_0^1 phi(t (1 -
+    xi^(1/a))) d(xi) with the closed-form phi, on a fixed composite rule.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
         raise DomainError("t must be >= 0")
-    xi, wq = _panel_rule(0.0, 1.0, panels, order)
+    if abs(beta - 1.0) < ENDPOINT_BAND or abs(beta - 2.0) < ENDPOINT_BAND:
+        xi, wq = _panel_rule(0.0, 1.0, 24, 8)
+        s_nodes = np.outer(ts, 1.0 - xi ** (1.0 / alpha))
+        inner = phi_callable(beta)(s_nodes) @ wq
+        return ts ** alpha / (alpha * math.gamma(alpha)) * inner
+    if alpha > 1.0:
+        raise DomainError("eta_grid requires alpha <= 1 for 1 < beta < 2")
 
-    if abs(beta - 1.0) < ENDPOINT_BAND:
-        phi_vec = lambda s: np.exp(-s)  # noqa: E731
-    elif abs(beta - 2.0) < ENDPOINT_BAND:
-        phi_vec = np.sin
-    else:
-        phi_vec = phi_callable(beta, float(ts.max()) if ts.size else 10.0)
-
-    s_nodes = np.outer(ts, 1.0 - xi ** (1.0 / alpha))
-    inner = phi_vec(s_nodes) @ wq
-    return ts ** alpha / (alpha * math.gamma(alpha)) * inner
+    return spectral_rule(beta).eta_values(alpha, ts)
 
 
 def laplace_check(
@@ -517,8 +525,8 @@ def laplace_check(
 
     if kernel == "phi":
         hi = 60.0 / x
-        table = phi_callable(beta, hi)
-        f = lambda t: math.exp(-x * t) * float(table(t))  # noqa: E731
+        phi_vec = phi_callable(beta)
+        f = lambda t: math.exp(-x * t) * float(phi_vec(t)[0])  # noqa: E731
         target = 1.0 / (1.0 + x ** beta)
     elif kernel == "psi":
         hi = 60.0 / x

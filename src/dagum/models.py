@@ -16,12 +16,20 @@ from . import taylor as ta
 from .errors import DomainError, UnsupportedExpressionError
 
 
+def _require_finite(params: Mapping[str, float]) -> None:
+    """Reject NaN and infinite parameters, naming each one."""
+    bad = [name for name, value in params.items() if not math.isfinite(value)]
+    if bad:
+        raise DomainError(f"{' and '.join(bad)} must be finite")
+
+
 @dataclass(frozen=True)
 class DagumParams:
     beta: float
     gamma: float
 
     def __post_init__(self):
+        _require_finite(vars(self))
         if not (self.beta > 0.0 and self.gamma > 0.0):
             raise DomainError("dagum requires beta > 0 and gamma > 0")
 
@@ -35,6 +43,7 @@ class DagumSec5Params:
     epsilon: float
 
     def __post_init__(self):
+        _require_finite(vars(self))
         if not (0.0 < self.gamma5 <= 2.0):
             raise DomainError("dagum5 requires gamma in (0, 2]")
         if not (0.0 < self.epsilon < self.gamma5):
@@ -50,6 +59,7 @@ class CauchyParams:
     eta: float
 
     def __post_init__(self):
+        _require_finite(vars(self))
         if not (0.0 < self.theta <= 2.0):
             raise DomainError("cauchy requires theta in (0, 2]")
         if not self.eta > 0.0:
@@ -62,6 +72,7 @@ class AuxParams:
     beta: float
 
     def __post_init__(self):
+        _require_finite(vars(self))
         if self.alpha < 0.0 or self.beta < 0.0:
             raise DomainError("aux requires alpha >= 0 and beta >= 0")
 
@@ -72,6 +83,7 @@ class GParams:
     lam: float
 
     def __post_init__(self):
+        _require_finite(vars(self))
         if self.alpha < 0.0 or self.lam < 0.0:
             raise DomainError("g requires alpha >= 0 and lambda >= 0")
 

@@ -103,6 +103,27 @@ def test_classify_rejects_nan(capsys):
     assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["eval", "aux", "--alpha", "nan", "--beta", "1.5", "--x", "1"],
+        ["eval", "dagum", "--beta", "inf", "--gamma", "0.5", "--x", "1"],
+        ["eval", "cauchy", "--theta", "1", "--eta", "inf", "--x", "1"],
+        ["eval", "g", "--alpha", "1", "--lambda", "nan", "--x", "1"],
+        ["eval", "dagum5", "--gamma", "1", "--epsilon", "nan", "--x", "1"],
+        ["eval", "dagum", "--beta", "1", "--gamma", "1", "--x", "nan"],
+        ["eval", "dagum", "--beta", "1", "--gamma", "1", "--x", "inf"],
+        ["eval", "dagum", "--beta", "1", "--gamma", "1", "--grid", "0:inf:5"],
+        ["eval", "dagum", "--beta", "1", "--gamma", "1", "--grid", "nan:1:5"],
+    ),
+)
+def test_eval_rejects_non_finite(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_figure1_small_grid(tmp_path, capsys):
     out_path = tmp_path / "fig1.csv"
     code, _, _ = run(["figure1", "--grid", "1:2:11", "-o", str(out_path)], capsys)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -164,16 +167,37 @@ def test_psi_values_blocks_match_scalar():
     assert isinstance(ev.psi(1.0), float)
 
 
+def test_laplace_sum_skipping_is_exact():
+    # skipping the nodes whose exp(-t d) underflows to 0 must not change a bit
+    rng = np.random.default_rng(5)
+    for beta in (1.02, 1.5, 1.98):
+        ev = K.PsiEvaluator(beta)
+        v = rng.normal(size=ev._decay.size) * ev._weights
+        ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 80.0, 700))])
+        full = np.einsum("ij,j->i", np.exp(np.multiply.outer(-ts, ev._decay)), v)
+        assert np.array_equal(ev._laplace_sum(ts, v), full)
+
+
 @pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.8, 1.98))
 def test_phi_table_matches_adaptive_route(beta):
-    # the table's values at its knots come from the spectral rule; pin them
-    # to the independent adaptive route at 130 knots spread over [1e-8, 40]
-    table = K.phi_callable(beta, 40.0)
-    knots = table.x[(table.x >= 1e-8) & (table.x <= 40.0)]
+    # pin the spectral rule's phi to the independent adaptive route at 130
+    # points of the former phi table's knot grid over [1e-8, 40]
+    knots = np.concatenate(
+        [np.geomspace(1e-8, 1.0, 400, endpoint=False), np.arange(1.0, 40.0 + 0.05, 0.05)]
+    )
+    knots = knots[knots <= 40.0]
     ts = knots[np.linspace(0, knots.size - 1, 130).round().astype(int)]
     adaptive = np.array([K.phi(beta, float(t), "primary").value for t in ts])
-    assert np.max(np.abs(table(ts) - adaptive)) <= 1e-8
-    assert float(table(0.0)) == 0.0
+    phi_vec = K.phi_callable(beta)
+    assert np.max(np.abs(phi_vec(ts) - adaptive)) <= 1e-8
+    assert phi_vec(0.0)[0] == 0.0
+
+
+@pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.98))
+def test_phi_alternate_at_tiny_t(beta):
+    # the shifted arctan weight lets the truncated route converge at t = 1e-8
+    kv = K.phi(beta, 1e-8, "alternate")
+    assert abs(kv.value - K.spectral_rule(beta).phi_values(1e-8)[0]) <= 1e-9
 
 
 def test_beta_cache_is_bounded():
@@ -210,11 +234,88 @@ def test_eta_grid_matches_pointwise():
     assert grid[0] == pytest.approx(0.0, abs=1e-12)
     for i, t in enumerate(ts[1:], start=1):
         assert grid[i] == pytest.approx(K.eta(0.5, 2.0, float(t)).value, abs=1e-8)
-    # general beta goes through the tabulated phi
+    # general beta goes through the spectral rule
     ts = np.linspace(0.0, 8.0, 5)
     grid = K.eta_grid(0.7, 1.5, ts)
     for i, t in enumerate(ts[1:], start=1):
         assert grid[i] == pytest.approx(K.eta(0.7, 1.5, float(t)).value, abs=1e-6)
+
+
+def _eta_cut_integral(alpha, beta, t):
+    """30-digit eta from the unsubtracted branch-cut integral and the two
+    pole residues of 1/(x^a (1+x^b)); s = u^(1/(1-a)) removes s^(-a)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(t)
+        c = mpmath.cos(mpmath.pi * b)
+        p = 1 / (1 - a)
+
+        def g(u):
+            s = u**p
+            sb = s**b
+            num = mpmath.sin(mpmath.pi * a) + sb * mpmath.sin(mpmath.pi * (a + b))
+            return p * mpmath.exp(-t * s) * num / (1 + 2 * c * sb + sb * sb)
+
+        knots = [mpmath.mpf(k) for k in (1e-3, 0.1, 1, 2, 5, 20, 100, 1000)]
+        if c < 0:
+            knots.append((-c) ** (1 / b))
+        pts = [0] + sorted(k ** (1 / p) for k in knots) + [mpmath.inf]
+        cut = mpmath.quad(g, pts) / mpmath.pi
+        A = mpmath.pi / b
+        poles = -(2 / b) * mpmath.exp(t * mpmath.cos(A)) * mpmath.cos(t * mpmath.sin(A) + (1 - a) * A)
+        return float(cut + poles)
+
+
+@pytest.mark.parametrize("beta,alpha", ((1.02, 0.01), (1.3, 0.14), (1.7, 0.5), (1.98, 0.98)))
+def test_eta_grid_matches_cut_integral(beta, alpha):
+    ts = np.array([0.0, 0.01, 0.3, 3.7, 12.0, 40.0])
+    grid = K.eta_grid(alpha, beta, ts)
+    assert grid[0] == 0.0
+    for t, value in zip(ts[1:], grid[1:]):
+        assert abs(value - _eta_cut_integral(alpha, beta, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", (1.02, 1.5, 1.98))
+def test_eta_grid_alpha_one_is_psi(beta):
+    ts = np.linspace(0.0, 30.0, 300)
+    grid = K.eta_grid(1.0, beta, ts)
+    assert grid[0] == 0.0
+    assert np.max(np.abs(grid - K.spectral_rule(beta).psi_values(ts))) <= 1e-14
+
+
+def test_eta_grid_matches_adaptive_eta():
+    for beta, alpha in ((1.1, 0.05), (1.5, 0.3), (1.5, 0.7), (1.9, 0.95)):
+        ts = np.array([0.0, 0.2, 1.5, 6.0, 18.0])
+        grid = K.eta_grid(alpha, beta, ts)
+        assert grid[0] == 0.0
+        for t, value in zip(ts[1:], grid[1:]):
+            kv = K.eta(alpha, beta, float(t))
+            assert abs(value - kv.value) <= kv.err_estimate + 1e-9
+
+
+def test_eta_grid_domain():
+    with pytest.raises(DomainError):
+        K.eta_grid(0.0, 1.5, [1.0])
+    with pytest.raises(DomainError):
+        K.eta_grid(0.5, 1.5, [-1.0])
+    with pytest.raises(DomainError):
+        K.eta_grid(0.5, 2.5, [1.0])
+    # a >= b + 1 has no branch-cut inversion; 1 < a < b + 1 is outside
+    # what the fixed rule resolves
+    for alpha in (2.5, 3.0, 1.5):
+        with pytest.raises(DomainError):
+            K.eta_grid(alpha, 1.5, [1.0])
+    # the endpoint bands take any alpha > 0
+    assert K.eta_grid(1.5, 2.0, [0.0])[0] == 0.0
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, dagum; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(K.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_eta_domain():

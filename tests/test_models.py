@@ -117,6 +117,23 @@ def test_param_validation():
         M.AuxParams(-0.1, 1.0)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_params_reject_non_finite(bad):
+    for cls, good in (
+        (M.DagumParams, (1.5, 0.5)),
+        (M.DagumSec5Params, (1.5, 0.5)),
+        (M.CauchyParams, (1.0, 1.0)),
+        (M.AuxParams, (0.5, 1.5)),
+        (M.GParams, (1.0, 0.5)),
+    ):
+        cls(*good)
+        for i in range(2):
+            args = list(good)
+            args[i] = bad
+            with pytest.raises(DomainError, match="must be finite"):
+                cls(*args)
+
+
 def test_make_model_wire_format():
     p, ev = M.make_model("g", {"alpha": 1.0, "lambda": 0.5})
     assert ev(p, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
