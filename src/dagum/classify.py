@@ -115,8 +115,8 @@ def l_of_beta(beta: float) -> float:
 
 def beta_star(tol: float = 1e-6) -> float:
     """The unique b in (1, 2) with l(b) = 1; approximately 1.74."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("tol must be finite and positive")
     return find_root(lambda b: l_of_beta(b) - 1.0, Bracket(1.5, 1.9), tol)
 
 
@@ -379,6 +379,15 @@ def classify_g(alpha: float, lam: float) -> Verdict:
         NUMERIC_BASIS,
         notes="outside the known sufficient and necessary regions",
     )
+
+
+# CLI family -> (classifier, parameter names in argument order, takes tol).
+CLASSIFIERS = {
+    "dagum": (classify_dagum, ("beta", "gamma"), True),
+    "aux-cm": (classify_aux_cm, ("alpha", "beta"), False),
+    "aux-lcm": (classify_aux_lcm, ("alpha", "beta"), True),
+    "g": (classify_g, ("alpha", "lambda"), False),
+}
 
 
 # -- threshold table ----------------------------------------------------------

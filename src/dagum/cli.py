@@ -1,9 +1,10 @@
 """Command-line surface: evaluate, classify, tabulate, check, simulate.
 
-Exit codes: 0 success, 2 parameter error, 3 numeric non-convergence,
-4 permissibility failure.  Output goes to stdout or, with --output, is
-written atomically (temp file + rename).  CSV uses a header row, '.'
-decimals, repr-formatted floats (round-trip exact), newline-terminated.
+Exit codes: 0 success, 2 parameter error, 3 numeric non-convergence or a
+degenerate exponent fit, 4 permissibility failure.  Output goes to stdout
+or, with --output, is written atomically (temp file + rename).  CSV uses a
+header row, '.' decimals, repr-formatted floats (round-trip exact),
+newline-terminated.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from . import fields as F
 from . import models as M
 from .errors import (
     ConvergenceError,
+    DegenerateFitError,
     DomainError,
     NotPermissibleError,
     UnsupportedExpressionError,
@@ -33,72 +34,23 @@ EXIT_PARAM = 2
 EXIT_NUMERIC = 3
 EXIT_PERMISSIBILITY = 4
 
-_PARAM_FLAGS = ("alpha", "beta", "gamma", "epsilon", "theta", "eta", "lam")
-_FLAG_TO_WIRE = {"lam": "lambda"}
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation: exactly one command plus its knobs."""
-
-    command: str
-    model: Optional[str] = None
-    params: Dict[str, float] = field(default_factory=dict)
-    x: Optional[float] = None
-    grid: Optional[str] = None
-    dims: List[int] = field(default_factory=list)
-    n: int = 0
-    sets: int = 0
-    trials: int = 0
-    d_max: int = 0
-    spacing: float = 1.0
-    seed: int = 0
-    tol: float = 1e-6
-    convention: str = "squared_distance"
-    output: Optional[str] = None
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise DomainError("tolerances must be positive")
-
-
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    params: Dict[str, float] = {}
-    for flag in _PARAM_FLAGS:
-        val = getattr(ns, flag, None)
-        if val is not None:
-            params[_FLAG_TO_WIRE.get(flag, flag)] = float(val)
-    dims: List[int] = []
-    if getattr(ns, "dims", None):
-        try:
-            dims = [int(d) for d in ns.dims.split(",") if d]
-        except ValueError:
-            raise DomainError(
-                f"--dims must be comma-separated integers, got {ns.dims!r}"
-            ) from None
-    return RunConfig(
-        command=ns.command,
-        model=getattr(ns, "model", None) or getattr(ns, "family", None),
-        params=params,
-        x=getattr(ns, "x", None),
-        grid=getattr(ns, "grid", None),
-        dims=dims,
-        n=getattr(ns, "n", 0),
-        sets=getattr(ns, "sets", 0),
-        trials=getattr(ns, "trials", 0),
-        d_max=getattr(ns, "dmax", 0),
-        spacing=getattr(ns, "spacing", 1.0),
-        seed=getattr(ns, "seed", 0),
-        tol=getattr(ns, "tol", 1e-6),
-        convention=getattr(ns, "convention", "squared_distance"),
-        output=getattr(ns, "output", None),
-    )
+_PARAMS = ("alpha", "beta", "gamma", "epsilon", "theta", "eta", "lambda")
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    for flag in _PARAM_FLAGS:
-        wire = _FLAG_TO_WIRE.get(flag, flag)
-        p.add_argument(f"--{wire}", dest=flag, type=float, default=None)
+    for name in _PARAMS:
+        p.add_argument(f"--{name}", type=float, default=None)
+
+
+def _params(ns: argparse.Namespace) -> Dict[str, float]:
+    """The model parameters given on the command line, by wire name."""
+    return {k: getattr(ns, k) for k in _PARAMS if getattr(ns, k) is not None}
+
+
+def _tol(ns: argparse.Namespace) -> float:
+    if not (math.isfinite(ns.tol) and ns.tol > 0.0):
+        raise DomainError("--tol must be finite and > 0")
+    return ns.tol
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -143,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("classify", help="three-valued permissibility verdict")
-    p.add_argument("family", choices=("dagum", "aux-cm", "aux-lcm", "g"))
+    p.add_argument("family", choices=tuple(C.CLASSIFIERS))
     _add_param_flags(p)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--output", "-o", default=None)
@@ -189,50 +141,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    rho = M.correlation(cfg.model, cfg.params)
-    if (cfg.x is None) == (cfg.grid is None):
+def _cmd_eval(ns: argparse.Namespace) -> int:
+    rho = M.correlation(ns.model, _params(ns))
+    if (ns.x is None) == (ns.grid is None):
         raise DomainError("provide exactly one of --x or --grid")
-    if cfg.x is not None and not math.isfinite(cfg.x):
+    if ns.x is not None and not math.isfinite(ns.x):
         raise DomainError("--x must be finite")
-    xs = [float(cfg.x)] if cfg.x is not None else [float(v) for v in _parse_grid(cfg.grid)]
+    xs = [ns.x] if ns.x is not None else [float(v) for v in _parse_grid(ns.grid)]
     lines = ["x,value"]
     for x in xs:
         lines.append(f"{x!r},{rho(x)!r}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", ns.output)
     return EXIT_OK
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    params = cfg.params
-
-    def need(*names: str) -> List[float]:
-        missing = [k for k in names if k not in params]
-        if missing:
-            raise DomainError(f"{cfg.model} requires {missing}")
-        extra = [k for k in params if k not in names]
-        if extra:
-            raise DomainError(f"{cfg.model} got unknown parameters {extra}")
-        return [params[k] for k in names]
-
-    if cfg.model == "dagum":
-        beta, gamma = need("beta", "gamma")
-        verdict = C.classify_dagum(beta, gamma, cfg.tol)
-    elif cfg.model == "aux-cm":
-        alpha, beta = need("alpha", "beta")
-        verdict = C.classify_aux_cm(alpha, beta)
-    elif cfg.model == "aux-lcm":
-        alpha, beta = need("alpha", "beta")
-        verdict = C.classify_aux_lcm(alpha, beta, cfg.tol)
-    else:
-        alpha, lam = need("alpha", "lambda")
-        verdict = C.classify_g(alpha, lam)
-    _emit(verdict.to_json(), cfg.output)
+def _cmd_classify(ns: argparse.Namespace) -> int:
+    tol = _tol(ns)
+    classifier, names, takes_tol = C.CLASSIFIERS[ns.family]
+    args = M.take_params(ns.family, _params(ns), names)
+    verdict = classifier(*args, tol) if takes_tol else classifier(*args)
+    _emit(verdict.to_json(), ns.output)
     return EXIT_OK
 
 
-def _cmd_figure1(cfg: RunConfig) -> int:
-    betas = _parse_grid(cfg.grid)
+def _cmd_figure1(ns: argparse.Namespace) -> int:
+    tol = _tol(ns)
+    betas = _parse_grid(ns.grid)
     if len(betas) < 11:
         raise DomainError("figure1 grid needs at least 11 points")
     if betas[0] < 1.0 or betas[-1] > 2.0:
@@ -243,64 +177,69 @@ def _cmd_figure1(cfg: RunConfig) -> int:
             b = float(b)
             psi_b = C.psi_max(b)
             lines.append(f"{b!r},{psi_b!r},{1.0 + 1.0 / b!r},{b * (psi_b - 1.0)!r}")
-        star = C.beta_star(cfg.tol)
+        star = C.beta_star(tol)
     except ConvergenceError as exc:
         lines.append(f"# error,non-convergence: {exc}")
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", ns.output)
         print(f"dagum: numeric non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     lines.append(f"# beta_star,{star!r}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", ns.output)
     return EXIT_OK
 
 
-def _cmd_psd(cfg: RunConfig) -> int:
-    M.make_model(cfg.model, cfg.params)  # validate before the expensive part
-    if not cfg.dims or min(cfg.dims) < 1 or cfg.n < 2 or cfg.sets < 1:
+def _cmd_psd(ns: argparse.Namespace) -> int:
+    params = _params(ns)
+    M.make_model(ns.model, params)  # validate before the expensive part
+    try:
+        dims = [int(d) for d in ns.dims.split(",") if d]
+    except ValueError:
+        raise DomainError(f"--dims must be comma-separated integers, got {ns.dims!r}") from None
+    if not dims or min(dims) < 1 or ns.n < 2 or ns.sets < 1:
         raise DomainError("need dims >= 1, n >= 2, sets >= 1")
     reports = []
-    for d in cfg.dims:
-        for k in range(cfg.sets):
-            ps = F.random_point_set(d, cfg.n, cfg.seed, trial=k)
-            reports.append(F.psd_check(cfg.model, cfg.params, ps, cfg.convention))
-    _emit(F.psd_reports_to_csv(reports), cfg.output)
+    for d in dims:
+        for k in range(ns.sets):
+            ps = F.random_point_set(d, ns.n, ns.seed, trial=k)
+            reports.append(F.psd_check(ns.model, params, ps, ns.convention))
+    _emit(F.psd_reports_to_csv(reports), ns.output)
     return EXIT_OK
 
 
-def _cmd_search(cfg: RunConfig) -> int:
-    M.make_model(cfg.model, cfg.params)
-    found = F.nonpsd_search(
-        cfg.model, cfg.params, cfg.d_max, cfg.n, cfg.trials, cfg.seed, cfg.convention
-    )
+def _cmd_search(ns: argparse.Namespace) -> int:
+    params = _params(ns)
+    M.make_model(ns.model, params)
+    found = F.nonpsd_search(ns.model, params, ns.dmax, ns.n, ns.trials, ns.seed, ns.convention)
     if found is None:
         text = (
             F.PSD_CSV_HEADER
             + "\n"
-            + f"# none,no indefinite configuration in {cfg.trials} trials"
-            + f" (d<={cfg.d_max}, n={cfg.n}, seed={cfg.seed}); absence proves nothing\n"
+            + f"# none,no indefinite configuration in {ns.trials} trials"
+            + f" (d<={ns.dmax}, n={ns.n}, seed={ns.seed}); absence proves nothing\n"
         )
     else:
         _, report = found
         text = F.psd_reports_to_csv([report])
-    _emit(text, cfg.output)
+    _emit(text, ns.output)
     return EXIT_OK
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    profile = F.simulate_profile(cfg.model, cfg.params, cfg.n, cfg.spacing, cfg.seed)
-    _emit(F.profile_to_csv(profile), cfg.output)
+def _cmd_simulate(ns: argparse.Namespace) -> int:
+    profile = F.simulate_profile(ns.model, _params(ns), ns.n, ns.spacing, ns.seed)
+    _emit(F.profile_to_csv(profile), ns.output)
     return EXIT_OK
 
 
-def _cmd_decouple(cfg: RunConfig) -> int:
-    M.make_model(cfg.model, cfg.params)
-    local = F.estimate_local_exponent(cfg.model, cfg.params)
-    tail = F.estimate_hurst_exponent(cfg.model, cfg.params)
+def _cmd_decouple(ns: argparse.Namespace) -> int:
+    params = _params(ns)
+    M.make_model(ns.family, params)
+    local = F.estimate_local_exponent(ns.family, params)
+    tail = F.estimate_hurst_exponent(ns.family, params)
     lines = [
         "family,params,local_exponent,tail_exponent",
-        f"{cfg.model},{F._fmt_params(cfg.params)},{local!r},{tail!r}",
+        f"{ns.family},{F._fmt_params(params)},{local!r},{tail!r}",
     ]
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", ns.output)
     return EXIT_OK
 
 
@@ -319,8 +258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _config_from_namespace(ns)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except (DomainError, UnsupportedExpressionError) as exc:
         print(f"dagum: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAM
@@ -329,6 +267,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_PERMISSIBILITY
     except ConvergenceError as exc:
         print(f"dagum: numeric non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except DegenerateFitError as exc:
+        print(f"dagum: degenerate exponent fit: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

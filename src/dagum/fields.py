@@ -11,6 +11,7 @@ Conflating the two is the most likely usage bug.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -80,8 +81,8 @@ class Profile:
     params: Dict[str, float]
 
     def __post_init__(self):
-        if self.spacing <= 0.0:
-            raise DomainError("spacing must be > 0")
+        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
+            raise DomainError("spacing must be finite and > 0")
         if len(self.values) < 2:
             raise DomainError("profile needs at least two samples")
 
@@ -89,24 +90,6 @@ class Profile:
 def _sq_distances(pts: np.ndarray) -> np.ndarray:
     diff = pts[:, None, :] - pts[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def _correlation_array(model_id: str, params: Mapping[str, float], d: np.ndarray) -> np.ndarray:
-    """Vectorized rho(d) for d >= 0; diverging-at-zero families are only
-    evaluated off the diagonal (the caller pins the unit diagonal)."""
-    p, _ = M.make_model(model_id, params)
-    if isinstance(p, M.DagumSec5Params):
-        p = p.as_dagum()
-    if isinstance(p, M.DagumParams):
-        u = d ** p.beta
-        return 1.0 - (u / (1.0 + u)) ** p.gamma
-    if isinstance(p, M.CauchyParams):
-        return (1.0 + d ** p.theta) ** (-p.eta / p.theta)
-    if isinstance(p, M.AuxParams):
-        return 1.0 / (d ** p.alpha * (1.0 + d ** p.beta))
-    if isinstance(p, M.GParams):
-        return 1.0 / (d ** p.alpha * (1.0 + d * d) ** p.lam)
-    raise DomainError(f"no array evaluator for model {model_id!r}")
 
 
 def gram_matrix(
@@ -123,14 +106,17 @@ def gram_matrix(
     """
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
+    p, evaluator = M.make_model(model_id, params)
     arg = _sq_distances(ps.points)
     if convention == "plain_distance":
         arg = np.sqrt(arg)
     n = ps.n_points
     out = np.ones((n, n))
     mask = ~np.eye(n, dtype=bool)
+    # Off the diagonal only: distinct points have positive distances, where
+    # the families that diverge at zero are defined.
     with np.errstate(divide="ignore", over="ignore"):
-        out[mask] = _correlation_array(model_id, params, arg[mask])
+        out[mask] = evaluator(p, arg[mask])
     out = 0.5 * (out + out.T)
     return out
 
@@ -220,8 +206,8 @@ def simulate_profile(
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    if spacing <= 0.0:
-        raise DomainError("spacing must be > 0")
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise DomainError("spacing must be finite and > 0")
     positions = (np.arange(n) * spacing)[:, None]
     ps = PointSet(1, positions, id=f"grid-n{n}-h{spacing:g}")
     cov = gram_matrix(model_id, params, ps, "plain_distance")

@@ -148,12 +148,10 @@ def _tau_primary(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
     def g(s: float) -> float:
         return math.exp(-t * s) * s ** (beta - 1.0) / _denom(s, beta, c)
 
+    # Below t = 0.5 the decay is too slow for the log substitution; without
+    # a decay rate the tail is truncated adaptively.
     knots = _resonance_knots(beta, sigma, c, math.inf)
-    if t >= 0.5 and cfg.tail_cutoff_strategy == "exp_substitution":
-        v, e = integrate(g, 0.0, math.inf, cfg, decay=t, knots=knots)
-    else:
-        trunc = QuadConfig(cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions, "truncate_at_T")
-        v, e = integrate(g, 0.0, math.inf, trunc, knots=knots)
+    v, e = integrate(g, 0.0, math.inf, cfg, decay=t if t >= 0.5 else None, knots=knots)
     return sigma / PI * v, sigma / PI * e
 
 
@@ -237,7 +235,9 @@ def _J_integral(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
             return 0.0
         return amp * math.exp(-t * math.exp(ln_big))
 
-    v2, e2 = integrate(h, 0.0, v_hi, cfg)
+    # Knots geometric toward v = 0 as in the head: for small t the integrand
+    # has a narrow feature near v = 0 that a three-knot start can miss.
+    v2, e2 = integrate(h, 0.0, v_hi, cfg, knots=[v_hi * 2.0 ** (-k) for k in range(1, 31)])
     return v1 + v2 / (beta * sigma), e1 + e2 / (beta * sigma)
 
 
@@ -262,7 +262,7 @@ def _phi_alternate(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float
         weight = math.atan((s ** beta + c) / sin_bpi) + 0.5 * PI
         return weight * (1.0 - t * s) * math.exp(-t * s)
 
-    if t >= 0.5 and cfg.tail_cutoff_strategy == "exp_substitution":
+    if t >= 0.5:
         v, e = integrate(g, 0.0, math.inf, cfg, decay=t)
     else:
         hi = 45.0 / t
@@ -535,8 +535,7 @@ def laplace_check(
         elif abs(beta - 2.0) < ENDPOINT_BAND:
             base = lambda t: 1.0 - math.cos(t)  # noqa: E731
         else:
-            ev = PsiEvaluator(beta)
-            base = ev.psi
+            base = spectral_rule(beta).psi
         f = lambda t: math.exp(-x * t) * base(t)  # noqa: E731
         target = 1.0 / (x * (1.0 + x ** beta))
     elif kernel == "eta":

@@ -1,16 +1,18 @@
 """Catalog of correlation-model and auxiliary-family evaluators.
 
 Every evaluator is written against the generic arithmetic helpers in
-:mod:`dagum.taylor`, so the same closed form serves both ordinary floating
-point evaluation and truncated-series evaluation (exact high-order
-derivatives for the monotonicity scans).
+:mod:`dagum.taylor`, so the same closed form serves floating point
+evaluation, whole arrays (the Gram matrices) and truncated-series
+evaluation (exact high-order derivatives for the monotonicity scans).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import taylor as ta
 from .errors import DomainError, UnsupportedExpressionError
@@ -90,14 +92,16 @@ class GParams:
 
 # -- evaluators --------------------------------------------------------------
 
+# Each evaluator takes a float, an ndarray or a TaylorSeries x.  Only floats
+# are checked against the domain here; arrays go through the checks of
+# ``ta.powr`` (the Gram matrices pass positive distances), series unchecked.
+_UNCHECKED = (ta.TaylorSeries, np.ndarray)
+
 
 def dagum_eval(p: DagumParams, x):
     """1 - (x^beta / (1 + x^beta))^gamma for x >= 0."""
-    if not isinstance(x, ta.TaylorSeries):
-        if x < 0.0:
-            raise DomainError("x must be >= 0")
-        if x == 0.0:
-            return 1.0
+    if not isinstance(x, _UNCHECKED) and x < 0.0:
+        raise DomainError("x must be >= 0")
     u = ta.powr(x, p.beta)
     return 1.0 - ta.powr(u / (1.0 + u), p.gamma)
 
@@ -107,31 +111,22 @@ def dagum_sec5_eval(p: DagumSec5Params, t):
 
 
 def cauchy_eval(p: CauchyParams, t):
-    if not isinstance(t, ta.TaylorSeries):
-        if t < 0.0:
-            raise DomainError("t must be >= 0")
-        if t == 0.0:
-            return 1.0
+    if not isinstance(t, _UNCHECKED) and t < 0.0:
+        raise DomainError("t must be >= 0")
     return ta.powr(1.0 + ta.powr(t, p.theta), -p.eta / p.theta)
 
 
 def aux_eval(p: AuxParams, x):
     """1 / (x^alpha (1 + x^beta)); diverges as x -> 0+ when alpha > 0."""
-    if not isinstance(x, ta.TaylorSeries):
-        if x < 0.0 or (x == 0.0 and p.alpha > 0.0):
-            raise DomainError("aux diverges at x = 0 for alpha > 0; need x > 0")
-        if x == 0.0:
-            return 1.0
+    if not isinstance(x, _UNCHECKED) and (x < 0.0 or (x == 0.0 and p.alpha > 0.0)):
+        raise DomainError("aux diverges at x = 0 for alpha > 0; need x > 0")
     return 1.0 / (ta.powr(x, p.alpha) * (1.0 + ta.powr(x, p.beta)))
 
 
 def g_eval(p: GParams, x):
     """1 / (x^alpha (1 + x^2)^lambda); diverges as x -> 0+ when alpha > 0."""
-    if not isinstance(x, ta.TaylorSeries):
-        if x < 0.0 or (x == 0.0 and p.alpha > 0.0):
-            raise DomainError("g diverges at x = 0 for alpha > 0; need x > 0")
-        if x == 0.0:
-            return 1.0
+    if not isinstance(x, _UNCHECKED) and (x < 0.0 or (x == 0.0 and p.alpha > 0.0)):
+        raise DomainError("g diverges at x = 0 for alpha > 0; need x > 0")
     return 1.0 / (ta.powr(x, p.alpha) * ta.powr(1.0 + x * x, p.lam))
 
 
@@ -148,52 +143,61 @@ def reduced_dagum_eval(p: DagumParams, x):
     return num / ta.powr(1.0 + ta.powr(x, p.beta), p.gamma + 1.0)
 
 
-def reduced_dagum_power_form(p: DagumParams, x):
-    """Algebraically identical power form: aux(alpha*, beta)^(1 + gamma)
-    with alpha* = (1 - beta*gamma) / (1 + gamma)."""
-    if not isinstance(x, ta.TaylorSeries) and x <= 0.0:
-        raise DomainError("reduced dagum needs x > 0")
-    a_star = (1.0 - p.beta * p.gamma) / (1.0 + p.gamma)
-    inner = 1.0 / (ta.powr(x, a_star) * (1.0 + ta.powr(x, p.beta)))
-    return ta.powr(inner, 1.0 + p.gamma)
+# Cancellation-free semivariograms 1 - rho(t) for t > 0.
+
+
+def _dagum_semivariogram(p: DagumParams, t: float) -> float:
+    u = t ** p.beta
+    return (u / (1.0 + u)) ** p.gamma
+
+
+def _cauchy_semivariogram(p: CauchyParams, t: float) -> float:
+    return -math.expm1(-(p.eta / p.theta) * math.log1p(t ** p.theta))
 
 
 # -- model registry (CLI / fields wire names) --------------------------------
 
-# id -> (params builder from kwargs, correlation evaluator, parameter names)
-ModelEntry = Tuple[Callable[..., object], Callable[[object, float], float], Tuple[str, ...]]
+
+class ModelEntry(NamedTuple):
+    build: Callable[..., object]  # parameter type, takes values in ``names`` order
+    evaluator: Callable  # rho(p, x) for a float, ndarray or TaylorSeries x
+    names: Tuple[str, ...]
+    semivariogram: Optional[Callable[[object, float], float]]  # None: 1 - rho
+
 
 MODELS: Dict[str, ModelEntry] = {
-    "dagum": (DagumParams, dagum_eval, ("beta", "gamma")),
-    "dagum5": (
-        lambda gamma, epsilon: DagumSec5Params(gamma, epsilon),
+    "dagum": ModelEntry(DagumParams, dagum_eval, ("beta", "gamma"), _dagum_semivariogram),
+    "dagum5": ModelEntry(
+        DagumSec5Params,
         dagum_sec5_eval,
         ("gamma", "epsilon"),
+        lambda p, t: _dagum_semivariogram(p.as_dagum(), t),
     ),
-    "cauchy": (CauchyParams, cauchy_eval, ("theta", "eta")),
-    "aux": (AuxParams, aux_eval, ("alpha", "beta")),
-    "g": (
-        lambda alpha, lam=None, **kw: GParams(alpha, kw.get("lambda", lam)),
-        g_eval,
-        ("alpha", "lambda"),
-    ),
+    "cauchy": ModelEntry(CauchyParams, cauchy_eval, ("theta", "eta"), _cauchy_semivariogram),
+    "aux": ModelEntry(AuxParams, aux_eval, ("alpha", "beta"), None),
+    "g": ModelEntry(GParams, g_eval, ("alpha", "lambda"), None),
 }
+
+
+def take_params(label: str, params: Mapping[str, float], names: Sequence[str]) -> List[float]:
+    """The values of ``names`` in order; a missing or unknown name is a DomainError."""
+    missing = [n for n in names if n not in params]
+    if missing:
+        raise DomainError(f"{label} missing parameters {missing}")
+    extra = [n for n in params if n not in names]
+    if extra:
+        raise DomainError(f"{label} got unknown parameters {extra}")
+    return [float(params[n]) for n in names]
 
 
 def make_model(model_id: str, params: Mapping[str, float]):
     """Resolve a wire-format model id and keyword parameters."""
     try:
-        builder, evaluator, names = MODELS[model_id]
+        entry = MODELS[model_id]
     except KeyError:
         raise UnsupportedExpressionError(f"unknown model id {model_id!r}") from None
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise DomainError(f"model {model_id!r} missing parameters {missing}")
-    extra = [n for n in params if n not in names]
-    if extra:
-        raise DomainError(f"model {model_id!r} got unknown parameters {extra}")
-    p = builder(**{k: float(v) for k, v in params.items()})
-    return p, evaluator
+    p = entry.build(*take_params(f"model {model_id!r}", params, entry.names))
+    return p, entry.evaluator
 
 
 def correlation(model_id: str, params: Mapping[str, float]) -> Callable[[float], float]:
@@ -206,18 +210,11 @@ def semivariogram(model_id: str, params: Mapping[str, float], t: float) -> float
     """1 - rho(t), computed cancellation-free near t = 0 (unit variance)."""
     if t < 0.0:
         raise DomainError("t must be >= 0")
-    p, _ = make_model(model_id, params)
+    p, evaluator = make_model(model_id, params)
     if t == 0.0:
         return 0.0
-    if isinstance(p, DagumSec5Params):
-        p = p.as_dagum()
-    if isinstance(p, DagumParams):
-        u = t ** p.beta
-        return (u / (1.0 + u)) ** p.gamma
-    if isinstance(p, CauchyParams):
-        return -math.expm1(-(p.eta / p.theta) * math.log1p(t ** p.theta))
-    rho = correlation(model_id, params)
-    return 1.0 - rho(t)
+    sv = MODELS[model_id].semivariogram
+    return 1.0 - evaluator(p, t) if sv is None else sv(p, t)
 
 
 # -- expression catalog for derivative scans ---------------------------------
@@ -241,10 +238,3 @@ def catalog_function(expr: str, params: Mapping[str, float]) -> Callable:
         return lambda x: evaluator(p, x)
     raise UnsupportedExpressionError(f"unknown expression id {expr!r}")
 
-
-def series_of(expr: str, params: Mapping[str, float], x0: float, order: int) -> ta.TaylorSeries:
-    """Taylor series of a catalog expression at ``x0 > 0`` (``sin`` anywhere)."""
-    fn = catalog_function(expr, params)
-    if expr != "sin" and x0 <= 0.0:
-        raise DomainError("catalog expressions require x0 > 0")
-    return ta.taylor_eval(fn, x0, order)

@@ -4,8 +4,6 @@ The quadrature core is a globally adaptive Gauss-Kronrod (7, 15) scheme.
 Semi-infinite integrals either substitute ``s = a - log(u)/decay`` when the
 integrand has a known exponential decay rate, or extend the domain in
 doubling chunks until the tail contribution falls below ``abs_tol / 10``.
-Algebraic endpoint singularities with exponent in (-1, 0) are removed by a
-power-law substitution before the adaptive pass.
 """
 
 from __future__ import annotations
@@ -56,15 +54,12 @@ class QuadConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     max_subdivisions: int = 4000
-    tail_cutoff_strategy: str = "exp_substitution"  # or "truncate_at_T"
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.tail_cutoff_strategy not in ("exp_substitution", "truncate_at_T"):
-            raise ValueError("unknown tail_cutoff_strategy")
 
 
 @dataclass(frozen=True)
@@ -145,45 +140,6 @@ def _adaptive(
     return total, err
 
 
-def _desingularize(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    sing_lo: float,
-    sing_hi: float,
-) -> Tuple[Callable[[float], float], float, float]:
-    """Power-law substitution removing one algebraic endpoint singularity.
-
-    ``sing_lo``/``sing_hi`` give the exponent p of the (x - endpoint)^p
-    behaviour, with -1 < p < 0.  At most one endpoint may be singular.
-    """
-    if sing_lo != 0.0 and sing_hi != 0.0:
-        raise ValueError("only one singular endpoint is supported")
-    if sing_lo != 0.0:
-        p = sing_lo
-        if not -1.0 < p < 0.0:
-            raise ValueError("singular exponent must be in (-1, 0)")
-        q = 1.0 / (1.0 + p)
-        vmax = (b - a) ** (1.0 / q)
-
-        def g(v: float) -> float:
-            return f(a + v ** q) * q * v ** (q - 1.0)
-
-        return g, 0.0, vmax
-    if sing_hi != 0.0:
-        p = sing_hi
-        if not -1.0 < p < 0.0:
-            raise ValueError("singular exponent must be in (-1, 0)")
-        q = 1.0 / (1.0 + p)
-        vmax = (b - a) ** (1.0 / q)
-
-        def g(v: float) -> float:
-            return f(b - v ** q) * q * v ** (q - 1.0)
-
-        return g, 0.0, vmax
-    return f, a, b
-
-
 def integrate(
     f: Callable[[float], float],
     lo: float,
@@ -192,25 +148,19 @@ def integrate(
     *,
     decay: Optional[float] = None,
     knots: Iterable[float] = (),
-    sing_lo: float = 0.0,
-    sing_hi: float = 0.0,
 ) -> Tuple[float, float]:
     """Integrate ``f`` over [lo, hi]; ``hi`` may be ``math.inf``.
 
     Returns ``(value, err_estimate)``.  ``decay`` is the exponential decay
     rate of the integrand, enabling the log substitution on semi-infinite
     domains; without it the tail is truncated adaptively.  ``knots`` seed the
-    initial partition (useful for known sharp features).  ``sing_lo`` /
-    ``sing_hi`` declare an algebraic endpoint exponent in (-1, 0).
+    initial partition (useful for known sharp features).
     """
     cfg = cfg or DEFAULT_QUAD
     if math.isinf(hi):
         return _integrate_semi_infinite(f, lo, cfg, decay, knots)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if sing_lo != 0.0 or sing_hi != 0.0:
-        g, a, b = _desingularize(f, lo, hi, sing_lo, sing_hi)
-        return _adaptive(g, (a, 0.5 * (a + b), b), cfg)
     pts = [lo, hi] + [k for k in knots if lo < k < hi]
     if len(pts) == 2:
         pts.append(0.5 * (lo + hi))
@@ -218,11 +168,7 @@ def integrate(
 
 
 def _integrate_semi_infinite(f, lo, cfg, decay, knots):
-    if (
-        decay is not None
-        and decay > 0.0
-        and cfg.tail_cutoff_strategy == "exp_substitution"
-    ):
+    if decay is not None and decay > 0.0:
         lam = decay
 
         def g(u: float) -> float:

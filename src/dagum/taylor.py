@@ -8,14 +8,16 @@ rounding -- repeated finite differencing is hopeless beyond order ~4, the
 recurrences below are not.
 
 The helper functions ``exp``, ``log``, ``sin``, ``cos``, ``powr`` accept
-plain floats as well, so a model written against them evaluates identically
-in ordinary and series arithmetic.
+plain floats as well (``powr`` also ndarrays), so a model written against
+them evaluates identically in ordinary, array and series arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence, Union
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -229,10 +231,15 @@ def cos(u: Scalar) -> Scalar:
 
 
 def powr(u: Scalar, r: float) -> Scalar:
-    """u**r for real r; u must be positive (constant term positive for series)."""
-    if isinstance(u, TaylorSeries):
+    """u**r for real r, elementwise on an ndarray; u must be nonnegative
+    (nonzero for r < 0; the constant term positive for series)."""
+    if type(u) is float:  # the per-point path of model evaluation: no numpy call
+        bad = u < 0.0 or (u == 0.0 and r < 0.0)
+    elif isinstance(u, TaylorSeries):
         return _series_powr(u, r)
-    if u < 0.0 or (u == 0.0 and r < 0.0):
+    else:
+        bad = np.any(u < 0.0) or (r < 0.0 and np.any(u == 0.0))
+    if bad:
         raise DomainError("real power requires a nonnegative base")
     return u ** r
 

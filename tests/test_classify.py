@@ -238,8 +238,9 @@ def test_classifier_domain_errors():
         C.classify_aux_cm(-0.1, 1.0)
     with pytest.raises(DomainError):
         C.classify_g(-1.0, 0.5)
-    with pytest.raises(DomainError):
-        C.beta_star(0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            C.beta_star(tol)
 
 
 def test_psi_max_concurrent_matches_serial():

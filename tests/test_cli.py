@@ -241,3 +241,54 @@ def test_decouple_command(capsys):
     fields = rows[1].split(",")
     assert float(fields[2]) == pytest.approx(0.5, abs=0.02)
     assert float(fields[3]) == pytest.approx(-1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("tol", ("nan", "inf", "0", "-1e-6"))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["figure1", "--grid", "1:2:11"],
+        ["classify", "aux-lcm", "--alpha", "0.3", "--beta", "1.5"],
+        ["classify", "dagum", "--beta", "1.5", "--gamma", "0.5"],
+        ["classify", "aux-cm", "--alpha", "0.3", "--beta", "1.5"],
+    ),
+)
+def test_tol_must_be_finite_and_positive(argv, tol, capsys):
+    code, out, err = run(argv + [f"--tol={tol}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--tol must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("spacing", ("nan", "inf", "0"))
+def test_simulate_rejects_bad_spacing(spacing, capsys):
+    code, out, err = run(
+        ["simulate", "cauchy", "--theta", "1", "--eta", "1", "--n", "4", "--spacing", spacing],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "spacing must be finite and > 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["decouple", "--family", "aux", "--alpha", "0.5", "--beta", "1.5"],
+        ["decouple", "--family", "g", "--alpha", "0.5", "--lambda", "0.5"],
+    ),
+)
+def test_decouple_degenerate_fit_exits_3(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("dagum: degenerate exponent fit:")
+    assert err.count("\n") == 1
+
+
+def test_eval_aux_constant_at_zero(capsys):
+    code, out, _ = run(
+        ["eval", "aux", "--alpha", "0", "--beta", "0", "--grid", "0:2:3"], capsys
+    )
+    assert code == 0
+    assert out == "x,value\n0.0,0.5\n1.0,0.5\n2.0,0.5\n"

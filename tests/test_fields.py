@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from dagum import fields as F
+from dagum import models as M
 from dagum.errors import DomainError, NotPermissibleError
 
 
@@ -183,3 +186,45 @@ def test_profile_csv_and_psd_csv_shapes():
     text = F.psd_reports_to_csv([rep])
     assert text.startswith(F.PSD_CSV_HEADER)
     assert "psd" in text.strip().split("\n")[1]
+
+
+# The closed forms on arrays, written out independently of dagum.models.
+def _dagum_ref(beta, gamma, d):
+    u = d ** beta
+    return 1.0 - (u / (1.0 + u)) ** gamma
+
+
+GRAM_REFERENCE = {
+    "dagum": ({"beta": 0.7, "gamma": 1.3}, lambda d: _dagum_ref(0.7, 1.3, d)),
+    "dagum5": ({"gamma": 1.5, "epsilon": 0.6}, lambda d: _dagum_ref(1.5, 0.6 / 1.5, d)),
+    "cauchy": ({"theta": 1.2, "eta": 0.8}, lambda d: (1.0 + d ** 1.2) ** (-0.8 / 1.2)),
+    "aux": ({"alpha": 0.3, "beta": 1.5}, lambda d: 1.0 / (d ** 0.3 * (1.0 + d ** 1.5))),
+    "g": ({"alpha": 0.4, "lambda": 0.6}, lambda d: 1.0 / (d ** 0.4 * (1.0 + d * d) ** 0.6)),
+}
+
+
+@pytest.mark.parametrize("model_id", sorted(GRAM_REFERENCE))
+@pytest.mark.parametrize("convention", F.CONVENTIONS)
+def test_gram_entries_are_the_model_evaluator(model_id, convention):
+    params, ref = GRAM_REFERENCE[model_id]
+    rho = M.correlation(model_id, params)
+    for d in (1, 3):
+        ps = F.random_point_set(d, 30, seed=9)
+        g = F.gram_matrix(model_id, params, ps, convention)
+        arg = F._sq_distances(ps.points)
+        if convention == "plain_distance":
+            arg = np.sqrt(arg)
+        off = ~np.eye(30, dtype=bool)
+        assert np.array_equal(g[off], ref(arg[off]))
+        assert np.all(np.diag(g) == 1.0)
+        # the scalar path agrees up to the last bit of numpy's array power
+        scalar = [rho(float(x)) for x in arg[off]]
+        assert np.allclose(g[off], scalar, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("spacing", (math.nan, math.inf, 0.0, -1.0))
+def test_simulate_rejects_bad_spacing(spacing):
+    with pytest.raises(DomainError, match="spacing"):
+        F.simulate_profile("cauchy", {"theta": 1.0, "eta": 1.0}, 4, spacing, seed=0)
+    with pytest.raises(DomainError, match="spacing"):
+        F.Profile(spacing, np.zeros(4), 0, "cauchy", {"theta": 1.0, "eta": 1.0})

@@ -193,6 +193,14 @@ def test_phi_table_matches_adaptive_route(beta):
     assert phi_vec(0.0)[0] == 0.0
 
 
+def test_phi_primary_resolves_small_t_tail():
+    # the compactified tail has a narrow feature near v = 5e-5 at this point
+    kv = K.phi(1.98, 1.4454e-4, "primary")
+    gap = abs(kv.value - K.spectral_rule(1.98).phi_values(1.4454e-4)[0])
+    assert gap <= 1e-12
+    assert gap <= kv.err_estimate + 1e-12
+
+
 @pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.98))
 def test_phi_alternate_at_tiny_t(beta):
     # the shifted arctan weight lets the truncated route converge at t = 1e-8

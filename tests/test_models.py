@@ -7,6 +7,22 @@ from dagum import models as M
 from dagum import taylor as ta
 from dagum.errors import DomainError, UnsupportedExpressionError
 
+ALL_MODELS = {
+    "dagum": {"beta": 0.7, "gamma": 1.3},
+    "dagum5": {"gamma": 1.5, "epsilon": 0.6},
+    "cauchy": {"theta": 1.2, "eta": 0.8},
+    "aux": {"alpha": 0.3, "beta": 1.5},
+    "g": {"alpha": 0.4, "lambda": 0.6},
+}
+
+
+def reduced_dagum_power_form(p, x):
+    """Algebraically identical power form: aux(alpha*, beta)^(1 + gamma)
+    with alpha* = (1 - beta*gamma) / (1 + gamma)."""
+    a_star = (1.0 - p.beta * p.gamma) / (1.0 + p.gamma)
+    inner = 1.0 / (ta.powr(x, a_star) * (1.0 + ta.powr(x, p.beta)))
+    return ta.powr(inner, 1.0 + p.gamma)
+
 
 def test_dagum_point_values():
     assert M.dagum_eval(M.DagumParams(1.0, 1.0), 1.0) == pytest.approx(0.5)
@@ -37,6 +53,9 @@ def test_cauchy_point_values():
 
 def test_aux_point_values():
     assert M.aux_eval(M.AuxParams(0.0, 2.0), 1.0) == pytest.approx(0.5)
+    assert M.aux_eval(M.AuxParams(0.0, 2.0), 0.0) == 1.0
+    # alpha = beta = 0 is the constant 1/2, at x = 0 as well
+    assert M.aux_eval(M.AuxParams(0.0, 0.0), 0.0) == 0.5
     assert M.aux_eval(M.AuxParams(1.0, 1.0), 1.0) == pytest.approx(0.5)
     assert M.aux_eval(M.AuxParams(0.5, 2.0), 4.0) == pytest.approx(1.0 / 34.0, rel=1e-12)
 
@@ -49,7 +68,7 @@ def test_reduced_dagum_values_and_form_identity():
     p = M.DagumParams(1.5, 0.4)
     for x in np.geomspace(1e-3, 1e3, 200):
         a = M.reduced_dagum_eval(p, float(x))
-        b = M.reduced_dagum_power_form(p, float(x))
+        b = reduced_dagum_power_form(p, float(x))
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -93,6 +112,24 @@ def test_semivariogram_values():
     sv = lambda t: M.semivariogram("dagum5", {"gamma": 1.0, "epsilon": 0.5}, t)  # noqa: E731
     slope = (math.log(sv(1e-6)) - math.log(sv(1e-8))) / (math.log(1e-6) - math.log(1e-8))
     assert slope == pytest.approx(0.5, abs=1e-4)
+
+
+@pytest.mark.parametrize("model_id", sorted(ALL_MODELS))
+def test_semivariogram_is_one_minus_rho(model_id):
+    params = ALL_MODELS[model_id]
+    rho = M.correlation(model_id, params)
+    assert M.semivariogram(model_id, params, 1.0) == pytest.approx(1.0 - rho(1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("model_id", sorted(ALL_MODELS))
+def test_evaluators_take_arrays(model_id):
+    p, evaluator = M.make_model(model_id, ALL_MODELS[model_id])
+    xs = np.geomspace(1e-3, 1e3, 41)
+    # numpy's array power may differ from float power in the last bit
+    scalar = [evaluator(p, float(x)) for x in xs]
+    assert np.allclose(evaluator(p, xs), scalar, rtol=1e-12, atol=1e-15)
+    with pytest.raises(DomainError):
+        evaluator(p, np.array([1.0, -1.0]))
 
 
 def test_divergence_at_zero_is_signaled():

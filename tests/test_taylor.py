@@ -5,7 +5,12 @@ import pytest
 
 from dagum import taylor as ta
 from dagum.errors import DomainError
-from dagum.models import catalog_function, series_of
+from dagum.models import catalog_function
+
+
+def series_of(expr, params, x0, order):
+    """Taylor series of a catalog expression at ``x0``."""
+    return ta.taylor_eval(catalog_function(expr, params), x0, order)
 
 
 def test_sin_maclaurin():
