@@ -34,6 +34,8 @@ EXIT_PARAM = 2
 EXIT_NUMERIC = 3
 EXIT_PERMISSIBILITY = 4
 
+DEFAULT_TOL = 1e-6
+
 _PARAMS = ("alpha", "beta", "gamma", "epsilon", "theta", "eta", "lambda")
 
 
@@ -48,6 +50,8 @@ def _params(ns: argparse.Namespace) -> Dict[str, float]:
 
 
 def _tol(ns: argparse.Namespace) -> float:
+    if ns.tol is None:
+        return DEFAULT_TOL
     if not (math.isfinite(ns.tol) and ns.tol > 0.0):
         raise DomainError("--tol must be finite and > 0")
     return ns.tol
@@ -97,12 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="three-valued permissibility verdict")
     p.add_argument("family", choices=tuple(C.CLASSIFIERS))
     _add_param_flags(p)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=None, help="dagum and aux-lcm only")
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("figure1", help="threshold curves Psi, 1 + 1/beta, l, and beta*")
     p.add_argument("--grid", default="1:2:101", help="start:stop:count over beta")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("psd", help="eigenvalue checks on random point sets")
@@ -158,6 +162,8 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 def _cmd_classify(ns: argparse.Namespace) -> int:
     tol = _tol(ns)
     classifier, names, takes_tol = C.CLASSIFIERS[ns.family]
+    if ns.tol is not None and not takes_tol:
+        raise DomainError(f"classify {ns.family} takes no --tol")
     args = M.take_params(ns.family, _params(ns), names)
     verdict = classifier(*args, tol) if takes_tol else classifier(*args)
     _emit(verdict.to_json(), ns.output)

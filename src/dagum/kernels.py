@@ -10,15 +10,18 @@ The central object is phi_b, the density whose Laplace transform is
                  monotonicity of 1/(x^a (1+x^b))
     kappa_a(t) = t^(a-1)/Gamma(a), the power-law Laplace density
 
-Evaluation notes.  The semi-infinite integrals behind phi and tau have a
-Mellin-type algebraic tail that truncation cannot reach for b near 1, so
-the tail is folded onto a finite interval: substitute y = s^b, then
-y + cos(b*pi) = sin-magnitude * cot(w), and finally remove the remaining
-w^(-1/b) endpoint singularity with a power-law change of variable evaluated
-in log space (the exponents cancel analytically, avoiding overflow for b
-close to 1).  The denominator 1 + 2 s^b cos(b pi) + s^(2b) has no real
-zero for b in (1, 2), but it dips to sin^2(b pi) near s^b = -cos(b pi);
-quadrature knots are seeded at that resonance.
+Evaluation notes.  The adaptive routes run on QUADPACK (``numerics``).
+tau's primary route and phi's alternate route (t >= 0.5) integrate to
+infinity by the infinite-range transformation; the arctangent-substituted
+tau route and phi's alternate route below t = 0.5 (truncated at 45/t) are
+finite, with break points refined geometrically toward the ends.  phi's
+primary route folds its Mellin-type algebraic tail, which no truncation
+reaches for b near 1, onto a finite interval: y = s^b, then y + cos(b pi) =
+sin-magnitude * cot(w), and a power-law change of variable in log space
+removes the remaining w^(-1/b) endpoint singularity.  The denominator
+1 + 2 s^b cos(b pi) + s^(2b) has no real zero for b in (1, 2) but dips to
+sin^2(b pi) near s^b = -cos(b pi), where break points are seeded.  eta
+hands its (t-s)^(a-1) endpoint to the algebraic-weight rule.
 
 Grid work goes through ``PsiEvaluator`` instead: one fixed composite
 Gauss-Legendre rule on the arctangent-substituted tau integral, whose
@@ -148,10 +151,8 @@ def _tau_primary(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
     def g(s: float) -> float:
         return math.exp(-t * s) * s ** (beta - 1.0) / _denom(s, beta, c)
 
-    # Below t = 0.5 the decay is too slow for the log substitution; without
-    # a decay rate the tail is truncated adaptively.
     knots = _resonance_knots(beta, sigma, c, math.inf)
-    v, e = integrate(g, 0.0, math.inf, cfg, decay=t if t >= 0.5 else None, knots=knots)
+    v, e = integrate(g, 0.0, math.inf, cfg, knots=knots)
     return sigma / PI * v, sigma / PI * e
 
 
@@ -250,21 +251,23 @@ def _phi_primary(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
 def _phi_alternate(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
     """Integration-by-parts route with the arctan weight; valid for t > 0.
 
-    The weight is shifted by pi/2 to decay like s^(-b); the shift is exact
-    because (1 - ts) e^{-ts} integrates to 0 over [0, inf).
+    The weight atan((s^b + c) / sin(b pi)) is shifted by pi/2 to decay like
+    s^(-b); the shift is exact because (1 - ts) e^{-ts} integrates to 0 over
+    [0, inf).  atan2(sigma, s^b + c) is the shifted weight without the
+    cancellation of -pi/2 + pi/2, whose noise over a 45/t-wide range stalls
+    the quadrature at small t.
     """
     if t <= 0.0:
         raise DomainError("the integrated-by-parts route requires t > 0")
     sigma, c = _consts(beta)
-    sin_bpi = -sigma
 
     def g(s: float) -> float:
-        weight = math.atan((s ** beta + c) / sin_bpi) + 0.5 * PI
-        return weight * (1.0 - t * s) * math.exp(-t * s)
+        return math.atan2(sigma, s ** beta + c) * (1.0 - t * s) * math.exp(-t * s)
 
     if t >= 0.5:
-        v, e = integrate(g, 0.0, math.inf, cfg, decay=t)
+        v, e = integrate(g, 0.0, math.inf, cfg)
     else:
+        # below t = 0.5 the infinite-range transformation fails (t = 1e-8)
         hi = 45.0 / t
         v, e = integrate(g, 0.0, hi, cfg, knots=_ladder(0.0, hi, 40))
     return -(v / (beta * PI)) + _phi_oscillatory_term(beta, t), e / (beta * PI)
@@ -442,9 +445,9 @@ def eta(
     """Fractional integral (1/Gamma(a)) int_0^t (t-s)^(a-1) phi_b(s) ds.
 
     The sign of eta decides complete monotonicity of 1/(x^a (1+x^b)); at
-    a = 1 it reduces to psi_b(t).  The (t-s)^(a-1) endpoint is removed by
-    the substitution w = (t-s)^a.  This adaptive route is the independent
-    check of ``eta_grid``.
+    a = 1 it reduces to psi_b(t).  QUADPACK's algebraic-weight rule (QAWS)
+    takes the (t-s)^(a-1) endpoint as its weight.  This adaptive route is
+    the independent check of ``eta_grid``.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
@@ -460,16 +463,8 @@ def eta(
     else:
         phi_vec = spectral_rule(beta).phi_values
         phi_s = lambda s: float(phi_vec(s)[0])  # noqa: E731
-    inv_alpha = 1.0 / alpha
-
-    def g(w: float) -> float:
-        s = t - w ** inv_alpha
-        if s < 0.0:
-            s = 0.0
-        return phi_s(s)
-
-    v, e = integrate(g, 0.0, t ** alpha, cfg, knots=_ladder(0.0, t ** alpha, 40))
-    scale = 1.0 / (alpha * math.gamma(alpha))
+    v, e = integrate(phi_s, 0.0, t, cfg, alg_weight=(0.0, alpha - 1.0))
+    scale = 1.0 / math.gamma(alpha)
     return KernelValue(v * scale, e * scale, "quadrature_primary")
 
 
@@ -524,12 +519,10 @@ def laplace_check(
     cfg = cfg or QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
 
     if kernel == "phi":
-        hi = 60.0 / x
         phi_vec = phi_callable(beta)
         f = lambda t: math.exp(-x * t) * float(phi_vec(t)[0])  # noqa: E731
         target = 1.0 / (1.0 + x ** beta)
     elif kernel == "psi":
-        hi = 60.0 / x
         if abs(beta - 1.0) < ENDPOINT_BAND:
             base = lambda t: 1.0 - math.exp(-t)  # noqa: E731
         elif abs(beta - 2.0) < ENDPOINT_BAND:
@@ -541,11 +534,10 @@ def laplace_check(
     elif kernel == "eta":
         if alpha is None or alpha <= 0.0:
             raise DomainError("eta kernel needs alpha > 0")
-        hi = 80.0 / x
         f = lambda t: math.exp(-x * t) * eta(alpha, beta, t, cfg).value if t > 0 else 0.0  # noqa: E731
         target = 1.0 / (x ** alpha * (1.0 + x ** beta))
     else:
         raise ValueError("kernel must be one of 'phi', 'psi', 'eta'")
 
-    value, _ = integrate(f, 0.0, hi, cfg, knots=_ladder(0.0, hi, 40))
+    value, _ = integrate(f, 0.0, math.inf, cfg)
     return abs(value - target)

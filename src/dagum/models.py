@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -143,7 +143,8 @@ def reduced_dagum_eval(p: DagumParams, x):
     return num / ta.powr(1.0 + ta.powr(x, p.beta), p.gamma + 1.0)
 
 
-# Cancellation-free semivariograms 1 - rho(t) for t > 0.
+# Cancellation-free semivariograms 1 - rho(t) for t > 0 (aux and g only at
+# alpha = 0, where rho(0) = 1).
 
 
 def _dagum_semivariogram(p: DagumParams, t: float) -> float:
@@ -155,6 +156,19 @@ def _cauchy_semivariogram(p: CauchyParams, t: float) -> float:
     return -math.expm1(-(p.eta / p.theta) * math.log1p(t ** p.theta))
 
 
+def _aux_semivariogram(p: AuxParams, t: float) -> float:
+    if p.alpha > 0.0:
+        return 1.0 - aux_eval(p, t)
+    u = t ** p.beta
+    return u / (1.0 + u)
+
+
+def _g_semivariogram(p: GParams, t: float) -> float:
+    if p.alpha > 0.0:
+        return 1.0 - g_eval(p, t)
+    return -math.expm1(-p.lam * math.log1p(t * t))
+
+
 # -- model registry (CLI / fields wire names) --------------------------------
 
 
@@ -162,7 +176,7 @@ class ModelEntry(NamedTuple):
     build: Callable[..., object]  # parameter type, takes values in ``names`` order
     evaluator: Callable  # rho(p, x) for a float, ndarray or TaylorSeries x
     names: Tuple[str, ...]
-    semivariogram: Optional[Callable[[object, float], float]]  # None: 1 - rho
+    semivariogram: Callable[[object, float], float]  # 1 - rho for t > 0
 
 
 MODELS: Dict[str, ModelEntry] = {
@@ -174,8 +188,8 @@ MODELS: Dict[str, ModelEntry] = {
         lambda p, t: _dagum_semivariogram(p.as_dagum(), t),
     ),
     "cauchy": ModelEntry(CauchyParams, cauchy_eval, ("theta", "eta"), _cauchy_semivariogram),
-    "aux": ModelEntry(AuxParams, aux_eval, ("alpha", "beta"), None),
-    "g": ModelEntry(GParams, g_eval, ("alpha", "lambda"), None),
+    "aux": ModelEntry(AuxParams, aux_eval, ("alpha", "beta"), _aux_semivariogram),
+    "g": ModelEntry(GParams, g_eval, ("alpha", "lambda"), _g_semivariogram),
 }
 
 
@@ -210,11 +224,8 @@ def semivariogram(model_id: str, params: Mapping[str, float], t: float) -> float
     """1 - rho(t), computed cancellation-free near t = 0 (unit variance)."""
     if t < 0.0:
         raise DomainError("t must be >= 0")
-    p, evaluator = make_model(model_id, params)
-    if t == 0.0:
-        return 0.0
-    sv = MODELS[model_id].semivariogram
-    return 1.0 - evaluator(p, t) if sv is None else sv(p, t)
+    p, _ = make_model(model_id, params)
+    return 0.0 if t == 0.0 else MODELS[model_id].semivariogram(p, t)
 
 
 # -- expression catalog for derivative scans ---------------------------------

@@ -1,14 +1,11 @@
 """Adaptive quadrature, 1-D maximization and bracketed root-finding.
 
-The quadrature core is a globally adaptive Gauss-Kronrod (7, 15) scheme.
-Semi-infinite integrals either substitute ``s = a - log(u)/decay`` when the
-integrand has a known exponential decay rate, or extend the domain in
-doubling chunks until the tail contribution falls below ``abs_tol / 10``.
+Quadrature is QUADPACK (Piessens et al., 1983) via ``scipy.integrate.quad``,
+imported on the first call so that importing this module does not load scipy.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
@@ -17,39 +14,10 @@ import numpy as np
 
 from .errors import ConvergenceError, NoSignChangeError
 
-# Gauss-Kronrod (7, 15) nodes on [-1, 1] and weights; the 7-point Gauss rule
-# reuses every other Kronrod node.
-_XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-)
-
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budgets for :func:`integrate`."""
+    """Tolerances and subdivision budget (per QUADPACK call) for :func:`integrate`."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
@@ -75,137 +43,44 @@ class Bracket:
 DEFAULT_QUAD = QuadConfig()
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
-    """One Gauss-Kronrod panel: (kronrod value, error estimate)."""
-    h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fk = 0.0
-    fg = 0.0
-    for i, x in enumerate(_XGK):
-        if x == 0.0:
-            v = f(mid)
-            fk += _WGK[i] * v
-            fg += _WG[3] * v
-        else:
-            v1 = f(mid - h * x)
-            v2 = f(mid + h * x)
-            fk += _WGK[i] * (v1 + v2)
-            if i % 2 == 1:
-                fg += _WG[i // 2] * (v1 + v2)
-    return fk * h, abs(fk - fg) * h
-
-
-def _adaptive(
-    f: Callable[[float], float],
-    knots: Iterable[float],
-    cfg: QuadConfig,
-) -> Tuple[float, float]:
-    """Globally adaptive refinement over an initial partition."""
-    pts = sorted(set(float(k) for k in knots))
-    if len(pts) < 2:
-        raise ValueError("need at least two knots")
-    heap = []
-    total = 0.0
-    err = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if a == b:
-            continue
-        v, e = _gk15(f, a, b)
-        total += v
-        err += e
-        heapq.heappush(heap, (-e, a, b, v))
-    splits = 0
-    while err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if splits >= cfg.max_subdivisions or not heap:
-            raise ConvergenceError(
-                f"quadrature did not converge after {splits} subdivisions "
-                f"(estimate {total!r}, error {err!r})",
-                value=total,
-                err_estimate=err,
-            )
-        neg_e, a, b, v = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            # Interval at rounding resolution: accept its value, retire its
-            # error from the pool (cannot be improved further).
-            err += neg_e
-            continue
-        v1, e1 = _gk15(f, a, mid)
-        v2, e2 = _gk15(f, mid, b)
-        total += v1 + v2 - v
-        err += e1 + e2 + neg_e
-        heapq.heappush(heap, (-e1, a, mid, v1))
-        heapq.heappush(heap, (-e2, mid, b, v2))
-        splits += 1
-    return total, err
-
-
 def integrate(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     cfg: Optional[QuadConfig] = None,
     *,
-    decay: Optional[float] = None,
     knots: Iterable[float] = (),
+    alg_weight: Optional[Tuple[float, float]] = None,
 ) -> Tuple[float, float]:
-    """Integrate ``f`` over [lo, hi]; ``hi`` may be ``math.inf``.
+    """``(value, err_estimate)`` of the integral of ``f`` over [lo, hi]; ``hi`` may be inf.
 
-    Returns ``(value, err_estimate)``.  ``decay`` is the exponential decay
-    rate of the integrand, enabling the log substitution on semi-infinite
-    domains; without it the tail is truncated adaptively.  ``knots`` seed the
-    initial partition (useful for known sharp features).
+    ``knots`` inside the range are break points for kinks or sharp features; on
+    [lo, inf) the range is split at the last one, as break points need a finite
+    range.  ``alg_weight = (p, q)``, both > -1, weights ``f`` by (s-lo)^p (hi-s)^q
+    (QAWS).  A QUADPACK failure raises ConvergenceError with the partial value.
     """
+    from scipy.integrate import quad
+
     cfg = cfg or DEFAULT_QUAD
-    if math.isinf(hi):
-        return _integrate_semi_infinite(f, lo, cfg, decay, knots)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    pts = [lo, hi] + [k for k in knots if lo < k < hi]
-    if len(pts) == 2:
-        pts.append(0.5 * (lo + hi))
-    return _adaptive(f, pts, cfg)
-
-
-def _integrate_semi_infinite(f, lo, cfg, decay, knots):
-    if decay is not None and decay > 0.0:
-        lam = decay
-
-        def g(u: float) -> float:
-            s = lo - math.log(u) / lam
-            return f(s) / (lam * u)
-
-        return _adaptive(g, (0.0, 0.25, 0.5, 0.75, 1.0), cfg)
-
-    # Doubling-chunk truncation: stop once two consecutive chunks contribute
-    # less than a tenth of the absolute tolerance.
-    inner = [k for k in knots if k > lo]
-    first_hi = max(lo + 1.0, *(inner + [lo + 1.0]))
-    pts = [lo] + sorted(k for k in inner if k < first_hi) + [first_hi]
-    total, err = _adaptive(f, pts, cfg)
-    a = first_hi
-    width = first_hi - lo
-    quiet = 0
-    chunks = 0
-    while quiet < 2:
-        b = a + width
-        v, e = _adaptive(f, (a, b), cfg)
-        total += v
-        err += e
-        if abs(v) < cfg.abs_tol / 10.0:
-            quiet += 1
-        else:
-            quiet = 0
-        a = b
-        width *= 2.0
-        chunks += 1
-        if chunks > 512:
-            raise ConvergenceError(
-                "semi-infinite tail did not settle within 512 doubling chunks",
-                value=total,
-                err_estimate=err,
-            )
-    return total, err
+    opts = dict(epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions, full_output=1)
+    inner = sorted({float(k) for k in knots if lo < k < hi})
+    if alg_weight is not None:
+        if inner:
+            raise ValueError("knots and an algebraic weight do not combine")
+        parts = [quad(f, lo, hi, weight="alg", wvar=alg_weight, **opts)]
+    elif math.isinf(hi) and inner:
+        head = quad(f, lo, inner[-1], points=inner[:-1] or None, **opts)
+        parts = [head, quad(f, inner[-1], hi, **opts)]
+    else:
+        parts = [quad(f, lo, hi, points=inner or None, **opts)]
+    value, err = (sum(part[i] for part in parts) for i in (0, 1))
+    failed = " ".join(part[3].split("\n")[0] for part in parts if len(part) > 3)
+    if failed:
+        msg = f"quadrature did not converge: {failed} (estimate {value!r}, error {err!r})"
+        raise ConvergenceError(msg, value=value, err_estimate=err)
+    return value, err
 
 
 def maximize_1d(
@@ -254,11 +129,7 @@ def maximize_1d(
     return t_star, f_star
 
 
-def find_root(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = 1e-9,
-) -> float:
+def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-9) -> float:
     """Bisection root of ``f`` on the bracket; needs a sign change."""
     a, b = bracket.lo, bracket.hi
     fa, fb = f(a), f(b)

@@ -292,3 +292,33 @@ def test_eval_aux_constant_at_zero(capsys):
     )
     assert code == 0
     assert out == "x,value\n0.0,0.5\n1.0,0.5\n2.0,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "argv,local",
+    (
+        (["decouple", "--family", "g", "--alpha", "0", "--lambda", "0.6"], 2.0),
+        (["decouple", "--family", "aux", "--alpha", "0", "--beta", "1.5"], 1.5),
+    ),
+)
+def test_decouple_alpha_zero_local_exponent(argv, local, capsys):
+    # 1 - rho near 0 in closed form, not by cancellation
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert float(out.strip().split("\n")[1].split(",")[2]) == pytest.approx(local, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["classify", "aux-cm", "--alpha", "0.3", "--beta", "1.5"],
+        ["classify", "g", "--alpha", "0.5", "--lambda", "0.5"],
+    ),
+)
+def test_tol_rejected_where_classifier_takes_none(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    code, out, err = run(argv + ["--tol", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "takes no --tol" in err

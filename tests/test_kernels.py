@@ -318,12 +318,29 @@ def test_eta_grid_domain():
 
 
 def test_import_loads_no_scipy():
-    code = "import sys, dagum; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    scipy_loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(K.__file__))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+
+    def run(code):
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+
+    assert run(f"import sys, dagum; print({scipy_loaded})").strip() == "[]"
+    # the benchmarked commands stay off the adaptive (scipy) routes too
+    commands = [
+        ["figure1", "--grid", "1:2:11"],
+        ["classify", "aux-cm", "--alpha", "0.05", "--beta", "1.5"],  # eta certificate
+        ["classify", "aux-cm", "--alpha", "0.3", "--beta", "1.5"],  # Undetermined
+        ["psd", "dagum", "--beta", "0.5", "--gamma", "1", "--dims", "2", "--n", "20"],
+    ]
+    out = run(
+        "import sys\nfrom dagum import cli\n"
+        f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+        f"print(codes, {scipy_loaded})"
     )
-    assert out.stdout.strip() == "[]"
+    assert '"kind": "eta_sign"' in out and '"status": "Undetermined"' in out
+    assert out.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_eta_domain():

@@ -11,7 +11,7 @@ PI = math.pi
 
 
 def test_exponential_tail():
-    v, e = integrate(lambda t: math.exp(-t), 0.0, math.inf, decay=1.0)
+    v, e = integrate(lambda t: math.exp(-t), 0.0, math.inf)
     assert v == pytest.approx(1.0, abs=1e-9)
 
 
@@ -21,7 +21,7 @@ def test_sine_half_period():
 
 
 def test_truncated_algebraic_tail():
-    # no decay rate: the doubling-chunk truncation path
+    # algebraic decay: the infinite-range transformation (QAGI)
     v, _ = integrate(lambda s: (1.0 + s) ** (-2.1), 0.0, math.inf)
     assert v == pytest.approx(1.0 / 1.1, abs=1e-8)
 
@@ -30,9 +30,9 @@ def test_linearity():
     f = lambda t: math.exp(-t)  # noqa: E731
     g = lambda t: math.exp(-2.0 * t)  # noqa: E731
     a, b = 3.0, -2.0
-    vf, ef = integrate(f, 0.0, math.inf, decay=1.0)
-    vg, eg = integrate(g, 0.0, math.inf, decay=2.0)
-    vc, ec = integrate(lambda t: a * f(t) + b * g(t), 0.0, math.inf, decay=1.0)
+    vf, ef = integrate(f, 0.0, math.inf)
+    vg, eg = integrate(g, 0.0, math.inf)
+    vc, ec = integrate(lambda t: a * f(t) + b * g(t), 0.0, math.inf)
     assert abs(vc - (a * vf + b * vg)) <= abs(a) * ef + abs(b) * eg + ec + 1e-12
 
 
@@ -42,6 +42,21 @@ def test_nonconvergence_reports_partial():
         integrate(lambda s: math.sqrt(abs(math.sin(7.0 * s))), 0.0, 10.0, cfg)
     assert exc.value.value is not None
     assert exc.value.err_estimate > 0.0
+    # QUADPACK's own diagnosis travels with the error
+    assert "maximum number of subdivisions (3)" in str(exc.value)
+
+
+def test_semi_infinite_knots_are_honoured():
+    # |s - 1| e^{-s} has a kink at s = 1; its integral is 2/e
+    f = lambda s: abs(s - 1.0) * math.exp(-s)  # noqa: E731
+    v, _ = integrate(f, 0.0, math.inf, knots=[1.0])
+    assert v == pytest.approx(2.0 / math.e, abs=1e-12)
+    # a box of mass ~1 on [3, 3 + 1e-6] is found only through its knots,
+    # which land both in the finite head and at the split point
+    hi = 3.0 + 1e-6
+    box = lambda s: f(s) + (1e6 if 3.0 < s < hi else 0.0)  # noqa: E731
+    v, _ = integrate(box, 0.0, math.inf, knots=[-1.0, 1.0, 3.0, hi])
+    assert v == pytest.approx(2.0 / math.e + 1e6 * (hi - 3.0), abs=1e-10)
 
 
 def test_maximize_one_minus_cos():
