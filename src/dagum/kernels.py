@@ -33,6 +33,7 @@ routes above stay as its independent check.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -49,6 +50,8 @@ PI = math.pi
 # Closed forms take over this close to the endpoints b = 1 (phi = exp(-t))
 # and b = 2 (phi = sin t), where the integral representations degenerate.
 ENDPOINT_BAND = 2.5e-4
+
+ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta_grid on the rule; scans start above 7e-5
 
 DEFAULT_CFG = QuadConfig()
 
@@ -90,17 +93,18 @@ def _ladder(lo: float, hi: float, levels: int = 45) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)  # loads numpy.polynomial on first use
+
+
 def _panel_rule(lo: float, hi: float, levels: int, order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre (nodes, weights) on the panels of ``_ladder``."""
-    breaks = sorted(set(_ladder(lo, hi, levels) + [lo, hi]))
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    nodes = []
-    weights = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        h = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + h * xg)
-        weights.append(h * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    breaks = np.array(sorted(set(_ladder(lo, hi, levels) + [lo, hi])))
+    xg, wg = _leggauss(order)
+    h = 0.5 * np.diff(breaks)[:, None]
+    nodes = 0.5 * (breaks[:-1] + breaks[1:])[:, None] + h * xg
+    return nodes.ravel(), (h * wg).ravel()
 
 
 def _resonance_knots(beta: float, sigma: float, c: float, upper: float) -> list:
@@ -480,9 +484,12 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
 
     It holds for 0 < a < b + 1, but for a > 1 the rule does not resolve the
     endpoint singularity of d^(1-a) (4e-6 off at b = 1.5, a = 2), so a <= 1
-    is required.  The absolute error grows like eps t^(a-1) as t -> 0.  In
-    the endpoint bands, Gamma(a) eta(t) = (t^a / a) int_0^1 phi(t (1 -
-    xi^(1/a))) d(xi) with the closed-form phi, on a fixed composite rule.
+    is required.  As t -> 0 the t^(a-1) term and the sum cancel beyond what
+    the rule resolves (-27061 for eta = 6e-9 at b = 1.98, t = 1e-8), so a
+    positive t below ``ETA_GRID_T_FLOOR`` = 1e-6 raises DomainError; from it
+    up the error is at most about 1e-10.  In the endpoint bands, Gamma(a)
+    eta(t) = (t^a / a) int_0^1 phi(t (1 - xi^(1/a))) d(xi) with the
+    closed-form phi, on a fixed composite rule.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
@@ -496,6 +503,8 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
         return ts ** alpha / (alpha * math.gamma(alpha)) * inner
     if alpha > 1.0:
         raise DomainError("eta_grid requires alpha <= 1 for 1 < beta < 2")
+    if np.any((ts > 0.0) & (ts < ETA_GRID_T_FLOOR)):
+        raise DomainError(f"eta_grid requires t = 0 or t >= {ETA_GRID_T_FLOOR} for 1 < beta < 2")
 
     return spectral_rule(beta).eta_values(alpha, ts)
 

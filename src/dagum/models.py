@@ -234,11 +234,9 @@ def semivariogram(model_id: str, params: Mapping[str, float], t: float) -> float
 def catalog_function(expr: str, params: Mapping[str, float]) -> Callable:
     """Closed-form expression by id, as a generic (float or series) callable.
 
-    Known ids: ``sin``, ``inv_x``, ``aux``, ``g``, ``dagum``, ``dagum5``,
+    Known ids: ``inv_x``, ``aux``, ``g``, ``dagum``, ``dagum5``,
     ``cauchy``, ``reduced_dagum``.
     """
-    if expr == "sin":
-        return lambda x: ta.sin(x)
     if expr == "inv_x":
         return lambda x: 1.0 / x
     if expr == "reduced_dagum":

@@ -130,21 +130,29 @@ def maximize_1d(
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-9) -> float:
-    """Bisection root of ``f`` on the bracket; needs a sign change."""
+    """Root of ``f`` on the bracket by Illinois regula falsi (Dowell & Jarratt,
+    BIT 11, 1971); needs a sign change.  Returns the newest point once |f| <=
+    tol or the bracket is at most tol wide, or once a new point would not fall
+    strictly inside the bracket (it is down to float spacing).
+    """
     a, b = bracket.lo, bracket.hi
     fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
     if fa * fb > 0.0:
         raise NoSignChangeError(f"f({a}) = {fa} and f({b}) = {fb} share a sign")
+    x, kept = (a if abs(fa) < abs(fb) else b), 0
     while True:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if abs(fm) <= tol or b - a <= tol:
-            return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
+        c = b - fb * (b - a) / (fb - fa)
+        if not a < c < b:
+            return x
+        x, fc = c, f(c)
+        # the end kept twice running has its value halved
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = c, fc
+            fb, kept = (0.5 * fb if kept == 1 else fb), 1
         else:
-            a, fa = mid, fm
+            b, fb = c, fc
+            fa, kept = (0.5 * fa if kept == -1 else fa), -1
+        if abs(fc) <= tol or b - a <= tol:
+            return x

@@ -10,6 +10,7 @@ import pytest
 from dagum import classify as C
 from dagum.errors import DomainError
 from dagum.kernels import PsiEvaluator, spectral_rule
+from dagum.numerics import Bracket, maximize_1d
 
 PI = math.pi
 
@@ -26,6 +27,32 @@ def test_psi_max_endpoints_and_interior():
     value = C.psi_max(1.5)
     assert 1.0 < value <= 4.0 / 1.5
     assert value == pytest.approx(dense_grid_psi_max(1.5), abs=1e-7)
+
+
+# 1.9999: the humps near pi and 3 pi are almost equally high; 1.0027: the
+# peak (t ~ 10) sits inside the first cell of a uniform grid up to t ~ 1100
+PSI_MAX_BETAS = np.concatenate(
+    [
+        1.0 + np.geomspace(1e-6, 1e-2, 50),
+        2.0 - np.geomspace(1e-7, 1e-2, 50),
+        np.linspace(1.0, 2.0, 26)[1:-1],
+        [1.9999, 1.0027],
+    ]
+)
+
+
+def test_psi_max_against_golden_section_oracle():
+    for beta in map(float, PSI_MAX_BETAS):
+        ev, hi = spectral_rule(beta), C.scan_range(beta)
+        value = C.psi_max(beta)
+        oracle = maximize_1d(ev.psi, Bracket(0.0, hi), 1e-9)[1]
+        assert value >= oracle - 1e-12, beta
+        if value > oracle + 1e-6:
+            # near beta = 2 golden-section can refine the lower of two humps
+            # (at 2 - 2.02e-7 by 1.008e-6); then each half-range on its own
+            halves = (Bracket(0.0, hi / 2), Bracket(hi / 2, hi))
+            oracle = max(maximize_1d(ev.psi, half, 1e-9)[1] for half in halves)
+        assert value <= oracle + 1e-6, beta
 
 
 def test_l_of_beta():

@@ -178,6 +178,27 @@ def test_laplace_sum_skipping_is_exact():
         assert np.array_equal(ev._laplace_sum(ts, v), full)
 
 
+def _panel_rule_loop(lo, hi, levels, order):
+    """One Gauss-Legendre panel at a time between the sorted ``_ladder`` breaks."""
+    breaks = sorted(set(K._ladder(lo, hi, levels) + [lo, hi]))
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        h = 0.5 * (b - a)
+        nodes.append(0.5 * (a + b) + h * xg)
+        weights.append(h * wg)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def test_panel_rule_matches_panel_loop():
+    spans = [(2.0 - beta) * PI for beta in np.linspace(1.0005, 1.9995, 57)]
+    for lo, hi, levels, order in [(0.0, s, 50, 10) for s in spans] + [(0.0, 1.0, 24, 8)]:
+        nodes, weights = K._panel_rule(lo, hi, levels, order)
+        loop_nodes, loop_weights = _panel_rule_loop(lo, hi, levels, order)
+        assert np.array_equal(nodes, loop_nodes)
+        assert np.array_equal(weights, loop_weights)
+
+
 @pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.8, 1.98))
 def test_phi_table_matches_adaptive_route(beta):
     # pin the spectral rule's phi to the independent adaptive route at 130
@@ -299,6 +320,30 @@ def test_eta_grid_matches_adaptive_eta():
         for t, value in zip(ts[1:], grid[1:]):
             kv = K.eta(alpha, beta, float(t))
             assert abs(value - kv.value) <= kv.err_estimate + 1e-9
+
+
+def _eta_mittag_leffler(alpha, beta, t):
+    """40-digit eta = sum_k (-1)^k t^(a+b+kb-1) / Gamma(a+b+kb), for small t."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(t)
+
+        def term(k):
+            p = a + b + k * b
+            return (-1) ** int(k) * t ** (p - 1) / mpmath.gamma(p)
+
+        return float(mpmath.nsum(term, [0, mpmath.inf]))
+
+
+@pytest.mark.parametrize("beta", (1.9, 1.98, 1.999))
+def test_eta_grid_small_t_floor(beta):
+    for alpha in (0.05, 0.5):
+        for t in (1e-8, 1e-7):
+            with pytest.raises(DomainError):
+                K.eta_grid(alpha, beta, [0.0, t, 1.0])
+        ts = np.array([1e-6, 1e-5, 1e-4, 1e-3])
+        for t, value in zip(ts, K.eta_grid(alpha, beta, ts)):
+            assert abs(value - _eta_mittag_leffler(alpha, beta, t)) <= 1e-9
 
 
 def test_eta_grid_domain():

@@ -103,6 +103,25 @@ def test_find_root_identity():
     assert find_root(lambda x: x, Bracket(-1.0, 1.0), 1e-12) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_find_root_below_float_spacing_stays_in_bracket():
+    # tol below the spacing of floats: the iteration stops once a new point
+    # no longer falls strictly inside the bracket
+    r = find_root(lambda x: x * x - 2.0, Bracket(1.0, 2.0), 1e-300)
+    assert 1.0 <= r <= 2.0
+    assert r == pytest.approx(math.sqrt(2.0), abs=4e-16)
+
+
+def test_find_root_evaluation_count():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    find_root(f, Bracket(1.0, 2.0), 1e-12)
+    assert len(calls) <= 12
+
+
 def test_find_root_requires_sign_change():
     with pytest.raises(NoSignChangeError):
         find_root(lambda x: 1.0 + x * x, Bracket(-1.0, 1.0), 1e-9)
