@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,14 +54,6 @@ class Certificate:
     order: Optional[int]
     value: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "location": self.location,
-            "order": self.order,
-            "value": self.value,
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -70,16 +62,8 @@ class Verdict:
     certificate: Optional[Certificate] = None
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "basis": self.basis,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "notes": self.notes,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # -- threshold machinery ------------------------------------------------------
@@ -181,8 +165,8 @@ def c_bounds(
     """
     if not 1.0 < beta <= 2.0:
         raise DomainError("c_bounds requires beta in (1, 2]")
-    if alpha_tol <= 0.0:
-        raise DomainError("alpha_tol must be positive")
+    if not 0.0 < alpha_tol < math.inf:
+        raise DomainError("alpha_tol must be finite and positive")
     lower = 0.0
     upper = beta / 2.0
     while upper - lower > alpha_tol:
@@ -216,8 +200,8 @@ def cm_scan(
     fn = M.catalog_function(expr, params)
     for x in x_grid:
         x = float(x)
-        if x <= 0.0:
-            raise DomainError("scan grid points must be positive")
+        if not 0.0 < x < math.inf:
+            raise DomainError("scan grid points must be finite and positive")
         series = ta.taylor_eval(fn, x, max_order)
         for n in range(max_order + 1):
             signed = (-1.0) ** n * series.derivative(n)
@@ -239,8 +223,8 @@ def lcm_scan(
     fn = M.catalog_function(expr, params)
     for x in x_grid:
         x = float(x)
-        if x <= 0.0:
-            raise DomainError("scan grid points must be positive")
+        if not 0.0 < x < math.inf:
+            raise DomainError("scan grid points must be finite and positive")
         log_series = ta.log(ta.taylor_eval(fn, x, max_order + 1))
         for n in range(max_order + 1):
             # (-(log f)')^(n)(x) = -(n+1)! * logcoeff_{n+1}

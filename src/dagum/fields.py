@@ -47,6 +47,8 @@ class PointSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension or self.dimension < 1:
             raise DomainError("points must be an (n, d) array matching dimension")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("points must be finite")
         object.__setattr__(self, "points", pts)
         if pts.shape[0] >= 2:
             d2 = _sq_distances(pts)
@@ -152,7 +154,10 @@ def psd_check(
 
 def _rng(seed: int, stream: int, trial: int = 0) -> np.random.Generator:
     # Philox takes a 2-word key: (seed, stream/trial) keeps independent uses
-    # and independent trials on non-overlapping counter streams.
+    # and independent trials on non-overlapping counter streams.  The key
+    # words pass through int64, so a wider seed would wrap or overflow.
+    if not -(2**63) <= seed < 2**63:
+        raise DomainError(f"seed must lie in [-2^63, 2^63), got {seed}")
     return np.random.Generator(np.random.Philox(key=[seed, (stream << 32) + trial]))
 
 

@@ -10,6 +10,11 @@ The central object is phi_b, the density whose Laplace transform is
                  monotonicity of 1/(x^a (1+x^b))
     kappa_a(t) = t^(a-1)/Gamma(a), the power-law Laplace density
 
+Each of phi, psi and eta is the residue term of the poles x = e^{+-i pi/b}
+of 1/(1+x^b), written once as ``_osc``, plus a branch-cut integral.  Near
+b = 1 and b = 2 the closed forms of ``_closed_forms`` take over; it also
+checks that beta lies in [1, 2].
+
 Evaluation notes.  The adaptive routes run on QUADPACK (``numerics``).
 tau's primary route and phi's alternate route (t >= 0.5) integrate to
 infinity by the infinite-range transformation; the arctangent-substituted
@@ -25,7 +30,7 @@ hands its (t-s)^(a-1) endpoint to the algebraic-weight rule.
 
 Grid work goes through ``PsiEvaluator`` instead: one fixed composite
 Gauss-Legendre rule on the arctangent-substituted tau integral, whose
-Laplace sums give tau, psi, phi = rho' + tau' and eta on whole grids (the
+Laplace sums give psi, phi = rho' + tau' and eta on whole grids (the
 psi_max scan, the eta sign scans).  eta is the same branch-cut inversion
 as tau, with alpha-dependent weights on the same nodes.  The adaptive
 routes above stay as its independent check.
@@ -47,13 +52,10 @@ from .numerics import QuadConfig, integrate
 
 PI = math.pi
 
-# Closed forms take over this close to the endpoints b = 1 (phi = exp(-t))
-# and b = 2 (phi = sin t), where the integral representations degenerate.
+# Closed forms take over this close to b = 1 and b = 2 (``_closed_forms``).
 ENDPOINT_BAND = 2.5e-4
 
-ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta_grid on the rule; scans start above 7e-5
-
-DEFAULT_CFG = QuadConfig()
+ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta on the rule; scans start above 7e-5
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,33 @@ def _resonance_knots(beta: float, sigma: float, c: float, upper: float) -> list:
     return [k for k in (s0 - 10 * w, s0 - w, s0, s0 + w, s0 + 10 * w) if 0.0 < k < upper]
 
 
+def _osc(beta: float, ts, shift: float):
+    """Residue term -(2/b) e^{t cos A} cos(t sin A + shift), A = pi/b, of the
+    poles x = e^{+-i pi/b} of 1/(1+x^b); ``ts`` is a float or an array."""
+    a = PI / beta
+    return -(2.0 / beta) * np.exp(ts * math.cos(a)) * np.cos(ts * math.sin(a) + shift)
+
+
+def _grid(ts) -> np.ndarray:
+    return np.atleast_1d(np.asarray(ts, dtype=float))
+
+
+def _closed_forms(beta: float) -> Optional[Tuple[Callable, Callable]]:
+    """(phi_b, psi_b) as array functions inside ``ENDPOINT_BAND``, else None.
+
+    exp(-t) and 1 - exp(-t) near b = 1, sin t and 1 - cos t near b = 2.  Each
+    returns an array of at least one dimension.  Raises DomainError for beta
+    outside [1, 2], the domain of every kernel built from phi_b.
+    """
+    if not 1.0 <= beta <= 2.0:
+        raise DomainError(f"the kernels require beta in [1, 2], got {beta}")
+    if abs(beta - 1.0) < ENDPOINT_BAND:
+        return lambda ts: np.exp(-_grid(ts)), lambda ts: 1.0 - np.exp(-_grid(ts))
+    if abs(beta - 2.0) < ENDPOINT_BAND:
+        return lambda ts: np.sin(_grid(ts)), lambda ts: 1.0 - np.cos(_grid(ts))
+    return None
+
+
 def kappa(alpha: float, t: float) -> float:
     """t^(alpha-1) / Gamma(alpha)."""
     if alpha <= 0.0 or t <= 0.0:
@@ -129,23 +158,7 @@ def rho_kernel(beta: float, t: float) -> float:
         raise DomainError("rho kernel requires beta in [1, 2]")
     if t < 0.0:
         raise DomainError("t must be >= 0")
-    a = PI / beta
-    return 1.0 - (2.0 / beta) * math.exp(t * math.cos(a)) * math.cos(t * math.sin(a))
-
-
-def rho_values(beta: float, ts: np.ndarray) -> np.ndarray:
-    if not 1.0 <= beta <= 2.0:
-        raise DomainError("rho kernel requires beta in [1, 2]")
-    a = PI / beta
-    ts = np.asarray(ts, dtype=float)
-    return 1.0 - (2.0 / beta) * np.exp(ts * math.cos(a)) * np.cos(ts * math.sin(a))
-
-
-def _check_tau_domain(beta: float, t: float) -> None:
-    if not 1.0 < beta < 2.0:
-        raise DomainError("tau kernel requires beta in (1, 2)")
-    if t < 0.0:
-        raise DomainError("t must be >= 0")
+    return float(1.0 + _osc(beta, t, 0.0))
 
 
 def _tau_primary(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
@@ -183,8 +196,10 @@ def tau_kernel(
     ``route`` selects between the two integral representations; they agree
     within combined error estimates.  tau_b(0) = 2/b - 1.
     """
-    _check_tau_domain(beta, t)
-    cfg = cfg or DEFAULT_CFG
+    if not 1.0 < beta < 2.0:
+        raise DomainError("tau kernel requires beta in (1, 2)")
+    if t < 0.0:
+        raise DomainError("t must be >= 0")
     if route == "primary":
         v, e = _tau_primary(beta, t, cfg)
         return KernelValue(v, e, "quadrature_primary")
@@ -192,11 +207,6 @@ def tau_kernel(
         v, e = _tau_alternate(beta, t, cfg)
         return KernelValue(v, e, "quadrature_alternate")
     raise ValueError("route must be 'primary' or 'alternate'")
-
-
-def _phi_oscillatory_term(beta: float, t: float) -> float:
-    a = PI / beta
-    return -(2.0 / beta) * math.exp(t * math.cos(a)) * math.cos(a + t * math.sin(a))
 
 
 def _J_integral(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
@@ -249,7 +259,7 @@ def _J_integral(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
 def _phi_primary(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
     sigma, _ = _consts(beta)
     v, e = _J_integral(beta, t, cfg)
-    return -(sigma / PI) * v + _phi_oscillatory_term(beta, t), (sigma / PI) * e
+    return -(sigma / PI) * v + float(_osc(beta, t, PI / beta)), (sigma / PI) * e
 
 
 def _phi_alternate(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
@@ -274,7 +284,7 @@ def _phi_alternate(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float
         # below t = 0.5 the infinite-range transformation fails (t = 1e-8)
         hi = 45.0 / t
         v, e = integrate(g, 0.0, hi, cfg, knots=_ladder(0.0, hi, 40))
-    return -(v / (beta * PI)) + _phi_oscillatory_term(beta, t), e / (beta * PI)
+    return -(v / (beta * PI)) + float(_osc(beta, t, PI / beta)), e / (beta * PI)
 
 
 def phi(
@@ -285,15 +295,11 @@ def phi(
     Dispatches to the closed forms exp(-t) and sin(t) inside the endpoint
     band; otherwise evaluates the requested integral route.
     """
-    if not 1.0 <= beta <= 2.0:
-        raise DomainError("phi requires beta in [1, 2]")
+    forms = _closed_forms(beta)
     if t < 0.0:
         raise DomainError("t must be >= 0")
-    if abs(beta - 1.0) < ENDPOINT_BAND:
-        return KernelValue(math.exp(-t), 0.0, "closed_form")
-    if abs(beta - 2.0) < ENDPOINT_BAND:
-        return KernelValue(math.sin(t), 0.0, "closed_form")
-    cfg = cfg or DEFAULT_CFG
+    if forms is not None:
+        return KernelValue(float(forms[0](t)[0]), 0.0, "closed_form")
     if route == "primary":
         v, e = _phi_primary(beta, t, cfg)
         return KernelValue(v, e, "quadrature_primary")
@@ -308,15 +314,11 @@ def psi(beta: float, t: float, cfg: Optional[QuadConfig] = None) -> KernelValue:
 
     psi_b(0) = 0, psi_b >= 0, and psi_b(t) -> 1 as t -> infinity for b < 2.
     """
-    if not 1.0 <= beta <= 2.0:
-        raise DomainError("psi requires beta in [1, 2]")
+    forms = _closed_forms(beta)
     if t < 0.0:
         raise DomainError("t must be >= 0")
-    if abs(beta - 1.0) < ENDPOINT_BAND:
-        return KernelValue(1.0 - math.exp(-t), 0.0, "closed_form")
-    if abs(beta - 2.0) < ENDPOINT_BAND:
-        return KernelValue(1.0 - math.cos(t), 0.0, "closed_form")
-    cfg = cfg or DEFAULT_CFG
+    if forms is not None:
+        return KernelValue(float(forms[1](t)[0]), 0.0, "closed_form")
     tau_v, tau_e = _tau_primary(beta, t, cfg)
     return KernelValue(rho_kernel(beta, t) + tau_v, tau_e, "quadrature_primary")
 
@@ -326,8 +328,8 @@ _BLOCK_ROWS = 256
 
 
 class PsiEvaluator:
-    """Spectral Gauss-Legendre rule for tau_b, psi_b, phi_b and eta_{a,b} on
-    vectors of t.
+    """Spectral Gauss-Legendre rule for psi_b, phi_b and eta_{a,b} on vectors
+    of t.
 
     Precomputes composite Gauss-Legendre nodes of the arctangent-substituted
     tau integral (panels refined geometrically toward both ends, where the
@@ -366,37 +368,38 @@ class PsiEvaluator:
             out[start : start + _BLOCK_ROWS] = np.einsum("ij,j->i", block, v[skip:])
         return out
 
-    def tau_values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self._laplace_sum(ts, self._weights) / (self.beta * PI)
-
     def psi_values(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return rho_values(self.beta, ts) + self.tau_values(ts)
+        """psi_b = rho_b + tau_b, with tau_b the Laplace sum of the weights."""
+        ts = _grid(ts)
+        tau = self._laplace_sum(ts, self._weights) / (self.beta * PI)
+        return 1.0 + _osc(self.beta, ts, 0.0) + tau
 
     def phi_values(self, ts) -> np.ndarray:
         """phi_b = rho_b' + tau_b', with the exact limit phi_b(0) = 0."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        a = PI / self.beta
-        osc = -(2.0 / self.beta) * np.exp(ts * math.cos(a)) * np.cos(a + ts * math.sin(a))
+        ts = _grid(ts)
         tau_prime = self._laplace_sum(ts, self._weights * self._decay) / (self.beta * PI)
-        vals = osc - tau_prime
+        vals = _osc(self.beta, ts, PI / self.beta) - tau_prime
         vals[ts == 0.0] = 0.0
         return vals
 
     def eta_values(self, alpha: float, ts) -> np.ndarray:
-        """eta_{a,b} for 0 < a <= 1 by the branch-cut sum of ``eta_grid``."""
+        """eta_{a,b} by the branch-cut sum of ``eta_grid``: DomainError unless
+        0 < a <= 1 and each t is 0 or >= ``ETA_GRID_T_FLOOR``; NaN a gives NaN."""
+        if alpha <= 0.0 or alpha > 1.0:
+            raise DomainError(f"eta on the rule requires 0 < alpha <= 1, got {alpha}")
+        ts = np.asarray(ts, dtype=float)
+        pos = ts > 0.0
+        tp = ts[pos]
+        if np.any(tp < ETA_GRID_T_FLOOR):
+            raise DomainError(f"eta on the rule requires t = 0 or t >= {ETA_GRID_T_FLOOR}")
         b, d = self.beta, self._decay
         v = self._weights * d ** (1.0 - alpha) * (
             math.sin(PI * (b - alpha)) - d ** b * math.sin(PI * alpha)
         ) / (PI * _consts(b)[0] * b)
-        ts = np.asarray(ts, dtype=float)
-        pos = ts > 0.0
-        tp, a = ts[pos], PI / b
         out = np.zeros(ts.shape)
         out[pos] = (
             tp ** (alpha - 1.0) / math.gamma(alpha)
-            - (2.0 / b) * np.exp(tp * math.cos(a)) * np.cos(tp * math.sin(a) + (1.0 - alpha) * a)
+            + _osc(b, tp, (1.0 - alpha) * (PI / b))
             + self._laplace_sum(tp, v)
         )
         return out
@@ -434,13 +437,8 @@ def phi_callable(beta: float) -> Callable:
     Closed forms at the endpoint band; elsewhere the spectral rule's
     ``phi_values``, which returns a 1-D array.
     """
-    if not 1.0 <= beta <= 2.0:
-        raise DomainError("phi requires beta in [1, 2]")
-    if abs(beta - 1.0) < ENDPOINT_BAND:
-        return lambda ts: np.exp(-np.atleast_1d(np.asarray(ts, dtype=float)))
-    if abs(beta - 2.0) < ENDPOINT_BAND:
-        return lambda ts: np.sin(np.atleast_1d(np.asarray(ts, dtype=float)))
-    return spectral_rule(beta).phi_values
+    forms = _closed_forms(beta)
+    return forms[0] if forms else spectral_rule(beta).phi_values
 
 
 def eta(
@@ -457,17 +455,8 @@ def eta(
         raise DomainError("eta requires alpha > 0")
     if t <= 0.0:
         raise DomainError("eta requires t > 0")
-    if not 1.0 <= beta <= 2.0:
-        raise DomainError("eta requires beta in [1, 2]")
-    cfg = cfg or DEFAULT_CFG
-    if abs(beta - 1.0) < ENDPOINT_BAND:
-        phi_s = lambda s: math.exp(-s)  # noqa: E731
-    elif abs(beta - 2.0) < ENDPOINT_BAND:
-        phi_s = math.sin
-    else:
-        phi_vec = spectral_rule(beta).phi_values
-        phi_s = lambda s: float(phi_vec(s)[0])  # noqa: E731
-    v, e = integrate(phi_s, 0.0, t, cfg, alg_weight=(0.0, alpha - 1.0))
+    phi_vec = phi_callable(beta)
+    v, e = integrate(lambda s: float(phi_vec(s)[0]), 0.0, t, cfg, alg_weight=(0.0, alpha - 1.0))
     scale = 1.0 / math.gamma(alpha)
     return KernelValue(v * scale, e * scale, "quadrature_primary")
 
@@ -496,17 +485,12 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
         raise DomainError("t must be >= 0")
-    if abs(beta - 1.0) < ENDPOINT_BAND or abs(beta - 2.0) < ENDPOINT_BAND:
-        xi, wq = _panel_rule(0.0, 1.0, 24, 8)
-        s_nodes = np.outer(ts, 1.0 - xi ** (1.0 / alpha))
-        inner = phi_callable(beta)(s_nodes) @ wq
-        return ts ** alpha / (alpha * math.gamma(alpha)) * inner
-    if alpha > 1.0:
-        raise DomainError("eta_grid requires alpha <= 1 for 1 < beta < 2")
-    if np.any((ts > 0.0) & (ts < ETA_GRID_T_FLOOR)):
-        raise DomainError(f"eta_grid requires t = 0 or t >= {ETA_GRID_T_FLOOR} for 1 < beta < 2")
-
-    return spectral_rule(beta).eta_values(alpha, ts)
+    forms = _closed_forms(beta)
+    if forms is None:
+        return spectral_rule(beta).eta_values(alpha, ts)
+    xi, wq = _panel_rule(0.0, 1.0, 24, 8)
+    s_nodes = np.outer(ts, 1.0 - xi ** (1.0 / alpha))
+    return ts ** alpha / (alpha * math.gamma(alpha)) * (forms[0](s_nodes) @ wq)
 
 
 def laplace_check(
@@ -523,8 +507,7 @@ def laplace_check(
     """
     if x <= 0.0:
         raise DomainError("laplace check requires x > 0")
-    if not 1.0 <= beta <= 2.0:
-        raise DomainError("beta must be in [1, 2]")
+    forms = _closed_forms(beta)
     cfg = cfg or QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
 
     if kernel == "phi":
@@ -532,13 +515,8 @@ def laplace_check(
         f = lambda t: math.exp(-x * t) * float(phi_vec(t)[0])  # noqa: E731
         target = 1.0 / (1.0 + x ** beta)
     elif kernel == "psi":
-        if abs(beta - 1.0) < ENDPOINT_BAND:
-            base = lambda t: 1.0 - math.exp(-t)  # noqa: E731
-        elif abs(beta - 2.0) < ENDPOINT_BAND:
-            base = lambda t: 1.0 - math.cos(t)  # noqa: E731
-        else:
-            base = spectral_rule(beta).psi
-        f = lambda t: math.exp(-x * t) * base(t)  # noqa: E731
+        psi_vec = forms[1] if forms else spectral_rule(beta).psi_values
+        f = lambda t: math.exp(-x * t) * float(psi_vec(t)[0])  # noqa: E731
         target = 1.0 / (x * (1.0 + x ** beta))
     elif kernel == "eta":
         if alpha is None or alpha <= 0.0:

@@ -300,6 +300,19 @@ def test_classifiers_reject_non_finite(bad):
             fn(*args)
 
 
+@pytest.mark.parametrize("scan", (C.cm_scan, C.lcm_scan))
+@pytest.mark.parametrize("bad", (math.nan, math.inf, 0.0))
+def test_scan_grid_points_must_be_finite_and_positive(scan, bad):
+    with pytest.raises(DomainError, match="grid points"):
+        scan("reduced_dagum", {"beta": 1.5, "gamma": 0.3}, x_grid=(bad, 1.0))
+
+
+@pytest.mark.parametrize("alpha_tol", (math.nan, math.inf, 0.0, -1e-3))
+def test_c_bounds_alpha_tol_must_be_finite_and_positive(alpha_tol):
+    with pytest.raises(DomainError, match="alpha_tol"):
+        C.c_bounds(1.5, alpha_tol=alpha_tol)
+
+
 def test_eta_witness_never_from_nan():
     assert C.eta_negative_witness(math.nan, 1.5, n_points=64) is None
 

@@ -231,6 +231,36 @@ def test_simulate_deterministic_and_permissibility(tmp_path, capsys):
     assert code == 4
 
 
+SEEDED_COMMANDS = (
+    ["psd", "dagum", "--beta", "0.5", "--gamma", "1", "--dims", "2", "--n", "5", "--sets", "1"],
+    ["search", "cauchy", "--theta", "1.5", "--eta", "1", "--n", "10", "--trials", "2"],
+    ["simulate", "dagum", "--beta", "0.5", "--gamma", "1", "--n", "3"],
+)
+
+
+@pytest.mark.parametrize("seed", (2**63, 2**64 - 1, 2**64, -(2**63) - 1))
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
+def test_seed_outside_int64_exits_2(argv, seed, capsys):
+    code, out, err = run(argv + ["--seed", str(seed)], capsys)
+    assert code == 2 and out == ""
+    assert "seed" in err
+
+
+def test_negative_seed_streams_unchanged(capsys):
+    psd, _, simulate = SEEDED_COMMANDS
+    code, out, _ = run(simulate + ["--seed", "-1"], capsys)
+    assert code == 0
+    assert out == (
+        "index,position,value\n0,0.0,-1.3371172351174143\n"
+        "1,1.0,-0.1780716017561138\n2,2.0,-0.08390854411819658\n"
+    )
+    code, out, _ = run(psd + ["--seed", "-1"], capsys)
+    assert code == 0
+    assert out.split("\n")[1].endswith(",0.7754881372545294,1.5600839029589055,psd")
+    code, _, _ = run(simulate + ["--seed", str(-(2**63))], capsys)
+    assert code == 0
+
+
 def test_decouple_command(capsys):
     code, out, _ = run(
         ["decouple", "--family", "dagum5", "--gamma", "1", "--epsilon", "0.5"], capsys

@@ -174,6 +174,13 @@ def test_point_set_validation():
         F.PointSet(3, np.array([[0.0, 1.0]]), "shape")
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_point_set_rejects_non_finite(bad):
+    # checked before the distances, so no Gram matrix is built from a NaN
+    with pytest.raises(DomainError, match="finite"):
+        F.PointSet(2, np.array([[0.0, 1.0], [bad, 2.0]]), "bad")
+
+
 def test_profile_csv_and_psd_csv_shapes():
     p = F.simulate_profile("cauchy", {"theta": 1.0, "eta": 1.0}, 4, 0.5, seed=3)
     text = F.profile_to_csv(p)

@@ -199,6 +199,32 @@ def test_panel_rule_matches_panel_loop():
         assert np.array_equal(weights, loop_weights)
 
 
+@pytest.mark.parametrize("beta", (1.0005, 1.3, 1.5, 1.75, 1.9995))
+def test_rule_values_match_written_out_formulas(beta):
+    # each kernel's residue term and branch-cut sum written out in full, in
+    # the same order of operations, so the values agree to the last bit
+    ev = K.PsiEvaluator(beta)
+    ts = np.linspace(0.0, 25.0, 101)
+    b, a, w, d = beta, PI / beta, ev._weights, ev._decay
+    grow, turn = np.exp(ts * math.cos(a)), ts * math.sin(a)
+    psi = 1.0 - (2.0 / b) * grow * np.cos(turn) + ev._laplace_sum(ts, w) / (b * PI)
+    phi = -(2.0 / b) * grow * np.cos(a + turn) - ev._laplace_sum(ts, w * d) / (b * PI)
+    phi[0] = 0.0
+    assert np.array_equal(ev.psi_values(ts), psi)
+    assert np.array_equal(ev.phi_values(ts), phi)
+    sigma, tp = -math.sin(b * PI), ts[1:]
+    for alpha in (0.05, 0.3, 0.77, 1.0):
+        v = w * d ** (1.0 - alpha) * (
+            math.sin(PI * (b - alpha)) - d ** b * math.sin(PI * alpha)
+        ) / (PI * sigma * b)
+        eta = (
+            tp ** (alpha - 1.0) / math.gamma(alpha)
+            - (2.0 / b) * np.exp(tp * math.cos(a)) * np.cos(tp * math.sin(a) + (1.0 - alpha) * a)
+            + ev._laplace_sum(tp, v)
+        )
+        assert np.array_equal(ev.eta_values(alpha, ts), np.concatenate([[0.0], eta]))
+
+
 @pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.8, 1.98))
 def test_phi_table_matches_adaptive_route(beta):
     # pin the spectral rule's phi to the independent adaptive route at 130
@@ -344,6 +370,15 @@ def test_eta_grid_small_t_floor(beta):
         ts = np.array([1e-6, 1e-5, 1e-4, 1e-3])
         for t, value in zip(ts, K.eta_grid(alpha, beta, ts)):
             assert abs(value - _eta_mittag_leffler(alpha, beta, t)) <= 1e-9
+
+
+def test_eta_values_domain():
+    # below ETA_GRID_T_FLOOR the sum cancels to noise (-27061 for eta = 6e-9 at t = 1e-8)
+    rule = K.spectral_rule(1.98)
+    for alpha, ts in ((0.05, [1e-8]), (0.5, [0.0, 1e-7, 1.0]), (1.5, [1.0]), (0.0, [1.0])):
+        with pytest.raises(DomainError):
+            rule.eta_values(alpha, ts)
+    assert np.isnan(rule.eta_values(math.nan, [1.0])[0])
 
 
 def test_eta_grid_domain():
