@@ -19,7 +19,7 @@ import numpy as np
 from . import models as M
 from . import taylor as ta
 from .errors import DomainError
-from .kernels import eta_grid, phi_callable, spectral_rule
+from .kernels import ENDPOINT_BAND, eta_grid, phi_callable, spectral_rule
 from .numerics import Bracket, find_root
 
 PI = math.pi
@@ -97,7 +97,11 @@ def psi_max(beta: float, tol: float = 1e-9) -> float:
         cell = Bracket(float(ts[i]), float(ts[i + 1]))
         # phi over its secant slope, so |f| <= tol places the root to about tol
         slope = (phis[i] - phis[i + 1]) / (cell.hi - cell.lo)
-        root = find_root(lambda t: float(ev.phi_values(t)[0]) / slope, cell, tol)
+        # the scan already holds phi at the cell's ends, where find_root starts
+        held = {cell.lo: phis[i] / slope, cell.hi: phis[i + 1] / slope}
+        root = find_root(
+            lambda t: held[t] if t in held else float(ev.phi_values(t)[0]) / slope, cell, tol
+        )
         best = max(best, ev.psi(root))
     return best
 
@@ -133,12 +137,16 @@ def eta_negative_witness(
     to phi_b itself (the power-law factor becomes a point mass).  A value
     that is not finite (a NaN from invalid input) never becomes a witness.
     """
-    ts = np.linspace(0.0, scan_range(beta, periods), n_points)
+    t_max = scan_range(beta, periods)
+    ts = np.linspace(0.0, t_max, n_points)
     if alpha == 0.0:
         scan = phi_callable(beta)
     else:
         scan = lambda s: eta_grid(alpha, beta, s)  # noqa: E731
-    vals = scan(ts)
+    if beta - 1.0 >= ENDPOINT_BAND and 2.0 - beta >= ENDPOINT_BAND:
+        vals = spectral_rule(beta).eta_scan(alpha, t_max, n_points)
+    else:
+        vals = scan(ts)  # closed forms in the endpoint bands, DomainError outside [1, 2]
     i = int(np.argmin(vals))
     if vals[i] >= ETA_NEGATIVE_THRESHOLD:
         return None

@@ -31,9 +31,13 @@ hands its (t-s)^(a-1) endpoint to the algebraic-weight rule.
 Grid work goes through ``PsiEvaluator`` instead: one fixed composite
 Gauss-Legendre rule on the arctangent-substituted tau integral, whose
 Laplace sums give psi, phi = rho' + tau' and eta on whole grids (the
-psi_max scan, the eta sign scans).  eta is the same branch-cut inversion
-as tau, with alpha-dependent weights on the same nodes.  The adaptive
-routes above stay as its independent check.
+psi_max scan, the refine of an eta sign scan).  eta is the same branch-cut
+inversion as tau, with alpha-dependent weights on the same nodes.  The
+eta sign scans themselves run on a uniform grid t = k h, where
+exp(-k h d) factors into a per-block and a per-row part: ``eta_scan``
+builds one block of exp(-j h d) and pays N exps per block of rows after
+it, not one exp per (t, node).  The adaptive routes above stay as the
+independent check of the rule.
 """
 
 from __future__ import annotations
@@ -323,8 +327,10 @@ def psi(beta: float, t: float, cfg: Optional[QuadConfig] = None) -> KernelValue:
     return KernelValue(rho_kernel(beta, t) + tau_v, tau_e, "quadrature_primary")
 
 
-# Rows of t per block of a Laplace sum: 256 rows x 1000 nodes is about 2 MB.
+# Rows of t per block of a Laplace sum: 256 rows x 1000 nodes is about 2 MB;
+# a uniform scan reuses one block of 128 rows (``PsiEvaluator.eta_scan``).
 _BLOCK_ROWS = 256
+_SCAN_ROWS = 128
 
 
 class PsiEvaluator:
@@ -382,26 +388,78 @@ class PsiEvaluator:
         vals[ts == 0.0] = 0.0
         return vals
 
+    def _eta_weights(self, alpha: float) -> np.ndarray:
+        """The v_i of ``eta_grid``'s branch-cut sum; DomainError unless
+        0 < a <= 1 (a NaN passes and gives NaN weights)."""
+        if alpha <= 0.0 or alpha > 1.0:
+            raise DomainError(f"eta on the rule requires 0 < alpha <= 1, got {alpha}")
+        b, d = self.beta, self._decay
+        return self._weights * d ** (1.0 - alpha) * (
+            math.sin(PI * (b - alpha)) - d ** b * math.sin(PI * alpha)
+        ) / (PI * _consts(b)[0] * b)
+
     def eta_values(self, alpha: float, ts) -> np.ndarray:
         """eta_{a,b} by the branch-cut sum of ``eta_grid``: DomainError unless
         0 < a <= 1 and each t is 0 or >= ``ETA_GRID_T_FLOOR``; NaN a gives NaN."""
-        if alpha <= 0.0 or alpha > 1.0:
-            raise DomainError(f"eta on the rule requires 0 < alpha <= 1, got {alpha}")
+        v = self._eta_weights(alpha)
         ts = np.asarray(ts, dtype=float)
-        pos = ts > 0.0
-        tp = ts[pos]
-        if np.any(tp < ETA_GRID_T_FLOOR):
+        if np.any((ts != 0.0) & ~(ts >= ETA_GRID_T_FLOOR)):  # also a negative or NaN t
             raise DomainError(f"eta on the rule requires t = 0 or t >= {ETA_GRID_T_FLOOR}")
-        b, d = self.beta, self._decay
-        v = self._weights * d ** (1.0 - alpha) * (
-            math.sin(PI * (b - alpha)) - d ** b * math.sin(PI * alpha)
-        ) / (PI * _consts(b)[0] * b)
+        pos = ts > 0.0
+        tp, b = ts[pos], self.beta
         out = np.zeros(ts.shape)
         out[pos] = (
             tp ** (alpha - 1.0) / math.gamma(alpha)
             + _osc(b, tp, (1.0 - alpha) * (PI / b))
             + self._laplace_sum(tp, v)
         )
+        return out
+
+    def eta_scan(self, alpha: float, t_max: float, n: int) -> np.ndarray:
+        """eta_{a,b} (0 < a <= 1) or phi_b (a = 0) at t_k = k t_max/(n-1),
+        k < n, with the value 0 at t = 0: the uniform grid of a sign scan.
+
+        On that grid exp(-(s+j) h d_i) = exp(-s h d_i) exp(-j h d_i), so one
+        block B[j, i] = exp(-j h d_i) of ``_SCAN_ROWS`` rows serves every
+        block of rows: rows s..s+R-1 are B times v_i exp(-s h d_i), N exps
+        per block instead of R N.  Values differ from ``eta_values`` and
+        ``phi_values`` only by rounding (about 1e-14).  DomainError for a
+        outside [0, 1], for t_max not finite and positive, for n < 1, and for
+        0 < a with a grid step below ``ETA_GRID_T_FLOOR``; a NaN a gives NaN.
+        """
+        if alpha < 0.0 or alpha > 1.0:
+            raise DomainError(f"the scan requires 0 <= alpha <= 1, got {alpha}")
+        if not 0.0 < t_max < math.inf:
+            raise DomainError(f"the scan requires a finite t_max > 0, got {t_max}")
+        if n < 1:
+            raise DomainError(f"the scan requires n >= 1 points, got {n}")
+        h = t_max / max(n - 1, 1)
+        if alpha != 0.0 and n > 1 and h < ETA_GRID_T_FLOOR:
+            raise DomainError(f"eta on the rule requires t = 0 or t >= {ETA_GRID_T_FLOOR}")
+        b = self.beta
+        ts = np.arange(n) * h
+        if alpha == 0.0:
+            v, shift = self._weights * self._decay / (-b * PI), PI / b
+        else:
+            v, shift = self._eta_weights(alpha), (1.0 - alpha) * (PI / b)
+        # exp(-x) is exactly 0 in double precision for x > 745.14, so a node
+        # with h d > 746 adds nothing at any t > 0
+        keep = h * self._decay <= 746.0
+        d, v = self._decay[keep], v[keep]
+        rows = min(n, _SCAN_ROWS)
+        # the -708 floor keeps exp off its slow underflow path; it moves a
+        # term by at most |v_i| e^-708
+        block = np.multiply.outer(-h * np.arange(rows), d)
+        np.exp(np.maximum(block, -708.0, out=block), out=block)
+        out = _osc(b, ts, shift)
+        for s in range(0, n, rows):
+            k = min(s + rows, n)
+            skip = int(np.count_nonzero(s * h * d > 746.0))  # decays fall with i
+            u = v[skip:] * np.exp(-(s * h) * d[skip:])
+            out[s:k] += np.einsum("ij,j->i", block[: k - s, skip:], u)
+        if alpha != 0.0:
+            out[1:] += ts[1:] ** (alpha - 1.0) / math.gamma(alpha)
+        out[0] = 0.0
         return out
 
     def psi(self, t):

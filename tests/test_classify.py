@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dagum import classify as C
+from dagum import kernels as K
 from dagum.errors import DomainError
 from dagum.kernels import PsiEvaluator, spectral_rule
 from dagum.numerics import Bracket, maximize_1d
@@ -80,6 +81,54 @@ def test_c_bounds():
     assert hi <= 0.6
     with pytest.raises(DomainError):
         C.c_bounds(1.0, 1e-3)
+
+
+def test_psi_max_roots_reuse_scanned_phi(monkeypatch):
+    # find_root starts at the ends of a scan cell, where phi is already known;
+    # after the scan, phi is evaluated only strictly inside the cells
+    beta = 1.9337
+    rule = spectral_rule(beta)
+    calls = []
+    original = rule.phi_values
+
+    def recording(ts):
+        calls.append(np.atleast_1d(ts).copy())
+        return original(ts)
+
+    monkeypatch.setattr(rule, "phi_values", recording)
+    assert 1.0 < C.psi_max(beta) <= 4.0 / beta
+    scan, roots = calls[0], calls[1:]
+    assert scan.size == 128 and roots
+    assert not np.isin(np.concatenate(roots), scan).any()
+
+
+def _witness_on_eta_grid(alpha, beta, n_points=4096, periods=6.0):
+    # eta_negative_witness with its coarse scan taken from eta_grid, as the
+    # direct Laplace sums compute it
+    ts = np.linspace(0.0, C.scan_range(beta, periods), n_points)
+    vals = K.eta_grid(alpha, beta, ts)
+    i = int(np.argmin(vals))
+    if vals[i] >= C.ETA_NEGATIVE_THRESHOLD:
+        return None
+    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, n_points - 1)], 64)
+    fvals = K.eta_grid(alpha, beta, fine)
+    j = int(np.argmin(fvals))
+    return C.Certificate("eta_sign", float(fine[j]), None, float(fvals[j]))
+
+
+def test_eta_witness_matches_eta_grid_scan_near_c_bounds():
+    # 60 pairs within 1e-3 of a c-bracket end, where the scan minimum is
+    # closest to the threshold; the certificates must agree exactly
+    found = 0
+    for beta in np.linspace(1.12, 1.93, 10):
+        beta = float(beta)
+        for end in C.c_bounds(beta, 1e-3):
+            for offset in (-7e-4, 1e-4, 9e-4):
+                alpha = end + offset
+                witness = C.eta_negative_witness(alpha, beta)
+                assert witness == _witness_on_eta_grid(alpha, beta), (alpha, beta)
+                found += witness is not None
+    assert 0 < found < 60
 
 
 # The classification truth table: the theorem-tagged cases return the stated

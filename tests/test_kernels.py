@@ -381,6 +381,45 @@ def test_eta_values_domain():
     assert np.isnan(rule.eta_values(math.nan, [1.0])[0])
 
 
+def test_eta_values_rejects_negative_and_nan_t():
+    rule = K.spectral_rule(1.5)
+    for ts in ([-1.0], [0.0, -1e-3, 1.0], [math.nan]):
+        with pytest.raises(DomainError):
+            rule.eta_values(0.5, ts)
+
+
+@pytest.mark.parametrize("beta", (1.0005, 1.1, 1.5, 1.738, 1.9, 1.9995))
+def test_eta_scan_matches_rule_values(beta):
+    # the shifted-block scan against the direct Laplace sums at the same t
+    rule = K.spectral_rule(beta)
+    t_max = 6.0 * PI / math.sin(PI / beta)
+    for n in (1, 2, K._SCAN_ROWS - 1, K._SCAN_ROWS, K._SCAN_ROWS + 1, 4096):
+        ts = np.arange(n) * (t_max / max(n - 1, 1))
+        for alpha in (0.0, 0.001, 0.05, 0.5, 1.0):
+            scan = rule.eta_scan(alpha, t_max, n)
+            ref = rule.phi_values(ts) if alpha == 0.0 else rule.eta_values(alpha, ts)
+            assert scan.shape == (n,) and scan[0] == 0.0
+            assert np.max(np.abs(scan - ref)) <= 1e-13, (n, alpha)
+
+
+def test_eta_scan_domain():
+    rule = K.spectral_rule(1.5)
+    for t_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="t_max"):
+            rule.eta_scan(0.5, t_max, 16)
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="n >= 1"):
+            rule.eta_scan(0.5, 10.0, n)
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(DomainError, match="alpha"):
+            rule.eta_scan(alpha, 10.0, 16)
+    # a first positive t below the floor of eta on the rule; phi has no floor
+    with pytest.raises(DomainError):
+        rule.eta_scan(0.5, 1e-4, 1000)
+    assert rule.eta_scan(0.0, 1e-4, 1000)[-1] == pytest.approx(rule.phi_values(1e-4)[0], abs=1e-13)
+    assert np.isnan(rule.eta_scan(math.nan, 10.0, 16)[1:]).all()
+
+
 def test_eta_grid_domain():
     with pytest.raises(DomainError):
         K.eta_grid(0.0, 1.5, [1.0])
