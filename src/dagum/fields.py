@@ -12,7 +12,7 @@ Conflating the two is the most likely usage bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +42,7 @@ class PointSet:
     dimension: int
     points: np.ndarray  # shape (n, dimension)
     id: str
+    _sq_dist: np.ndarray = field(init=False, repr=False, compare=False)  # (n, n)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -50,11 +51,11 @@ class PointSet:
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
         object.__setattr__(self, "points", pts)
-        if pts.shape[0] >= 2:
-            d2 = _sq_distances(pts)
-            off = d2[~np.eye(pts.shape[0], dtype=bool)]
-            if off.size and off.min() == 0.0:
-                raise DomainError("points must be distinct")
+        d2 = _sq_distances(pts)
+        # the n diagonal zeros are exact; any other is an equal or underflowing pair
+        if np.count_nonzero(d2 == 0.0) > pts.shape[0]:
+            raise DomainError("points must be distinct")
+        object.__setattr__(self, "_sq_dist", d2)
 
     @property
     def n_points(self) -> int:
@@ -109,17 +110,15 @@ def gram_matrix(
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
     p, evaluator = M.make_model(model_id, params)
-    arg = _sq_distances(ps.points)
+    # One evaluation per pair i > j, copied to (j, i) as d2 is exactly symmetric;
+    # distinct points have positive distances, where every family is defined.
+    lower = np.tri(ps.n_points, k=-1, dtype=bool)
+    arg = ps._sq_dist[lower]
     if convention == "plain_distance":
         arg = np.sqrt(arg)
-    n = ps.n_points
-    out = np.ones((n, n))
-    mask = ~np.eye(n, dtype=bool)
-    # Off the diagonal only: distinct points have positive distances, where
-    # the families that diverge at zero are defined.
+    out = np.ones(lower.shape)
     with np.errstate(divide="ignore", over="ignore"):
-        out[mask] = evaluator(p, arg[mask])
-    out = 0.5 * (out + out.T)
+        out[lower] = out.T[lower] = evaluator(p, arg)
     return out
 
 
@@ -216,8 +215,9 @@ def simulate_profile(
     positions = (np.arange(n) * spacing)[:, None]
     ps = PointSet(1, positions, id=f"grid-n{n}-h{spacing:g}")
     cov = gram_matrix(model_id, params, ps, "plain_distance")
+    cov.flat[:: n + 1] += CHOL_JITTER
     try:
-        chol = np.linalg.cholesky(cov + CHOL_JITTER * np.eye(n))
+        chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotPermissibleError(
             f"covariance factorization failed for {model_id} at n={n}, spacing={spacing}"

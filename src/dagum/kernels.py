@@ -130,7 +130,11 @@ def _osc(beta: float, ts, shift: float):
 
 
 def _grid(ts) -> np.ndarray:
-    return np.atleast_1d(np.asarray(ts, dtype=float))
+    """``ts`` as a float array of at least one dimension; DomainError for t < 0 or NaN."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not (ts >= 0.0).all():
+        raise DomainError("t must be >= 0")
+    return ts
 
 
 def _closed_forms(beta: float) -> Optional[Tuple[Callable, Callable]]:
@@ -151,7 +155,7 @@ def _closed_forms(beta: float) -> Optional[Tuple[Callable, Callable]]:
 
 def kappa(alpha: float, t: float) -> float:
     """t^(alpha-1) / Gamma(alpha)."""
-    if alpha <= 0.0 or t <= 0.0:
+    if not (alpha > 0.0 and t > 0.0):
         raise DomainError("kappa requires alpha > 0 and t > 0")
     return t ** (alpha - 1.0) / math.gamma(alpha)
 
@@ -160,7 +164,7 @@ def rho_kernel(beta: float, t: float) -> float:
     """1 - (2/b) exp(t cos(pi/b)) cos(t sin(pi/b)); closed form on [1, 2]."""
     if not 1.0 <= beta <= 2.0:
         raise DomainError("rho kernel requires beta in [1, 2]")
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError("t must be >= 0")
     return float(1.0 + _osc(beta, t, 0.0))
 
@@ -202,7 +206,7 @@ def tau_kernel(
     """
     if not 1.0 < beta < 2.0:
         raise DomainError("tau kernel requires beta in (1, 2)")
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError("t must be >= 0")
     if route == "primary":
         v, e = _tau_primary(beta, t, cfg)
@@ -300,7 +304,7 @@ def phi(
     band; otherwise evaluates the requested integral route.
     """
     forms = _closed_forms(beta)
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError("t must be >= 0")
     if forms is not None:
         return KernelValue(float(forms[0](t)[0]), 0.0, "closed_form")
@@ -319,7 +323,7 @@ def psi(beta: float, t: float, cfg: Optional[QuadConfig] = None) -> KernelValue:
     psi_b(0) = 0, psi_b >= 0, and psi_b(t) -> 1 as t -> infinity for b < 2.
     """
     forms = _closed_forms(beta)
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError("t must be >= 0")
     if forms is not None:
         return KernelValue(float(forms[1](t)[0]), 0.0, "closed_form")
@@ -511,7 +515,7 @@ def eta(
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError("eta requires t > 0")
     phi_vec = phi_callable(beta)
     v, e = integrate(lambda s: float(phi_vec(s)[0]), 0.0, t, cfg, alg_weight=(0.0, alpha - 1.0))
@@ -541,7 +545,7 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0.0):
+    if not (ts >= 0.0).all():
         raise DomainError("t must be >= 0")
     forms = _closed_forms(beta)
     if forms is None:

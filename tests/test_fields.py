@@ -174,6 +174,17 @@ def test_point_set_validation():
         F.PointSet(3, np.array([[0.0, 1.0]]), "shape")
 
 
+def test_point_set_distinct_means_positive_squared_distance():
+    # 1e-170 squared underflows to 0, so the pair is as good as a duplicate
+    with pytest.raises(DomainError, match="distinct"):
+        F.PointSet(1, np.array([[0.0], [1e-170]]), "underflow")
+    # a duplicate that is not the neighbouring row
+    pts = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0], [0.0, 1.0, 2.0]])
+    with pytest.raises(DomainError, match="distinct"):
+        F.PointSet(3, pts, "dup-far")
+    assert F.PointSet(1, np.array([[0.0], [1e-150]]), "tiny").n_points == 2
+
+
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_point_set_rejects_non_finite(bad):
     # checked before the distances, so no Gram matrix is built from a NaN
@@ -235,3 +246,25 @@ def test_simulate_rejects_bad_spacing(spacing):
         F.simulate_profile("cauchy", {"theta": 1.0, "eta": 1.0}, 4, spacing, seed=0)
     with pytest.raises(DomainError, match="spacing"):
         F.Profile(spacing, np.zeros(4), 0, "cauchy", {"theta": 1.0, "eta": 1.0})
+
+
+@pytest.mark.parametrize("model_id", sorted(GRAM_REFERENCE))
+@pytest.mark.parametrize("convention", F.CONVENTIONS)
+def test_gram_is_exactly_symmetric_with_unit_diagonal(model_id, convention):
+    params = GRAM_REFERENCE[model_id][0]
+    for d in (1, 2, 3, 5):
+        g = F.gram_matrix(model_id, params, F.random_point_set(d, 41, seed=5), convention)
+        assert np.array_equal(g, g.T)
+        assert np.all(np.diag(g) == 1.0)
+
+
+@pytest.mark.parametrize("n", (64, 1024))
+def test_simulate_profile_is_jittered_cholesky_of_gram(n):
+    params, seed = {"gamma": 1.0, "epsilon": 0.5}, 11
+    ps = F.PointSet(1, (np.arange(n) * 0.5)[:, None], "grid")
+    gram = F.gram_matrix("dagum5", params, ps, "plain_distance")
+    # the profile stream: Philox keyed by (seed, stream tag 2024 << 32)
+    z = np.random.Generator(np.random.Philox(key=[seed, 2024 << 32])).standard_normal(n)
+    expected = np.linalg.cholesky(gram + F.CHOL_JITTER * np.eye(n)) @ z
+    profile = F.simulate_profile("dagum5", params, n, 0.5, seed)
+    assert np.array_equal(profile.values, expected)

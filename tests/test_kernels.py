@@ -388,6 +388,38 @@ def test_eta_values_rejects_negative_and_nan_t():
             rule.eta_values(0.5, ts)
 
 
+@pytest.mark.parametrize("bad", (-1.0, math.nan))
+def test_every_kernel_route_rejects_negative_and_nan_t(bad):
+    # a DomainError at the boundary, not an overflow warning, a quadrature
+    # failure or a NaN value from the numerics
+    scalar_routes = [
+        lambda: K.rho_kernel(1.5, bad),
+        lambda: K.tau_kernel(1.5, bad),
+        lambda: K.tau_kernel(1.5, bad, "alternate"),
+        lambda: K.phi(1.5, bad),
+        lambda: K.phi(1.5, bad, "alternate"),
+        lambda: K.phi(1.0, bad),
+        lambda: K.psi(1.5, bad),
+        lambda: K.psi(2.0, bad),
+        lambda: K.eta(0.5, 1.5, bad),
+        lambda: K.kappa(0.5, bad),
+    ]
+    rule = K.spectral_rule(1.5)
+    array_routes = [
+        lambda: K.phi_callable(1.5)([1.0, bad]),
+        lambda: K.phi_callable(1.0)([bad]),
+        lambda: K.phi_callable(2.0)(bad),
+        lambda: rule.phi_values([bad]),
+        lambda: rule.psi_values([0.0, bad]),
+        lambda: rule.psi(bad),
+        lambda: K.eta_grid(0.5, 1.5, [bad]),
+        lambda: K.eta_grid(0.5, 1.0, [1.0, bad]),
+    ]
+    for route in scalar_routes + array_routes:
+        with pytest.raises(DomainError):
+            route()
+
+
 @pytest.mark.parametrize("beta", (1.0005, 1.1, 1.5, 1.738, 1.9, 1.9995))
 def test_eta_scan_matches_rule_values(beta):
     # the shifted-block scan against the direct Laplace sums at the same t
