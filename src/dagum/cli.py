@@ -10,6 +10,7 @@ newline-terminated.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -145,6 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and then shared.
+
+    ``parse_args`` leaves a parser unchanged and parses into a fresh
+    namespace, so repeated and concurrent calls may share one.
+    """
+    return build_parser()
+
+
 def _cmd_eval(ns: argparse.Namespace) -> int:
     rho = M.correlation(ns.model, _params(ns))
     if (ns.x is None) == (ns.grid is None):
@@ -261,8 +272,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return _COMMANDS[ns.command](ns)
     except (DomainError, UnsupportedExpressionError) as exc:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -153,11 +154,19 @@ def _closed_forms(beta: float) -> Optional[Tuple[Callable, Callable]]:
     return None
 
 
+def _over_gamma(x, alpha: float):
+    """x / Gamma(alpha) for alpha > 0.  Gamma(alpha) overflows for a subnormal
+    alpha, where 1/Gamma(alpha) = alpha / Gamma(1 + alpha) rounds to alpha."""
+    if alpha < sys.float_info.min:
+        return x * alpha
+    return x / math.gamma(alpha)
+
+
 def kappa(alpha: float, t: float) -> float:
     """t^(alpha-1) / Gamma(alpha)."""
     if not (alpha > 0.0 and t > 0.0):
         raise DomainError("kappa requires alpha > 0 and t > 0")
-    return t ** (alpha - 1.0) / math.gamma(alpha)
+    return _over_gamma(t ** (alpha - 1.0), alpha)
 
 
 def rho_kernel(beta: float, t: float) -> float:
@@ -413,7 +422,7 @@ class PsiEvaluator:
         tp, b = ts[pos], self.beta
         out = np.zeros(ts.shape)
         out[pos] = (
-            tp ** (alpha - 1.0) / math.gamma(alpha)
+            _over_gamma(tp ** (alpha - 1.0), alpha)
             + _osc(b, tp, (1.0 - alpha) * (PI / b))
             + self._laplace_sum(tp, v)
         )
@@ -462,7 +471,7 @@ class PsiEvaluator:
             u = v[skip:] * np.exp(-(s * h) * d[skip:])
             out[s:k] += np.einsum("ij,j->i", block[: k - s, skip:], u)
         if alpha != 0.0:
-            out[1:] += ts[1:] ** (alpha - 1.0) / math.gamma(alpha)
+            out[1:] += _over_gamma(ts[1:] ** (alpha - 1.0), alpha)
         out[0] = 0.0
         return out
 
@@ -538,9 +547,9 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     is required.  As t -> 0 the t^(a-1) term and the sum cancel beyond what
     the rule resolves (-27061 for eta = 6e-9 at b = 1.98, t = 1e-8), so a
     positive t below ``ETA_GRID_T_FLOOR`` = 1e-6 raises DomainError; from it
-    up the error is at most about 1e-10.  In the endpoint bands, Gamma(a)
-    eta(t) = (t^a / a) int_0^1 phi(t (1 - xi^(1/a))) d(xi) with the
-    closed-form phi, on a fixed composite rule.
+    up the error is at most about 1e-10.  In the endpoint bands,
+    eta(t) = (t^a / Gamma(1 + a)) int_0^1 phi(t (1 - xi^(1/a))) d(xi) with
+    the closed-form phi, on a fixed composite rule.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
@@ -552,7 +561,7 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
         return spectral_rule(beta).eta_values(alpha, ts)
     xi, wq = _panel_rule(0.0, 1.0, 24, 8)
     s_nodes = np.outer(ts, 1.0 - xi ** (1.0 / alpha))
-    return ts ** alpha / (alpha * math.gamma(alpha)) * (forms[0](s_nodes) @ wq)
+    return ts ** alpha / math.gamma(1.0 + alpha) * (forms[0](s_nodes) @ wq)
 
 
 def laplace_check(

@@ -93,14 +93,15 @@ class GParams:
 # -- evaluators --------------------------------------------------------------
 
 # Each evaluator takes a float, an ndarray or a TaylorSeries x.  Only floats
-# are checked against the domain here; arrays go through the checks of
-# ``ta.powr`` (the Gram matrices pass positive distances), series unchecked.
+# are checked against the domain here, written ``not x >= 0.0`` so that NaN
+# fails too; arrays go through the checks of ``ta.powr`` (the Gram matrices
+# pass positive distances), series unchecked.
 _UNCHECKED = (ta.TaylorSeries, np.ndarray)
 
 
 def dagum_eval(p: DagumParams, x):
     """1 - (x^beta / (1 + x^beta))^gamma for x >= 0."""
-    if not isinstance(x, _UNCHECKED) and x < 0.0:
+    if not isinstance(x, _UNCHECKED) and not x >= 0.0:
         raise DomainError("x must be >= 0")
     u = ta.powr(x, p.beta)
     return 1.0 - ta.powr(u / (1.0 + u), p.gamma)
@@ -111,21 +112,21 @@ def dagum_sec5_eval(p: DagumSec5Params, t):
 
 
 def cauchy_eval(p: CauchyParams, t):
-    if not isinstance(t, _UNCHECKED) and t < 0.0:
+    if not isinstance(t, _UNCHECKED) and not t >= 0.0:
         raise DomainError("t must be >= 0")
     return ta.powr(1.0 + ta.powr(t, p.theta), -p.eta / p.theta)
 
 
 def aux_eval(p: AuxParams, x):
     """1 / (x^alpha (1 + x^beta)); diverges as x -> 0+ when alpha > 0."""
-    if not isinstance(x, _UNCHECKED) and (x < 0.0 or (x == 0.0 and p.alpha > 0.0)):
+    if not isinstance(x, _UNCHECKED) and (not x >= 0.0 or (x == 0.0 and p.alpha > 0.0)):
         raise DomainError("aux diverges at x = 0 for alpha > 0; need x > 0")
     return 1.0 / (ta.powr(x, p.alpha) * (1.0 + ta.powr(x, p.beta)))
 
 
 def g_eval(p: GParams, x):
     """1 / (x^alpha (1 + x^2)^lambda); diverges as x -> 0+ when alpha > 0."""
-    if not isinstance(x, _UNCHECKED) and (x < 0.0 or (x == 0.0 and p.alpha > 0.0)):
+    if not isinstance(x, _UNCHECKED) and (not x >= 0.0 or (x == 0.0 and p.alpha > 0.0)):
         raise DomainError("g diverges at x = 0 for alpha > 0; need x > 0")
     return 1.0 / (ta.powr(x, p.alpha) * ta.powr(1.0 + x * x, p.lam))
 
@@ -137,7 +138,7 @@ def reduced_dagum_eval(p: DagumParams, x):
     monotonicity of the Dagum correlation with the same parameters: it is
     -rho'(x) up to the constant factor beta*gamma.
     """
-    if not isinstance(x, ta.TaylorSeries) and x <= 0.0:
+    if not isinstance(x, ta.TaylorSeries) and not x > 0.0:
         raise DomainError("reduced dagum needs x > 0")
     num = ta.powr(x, p.beta * p.gamma - 1.0)
     return num / ta.powr(1.0 + ta.powr(x, p.beta), p.gamma + 1.0)
@@ -222,7 +223,7 @@ def correlation(model_id: str, params: Mapping[str, float]) -> Callable[[float],
 
 def semivariogram(model_id: str, params: Mapping[str, float], t: float) -> float:
     """1 - rho(t), computed cancellation-free near t = 0 (unit variance)."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError("t must be >= 0")
     p, _ = make_model(model_id, params)
     return 0.0 if t == 0.0 else MODELS[model_id].semivariogram(p, t)

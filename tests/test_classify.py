@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagum import classify as C
 from dagum import kernels as K
@@ -219,6 +221,26 @@ def test_lcm_implies_not_refuted_cm():
     for alpha, beta in ((0.5, 0.8), (2.0, 2.0), (1.7, 1.9), (1.0, 1.5)):
         if C.classify_aux_lcm(alpha, beta).status == "ProvenLCM":
             assert C.classify_aux_cm(alpha, beta).status != "ProvenNotCM"
+
+
+# Betas on every branch of the aux classifiers, the theorem edges 1 and 2 included.
+AUX_BETAS = st.sampled_from([1.0, 2.0]) | st.floats(0.0, 2.5)
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(beta=AUX_BETAS, alphas=st.lists(st.floats(0.0, 2.5), min_size=2, max_size=2))
+def test_aux_cm_never_proven_then_refuted_as_alpha_grows(beta, alphas):
+    lo, hi = sorted(alphas)
+    if C.classify_aux_cm(lo, beta).status == "ProvenCM":
+        assert C.classify_aux_cm(hi, beta).status != "ProvenNotCM"
+
+
+@PROPERTY_SETTINGS
+@given(alpha=st.floats(0.0, 3.0), beta=AUX_BETAS)
+def test_proven_lcm_is_never_refuted_cm(alpha, beta):
+    if C.classify_aux_lcm(alpha, beta).status == "ProvenLCM":
+        assert C.classify_aux_cm(alpha, beta).status != "ProvenNotCM"
 
 
 def test_gap_band_l_exceeds_half_beta(coarse_table):

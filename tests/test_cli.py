@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -352,3 +354,74 @@ def test_tol_rejected_where_classifier_takes_none(argv, capsys):
     assert code == 2
     assert out == ""
     assert "takes no --tol" in err
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    builds = []
+
+    def counting_build(real=cli.build_parser):
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for argv in (
+        ["classify", "dagum", "--beta", "0.5", "--gamma", "1"],
+        ["classify", "g", "--alpha", "0.5", "--lambda", "0.5"],
+        ["eval", "dagum", "--beta", "1", "--gamma", "1", "--x", "1"],
+    ):
+        assert run(argv, capsys)[0] == 0
+    with pytest.raises(SystemExit):
+        cli.main(["classify", "matern"])
+    capsys.readouterr()
+    assert len(builds) == 1
+    monkeypatch.undo()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_no_state_carries_between_calls(tmp_path, capsys):
+    good = ["classify", "aux-cm", "--alpha", "1.2", "--beta", "1.5"]
+    first = run(good, capsys)
+    assert first[0] == 0 and first[2] == ""
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the family
+        cli.main(["classify", "matern", "--beta", "1.5", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(good + ["--tol", "1e-3"], capsys)  # aux-cm takes no --tol
+    assert (code, out) == (2, "") and "takes no --tol" in err
+    path = tmp_path / "verdict.json"
+    assert run(good + ["--output", str(path)], capsys) == (0, "", "")
+    assert path.read_text() == first[1]
+    assert run(good, capsys) == first
+
+
+def test_concurrent_main_calls_match_serial(tmp_path):
+    queries = [
+        ["classify", "aux-cm", "--alpha", "1.2", "--beta", "1.5"],
+        ["classify", "dagum", "--beta", "0.5", "--gamma", "1"],
+        ["classify", "g", "--alpha", "0.5", "--lambda", "0.5"],
+        ["classify", "aux-lcm", "--alpha", "0.1", "--beta", "0.7"],
+    ]
+    serial = []
+    for k, argv in enumerate(queries):
+        assert cli.main(argv + ["--output", str(tmp_path / f"serial{k}.json")]) == 0
+        serial.append((tmp_path / f"serial{k}.json").read_text())
+
+    def work(k):
+        return [
+            cli.main(queries[k] + ["--output", str(tmp_path / f"thread{k}_{r}.json")])
+            for r in range(5)
+        ]
+
+    cli._parser.cache_clear()  # the threads race to build the first parser
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            codes = list(pool.map(work, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == [[0] * 5] * 4
+    for k in range(4):
+        for r in range(5):
+            assert (tmp_path / f"thread{k}_{r}.json").read_text() == serial[k]

@@ -1,7 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagum import fields as F
 from dagum import models as M
@@ -204,6 +208,37 @@ def test_profile_csv_and_psd_csv_shapes():
     text = F.psd_reports_to_csv([rep])
     assert text.startswith(F.PSD_CSV_HEADER)
     assert "psd" in text.strip().split("\n")[1]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    params=st.dictionaries(st.sampled_from(["alpha", "beta", "lambda"]), FINITE, min_size=1),
+    mn=FINITE,
+    mx=FINITE,
+)
+def test_psd_csv_floats_round_trip(params, mn, mx):
+    rep = F.PsdReport(
+        model_id="g",
+        params=params,
+        point_set_id="d3-n7-s0-t0",
+        convention="plain_distance",
+        n_points=7,
+        dimension=3,
+        min_eigenvalue=mn,
+        max_eigenvalue=mx,
+        verdict="psd",
+    )
+    (row,) = csv.DictReader(io.StringIO(F.psd_reports_to_csv([rep])))
+    parsed = dict(item.split("=") for item in row["params"].split(";"))
+    # hex() tells -0.0 from 0.0 and compares every bit
+    assert {k: float(v).hex() for k, v in parsed.items()} == {
+        k: v.hex() for k, v in params.items()
+    }
+    assert float(row["min_eigenvalue"]).hex() == mn.hex()
+    assert float(row["max_eigenvalue"]).hex() == mx.hex()
 
 
 # The closed forms on arrays, written out independently of dagum.models.

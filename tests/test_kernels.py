@@ -434,6 +434,20 @@ def test_eta_scan_matches_rule_values(beta):
             assert np.max(np.abs(scan - ref)) <= 1e-13, (n, alpha)
 
 
+@pytest.mark.parametrize("beta", (1.0, 1.0001, 1.5, 1.9999, 2.0))
+def test_eta_at_subnormal_alpha_is_phi(beta):
+    # Gamma(alpha) overflows for these alphas; 1/Gamma(alpha) rounds to alpha
+    ts = np.linspace(0.5, 20.0, 40)
+    phi = K.phi_callable(beta)(ts)
+    for alpha in (5e-324, 2.2e-313):
+        assert K.kappa(alpha, 1.0) == alpha
+        assert np.max(np.abs(K.eta_grid(alpha, beta, ts) - phi)) <= 1e-13
+        if 1.0 < beta < 2.0:
+            rule = K.spectral_rule(beta)
+            scan = rule.eta_scan(alpha, 20.0, 41)
+            assert np.max(np.abs(scan - rule.eta_scan(0.0, 20.0, 41))) <= 1e-13
+
+
 def test_eta_scan_domain():
     rule = K.spectral_rule(1.5)
     for t_max in (0.0, -1.0, math.inf, math.nan):

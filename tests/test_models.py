@@ -141,6 +141,27 @@ def test_divergence_at_zero_is_signaled():
         M.dagum_eval(M.DagumParams(1.0, 1.0), -0.5)
 
 
+@pytest.mark.parametrize(
+    "model_id,params",
+    [pytest.param(m, p, id=m) for m, p in sorted(ALL_MODELS.items())]
+    + [
+        pytest.param("aux", {"alpha": 0.0, "beta": 1.5}, id="aux-alpha0"),
+        pytest.param("g", {"alpha": 0.0, "lambda": 0.6}, id="g-alpha0"),
+    ],
+)
+def test_nan_argument_is_a_domain_error(model_id, params):
+    rho = M.correlation(model_id, params)
+    with pytest.raises(DomainError):
+        rho(math.nan)
+    with pytest.raises(DomainError):
+        M.semivariogram(model_id, params, math.nan)
+
+
+def test_reduced_dagum_rejects_nan():
+    with pytest.raises(DomainError):
+        M.reduced_dagum_eval(M.DagumParams(1.5, 0.5), math.nan)
+
+
 def test_param_validation():
     with pytest.raises(DomainError):
         M.DagumParams(-1.0, 1.0)
