@@ -91,8 +91,8 @@ def psi_max(beta: float, tol: float = 1e-9) -> float:
     ev, hi = spectral_rule(beta), scan_range(beta)
     # a set, not np.union1d: numpy's unique imports numpy.ma (about 12 ms, 1 MB)
     ts = np.array(sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)}))
-    phis = ev.phi_values(ts)
-    best = float(np.max(ev.psi_values(ts)))
+    psis, phis = ev.psi_phi_values(ts)
+    best = float(np.max(psis))
     for i in np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0)):
         cell = Bracket(float(ts[i]), float(ts[i + 1]))
         # phi over its secant slope, so |f| <= tol places the root to about tol
@@ -150,9 +150,7 @@ def eta_negative_witness(
     i = int(np.argmin(vals))
     if vals[i] >= ETA_NEGATIVE_THRESHOLD:
         return None
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, n_points - 1)]
-    fine = np.linspace(lo, hi, 64)
+    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, n_points - 1)], 64)
     fvals = scan(fine)
     j = int(np.argmin(fvals))
     if not math.isfinite(fvals[j]):

@@ -29,15 +29,15 @@ sin^2(b pi) near s^b = -cos(b pi), where break points are seeded.  eta
 hands its (t-s)^(a-1) endpoint to the algebraic-weight rule.
 
 Grid work goes through ``PsiEvaluator`` instead: one fixed composite
-Gauss-Legendre rule on the arctangent-substituted tau integral, whose
-Laplace sums give psi, phi = rho' + tau' and eta on whole grids (the
-psi_max scan, the refine of an eta sign scan).  eta is the same branch-cut
-inversion as tau, with alpha-dependent weights on the same nodes.  The
-eta sign scans themselves run on a uniform grid t = k h, where
-exp(-k h d) factors into a per-block and a per-row part: ``eta_scan``
-builds one block of exp(-j h d) and pays N exps per block of rows after
-it, not one exp per (t, node).  The adaptive routes above stay as the
-independent check of the rule.
+Gauss-Legendre rule of 800 nodes on the arctangent-substituted tau integral,
+whose Laplace sums give psi, phi = rho' + tau' and eta on whole grids (the
+psi_max scan, which takes psi and phi from one exp block, and the refine of
+an eta sign scan).  eta is the same branch-cut inversion as tau, with
+alpha-dependent weights on the same nodes.  The eta sign scans themselves
+run on a uniform grid t = k h, where exp(-k h d) factors into a per-block
+and a per-row part: ``eta_scan`` builds one block of exp(-j h d) and pays
+N exps per block of rows after it, not one exp per (t, node).  The
+adaptive routes above stay as the independent check of the rule.
 """
 
 from __future__ import annotations
@@ -92,11 +92,12 @@ def _denom(s: float, beta: float, c: float) -> float:
     return 1.0 + 2.0 * c * sb + sb * sb
 
 
-def _ladder(lo: float, hi: float, levels: int = 45) -> list:
-    """Knots geometrically refined toward both interval ends."""
+def _ladder(lo: float, hi: float, levels=45) -> list:
+    """Knots halving toward lo and hi ``levels`` times each, or a (lo, hi) pair of times."""
+    down, up = levels if isinstance(levels, tuple) else (levels, levels)
     span = hi - lo
-    out = [lo + span * 2.0 ** (-k) for k in range(1, levels + 1)]
-    out += [lo + span * (1.0 - 2.0 ** (-k)) for k in range(1, levels + 1)]
+    out = [lo + span * 2.0 ** (-k) for k in range(1, down + 1)]
+    out += [lo + span * (1.0 - 2.0 ** (-k)) for k in range(1, up + 1)]
     return out
 
 
@@ -105,7 +106,7 @@ def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)  # loads numpy.polynomial on first use
 
 
-def _panel_rule(lo: float, hi: float, levels: int, order: int) -> Tuple[np.ndarray, np.ndarray]:
+def _panel_rule(lo: float, hi: float, levels, order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre (nodes, weights) on the panels of ``_ladder``."""
     breaks = np.array(sorted(set(_ladder(lo, hi, levels) + [lo, hi])))
     xg, wg = _leggauss(order)
@@ -239,8 +240,7 @@ def _J_integral(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
     def g(s: float) -> float:
         return math.exp(-t * s) * s ** beta / _denom(s, beta, c)
 
-    knots = [s_split * 2.0 ** (-k) for k in range(1, 31)]
-    knots += _resonance_knots(beta, sigma, c, s_split)
+    knots = _ladder(0.0, s_split, (30, 0)) + _resonance_knots(beta, sigma, c, s_split)
     v1, e1 = integrate(g, 0.0, s_split, cfg, knots=knots)
 
     w_hi = math.atan(sigma / (4.0 + c))
@@ -269,7 +269,7 @@ def _J_integral(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
 
     # Knots geometric toward v = 0 as in the head: for small t the integrand
     # has a narrow feature near v = 0 that a three-knot start can miss.
-    v2, e2 = integrate(h, 0.0, v_hi, cfg, knots=[v_hi * 2.0 ** (-k) for k in range(1, 31)])
+    v2, e2 = integrate(h, 0.0, v_hi, cfg, knots=_ladder(0.0, v_hi, (30, 0)))
     return v1 + v2 / (beta * sigma), e1 + e2 / (beta * sigma)
 
 
@@ -340,10 +340,11 @@ def psi(beta: float, t: float, cfg: Optional[QuadConfig] = None) -> KernelValue:
     return KernelValue(rho_kernel(beta, t) + tau_v, tau_e, "quadrature_primary")
 
 
-# Rows of t per block of a Laplace sum: 256 rows x 1000 nodes is about 2 MB;
+RULE_ORDER, RULE_LEVELS = 10, (50, 30)  # the spectral rule's shape, see ``PsiEvaluator``
+
+# Rows of t per block of a Laplace sum: 256 rows x 800 nodes is about 1.6 MB;
 # a uniform scan reuses one block of 128 rows (``PsiEvaluator.eta_scan``).
-_BLOCK_ROWS = 256
-_SCAN_ROWS = 128
+_BLOCK_ROWS, _SCAN_ROWS = 256, 128
 
 
 class PsiEvaluator:
@@ -351,55 +352,66 @@ class PsiEvaluator:
     of t.
 
     Precomputes composite Gauss-Legendre nodes of the arctangent-substituted
-    tau integral (panels refined geometrically toward both ends, where the
-    small-y kink and the large-t mass live).  Every value is a Laplace sum
-    over those nodes, taken in blocks of t so that a dense grid never holds
-    the whole t-by-node matrix.  Agreement with the adaptive routes is
-    covered by the test suite.
+    tau integral: 80 panels of 10 nodes, halved 50 times toward w = 0 (the
+    large decays that small t needs) and 30 times toward the small-y kink at
+    w = (2-b) pi.  Every value is a Laplace sum over those nodes, taken in
+    blocks of t so that a dense grid never holds the whole t-by-node matrix.
+    Agreement with the adaptive routes is covered by the test suite.
     """
 
-    def __init__(self, beta: float, levels: int = 50, order: int = 10):
+    def __init__(self, beta: float):
         if not 1.0 < beta < 2.0:
             raise DomainError("PsiEvaluator requires beta in (1, 2)")
         self.beta = beta
         sigma, c = _consts(beta)
-        w, self._weights = _panel_rule(0.0, (2.0 - beta) * PI, levels, order)
+        w, self._weights = _panel_rule(0.0, (2.0 - beta) * PI, RULE_LEVELS, RULE_ORDER)
         y = np.maximum(sigma / np.tan(w) - c, 0.0)
         self._decay = y ** (1.0 / beta)
 
     def _laplace_sum(self, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """sum_i v_i exp(-t d_i) for each t in the 1-D array ``ts``.
+        """sum_i v_i exp(-t d_i) for each t in the 1-D array ``ts``; for a 2-D
+        ``v``, row k holds the sums of v[k], all from the same exp blocks.
 
         Each row is reduced on its own (einsum, not BLAS gemv), so a value
-        does not depend on how many t share its block.  The decays fall with
-        i; a block skips the leading nodes where exp(-t d) underflows to 0
-        (and is slowest) for all its t, in multiples of 64, so the remaining
-        terms keep their einsum lanes and every sum stays bit-identical.
+        does not depend on how many t or vectors share its block.  The decays
+        fall with i; a block skips the leading nodes where exp(-t d) underflows
+        to 0 (and is slowest) for all its t, in multiples of 64, so the rest
+        keep their einsum lanes and every sum stays bit-identical.
         """
-        d = self._decay
-        out = np.empty(ts.size)
+        d, vs = self._decay, np.atleast_2d(v)
+        out = np.empty((len(vs), ts.size))
         for start in range(0, ts.size, _BLOCK_ROWS):
             rows = ts[start : start + _BLOCK_ROWS]
             # exp(-x) is exactly 0 in double precision for x > 745.14
             skip = int(np.count_nonzero(d * rows.min() > 746.0)) // 64 * 64
             block = np.multiply.outer(-rows, d[skip:])
             np.exp(block, out=block)
-            out[start : start + _BLOCK_ROWS] = np.einsum("ij,j->i", block, v[skip:])
-        return out
+            for row, vk in zip(out, vs):
+                row[start : start + _BLOCK_ROWS] = np.einsum("ij,j->i", block, vk[skip:])
+        return out.reshape(np.shape(v)[:-1] + ts.shape)
+
+    def _psi(self, ts: np.ndarray, tau_sum: np.ndarray) -> np.ndarray:
+        return 1.0 + _osc(self.beta, ts, 0.0) + tau_sum / (self.beta * PI)
+
+    def _phi(self, ts: np.ndarray, tau_prime_sum: np.ndarray) -> np.ndarray:
+        vals = _osc(self.beta, ts, PI / self.beta) - tau_prime_sum / (self.beta * PI)
+        return np.where(ts == 0.0, 0.0, vals)
 
     def psi_values(self, ts) -> np.ndarray:
         """psi_b = rho_b + tau_b, with tau_b the Laplace sum of the weights."""
         ts = _grid(ts)
-        tau = self._laplace_sum(ts, self._weights) / (self.beta * PI)
-        return 1.0 + _osc(self.beta, ts, 0.0) + tau
+        return self._psi(ts, self._laplace_sum(ts, self._weights))
 
     def phi_values(self, ts) -> np.ndarray:
         """phi_b = rho_b' + tau_b', with the exact limit phi_b(0) = 0."""
         ts = _grid(ts)
-        tau_prime = self._laplace_sum(ts, self._weights * self._decay) / (self.beta * PI)
-        vals = _osc(self.beta, ts, PI / self.beta) - tau_prime
-        vals[ts == 0.0] = 0.0
-        return vals
+        return self._phi(ts, self._laplace_sum(ts, self._weights * self._decay))
+
+    def psi_phi_values(self, ts) -> Tuple[np.ndarray, np.ndarray]:
+        """(``psi_values``, ``phi_values``) bit for bit, from one exp block."""
+        ts, w = _grid(ts), self._weights
+        tau, tau_prime = self._laplace_sum(ts, np.array([w, w * self._decay]))
+        return self._psi(ts, tau), self._phi(ts, tau_prime)
 
     def _eta_weights(self, alpha: float) -> np.ndarray:
         """The v_i of ``eta_grid``'s branch-cut sum; DomainError unless
@@ -522,8 +534,8 @@ def eta(
     takes the (t-s)^(a-1) endpoint as its weight.  This adaptive route is
     the independent check of ``eta_grid``.
     """
-    if alpha <= 0.0:
-        raise DomainError("eta requires alpha > 0")
+    if not alpha - 1.0 > -1.0:
+        raise DomainError(f"eta requires alpha > 2^-54, where alpha - 1 > -1, got {alpha}")
     if not t > 0.0:
         raise DomainError("eta requires t > 0")
     phi_vec = phi_callable(beta)

@@ -174,7 +174,7 @@ def _g_semivariogram(p: GParams, t: float) -> float:
 
 
 class ModelEntry(NamedTuple):
-    build: Callable[..., object]  # parameter type, takes values in ``names`` order
+    build: Callable[..., object]  # parameters from values in ``names`` order
     evaluator: Callable  # rho(p, x) for a float, ndarray or TaylorSeries x
     names: Tuple[str, ...]
     semivariogram: Callable[[object, float], float]  # 1 - rho for t > 0
@@ -182,11 +182,11 @@ class ModelEntry(NamedTuple):
 
 MODELS: Dict[str, ModelEntry] = {
     "dagum": ModelEntry(DagumParams, dagum_eval, ("beta", "gamma"), _dagum_semivariogram),
-    "dagum5": ModelEntry(
-        DagumSec5Params,
-        dagum_sec5_eval,
+    "dagum5": ModelEntry(  # built as its DagumParams, so evaluations skip as_dagum()
+        lambda g, e: DagumSec5Params(g, e).as_dagum(),
+        dagum_eval,
         ("gamma", "epsilon"),
-        lambda p, t: _dagum_semivariogram(p.as_dagum(), t),
+        _dagum_semivariogram,
     ),
     "cauchy": ModelEntry(CauchyParams, cauchy_eval, ("theta", "eta"), _cauchy_semivariogram),
     "aux": ModelEntry(AuxParams, aux_eval, ("alpha", "beta"), _aux_semivariogram),

@@ -91,17 +91,37 @@ def test_psi_max_roots_reuse_scanned_phi(monkeypatch):
     beta = 1.9337
     rule = spectral_rule(beta)
     calls = []
-    original = rule.phi_values
 
-    def recording(ts):
-        calls.append(np.atleast_1d(ts).copy())
-        return original(ts)
+    def recording(name):
+        original = getattr(rule, name)
 
-    monkeypatch.setattr(rule, "phi_values", recording)
+        def record(ts):
+            calls.append(np.atleast_1d(ts).copy())
+            return original(ts)
+
+        monkeypatch.setattr(rule, name, record)
+
+    recording("psi_phi_values")  # the scan
+    recording("phi_values")  # the root evaluations
     assert 1.0 < C.psi_max(beta) <= 4.0 / beta
     scan, roots = calls[0], calls[1:]
     assert scan.size == 128 and roots
     assert not np.isin(np.concatenate(roots), scan).any()
+
+
+def test_psi_max_scans_psi_and_phi_from_one_block(monkeypatch):
+    # the 128-point scan is one psi_phi_values call; psi_values and
+    # phi_values see only the single points of the root searches
+    beta = 1.9337
+    rule = spectral_rule(beta)
+    sizes = []
+    for name in ("psi_values", "phi_values"):
+        original = getattr(rule, name)
+        monkeypatch.setattr(
+            rule, name, lambda ts, f=original: sizes.append(np.size(ts)) or f(ts)
+        )
+    C.psi_max(beta)
+    assert sizes and set(sizes) == {1}
 
 
 def _witness_on_eta_grid(alpha, beta, n_points=4096, periods=6.0):

@@ -60,6 +60,21 @@ def test_eval_csv_round_trip(capsys):
     assert rejoin(out) == out
 
 
+def test_eval_dagum5_is_dagum_at_derived_params(capsys):
+    # dagum5 (gamma5, epsilon) is dagum (beta = gamma5, gamma = epsilon/gamma5)
+    for g, e in ((1.0, 0.5), (1.7, 0.3), (0.6, 0.45)):
+        code5, out5, _ = run(
+            ["eval", "dagum5", "--gamma", repr(g), "--epsilon", repr(e), "--grid", "0:20:2001"],
+            capsys,
+        )
+        code, out, _ = run(
+            ["eval", "dagum", "--beta", repr(g), "--gamma", repr(e / g), "--grid", "0:20:2001"],
+            capsys,
+        )
+        assert code5 == code == 0
+        assert out5 == out
+
+
 def test_unknown_model_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "matern", "--x", "1"])

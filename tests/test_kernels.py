@@ -178,6 +178,51 @@ def test_laplace_sum_skipping_is_exact():
         assert np.array_equal(ev._laplace_sum(ts, v), full)
 
 
+@pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.8, 1.98))
+def test_psi_phi_values_match_separate_sums(beta):
+    # one exp block for both sums must not change a bit of either
+    ev = K.PsiEvaluator(beta)
+    for n in (1, 255, 256, 257, 2049):
+        ts = np.linspace(0.0, 40.0, n)
+        psi, phi = ev.psi_phi_values(ts)
+        assert np.array_equal(psi, ev.psi_values(ts))
+        assert np.array_equal(phi, ev.phi_values(ts))
+
+
+def _rule_values(beta, ts, levels=None, order=None):
+    """psi, phi and eta at alpha 0.05, 0.5 and 1 on a rule of the given shape."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "RULE_LEVELS", levels or K.RULE_LEVELS)
+        mp.setattr(K, "RULE_ORDER", order or K.RULE_ORDER)
+        ev = K.PsiEvaluator(beta)
+    return np.array(
+        [ev.psi_values(ts), ev.phi_values(ts)] + [ev.eta_values(a, ts) for a in (0.05, 0.5, 1.0)]
+    )
+
+
+RULE_BETAS = (1.02, 1.1, 1.3, 1.5, 1.7, 1.9, 1.98)
+
+
+def test_rule_shape():
+    assert K.PsiEvaluator(1.5)._decay.size == 800
+
+
+@pytest.mark.parametrize("beta", RULE_BETAS)
+def test_rule_matches_fine_reference_rule(beta):
+    # 50 + 30 levels of order 10 against 80 + 80 levels of order 16
+    ts = np.concatenate([np.geomspace(1e-3, 60.0, 400), np.linspace(1e-3, 60.0, 400)])
+    ref = _rule_values(beta, ts, (80, 80), 16)
+    assert np.max(np.abs(_rule_values(beta, ts) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", RULE_BETAS)
+def test_rule_matches_symmetric_50_level_rule(beta):
+    # dropping 20 levels toward the y -> 0 kink moves no value beyond rounding
+    ts = np.concatenate([np.geomspace(1e-6, 60.0, 400), np.linspace(1e-6, 60.0, 400)])
+    old = _rule_values(beta, ts, (50, 50), 10)
+    assert np.max(np.abs(_rule_values(beta, ts) - old)) <= 5e-13
+
+
 def _panel_rule_loop(lo, hi, levels, order):
     """One Gauss-Legendre panel at a time between the sorted ``_ladder`` breaks."""
     breaks = sorted(set(K._ladder(lo, hi, levels) + [lo, hi]))
@@ -515,6 +560,13 @@ def test_eta_domain():
         K.eta(0.5, 1.5, 0.0)
     with pytest.raises(DomainError):
         K.eta(0.5, 2.5, 1.0)
+
+
+@pytest.mark.parametrize("alpha", (1e-17, 5e-17))
+def test_eta_rejects_alpha_where_alpha_minus_one_rounds(alpha):
+    # below 2^-54, alpha - 1 rounds to -1, outside QUADPACK's weight domain
+    with pytest.raises(DomainError):
+        K.eta(alpha, 1.5, 2.0)
 
 
 def test_laplace_spot_checks():
