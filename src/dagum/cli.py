@@ -1,9 +1,10 @@
 """Command-line surface: evaluate, classify, tabulate, check, simulate.
 
-Exit codes: 0 success, 2 parameter error, 3 numeric non-convergence or a
-degenerate exponent fit, 4 permissibility failure.  Output goes to stdout
-or, with --output, is written atomically (temp file + rename).  CSV uses a
-header row, '.' decimals, repr-formatted floats (round-trip exact),
+Exit codes: 0 success, 2 parameter error, 3 numeric non-convergence, a
+degenerate exponent fit or an ``eval`` value whose float arithmetic overflows
+(or divides by an underflowed power), 4 permissibility failure.  Output goes
+to stdout or, with --output, is written atomically (temp file + rename).  CSV
+uses a header row, '.' decimals, repr-formatted floats (round-trip exact),
 newline-terminated.
 """
 
@@ -157,16 +158,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
-    rho = M.correlation(ns.model, _params(ns))
+    p, evaluator = M.make_model(ns.model, _params(ns))
     if (ns.x is None) == (ns.grid is None):
         raise DomainError("provide exactly one of --x or --grid")
     if ns.x is not None and not math.isfinite(ns.x):
         raise DomainError("--x must be finite")
-    xs = [ns.x] if ns.x is not None else [float(v) for v in _parse_grid(ns.grid)]
-    lines = ["x,value"]
-    for x in xs:
-        lines.append(f"{x!r},{rho(x)!r}")
-    _emit("\n".join(lines) + "\n", ns.output)
+    xs = [ns.x] if ns.x is not None else _parse_grid(ns.grid).tolist()
+    try:
+        # The domain check at the smallest x (grids are nondecreasing), then one
+        # call on Python floats in an object array: the scalar path's bits.
+        evaluator(p, xs[0])
+        values = evaluator(p, np.array(xs, dtype=object))
+    except (OverflowError, ZeroDivisionError):
+        print(f"dagum: numeric overflow: {ns.model} leaves the float range", file=sys.stderr)
+        return EXIT_NUMERIC
+    rows = [f"{x!r},{v!r}" for x, v in zip(xs, values)]
+    _emit("x,value\n" + "\n".join(rows) + "\n", ns.output)
     return EXIT_OK
 
 

@@ -42,7 +42,8 @@ class PointSet:
     dimension: int
     points: np.ndarray  # shape (n, dimension)
     id: str
-    _sq_dist: np.ndarray = field(init=False, repr=False, compare=False)  # (n, n)
+    # squared distances of the strict lower triangle, row by row: one per pair
+    _sq_pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -51,11 +52,10 @@ class PointSet:
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
         object.__setattr__(self, "points", pts)
-        d2 = _sq_distances(pts)
-        # the n diagonal zeros are exact; any other is an equal or underflowing pair
-        if np.count_nonzero(d2 == 0.0) > pts.shape[0]:
+        pairs = _sq_distances(pts)[np.tri(len(pts), k=-1, dtype=bool)]
+        if not pairs.all():  # an equal or underflowing pair
             raise DomainError("points must be distinct")
-        object.__setattr__(self, "_sq_dist", d2)
+        object.__setattr__(self, "_sq_pairs", pairs)
 
     @property
     def n_points(self) -> int:
@@ -91,8 +91,17 @@ class Profile:
 
 
 def _sq_distances(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    # Even and odd coordinates summed apart, then added, one (n, n) square at a
+    # time: the two-lane order of einsum("ijk,ijk->ij"), so psd rows keep their bits.
+    lanes = [0.0, 0.0]
+    with np.errstate(over="ignore"):
+        for k, c in enumerate(pts.T):
+            sq = np.subtract.outer(c, c)
+            lanes[k % 2] = np.add(lanes[k % 2], np.square(sq, out=sq), out=sq)
+        d2 = np.add(lanes[0], lanes[1], out=lanes[0])
+    if not d2.max(initial=0.0) < math.inf:  # the sums are >= 0 or inf
+        raise DomainError("squared distances must be finite; the points are too far apart")
+    return d2
 
 
 def gram_matrix(
@@ -110,15 +119,15 @@ def gram_matrix(
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
     p, evaluator = M.make_model(model_id, params)
-    # One evaluation per pair i > j, copied to (j, i) as d2 is exactly symmetric;
+    # One evaluation per unordered pair, written to both (i, j) and (j, i);
     # distinct points have positive distances, where every family is defined.
     lower = np.tri(ps.n_points, k=-1, dtype=bool)
-    arg = ps._sq_dist[lower]
-    if convention == "plain_distance":
-        arg = np.sqrt(arg)
-    out = np.ones(lower.shape)
+    arg = np.sqrt(ps._sq_pairs) if convention == "plain_distance" else ps._sq_pairs
     with np.errstate(divide="ignore", over="ignore"):
-        out[lower] = out.T[lower] = evaluator(p, arg)
+        values = evaluator(p, arg)
+    del arg  # freed before the n x n output is allocated
+    out = np.ones(lower.shape)
+    out[lower] = out.T[lower] = values
     return out
 
 
@@ -215,6 +224,7 @@ def simulate_profile(
     positions = (np.arange(n) * spacing)[:, None]
     ps = PointSet(1, positions, id=f"grid-n{n}-h{spacing:g}")
     cov = gram_matrix(model_id, params, ps, "plain_distance")
+    del ps  # its distances are freed before the Cholesky
     cov.flat[:: n + 1] += CHOL_JITTER
     try:
         chol = np.linalg.cholesky(cov)

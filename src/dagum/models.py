@@ -95,7 +95,7 @@ class GParams:
 # Each evaluator takes a float, an ndarray or a TaylorSeries x.  Only floats
 # are checked against the domain here, written ``not x >= 0.0`` so that NaN
 # fails too; arrays go through the checks of ``ta.powr`` (the Gram matrices
-# pass positive distances), series unchecked.
+# pass positive distances, ``eval`` object arrays of floats), series unchecked.
 _UNCHECKED = (ta.TaylorSeries, np.ndarray)
 
 

@@ -4,9 +4,11 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from dagum import cli
+from dagum import models as M
 
 
 def run(argv, capsys):
@@ -440,3 +442,98 @@ def test_concurrent_main_calls_match_serial(tmp_path):
     for k in range(4):
         for r in range(5):
             assert (tmp_path / f"thread{k}_{r}.json").read_text() == serial[k]
+
+
+EVAL_PARAMS = {
+    "dagum": {"beta": 1.3, "gamma": 0.7},
+    "dagum5": {"gamma": 1.5, "epsilon": 0.6},
+    "cauchy": {"theta": 1.2, "eta": 0.8},
+    "aux": {"alpha": 0.3, "beta": 1.5},
+    "g": {"alpha": 0.4, "lambda": 0.6},
+}
+
+
+def _eval_argv(model, params, grid):
+    flags = [a for k, v in params.items() for a in (f"--{k}", repr(v))]
+    return ["eval", model, *flags, f"--grid={grid}"]
+
+
+def _scalar_rows(model, params, grid):
+    """The rows of one scalar model call per point, as eval printed them."""
+    rho = M.correlation(model, params)
+    lo, hi, n = grid.split(":")
+    xs = np.linspace(float(lo), float(hi), int(n)).tolist()
+    return "x,value\n" + "".join(f"{x!r},{rho(x)!r}\n" for x in xs)
+
+
+@pytest.mark.parametrize("model", sorted(M.MODELS))
+@pytest.mark.parametrize("grid", ("0:7.3:301", "0.25:7:301", "1e-3:4e3:97", "2.5:2.5:1", "0:0:1"))
+def test_eval_grid_rows_are_the_scalar_rows(model, grid, capsys):
+    params = dict(EVAL_PARAMS[model])
+    if model in ("aux", "g") and grid.startswith("0:"):
+        params["alpha"] = 0.0  # only defined at 0 without the x^-alpha factor
+    code, out, err = run(_eval_argv(model, params, grid), capsys)
+    assert (code, err) == (0, "")
+    assert out == _scalar_rows(model, params, grid)
+
+
+@pytest.mark.parametrize(
+    "model,params",
+    (("dagum", {"beta": 1.37, "gamma": 0.61}), ("cauchy", {"theta": 0.83, "eta": 1.74})),
+)
+def test_eval_bench_size_grid_is_the_scalar_rows(model, params, capsys):
+    grid = "0:23.71:50001"
+    xs = np.linspace(0.0, 23.71, 50001)
+    power = next(iter(params.values()))
+    # numpy's float64 array power differs from the scalar pow on this grid
+    assert not np.array_equal(xs**power, [x**power for x in xs.tolist()])
+    code, out, _ = run(_eval_argv(model, params, grid), capsys)
+    assert code == 0
+    assert out == _scalar_rows(model, params, grid)
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    (
+        (["aux", "--alpha", "0.5", "--beta", "1.2", "--grid", "0:3:7"],
+         "aux diverges at x = 0 for alpha > 0; need x > 0"),
+        (["g", "--alpha", "0.5", "--lambda", "1.2", "--grid", "0:3:7"],
+         "g diverges at x = 0 for alpha > 0; need x > 0"),
+        (["dagum", "--beta", "1", "--gamma", "1", "--grid=-1:3:7"], "x must be >= 0"),
+        (["cauchy", "--theta", "1", "--eta", "1", "--grid=-1:3:7"], "t must be >= 0"),
+    ),
+)
+def test_eval_grid_domain_errors_unchanged(argv, err, capsys):
+    code, out, stderr = run(["eval", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert stderr == f"dagum: invalid parameters: {err}\n"
+
+
+OVERFLOWS = (
+    # (model and parameters, --x, a grid whose points after the first fail)
+    (["dagum", "--beta", "2", "--gamma", "1"], "1e200", "1:1e200:3"),
+    (["cauchy", "--theta", "2", "--eta", "1"], "1e200", "1:1e200:3"),
+    # x^alpha underflows to 0 and the reciprocal divides by zero
+    (["aux", "--alpha", "2", "--beta", "1"], "1e-200", "1e-200:1:3"),
+    (["g", "--alpha", "2", "--lambda", "1"], "1e-200", "1e-200:1:3"),
+)
+
+
+@pytest.mark.parametrize("model_args,x,grid", OVERFLOWS, ids=[o[0][0] for o in OVERFLOWS])
+@pytest.mark.parametrize("where", ("x", "grid"))
+def test_eval_float_overflow_exits_3(model_args, x, grid, where, tmp_path, capsys):
+    point = ["--x", x] if where == "x" else [f"--grid={grid}"]
+    code, out, err = run(["eval", *model_args, *point], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"dagum: numeric overflow: {model_args[0]} leaves the float range\n"
+    target = tmp_path / "out.csv"
+    assert cli.main(["eval", *model_args, *point, "-o", str(target)]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_overflowing_spacing_exits_2(capsys):
+    argv = ["simulate", "dagum", "--beta", "1", "--gamma", "0.5", "--n", "3",
+            "--spacing", "1e200", "--seed", "1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("dagum: invalid parameters: squared distances must be finite")

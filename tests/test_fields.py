@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,3 +304,66 @@ def test_simulate_profile_is_jittered_cholesky_of_gram(n):
     expected = np.linalg.cholesky(gram + F.CHOL_JITTER * np.eye(n)) @ z
     profile = F.simulate_profile("dagum5", params, n, 0.5, seed)
     assert np.array_equal(profile.values, expected)
+
+
+def _sq_distances_written_out(pts):
+    # per coordinate squares; even coordinates summed in order, odd ones in
+    # order, then the two sums added
+    sq = [(c[:, None] - c[None, :]) * (c[:, None] - c[None, :]) for c in pts.T]
+    even, odd = sq[0], np.zeros_like(sq[0])
+    for s in sq[2::2]:
+        even = even + s
+    if len(sq) > 1:
+        odd = sq[1]
+        for s in sq[3::2]:
+            odd = odd + s
+    return even + odd
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_sq_distances_sum_even_and_odd_coordinates_apart(d):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        pts = rng.uniform(-10.0, 10.0, (37, d)) * rng.uniform(1e-3, 1e3, d)
+        d2 = F._sq_distances(pts)
+        assert d2.tobytes() == _sq_distances_written_out(pts).tobytes()
+        assert np.array_equal(d2, d2.T)
+        assert np.all(np.diag(d2) == 0.0)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    (
+        [[0.0], [1e200]],
+        [[-1e308], [1e308]],  # the difference itself overflows
+        [[0.0, 0.0], [1.2e154, 1.2e154]],  # each square is finite, the sum is not
+    ),
+)
+def test_point_set_rejects_overflowing_squared_distances(pts):
+    pts = np.array(pts)
+    with pytest.raises(DomainError, match="squared distances must be finite"):
+        F.PointSet(pts.shape[1], pts, "far")
+
+
+def test_simulate_rejects_overflowing_spacing():
+    with pytest.raises(DomainError, match="squared distances must be finite"):
+        F.simulate_profile("dagum", {"beta": 1.0, "gamma": 0.5}, 3, 1e200, seed=1)
+
+
+def test_gram_working_set_is_small():
+    # Point sets keep one squared distance per pair; the model's temporaries
+    # and the distances go before the n x n output and the Cholesky.
+    params = {"gamma": 1.0, "epsilon": 0.5}
+    F.simulate_profile("dagum5", params, 16, 0.5, seed=1)
+    n = 512
+    tracemalloc.start()
+    try:
+        F.simulate_profile("dagum5", params, n, 0.5, seed=1)
+        sim_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        F.psd_check("dagum5", params, F.random_point_set(5, n, seed=1), "squared_distance")
+        psd_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sim_peak < 3 * 8 * n * n  # 4.1 n^2 doubles with an (n, n) distance matrix
+    assert psd_peak < 4 * 8 * n * n  # 6 n^2 doubles with an (n, n, d) difference array
