@@ -26,7 +26,7 @@ sin-magnitude * cot(w), and a power-law change of variable in log space
 removes the remaining w^(-1/b) endpoint singularity.  The denominator
 1 + 2 s^b cos(b pi) + s^(2b) has no real zero for b in (1, 2) but dips to
 sin^2(b pi) near s^b = -cos(b pi), where break points are seeded.  eta
-hands its (t-s)^(a-1) endpoint to the algebraic-weight rule.
+hands (t-s)^(a-1) to the algebraic-weight rule, on phi_b(s) - phi_b(t).
 
 Grid work goes through ``PsiEvaluator`` instead: one fixed composite
 Gauss-Legendre rule of 800 nodes on the arctangent-substituted tau integral,
@@ -35,9 +35,10 @@ psi_max scan, which takes psi and phi from one exp block, and the refine of
 an eta sign scan).  eta is the same branch-cut inversion as tau, with
 alpha-dependent weights on the same nodes.  The eta sign scans themselves
 run on a uniform grid t = k h, where exp(-k h d) factors into a per-block
-and a per-row part: ``eta_scan`` builds one block of exp(-j h d) and pays
-N exps per block of rows after it, not one exp per (t, node).  The
-adaptive routes above stay as the independent check of the rule.
+and a per-row part: ``eta_scan`` is one matrix product of a block of
+exp(-j h d) and a column of shifts per block, not one exp per (t, node).
+Every Laplace-sum exponent is floored at -600, off numpy's slow exp range
+(-745, -707.7).  The adaptive routes above stay as the independent check.
 """
 
 from __future__ import annotations
@@ -344,7 +345,9 @@ RULE_ORDER, RULE_LEVELS = 10, (50, 30)  # the spectral rule's shape, see ``PsiEv
 
 # Rows of t per block of a Laplace sum: 256 rows x 800 nodes is about 1.6 MB;
 # a uniform scan reuses one block of 128 rows (``PsiEvaluator.eta_scan``).
-_BLOCK_ROWS, _SCAN_ROWS = 256, 128
+# Every exponent is floored at -600, off numpy's slow exp range (-745, -707.7);
+# e^-600 |v_i| stays a normal double for every |v_i| > 1e-47.
+_BLOCK_ROWS, _SCAN_ROWS, _EXP_FLOOR = 256, 128, -600.0
 
 
 class PsiEvaluator:
@@ -375,8 +378,9 @@ class PsiEvaluator:
         Each row is reduced on its own (einsum, not BLAS gemv), so a value
         does not depend on how many t or vectors share its block.  The decays
         fall with i; a block skips the leading nodes where exp(-t d) underflows
-        to 0 (and is slowest) for all its t, in multiples of 64, so the rest
-        keep their einsum lanes and every sum stays bit-identical.
+        to 0 for all its t, in multiples of 64, so the rest keep their einsum
+        lanes.  Exponents below ``_EXP_FLOOR`` are raised to it (exp's fast
+        path), which moves a sum by at most sum |v_i| e^-600, about 1e-250.
         """
         d, vs = self._decay, np.atleast_2d(v)
         out = np.empty((len(vs), ts.size))
@@ -385,7 +389,7 @@ class PsiEvaluator:
             # exp(-x) is exactly 0 in double precision for x > 745.14
             skip = int(np.count_nonzero(d * rows.min() > 746.0)) // 64 * 64
             block = np.multiply.outer(-rows, d[skip:])
-            np.exp(block, out=block)
+            np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
             for row, vk in zip(out, vs):
                 row[start : start + _BLOCK_ROWS] = np.einsum("ij,j->i", block, vk[skip:])
         return out.reshape(np.shape(v)[:-1] + ts.shape)
@@ -444,11 +448,12 @@ class PsiEvaluator:
         """eta_{a,b} (0 < a <= 1) or phi_b (a = 0) at t_k = k t_max/(n-1),
         k < n, with the value 0 at t = 0: the uniform grid of a sign scan.
 
-        On that grid exp(-(s+j) h d_i) = exp(-s h d_i) exp(-j h d_i), so one
-        block B[j, i] = exp(-j h d_i) of ``_SCAN_ROWS`` rows serves every
-        block of rows: rows s..s+R-1 are B times v_i exp(-s h d_i), N exps
-        per block instead of R N.  Values differ from ``eta_values`` and
-        ``phi_values`` only by rounding (about 1e-14).  DomainError for a
+        On that grid exp(-(k R + j) h d_i) = exp(-k R h d_i) exp(-j h d_i): the
+        scan is one product of B[j, i] = exp(-j h d_i), R = ``_SCAN_ROWS`` rows,
+        and E[i, k] = v_i exp(-k R h d_i), 0 below ``_EXP_FLOOR``, where B is
+        floored; each moves a value by at most sum |v_i| e^-600.  Values
+        differ from ``eta_values`` and ``phi_values`` only by rounding (about
+        1e-14), as between BLAS thread counts.  DomainError for a
         outside [0, 1], for t_max not finite and positive, for n < 1, and for
         0 < a with a grid step below ``ETA_GRID_T_FLOOR``; a NaN a gives NaN.
         """
@@ -472,16 +477,12 @@ class PsiEvaluator:
         keep = h * self._decay <= 746.0
         d, v = self._decay[keep], v[keep]
         rows = min(n, _SCAN_ROWS)
-        # the -708 floor keeps exp off its slow underflow path; it moves a
-        # term by at most |v_i| e^-708
         block = np.multiply.outer(-h * np.arange(rows), d)
-        np.exp(np.maximum(block, -708.0, out=block), out=block)
-        out = _osc(b, ts, shift)
-        for s in range(0, n, rows):
-            k = min(s + rows, n)
-            skip = int(np.count_nonzero(s * h * d > 746.0))  # decays fall with i
-            u = v[skip:] * np.exp(-(s * h) * d[skip:])
-            out[s:k] += np.einsum("ij,j->i", block[: k - s, skip:], u)
+        np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
+        # column k is v_i exp(-k R h d_i), exactly 0 below the floor
+        x = np.multiply.outer(d, -(h * np.arange(0, n, rows)))
+        shifted = np.exp(x, out=np.zeros_like(x), where=x >= _EXP_FLOOR) * v[:, None]
+        out = _osc(b, ts, shift) + (block @ shifted).T.ravel()[:n]
         if alpha != 0.0:
             out[1:] += _over_gamma(ts[1:] ** (alpha - 1.0), alpha)
         out[0] = 0.0
@@ -531,17 +532,20 @@ def eta(
 
     The sign of eta decides complete monotonicity of 1/(x^a (1+x^b)); at
     a = 1 it reduces to psi_b(t).  QUADPACK's algebraic-weight rule (QAWS)
-    takes the (t-s)^(a-1) endpoint as its weight.  This adaptive route is
-    the independent check of ``eta_grid``.
+    takes the (t-s)^(a-1) endpoint as its weight, on phi_b(s) - phi_b(t), and
+    adds phi_b(t) t^a / Gamma(1 + a): exact as a -> 0, where the weight tends
+    to a point mass at s = t.  This adaptive route checks ``eta_grid``.
     """
     if not alpha - 1.0 > -1.0:
         raise DomainError(f"eta requires alpha > 2^-54, where alpha - 1 > -1, got {alpha}")
     if not t > 0.0:
         raise DomainError("eta requires t > 0")
     phi_vec = phi_callable(beta)
-    v, e = integrate(lambda s: float(phi_vec(s)[0]), 0.0, t, cfg, alg_weight=(0.0, alpha - 1.0))
-    scale = 1.0 / math.gamma(alpha)
-    return KernelValue(v * scale, e * scale, "quadrature_primary")
+    phi_t = float(phi_vec(t)[0])
+    g = lambda s: float(phi_vec(s)[0]) - phi_t  # noqa: E731
+    v, e = integrate(g, 0.0, t, cfg, alg_weight=(0.0, alpha - 1.0))
+    scale, head = 1.0 / math.gamma(alpha), phi_t * t ** alpha / math.gamma(1.0 + alpha)
+    return KernelValue(head + v * scale, e * scale, "quadrature_primary")
 
 
 def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dagum import classify as C
 from dagum import kernels as K
 from dagum.errors import DomainError
 from dagum.numerics import QuadConfig, integrate
@@ -393,6 +394,17 @@ def test_eta_grid_matches_adaptive_eta():
             assert abs(value - kv.value) <= kv.err_estimate + 1e-9
 
 
+@pytest.mark.parametrize("beta", (1.3, 1.5, 1.8))
+def test_adaptive_eta_at_small_alpha_matches_grid(beta):
+    # as alpha -> 0 the weight (t-s)^(alpha-1) tends to a point mass at s = t,
+    # which the adaptive route takes exactly by subtracting phi(t)
+    for alpha in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16):
+        for t in (0.05, 2.0, 9.0):
+            kv = K.eta(alpha, beta, t)
+            grid = K.eta_grid(alpha, beta, [t])[0]
+            assert abs(kv.value - grid) <= kv.err_estimate + 1e-12, (alpha, t)
+
+
 def _eta_mittag_leffler(alpha, beta, t):
     """40-digit eta = sum_k (-1)^k t^(a+b+kb-1) / Gamma(a+b+kb), for small t."""
     mpmath = pytest.importorskip("mpmath")
@@ -509,6 +521,69 @@ def test_eta_scan_domain():
         rule.eta_scan(0.5, 1e-4, 1000)
     assert rule.eta_scan(0.0, 1e-4, 1000)[-1] == pytest.approx(rule.phi_values(1e-4)[0], abs=1e-13)
     assert np.isnan(rule.eta_scan(math.nan, 10.0, 16)[1:]).all()
+
+
+def _psi_max_scan_grid(beta):
+    """The t grid of ``classify.psi_max``'s psi/phi scan, as it calls the rule."""
+    grids = []
+    real = K.PsiEvaluator.psi_phi_values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K.PsiEvaluator, "psi_phi_values", lambda ev, ts: grids.append(ts) or real(ev, ts))
+        C.psi_max(beta)
+    (ts,) = grids
+    return ts
+
+
+@pytest.mark.parametrize("beta", RULE_BETAS)
+def test_exp_floor_is_exact_on_psi_max_grid(beta):
+    # t = 0 and t near the scan's end share one block, so no node is skipped
+    # and the floor alone separates the sums from the unfloored ones
+    ts = _psi_max_scan_grid(beta)
+    ev = K.spectral_rule(beta)
+    assert ts[0] == 0.0 and ts.size <= K._BLOCK_ROWS
+    assert np.max(np.multiply.outer(ts, ev._decay)) > -K._EXP_FLOOR
+    vs = np.array([ev._weights, ev._weights * ev._decay])
+    full = np.exp(np.multiply.outer(-ts, ev._decay))
+    for v, sums in zip(vs, ev._laplace_sum(ts, vs)):
+        assert np.array_equal(sums, np.einsum("ij,j->i", full, v))
+        assert np.array_equal(ev._laplace_sum(ts, v), sums)
+
+
+def test_laplace_sum_exponents_stay_above_the_floor():
+    # numpy's exp is 20-170 times slower on (-745, -707.7); no Laplace-sum
+    # exponent of a psi_max or an eta scan may reach below the floor
+    lowest = []
+    real = np.exp
+
+    def exp(x, *args, **kwargs):
+        lowest.append(np.min(x, where=kwargs.get("where", True), initial=np.inf))
+        return real(x, *args, **kwargs)
+
+    rule = K.spectral_rule(1.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "exp", exp)
+        C.psi_max(1.5)
+        rule.eta_scan(0.3, 6.0 * PI / math.sin(PI / 1.5), 4096)
+    assert min(lowest) == K._EXP_FLOOR  # the floor was reached, and never passed
+
+
+@pytest.mark.parametrize("beta", (1.0003, 1.3, 1.5, 1.9))
+def test_eta_scan_one_product_matches_rule_values(beta):
+    # column boundaries of the product at 2R+1, a short and a long last
+    # column at 4095 and 4097; at beta 1.0003 t_max is about 2e4, and even at
+    # 4097 points 40% of the nodes underflow at every t > 0
+    rule = K.spectral_rule(beta)
+    t_max = 6.0 * PI / math.sin(PI / beta)
+    if beta == 1.0003:
+        assert t_max > 1.9e4
+        assert np.count_nonzero(t_max / 4096 * rule._decay > 746.0) > 0.4 * rule._decay.size
+    for n in (2 * K._SCAN_ROWS + 1, 4095, 4097):
+        ts = np.arange(n) * (t_max / (n - 1))
+        for alpha in (0.0, 0.001, 0.05, 0.5, 1.0):
+            scan = rule.eta_scan(alpha, t_max, n)
+            ref = rule.phi_values(ts) if alpha == 0.0 else rule.eta_values(alpha, ts)
+            assert scan.shape == (n,) and scan[0] == 0.0
+            assert np.max(np.abs(scan - ref)) <= 1e-13, (n, alpha)
 
 
 def test_eta_grid_domain():
