@@ -78,31 +78,34 @@ def psi_max(beta: float, tol: float = 1e-9) -> float:
     """Global maximum Psi(b) of psi_b over t in [0, 3 pi / sin(pi/b)].
 
     Pinned to the exact endpoints 1 and 2.  In between, the largest psi_b on a
-    coarse grid (uniform plus geometric, for a peak at small t near b = 1) and at
-    a root of phi = psi_b' in every cell where phi goes from > 0 to <= 0, not
-    just the best one: near b = 2 two humps are almost equally high.
+    coarse grid (uniform plus geometric, for a peak at small t near b = 1) and
+    at a root of phi = psi_b' in every cell where phi goes from > 0 to <= 0, not
+    just the best one: near b = 2 two humps are almost equally high.  The roots
+    come from bracketed Newton on phi, all cells per step (one ``psi_jet`` block
+    of psi, phi, phi'), from each cell's secant point, a step that leaves the
+    bracket replaced by its midpoint, until |phi/phi'| or the bracket is <= tol.
     """
     if not 1.0 <= beta <= 2.0:
         raise DomainError("psi_max requires beta in [1, 2]")
-    if beta == 1.0:
-        return 1.0
-    if beta == 2.0:
-        return 2.0
+    if beta in (1.0, 2.0):
+        return float(beta)
     ev, hi = spectral_rule(beta), scan_range(beta)
-    # a set, not np.union1d: numpy's unique imports numpy.ma (about 12 ms, 1 MB)
-    ts = np.array(sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)}))
-    psis, phis = ev.psi_phi_values(ts)
+    # from t > 0: psi = phi = 0 at t = 0, and its exp row would keep every node
+    ts = np.sort(np.concatenate([np.linspace(0.0, hi, 65)[1:], np.geomspace(1e-2, hi, 64)]))
+    ts = ts[np.append(True, ts[1:] != ts[:-1])]
+    psis, phis = ev.psi_jet(ts, 1)
     best = float(np.max(psis))
-    for i in np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0)):
-        cell = Bracket(float(ts[i]), float(ts[i + 1]))
-        # phi over its secant slope, so |f| <= tol places the root to about tol
-        slope = (phis[i] - phis[i + 1]) / (cell.hi - cell.lo)
-        # the scan already holds phi at the cell's ends, where find_root starts
-        held = {cell.lo: phis[i] / slope, cell.hi: phis[i + 1] / slope}
-        root = find_root(
-            lambda t: held[t] if t in held else float(ev.phi_values(t)[0]) / slope, cell, tol
-        )
-        best = max(best, ev.psi(root))
+    i = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0))
+    lo, up = ts[i], ts[i + 1]
+    t = lo + phis[i] * (up - lo) / (phis[i] - phis[i + 1])
+    while t.size:
+        psi, phi, dphi = ev.psi_jet(t, 2)
+        best = max(best, float(np.max(psi)))
+        newton = t - phi / dphi
+        lo, up = np.where(phi > 0.0, t, lo), np.where(phi > 0.0, up, t)
+        t = np.where((lo < newton) & (newton < up), newton, 0.5 * (lo + up))
+        go = (np.abs(phi) > tol * np.abs(dphi)) & (up - lo > tol) & (lo < t) & (t < up)
+        lo, up, t = lo[go], up[go], t[go]
     return best
 
 
@@ -139,15 +142,17 @@ def eta_negative_witness(
     """
     t_max = scan_range(beta, periods)
     ts = np.linspace(0.0, t_max, n_points)
-    if alpha == 0.0:
-        scan = phi_callable(beta)
-    else:
-        scan = lambda s: eta_grid(alpha, beta, s)  # noqa: E731
+    scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
     if beta - 1.0 >= ENDPOINT_BAND and 2.0 - beta >= ENDPOINT_BAND:
         vals = spectral_rule(beta).eta_scan(alpha, t_max, n_points)
     else:
         vals = scan(ts)  # closed forms in the endpoint bands, DomainError outside [1, 2]
     i = int(np.argmin(vals))
+    # eta_scan moves by up to 7e-15 with the BLAS thread count: ``scan`` decides close calls
+    near = np.flatnonzero(vals <= vals[i] + 1e-12)
+    if near.size > 1 or abs(vals[i] - ETA_NEGATIVE_THRESHOLD) <= 1e-12:
+        vals[near] = scan(ts[near])
+        i = int(near[np.argmin(vals[near])])
     if vals[i] >= ETA_NEGATIVE_THRESHOLD:
         return None
     fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, n_points - 1)], 64)

@@ -30,9 +30,9 @@ hands (t-s)^(a-1) to the algebraic-weight rule, on phi_b(s) - phi_b(t).
 
 Grid work goes through ``PsiEvaluator`` instead: one fixed composite
 Gauss-Legendre rule of 800 nodes on the arctangent-substituted tau integral,
-whose Laplace sums give psi, phi = rho' + tau' and eta on whole grids (the
-psi_max scan, which takes psi and phi from one exp block, and the refine of
-an eta sign scan).  eta is the same branch-cut inversion as tau, with
+whose Laplace sums give psi, phi = rho' + tau', phi' and eta on whole grids
+(``psi_jet``: psi and derivatives from one exp block, for the psi_max scan from
+t > 0 and its Newton steps).  eta is the same branch-cut inversion as tau, with
 alpha-dependent weights on the same nodes.  The eta sign scans themselves
 run on a uniform grid t = k h, where exp(-k h d) factors into a per-block
 and a per-row part: ``eta_scan`` is one matrix product of a block of
@@ -107,9 +107,15 @@ def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)  # loads numpy.polynomial on first use
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_breaks(levels) -> np.ndarray:
+    """Sorted [0, 1] ``_ladder`` with its ends; times a span, that span's ladder bit for bit."""
+    return np.array(sorted(set(_ladder(0.0, 1.0, levels) + [0.0, 1.0])))
+
+
 def _panel_rule(lo: float, hi: float, levels, order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre (nodes, weights) on the panels of ``_ladder``."""
-    breaks = np.array(sorted(set(_ladder(lo, hi, levels) + [lo, hi])))
+    breaks = lo + (hi - lo) * _unit_breaks(levels)
     xg, wg = _leggauss(order)
     h = 0.5 * np.diff(breaks)[:, None]
     nodes = 0.5 * (breaks[:-1] + breaks[1:])[:, None] + h * xg
@@ -394,28 +400,27 @@ class PsiEvaluator:
                 row[start : start + _BLOCK_ROWS] = np.einsum("ij,j->i", block, vk[skip:])
         return out.reshape(np.shape(v)[:-1] + ts.shape)
 
-    def _psi(self, ts: np.ndarray, tau_sum: np.ndarray) -> np.ndarray:
-        return 1.0 + _osc(self.beta, ts, 0.0) + tau_sum / (self.beta * PI)
-
-    def _phi(self, ts: np.ndarray, tau_prime_sum: np.ndarray) -> np.ndarray:
-        vals = _osc(self.beta, ts, PI / self.beta) - tau_prime_sum / (self.beta * PI)
-        return np.where(ts == 0.0, 0.0, vals)
-
     def psi_values(self, ts) -> np.ndarray:
         """psi_b = rho_b + tau_b, with tau_b the Laplace sum of the weights."""
-        ts = _grid(ts)
-        return self._psi(ts, self._laplace_sum(ts, self._weights))
+        return self.psi_jet(ts, 0)[0]
 
     def phi_values(self, ts) -> np.ndarray:
         """phi_b = rho_b' + tau_b', with the exact limit phi_b(0) = 0."""
-        ts = _grid(ts)
-        return self._phi(ts, self._laplace_sum(ts, self._weights * self._decay))
+        return self.psi_jet(ts, 1)[1]
 
-    def psi_phi_values(self, ts) -> Tuple[np.ndarray, np.ndarray]:
-        """(``psi_values``, ``phi_values``) bit for bit, from one exp block."""
-        ts, w = _grid(ts), self._weights
-        tau, tau_prime = self._laplace_sum(ts, np.array([w, w * self._decay]))
-        return self._psi(ts, tau), self._phi(ts, tau_prime)
+    def psi_jet(self, ts, order: int) -> np.ndarray:
+        """Rows k = 0, ..., order: psi_b and its derivatives phi_b, phi_b', ...
+        from one exp block.  Row k is _osc(b, t, k pi/b) + (-1)^k sum_i w_i d_i^k
+        e^(-t d_i) / (b pi), plus 1 for k = 0, with phi_b(0) = 0 exactly."""
+        ts, b, k = _grid(ts), self.beta, np.arange(order + 1)[:, None]
+        v = [self._weights]
+        for _ in range(order):
+            v.append(v[-1] * -self._decay)  # (-1)^k w_i d_i^k
+        jet = _osc(b, ts, k * (PI / b))
+        jet[0] += 1.0
+        jet += self._laplace_sum(ts, np.array(v)) / (b * PI)
+        jet[1:2] = np.where(ts == 0.0, 0.0, jet[1:2])
+        return jet
 
     def _eta_weights(self, alpha: float) -> np.ndarray:
         """The v_i of ``eta_grid``'s branch-cut sum; DomainError unless

@@ -86,42 +86,129 @@ def test_c_bounds():
 
 
 def test_psi_max_roots_reuse_scanned_phi(monkeypatch):
-    # find_root starts at the ends of a scan cell, where phi is already known;
-    # after the scan, phi is evaluated only strictly inside the cells
+    # Newton starts inside each scan cell, whose ends the scan already holds;
+    # after the scan, no scan point is evaluated again
     beta = 1.9337
     rule = spectral_rule(beta)
     calls = []
-
-    def recording(name):
+    for name in ("psi_jet", "psi_values", "phi_values"):
         original = getattr(rule, name)
 
-        def record(ts):
+        def record(ts, *args, f=original):
             calls.append(np.atleast_1d(ts).copy())
-            return original(ts)
+            return f(ts, *args)
 
         monkeypatch.setattr(rule, name, record)
-
-    recording("psi_phi_values")  # the scan
-    recording("phi_values")  # the root evaluations
     assert 1.0 < C.psi_max(beta) <= 4.0 / beta
-    scan, roots = calls[0], calls[1:]
-    assert scan.size == 128 and roots
-    assert not np.isin(np.concatenate(roots), scan).any()
+    scan, later = calls[0], calls[1:]
+    assert scan.size == 127 and later
+    assert not np.isin(np.concatenate(later), scan).any()
 
 
 def test_psi_max_scans_psi_and_phi_from_one_block(monkeypatch):
-    # the 128-point scan is one psi_phi_values call; psi_values and
-    # phi_values see only the single points of the root searches
+    # the scan is one psi_jet(ts, 1) call, and every Newton step is one
+    # psi_jet(t, 2) call with one point in each cell still open, all cells at
+    # the first step; psi_values and phi_values are not called
     beta = 1.9337
     rule = spectral_rule(beta)
-    sizes = []
+    real, calls = rule.psi_jet, []
+    record = lambda ts, order: calls.append((order, ts)) or real(ts, order)  # noqa: E731
+    monkeypatch.setattr(rule, "psi_jet", record)
     for name in ("psi_values", "phi_values"):
-        original = getattr(rule, name)
-        monkeypatch.setattr(
-            rule, name, lambda ts, f=original: sizes.append(np.size(ts)) or f(ts)
-        )
+        monkeypatch.setattr(rule, name, lambda ts: pytest.fail("a separate psi or phi call"))
     C.psi_max(beta)
-    assert sizes and set(sizes) == {1}
+    (scan_order, ts), steps = calls[0], calls[1:]
+    phis = real(ts, 1)[1]
+    cells = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0))
+    assert scan_order == 1 and cells.size == 2 and steps
+    sizes = []
+    for order, t in steps:
+        cell = np.searchsorted(ts, t) - 1
+        assert order == 2 and np.isin(cell, cells).all() and np.unique(cell).size == t.size
+        sizes.append(t.size)
+    assert sizes[0] == cells.size and sizes == sorted(sizes, reverse=True)
+
+
+def test_psi_max_scan_grid_is_the_set_union_without_zero(monkeypatch):
+    # the sorted, deduplicated grid equals the sorted set of the uniform and the
+    # geometric points, less t = 0
+    for beta in np.linspace(1.001, 1.999, 37):
+        rule, hi = spectral_rule(float(beta)), C.scan_range(float(beta))
+        real, grids = rule.psi_jet, []
+        monkeypatch.setattr(rule, "psi_jet", lambda ts, order: grids.append(ts) or real(ts, order))
+        C.psi_max(float(beta))
+        old = sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)})
+        assert np.array_equal(grids[0], old[1:]) and old[0] == 0.0
+
+
+def test_psi_max_matches_oracle_on_figure1_grid():
+    # at the 101 figure1 betas, the best of golden-section on each half-range
+    for beta in map(float, np.linspace(1.0, 2.0, 101)):
+        if beta in (1.0, 2.0):
+            assert C.psi_max(beta) == beta
+            continue
+        ev, hi = spectral_rule(beta), C.scan_range(beta)
+        halves = (Bracket(0.0, hi / 2), Bracket(hi / 2, hi))
+        oracle = max(maximize_1d(ev.psi, half, 1e-9)[1] for half in halves)
+        assert abs(C.psi_max(beta) - oracle) <= 1e-13, beta
+
+
+def test_psi_max_newton_steps_are_few(monkeypatch):
+    # bracketed Newton ends within 12 steps, even within 1e-6 of the endpoints
+    real, steps = K.PsiEvaluator.psi_jet, []
+    monkeypatch.setattr(
+        K.PsiEvaluator, "psi_jet", lambda ev, ts, order: steps.append(order) or real(ev, ts, order)
+    )
+    for beta in map(float, PSI_MAX_BETAS):
+        steps.clear()
+        C.psi_max(beta)
+        assert steps[0] == 1 and 1 <= steps.count(2) <= 12, beta
+
+
+WITNESS_CASES = ((0.0, 1.5), (0.05, 1.5), (0.2, 1.9), (0.1, 1.738), (0.3, 1.3), (0.6, 1.5))
+
+
+def _scan_returning(monkeypatch, make):
+    """Patch ``PsiEvaluator.eta_scan`` to return ``make`` of its true values."""
+    real = K.PsiEvaluator.eta_scan
+    monkeypatch.setattr(K.PsiEvaluator, "eta_scan", lambda ev, *args: make(real(ev, *args)))
+
+
+def test_eta_witness_does_not_see_scan_noise(monkeypatch):
+    # scan values move by up to 7e-15 between BLAS thread counts; noise of
+    # 1e-14 changes neither the verdict nor the certificate
+    rng = np.random.default_rng(14)
+    for alpha, beta in WITNESS_CASES:
+        ref = C.eta_negative_witness(alpha, beta)
+        for _ in range(3):
+            _scan_returning(monkeypatch, lambda v: v + rng.uniform(-1e-14, 1e-14, v.size))
+            assert C.eta_negative_witness(alpha, beta) == ref, (alpha, beta)
+            monkeypatch.undo()
+
+
+def test_eta_witness_decides_near_ties_on_einsum_values(monkeypatch):
+    # two equal scan minima far apart, either one lower by 1e-14, and a minimum
+    # 1e-14 to either side of the threshold: the einsum values decide each one
+    for alpha, beta in WITNESS_CASES:
+        ref = C.eta_negative_witness(alpha, beta)
+        vals = K.spectral_rule(beta).eta_scan(alpha, C.scan_range(beta, 6.0), 4096)
+        i = int(np.argmin(vals))
+        j = (i + 2048) % 4096
+
+        def tie(v, lower):
+            v[j] = v[i]
+            v[lower] -= 1e-14
+            return v
+
+        def at_threshold(v, delta):
+            return v - v[i] + C.ETA_NEGATIVE_THRESHOLD + delta
+
+        fakes = [lambda v, k=k: tie(v, k) for k in (i, j)]
+        fakes += [lambda v, e=e: at_threshold(v, e) for e in (1e-14, -1e-14)]
+        for fake in fakes:
+            _scan_returning(monkeypatch, fake)
+            assert C.eta_negative_witness(alpha, beta) == ref, (alpha, beta)
+            monkeypatch.undo()
 
 
 def _witness_on_eta_grid(alpha, beta, n_points=4096, periods=6.0):

@@ -185,9 +185,36 @@ def test_psi_phi_values_match_separate_sums(beta):
     ev = K.PsiEvaluator(beta)
     for n in (1, 255, 256, 257, 2049):
         ts = np.linspace(0.0, 40.0, n)
-        psi, phi = ev.psi_phi_values(ts)
+        psi, phi = ev.psi_jet(ts, 1)
         assert np.array_equal(psi, ev.psi_values(ts))
         assert np.array_equal(phi, ev.phi_values(ts))
+
+
+@pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.8, 1.98))
+def test_psi_jet_matches_written_out_psi_and_phi(beta):
+    # rows 0 and 1 are the psi and phi formulas of one two-vector Laplace sum,
+    # to the last bit, and a longer jet does not change them
+    ev = K.PsiEvaluator(beta)
+    w, d, b = ev._weights, ev._decay, beta
+    for n in (1, 255, 256, 257, 2049):
+        ts = np.linspace(0.0, 40.0, n)
+        tau, tau_prime = ev._laplace_sum(ts, np.array([w, w * d]))
+        psi = 1.0 + K._osc(b, ts, 0.0) + tau / (b * PI)
+        phi = np.where(ts == 0.0, 0.0, K._osc(b, ts, PI / b) - tau_prime / (b * PI))
+        jet = ev.psi_jet(ts, 1)
+        assert jet.shape == (2, n) and np.array_equal(jet, [psi, phi])
+        assert np.array_equal(ev.psi_jet(ts, 2)[:2], jet)
+
+
+@pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.7, 1.9))
+def test_psi_jet_phi_prime_matches_central_differences(beta):
+    # the phi' row against (phi(t + h) - phi(t - h)) / 2h, whose own error
+    # (h^2/6 times the third derivative of phi, largest at t = 0.05) stays
+    # below 2.2e-8 here
+    ev, h = K.PsiEvaluator(beta), 1e-5
+    ts = np.concatenate([np.geomspace(0.05, 30.0, 200), np.linspace(0.05, 30.0, 200)])
+    diff = (ev.phi_values(ts + h) - ev.phi_values(ts - h)) / (2.0 * h)
+    assert np.max(np.abs(ev.psi_jet(ts, 2)[2] - diff)) <= 5e-8
 
 
 def _rule_values(beta, ts, levels=None, order=None):
@@ -243,6 +270,18 @@ def test_panel_rule_matches_panel_loop():
         loop_nodes, loop_weights = _panel_rule_loop(lo, hi, levels, order)
         assert np.array_equal(nodes, loop_nodes)
         assert np.array_equal(weights, loop_weights)
+
+
+def test_spectral_rule_breaks_scale_the_cached_unit_ladder():
+    # the rule's panels come from one cached [0, 1] ladder times the span; the
+    # nodes and weights equal those of the ladder written out for each span
+    for beta in np.linspace(1.0005, 1.9995, 101):
+        span = (2.0 - beta) * PI
+        nodes, weights = K._panel_rule(0.0, span, K.RULE_LEVELS, K.RULE_ORDER)
+        loop_nodes, loop_weights = _panel_rule_loop(0.0, span, K.RULE_LEVELS, K.RULE_ORDER)
+        assert np.array_equal(nodes, loop_nodes)
+        assert np.array_equal(weights, loop_weights)
+    assert K._unit_breaks(K.RULE_LEVELS) is K._unit_breaks(K.RULE_LEVELS)
 
 
 @pytest.mark.parametrize("beta", (1.0005, 1.3, 1.5, 1.75, 1.9995))
@@ -526,22 +565,31 @@ def test_eta_scan_domain():
 def _psi_max_scan_grid(beta):
     """The t grid of ``classify.psi_max``'s psi/phi scan, as it calls the rule."""
     grids = []
-    real = K.PsiEvaluator.psi_phi_values
+    real = K.PsiEvaluator.psi_jet
+
+    def record(ev, ts, order):
+        grids.append((order, ts))
+        return real(ev, ts, order)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(K.PsiEvaluator, "psi_phi_values", lambda ev, ts: grids.append(ts) or real(ev, ts))
+        mp.setattr(K.PsiEvaluator, "psi_jet", record)
         C.psi_max(beta)
-    (ts,) = grids
+    ((_, ts),) = [g for g in grids if g[0] == 1]
     return ts
 
 
 @pytest.mark.parametrize("beta", RULE_BETAS)
 def test_exp_floor_is_exact_on_psi_max_grid(beta):
-    # t = 0 and t near the scan's end share one block, so no node is skipped
-    # and the floor alone separates the sums from the unfloored ones
+    # the grid starts above t = 0, so its one block skips the leading nodes
+    # where exp(-t d) underflows at every t: at least 192 of 800, or 128 near
+    # b = 2, where sin(b pi), and with it every decay, is small; the floor still
+    # acts on the rest, and the sums equal the unfloored full-block einsum
     ts = _psi_max_scan_grid(beta)
     ev = K.spectral_rule(beta)
-    assert ts[0] == 0.0 and ts.size <= K._BLOCK_ROWS
-    assert np.max(np.multiply.outer(ts, ev._decay)) > -K._EXP_FLOOR
+    assert ts[0] > 0.0 and ts.size <= K._BLOCK_ROWS
+    skip = np.count_nonzero(ev._decay * ts.min() > 746.0) // 64 * 64
+    assert skip >= (192 if beta < 1.95 else 128)
+    assert np.max(np.multiply.outer(ts, ev._decay[skip:])) > -K._EXP_FLOOR
     vs = np.array([ev._weights, ev._weights * ev._decay])
     full = np.exp(np.multiply.outer(-ts, ev._decay))
     for v, sums in zip(vs, ev._laplace_sum(ts, vs)):
