@@ -203,22 +203,11 @@ def cm_scan(
 ) -> Optional[Certificate]:
     """Search for (x, n) with (-1)^n f^(n)(x) < 0 beyond rounding slack.
 
-    Derivatives come from truncated-series arithmetic, exact to rounding.
-    Returns the first violating certificate, or None (which proves nothing).
+    Derivatives come from truncated-series arithmetic, exact to rounding,
+    one jet per grid point from one ``taylor_eval`` call.  Returns the first
+    violating certificate in grid order, or None (which proves nothing).
     """
-    if max_order < 2:
-        raise DomainError("max_order must be >= 2")
-    fn = M.catalog_function(expr, params)
-    for x in x_grid:
-        x = float(x)
-        if not 0.0 < x < math.inf:
-            raise DomainError("scan grid points must be finite and positive")
-        series = ta.taylor_eval(fn, x, max_order)
-        for n in range(max_order + 1):
-            signed = (-1.0) ** n * series.derivative(n)
-            if signed < -10.0 * ta.rounding_slack(series, n):
-                return Certificate("derivative_sign", x, n, signed)
-    return None
+    return _derivative_scan(expr, params, max_order, x_grid, False)
 
 
 def lcm_scan(
@@ -229,22 +218,31 @@ def lcm_scan(
 ) -> Optional[Certificate]:
     """As cm_scan, applied to -(log f)': order n checks the n-th derivative
     of the negated logarithmic derivative."""
+    return _derivative_scan(expr, params, max_order, x_grid, True)
+
+
+def _derivative_scan(expr, params, max_order, x_grid, log: bool) -> Optional[Certificate]:
     if max_order < 2:
         raise DomainError("max_order must be >= 2")
     fn = M.catalog_function(expr, params)
-    for x in x_grid:
-        x = float(x)
-        if not 0.0 < x < math.inf:
-            raise DomainError("scan grid points must be finite and positive")
-        log_series = ta.log(ta.taylor_eval(fn, x, max_order + 1))
-        for n in range(max_order + 1):
-            # (-(log f)')^(n)(x) = -(n+1)! * logcoeff_{n+1}
-            g_n = -(n + 1) * log_series.coeffs[n + 1] * math.factorial(n)
-            signed = (-1.0) ** n * g_n
-            slack = ta.rounding_slack(log_series, n + 1) * (n + 1)
-            if signed < -10.0 * slack:
-                return Certificate("derivative_sign", x, n, signed)
-    return None
+    xs = np.asarray(x_grid, dtype=float)
+    if not ((0.0 < xs) & (xs < math.inf)).all():
+        raise DomainError("scan grid points must be finite and positive")
+    with np.errstate(all="ignore"):  # as Python floats: inf and nan without a warning
+        series = ta.taylor_eval(fn, xs, max_order + log)
+        coeffs = np.array((ta.log(series) if log else series).coeffs)
+    fact = np.array([math.factorial(k) for k in range(len(coeffs))], dtype=float)[:, None]
+    # rounding slack of derivative k: 1e-12 k! times the largest |coefficient| up to k, at least 1
+    slack = 1e-12 * np.fmax(1.0, np.fmax.accumulate(np.abs(coeffs))) * fact
+    if log:  # (-(log f)')^(n)(x) = -(n+1)! * logcoeff_{n+1}
+        k = np.arange(1.0, max_order + 2)[:, None]
+        coeffs, slack = -k * coeffs[1:], slack[1:] * k
+    signed = (-1.0) ** np.arange(max_order + 1)[:, None] * (coeffs * fact[: max_order + 1])
+    hits = np.flatnonzero((signed < -10.0 * slack).T)  # grid order, n fastest
+    if not hits.size:
+        return None
+    i, n = divmod(int(hits[0]), max_order + 1)
+    return Certificate("derivative_sign", float(xs[i]), n, float(signed[n, i]))
 
 
 # -- classifiers --------------------------------------------------------------

@@ -162,19 +162,16 @@ def _closed_forms(beta: float) -> Optional[Tuple[Callable, Callable]]:
     return None
 
 
-def _over_gamma(x, alpha: float):
-    """x / Gamma(alpha) for alpha > 0.  Gamma(alpha) overflows for a subnormal
-    alpha, where 1/Gamma(alpha) = alpha / Gamma(1 + alpha) rounds to alpha."""
-    if alpha < sys.float_info.min:
-        return x * alpha
-    return x / math.gamma(alpha)
-
-
-def kappa(alpha: float, t: float) -> float:
-    """t^(alpha-1) / Gamma(alpha)."""
-    if not (alpha > 0.0 and t > 0.0):
+def kappa(alpha: float, t):
+    """t^(alpha-1) / Gamma(alpha), elementwise for an array t; DomainError unless
+    alpha > 0 and every t > 0 (NaN alpha gives NaN, as in ``eta_values``).
+    Gamma(alpha) overflows for a subnormal alpha, where 1/Gamma(alpha) =
+    alpha / Gamma(1 + alpha) rounds to alpha."""
+    if alpha <= 0.0 or not np.all(np.greater(t, 0.0)):
         raise DomainError("kappa requires alpha > 0 and t > 0")
-    return _over_gamma(t ** (alpha - 1.0), alpha)
+    if alpha < sys.float_info.min:
+        return t ** (alpha - 1.0) * alpha
+    return t ** (alpha - 1.0) / math.gamma(alpha)
 
 
 def rho_kernel(beta: float, t: float) -> float:
@@ -442,11 +439,7 @@ class PsiEvaluator:
         pos = ts > 0.0
         tp, b = ts[pos], self.beta
         out = np.zeros(ts.shape)
-        out[pos] = (
-            _over_gamma(tp ** (alpha - 1.0), alpha)
-            + _osc(b, tp, (1.0 - alpha) * (PI / b))
-            + self._laplace_sum(tp, v)
-        )
+        out[pos] = kappa(alpha, tp) + _osc(b, tp, (1.0 - alpha) * (PI / b)) + self._laplace_sum(tp, v)
         return out
 
     def eta_scan(self, alpha: float, t_max: float, n: int) -> np.ndarray:
@@ -456,7 +449,9 @@ class PsiEvaluator:
         On that grid exp(-(k R + j) h d_i) = exp(-k R h d_i) exp(-j h d_i): the
         scan is one product of B[j, i] = exp(-j h d_i), R = ``_SCAN_ROWS`` rows,
         and E[i, k] = v_i exp(-k R h d_i), 0 below ``_EXP_FLOOR``, where B is
-        floored; each moves a value by at most sum |v_i| e^-600.  Values
+        floored; each moves a value by at most sum |v_i| e^-600.  Everything
+        but the weights v comes from ``_scan_basis``, held for the next scan of
+        the same grid (a ``c_bounds`` bisection).  Values
         differ from ``eta_values`` and ``phi_values`` only by rounding (about
         1e-14), as between BLAS thread counts.  DomainError for a
         outside [0, 1], for t_max not finite and positive, for n < 1, and for
@@ -468,30 +463,58 @@ class PsiEvaluator:
             raise DomainError(f"the scan requires a finite t_max > 0, got {t_max}")
         if n < 1:
             raise DomainError(f"the scan requires n >= 1 points, got {n}")
-        h = t_max / max(n - 1, 1)
-        if alpha != 0.0 and n > 1 and h < ETA_GRID_T_FLOOR:
+        if alpha != 0.0 and n > 1 and t_max / (n - 1) < ETA_GRID_T_FLOOR:
             raise DomainError(f"eta on the rule requires t = 0 or t >= {ETA_GRID_T_FLOOR}")
         b = self.beta
-        ts = np.arange(n) * h
         if alpha == 0.0:
             v, shift = self._weights * self._decay / (-b * PI), PI / b
         else:
             v, shift = self._eta_weights(alpha), (1.0 - alpha) * (PI / b)
-        # exp(-x) is exactly 0 in double precision for x > 745.14, so a node
-        # with h d > 746 adds nothing at any t > 0
-        keep = h * self._decay <= 746.0
-        d, v = self._decay[keep], v[keep]
-        rows = min(n, _SCAN_ROWS)
-        block = np.multiply.outer(-h * np.arange(rows), d)
-        np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
-        # column k is v_i exp(-k R h d_i), exactly 0 below the floor
-        x = np.multiply.outer(d, -(h * np.arange(0, n, rows)))
-        shifted = np.exp(x, out=np.zeros_like(x), where=x >= _EXP_FLOOR) * v[:, None]
-        out = _osc(b, ts, shift) + (block @ shifted).T.ravel()[:n]
-        if alpha != 0.0:
-            out[1:] += _over_gamma(ts[1:] ** (alpha - 1.0), alpha)
+        with _BETA_LOCK:  # another grid's scan rewrites the basis in place
+            ts, keep, block, cols, grow, turn = self._scan_basis(t_max, n)
+            # ``_osc(b, ts, shift)`` from the held exp(t cos A) and t sin A
+            out = -(2.0 / b) * grow * np.cos(turn + shift)
+            out += (block @ (cols * v[keep, None])).T.ravel()[:n]
+            if alpha != 0.0:
+                out[1:] += kappa(alpha, ts[1:])
         out[0] = 0.0
         return out
+
+    def _scan_basis(self, t_max: float, n: int) -> tuple:
+        """``eta_scan``'s alpha-free arrays for (beta, t_max, n), held from call
+        to call, read-only: t, the kept nodes, B, exp(-k R h d_i), exp(t cos A)
+        and t sin A.  Call under ``_BETA_LOCK``: they are views of one buffer,
+        rewritten for a new key, as a freed basis would page-fault afresh."""
+        key = (self.beta, t_max, n)
+        if _SCAN_SLOT[0] != key:
+            _SCAN_SLOT[:2] = [None, None]  # invalid while the buffer is rewritten
+            h = t_max / max(n - 1, 1)
+            # exp(-x) is exactly 0 in double precision for x > 745.14, so a
+            # node with h d > 746 adds nothing at any t > 0
+            keep = h * self._decay <= 746.0
+            d = self._decay[keep]
+            rows = min(n, _SCAN_ROWS)
+            m = -(-n // rows)  # columns of shifts
+            room = 3 * n + (rows + m) * self._decay.size  # for every node at this n
+            if _SCAN_SLOT[2].size < room:
+                _SCAN_SLOT[2] = np.empty(0)  # free the old buffer before allocating
+                _SCAN_SLOT[2] = np.empty(room)
+            ts, grow, turn = _SCAN_SLOT[2][: 3 * n].reshape(3, n)
+            rest = _SCAN_SLOT[2][3 * n : 3 * n + (rows + m) * d.size]
+            block, cols = rest[: rows * d.size].reshape(rows, -1), rest[rows * d.size :].reshape(-1, m)
+            np.multiply(np.arange(n), h, out=ts)
+            np.multiply.outer(-h * np.arange(rows), d, out=block)
+            np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
+            # column k is exp(-k R h d_i), exactly 0 below the floor
+            np.multiply.outer(d, -(h * np.arange(0, n, rows)), out=cols)
+            np.exp(cols, out=cols, where=cols >= _EXP_FLOOR)
+            cols[cols < _EXP_FLOOR] = 0.0  # the entries exp left as they were
+            np.exp(np.multiply(ts, math.cos(PI / self.beta), out=grow), out=grow)
+            np.multiply(ts, math.sin(PI / self.beta), out=turn)
+            for arr in (ts, keep, block, cols, grow, turn):
+                arr.flags.writeable = False
+            _SCAN_SLOT[:2] = [key, (ts, keep, block, cols, grow, turn)]
+        return _SCAN_SLOT[1]
 
     def psi(self, t):
         """psi_b at one t (returns a float) or on an array of t (an array)."""
@@ -505,6 +528,8 @@ class PsiEvaluator:
 BETA_CACHE_SIZE = 32
 _BETA_CACHE: "OrderedDict[float, PsiEvaluator]" = OrderedDict()
 _BETA_LOCK = threading.Lock()
+# The last eta scan's alpha-free arrays, [key, basis, buffer] (``PsiEvaluator._scan_basis``).
+_SCAN_SLOT: list = [None, None, np.empty(0)]
 
 
 def spectral_rule(beta: float) -> PsiEvaluator:

@@ -7,6 +7,11 @@ order, so the n-th derivative of any catalog expression comes out exact to
 rounding -- repeated finite differencing is hopeless beyond order ~4, the
 recurrences below are not.
 
+On a grid (vector mode), ``x0`` and each coefficient are equal-shape float
+arrays and every recurrence runs elementwise in the same IEEE operations, so
+column i is the series at ``x0[i]`` bit for bit: constant terms of exp, log,
+sin, cos and powers come from Python's libm per element, not numpy's.
+
 The helper functions ``exp``, ``log``, ``sin``, ``cos``, ``powr`` accept
 plain floats as well (``powr`` also ndarrays), so a model written against
 them evaluates identically in ordinary, array and series arithmetic.
@@ -32,25 +37,19 @@ class TaylorSeries:
     def __init__(self, coeffs: Sequence[float], x0: float = 0.0):
         if len(coeffs) < 1:
             raise ValueError("need at least the constant coefficient")
-        self.coeffs = tuple(float(c) for c in coeffs)
-        self.x0 = float(x0)
+        self.coeffs = tuple(c if isinstance(c, np.ndarray) else float(c) for c in coeffs)
+        self.x0 = x0 if isinstance(x0, np.ndarray) else float(x0)
 
     @classmethod
     def variable(cls, x0: float, order: int) -> "TaylorSeries":
         """The identity function x, truncated at ``order``."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        coeffs = [0.0] * (order + 1)
-        coeffs[0] = float(x0)
-        if order >= 1:
-            coeffs[1] = 1.0
-        return cls(coeffs, x0)
+        return cls([x0, 1.0][: order + 1] + [0.0] * (order - 1), x0)
 
     @classmethod
     def constant(cls, value: float, like: "TaylorSeries") -> "TaylorSeries":
-        coeffs = [0.0] * len(like.coeffs)
-        coeffs[0] = float(value)
-        return cls(coeffs, like.x0)
+        return cls([float(value)] + [0.0] * like.order, like.x0)
 
     @property
     def order(self) -> int:
@@ -76,7 +75,7 @@ class TaylorSeries:
         if isinstance(other, TaylorSeries):
             if len(other.coeffs) != len(self.coeffs):
                 raise ValueError("mixed truncation orders")
-            if other.x0 != self.x0:
+            if other.x0 is not self.x0 and np.any(other.x0 != self.x0):
                 raise ValueError("mixed expansion points")
             return other
         return TaylorSeries.constant(float(other), self)
@@ -103,17 +102,21 @@ class TaylorSeries:
         out = [0.0] * n
         for i in range(n):
             ai = a[i]
-            if ai == 0.0:
-                continue
-            for j in range(n - i):
-                out[i + j] += ai * b[j]
+            if isinstance(ai, np.ndarray):
+                # skip per element: x + (-0.0) is x, also for x = -0.0
+                zero = ai == 0.0
+                for j in range(n - i):
+                    out[i + j] = out[i + j] + np.where(zero, -0.0, ai * b[j])
+            elif ai != 0.0:
+                for j in range(n - i):
+                    out[i + j] += ai * b[j]
         return TaylorSeries(out, self.x0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "TaylorSeries":
         o = self._lift(other)
-        if o.coeffs[0] == 0.0:
+        if np.any(o.coeffs[0] == 0.0):
             raise ZeroDivisionError("division by series with zero constant term")
         n = len(self.coeffs)
         a, b = self.coeffs, o.coeffs
@@ -121,7 +124,7 @@ class TaylorSeries:
         for i in range(n):
             acc = a[i]
             for j in range(1, i + 1):
-                acc -= b[j] * out[i - j]
+                acc = acc - b[j] * out[i - j]  # not in place: a[i] may be an array
             out[i] = acc / b[0]
         return TaylorSeries(out, self.x0)
 
@@ -140,11 +143,18 @@ class TaylorSeries:
         return f"TaylorSeries({list(self.coeffs)!r}, x0={self.x0!r})"
 
 
+def _libm(f: Callable[[float], float], c0):
+    """f of a constant term, per element through Python floats on a grid."""
+    if isinstance(c0, np.ndarray):
+        return np.array([f(c) for c in c0.tolist()], dtype=float)
+    return f(c0)
+
+
 def _series_exp(u: TaylorSeries) -> TaylorSeries:
     n = len(u.coeffs)
     uc = u.coeffs
     out = [0.0] * n
-    out[0] = math.exp(uc[0])
+    out[0] = _libm(math.exp, uc[0])
     for k in range(1, n):
         acc = 0.0
         for j in range(1, k + 1):
@@ -154,12 +164,12 @@ def _series_exp(u: TaylorSeries) -> TaylorSeries:
 
 
 def _series_log(u: TaylorSeries) -> TaylorSeries:
-    if u.coeffs[0] <= 0.0:
+    if np.any(u.coeffs[0] <= 0.0):
         raise DomainError("log of series requires positive constant term")
     n = len(u.coeffs)
     uc = u.coeffs
     out = [0.0] * n
-    out[0] = math.log(uc[0])
+    out[0] = _libm(math.log, uc[0])
     for k in range(1, n):
         acc = k * uc[k]
         for j in range(1, k):
@@ -173,8 +183,8 @@ def _series_sincos(u: TaylorSeries) -> tuple[TaylorSeries, TaylorSeries]:
     uc = u.coeffs
     s = [0.0] * n
     c = [0.0] * n
-    s[0] = math.sin(uc[0])
-    c[0] = math.cos(uc[0])
+    s[0] = _libm(math.sin, uc[0])
+    c[0] = _libm(math.cos, uc[0])
     for k in range(1, n):
         sa = 0.0
         ca = 0.0
@@ -187,12 +197,12 @@ def _series_sincos(u: TaylorSeries) -> tuple[TaylorSeries, TaylorSeries]:
 
 
 def _series_powr(u: TaylorSeries, r: float) -> TaylorSeries:
-    if u.coeffs[0] <= 0.0:
+    if np.any(u.coeffs[0] <= 0.0):
         raise DomainError("real power of series requires positive constant term")
     n = len(u.coeffs)
     uc = u.coeffs
     out = [0.0] * n
-    out[0] = uc[0] ** r
+    out[0] = _libm(lambda c: c ** r, uc[0])
     for k in range(1, n):
         acc = 0.0
         for j in range(1, k + 1):
@@ -244,27 +254,24 @@ def powr(u: Scalar, r: float) -> Scalar:
     return u ** r
 
 
-def taylor_eval(fn: Callable[[Scalar], Scalar], x0: float, order: int) -> TaylorSeries:
+def taylor_eval(fn: Callable[[Scalar], Scalar], x0, order: int) -> TaylorSeries:
     """Series of ``fn`` at ``x0``: coefficient k is f^(k)(x0)/k!.
 
+    ``x0`` is a point or a grid; on a grid every coefficient is an array with
+    one element per point, equal bit for bit to the series at that point.
     ``fn`` must be written against the generic helpers of this module.
     Domain restrictions (positivity for powers and logs) surface from the
     expression itself, so entire functions may be expanded anywhere.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    x = TaylorSeries.variable(x0, order)
-    y = fn(x)
-    if not isinstance(y, TaylorSeries):
-        y = TaylorSeries.constant(float(y), x)
-    return y
+    if np.ndim(x0) == 0:
+        x = TaylorSeries.variable(x0, order)
+        y = fn(x)
+        return y if isinstance(y, TaylorSeries) else TaylorSeries.constant(float(y), x)
+    xs = np.asarray(x0, dtype=float)
+    with np.errstate(all="ignore"):  # Python float arithmetic gives inf and nan silently
+        y = fn(TaylorSeries.variable(xs, order))
+    coeffs = y.coeffs if isinstance(y, TaylorSeries) else [y] + [0.0] * order
+    return TaylorSeries([np.broadcast_to(c, xs.shape) for c in coeffs], xs)
 
-
-def rounding_slack(series: TaylorSeries, k: int) -> float:
-    """Crude absolute slack for the k-th derivative read off ``series``.
-
-    Scales with the largest intermediate coefficient magnitude: deep
-    recurrences lose at most a few thousand ulps in practice.
-    """
-    mag = max(1.0, max(abs(c) for c in series.coeffs[: k + 1]))
-    return 1e-12 * mag * math.factorial(k)

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from dagum import classify as C
 from dagum import kernels as K
+from dagum import taylor as ta
 from dagum.errors import DomainError
 from dagum.kernels import PsiEvaluator, spectral_rule
+from dagum.models import catalog_function
 from dagum.numerics import Bracket, maximize_1d
 
 PI = math.pi
@@ -400,6 +402,68 @@ def test_scan_budget_validation():
         C.cm_scan("aux", {"alpha": 0.0, "beta": 2.0}, 1)
     with pytest.raises(DomainError):
         C.cm_scan("aux", {"alpha": 0.0, "beta": 2.0}, 4, [0.0, 1.0])
+
+
+def scan_oracle(expr, params, max_order=C.DEFAULT_SCAN_ORDER, x_grid=C.DEFAULT_SCAN_GRID, log=False):
+    """cm_scan (lcm_scan with ``log``) one grid point and one order at a time."""
+    if max_order < 2:
+        raise DomainError("max_order must be >= 2")
+    fn = catalog_function(expr, params)
+    for x in x_grid:
+        x = float(x)
+        if not 0.0 < x < math.inf:
+            raise DomainError("scan grid points must be finite and positive")
+        series = ta.taylor_eval(fn, x, max_order + log)
+        c = ta.log(series).coeffs if log else series.coeffs
+        for n in range(max_order + 1):
+            k = n + log  # the coefficient read, and its slack
+            mag = max(1.0, max(abs(v) for v in c[: k + 1]))
+            slack = 1e-12 * mag * math.factorial(k)
+            value = c[n] * math.factorial(n)
+            if log:
+                value, slack = -(n + 1) * c[n + 1] * math.factorial(n), slack * (n + 1)
+            signed = (-1.0) ** n * value
+            if signed < -10.0 * slack:
+                return C.Certificate("derivative_sign", x, n, signed)
+    return None
+
+
+SCAN_CASES = [
+    ("aux", {"alpha": 0.0, "beta": 2.0}, 2, [0.1, 0.5, 1.0]),
+    ("aux", {"alpha": 1.0, "beta": 1.0}, 6, np.geomspace(0.01, 10, 32)),
+    ("aux", {"alpha": 1.0, "beta": 2.0}, 6, C.DEFAULT_SCAN_GRID),
+    ("reduced_dagum", {"beta": 1.5, "gamma": 2.0 / 3.0}, 8, C.DEFAULT_SCAN_GRID),
+    ("reduced_dagum", {"beta": 1.9, "gamma": 0.4}, 8, C.DEFAULT_SCAN_GRID),
+    ("g", {"alpha": 0.5, "lambda": 0.5}, 8, C.DEFAULT_SCAN_GRID),
+    ("cauchy", {"theta": 1.7, "eta": 0.4}, 8, [3.0, 0.02, 40.0]),
+    ("inv_x", {}, 4, []),
+]
+
+
+@pytest.mark.parametrize("log", (False, True))
+@pytest.mark.parametrize("expr,params,order,grid", SCAN_CASES)
+def test_scans_equal_pointwise_oracle(expr, params, order, grid, log):
+    scan = C.lcm_scan if log else C.cm_scan
+    assert scan(expr, params, order, grid) == scan_oracle(expr, params, order, grid, log)
+
+
+@PROPERTY_SETTINGS
+@given(beta=st.floats(1.0, 2.0), share=st.floats(0.01, 1.0))
+def test_dagum_scan_equals_pointwise_oracle(beta, share):
+    # the open region of classify_dagum: bg < 1
+    params = {"beta": beta, "gamma": share / beta}
+    for log in (False, True):
+        scan = C.lcm_scan if log else C.cm_scan
+        assert scan("reduced_dagum", params) == scan_oracle("reduced_dagum", params, log=log)
+
+
+@pytest.mark.parametrize("log", (False, True))
+@pytest.mark.parametrize("grid", ([math.nan, 1.0], [0.0], [-1.0, 2.0], [math.inf]))
+def test_scan_bad_grids_match_oracle(grid, log):
+    scan = C.lcm_scan if log else C.cm_scan
+    for fn in (scan, lambda *a: scan_oracle(*a, log=log)):
+        with pytest.raises(DomainError, match="grid points"):
+            fn("reduced_dagum", {"beta": 1.5, "gamma": 0.3}, 8, grid)
 
 
 def test_threshold_table_invariants(coarse_table):

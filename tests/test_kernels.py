@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ CROSS_ROUTE_BETAS = (1.1, 1.25, 1.5, 1.75, 1.9)
 
 
 def test_kappa_values():
+    ts = np.array([0.3, 1.0, 7.0])
+    assert K.kappa(0.4, ts).tobytes() == (ts ** -0.6 / math.gamma(0.4)).tobytes()
+    assert np.isnan(K.kappa(math.nan, 1.0))  # as in eta_values, which uses it
+    with pytest.raises(DomainError):
+        K.kappa(0.5, np.array([1.0, 0.0]))
     assert K.kappa(1.0, 0.3) == 1.0
     assert K.kappa(1.0, 7.0) == 1.0
     assert K.kappa(2.0, 3.0) == pytest.approx(3.0)
@@ -544,6 +550,64 @@ def test_eta_at_subnormal_alpha_is_phi(beta):
             assert np.max(np.abs(scan - rule.eta_scan(0.0, 20.0, 41))) <= 1e-13
 
 
+def _fresh_scan(beta, alpha, t_max, n):
+    K._SCAN_SLOT[:] = [None, None, np.empty(0)]
+    return K.PsiEvaluator(beta).eta_scan(alpha, t_max, n)
+
+
+def test_eta_scan_held_basis_equals_fresh_evaluator():
+    # the alpha-free basis is held in one slot across scans; interleaved
+    # betas, grids and alphas must each give a fresh evaluator's bits
+    grids = ((20.0, 4096), (6.0 * PI / math.sin(PI / 1.3), 300))
+    cases = [(b, a, *g) for g in grids for b in (1.2, 1.5, 1.8) for a in (0.0, 0.3, 1.0)]
+    expected = {case: _fresh_scan(*case).tobytes() for case in cases}
+    order = np.random.default_rng(3).permutation(len(cases) * 3) % len(cases)
+    buffers = set()
+    for case in cases + [cases[i] for i in order]:
+        beta, alpha, t_max, n = case
+        assert K.spectral_rule(beta).eta_scan(alpha, t_max, n).tobytes() == expected[case], case
+        key, basis, buffer = K._SCAN_SLOT
+        assert key == (beta, t_max, n) and not any(arr.flags.writeable for arr in basis)
+        buffers.add(id(buffer))
+    assert len(buffers) == 1  # sized for 4096 points at the first case, then rewritten in place
+    held = K._SCAN_SLOT[1]
+    for alpha in (0.0, 0.3, 1.0):  # a c_bounds bisection: one basis for every step
+        K.spectral_rule(beta).eta_scan(alpha, t_max, n)
+        assert K._SCAN_SLOT[1] is held
+
+
+def test_eta_scan_basis_failed_rewrite_is_not_reused():
+    # a rewrite that fails halfway leaves no key behind, so the next scan of
+    # the old grid builds its basis again instead of reading the torn buffer
+    rule = K.spectral_rule(1.5)
+    first = rule.eta_scan(0.3, 20.0, 4096).tobytes()
+
+    def broken(*args, **kwargs):
+        raise MemoryError
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "exp", broken)
+        with pytest.raises(MemoryError):
+            K.spectral_rule(1.6).eta_scan(0.3, 20.0, 4096)
+    assert rule.eta_scan(0.3, 20.0, 4096).tobytes() == first
+
+
+def test_eta_scan_threads_match_serial():
+    # scans of two betas from more threads than cores contend for the one slot
+    t_max = 20.0
+    serial = {b: _fresh_scan(b, 0.3, t_max, 4096).tobytes() for b in (1.3, 1.7)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda b: K.spectral_rule(b).eta_scan(0.3, t_max, 4096), b)
+                       for b in (1.3, 1.7) * 8]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.tobytes() for r in results] == [serial[b] for b in (1.3, 1.7) * 8]
+
+
 def test_eta_scan_domain():
     rule = K.spectral_rule(1.5)
     for t_max in (0.0, -1.0, math.inf, math.nan):
@@ -608,6 +672,7 @@ def test_laplace_sum_exponents_stay_above_the_floor():
         return real(x, *args, **kwargs)
 
     rule = K.spectral_rule(1.5)
+    K._SCAN_SLOT[:2] = [None, None]  # the scan builds its held basis here
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "exp", exp)
         C.psi_max(1.5)

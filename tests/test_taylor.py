@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagum import taylor as ta
 from dagum.errors import DomainError
@@ -112,3 +114,53 @@ def test_mixed_order_and_point_rejected():
     c = ta.TaylorSeries.variable(2.0, 3)
     with pytest.raises(ValueError):
         _ = a * c
+
+
+# Every catalog expression with its parameters from two shapes p, q in (0.05, 2].
+CATALOG = {
+    "aux": lambda p, q: {"alpha": q, "beta": p},
+    "g": lambda p, q: {"alpha": q, "lambda": p},
+    "dagum": lambda p, q: {"beta": p, "gamma": q},
+    "dagum5": lambda p, q: {"gamma": p, "epsilon": p * q / 2.5},
+    "cauchy": lambda p, q: {"theta": p, "eta": q},
+    "reduced_dagum": lambda p, q: {"beta": p, "gamma": q},
+    "inv_x": lambda p, q: {},
+}
+SHAPES = st.floats(0.05, 2.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    expr=st.sampled_from(sorted(CATALOG)),
+    p=SHAPES,
+    q=SHAPES,
+    xs=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=6),
+)
+def test_grid_jets_equal_pointwise_jets_bit_for_bit(expr, p, q, xs):
+    fn = catalog_function(expr, CATALOG[expr](p, q))
+    for order, lift in ((8, lambda s: s), (9, ta.log)):  # ta.log: the lcm_scan path
+        grid = lift(ta.taylor_eval(fn, np.array(xs), order))
+        points = [lift(ta.taylor_eval(fn, x, order)) for x in xs]
+        assert all(c.shape == (len(xs),) for c in grid.coeffs)
+        assert np.array(grid.coeffs).tobytes() == np.array([s.coeffs for s in points]).T.tobytes()
+
+
+def test_grid_jets_keep_zero_skip_and_domain_checks():
+    # sin has exact zeros at x0 = 0: the product skips them per element, so
+    # an inf in the other factor gives no 0 * inf = nan, as at the single point
+    xs = np.array([0.0, -0.0, 0.5])
+    fn = lambda x: ta.sin(x) * (-1.0 / (x - 0.5))  # noqa: E731
+    with pytest.raises(ZeroDivisionError):
+        ta.taylor_eval(fn, xs, 3)
+    fn = lambda x: ta.sin(x) * ((x + 1.0) * 1e308 * 10.0) * ta.exp(x)  # noqa: E731
+    grid = ta.taylor_eval(fn, xs, 6)
+    assert grid.coeffs[0].tolist() == [0.0, 0.0, math.inf]
+    for i, x in enumerate(xs):
+        assert np.array([c[i] for c in grid.coeffs]).tobytes() == np.array(ta.taylor_eval(fn, x, 6).coeffs).tobytes()
+    for bad in ([1.0, -1.0], [1.0, 0.0]):
+        with pytest.raises(DomainError):
+            series_of("aux", {"alpha": 1.0, "beta": 2.0}, bad, 3)
+        with pytest.raises(DomainError):
+            ta.log(ta.taylor_eval(lambda x: x, np.array(bad), 3))
+    const = ta.taylor_eval(lambda x: 2.0, np.array([0.5, 1.5]), 2)
+    assert np.array(const.coeffs).tolist() == [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
