@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,7 +74,7 @@ def scan_range(beta: float, periods: float = 3.0) -> float:
     return periods * PI / math.sin(PI / beta)
 
 
-def psi_max(beta: float, tol: float = 1e-9) -> float:
+def psi_max(beta: float) -> float:
     """Global maximum Psi(b) of psi_b over t in [0, 3 pi / sin(pi/b)].
 
     Pinned to the exact endpoints 1 and 2.  In between, the largest psi_b on a
@@ -83,7 +83,7 @@ def psi_max(beta: float, tol: float = 1e-9) -> float:
     just the best one: near b = 2 two humps are almost equally high.  The roots
     come from bracketed Newton on phi, all cells per step (one ``psi_jet`` block
     of psi, phi, phi'), from each cell's secant point, a step that leaves the
-    bracket replaced by its midpoint, until |phi/phi'| or the bracket is <= tol.
+    bracket replaced by its midpoint, until |phi/phi'| or the bracket is <= 1e-9.
     """
     if not 1.0 <= beta <= 2.0:
         raise DomainError("psi_max requires beta in [1, 2]")
@@ -104,7 +104,7 @@ def psi_max(beta: float, tol: float = 1e-9) -> float:
         newton = t - phi / dphi
         lo, up = np.where(phi > 0.0, t, lo), np.where(phi > 0.0, up, t)
         t = np.where((lo < newton) & (newton < up), newton, 0.5 * (lo + up))
-        go = (np.abs(phi) > tol * np.abs(dphi)) & (up - lo > tol) & (lo < t) & (t < up)
+        go = (np.abs(phi) > 1e-9 * np.abs(dphi)) & (up - lo > 1e-9) & (lo < t) & (t < up)
         lo, up, t = lo[go], up[go], t[go]
     return best
 
@@ -129,10 +129,8 @@ def beta_star(tol: float = 1e-6) -> float:
 ETA_NEGATIVE_THRESHOLD = -1e-7
 
 
-def eta_negative_witness(
-    alpha: float, beta: float, n_points: int = 4096, periods: float = 6.0
-) -> Optional[Certificate]:
-    """Scan eta_{a,b} on [0, 6 pi / sin(pi/b)] for a sign violation.
+def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
+    """Scan eta_{a,b} on 4096 points of [0, 6 pi / sin(pi/b)] for a sign violation.
 
     Negativity refutes complete monotonicity of 1/(x^a (1+x^b)) exactly;
     absence of negativity on a finite grid proves nothing.  Sign changes
@@ -140,11 +138,11 @@ def eta_negative_witness(
     to phi_b itself (the power-law factor becomes a point mass).  A value
     that is not finite (a NaN from invalid input) never becomes a witness.
     """
-    t_max = scan_range(beta, periods)
-    ts = np.linspace(0.0, t_max, n_points)
+    t_max, n = scan_range(beta, 6.0), 4096
+    ts = np.linspace(0.0, t_max, n)
     scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
     if beta - 1.0 >= ENDPOINT_BAND and 2.0 - beta >= ENDPOINT_BAND:
-        vals = spectral_rule(beta).eta_scan(alpha, t_max, n_points)
+        vals = spectral_rule(beta).eta_scan(alpha, t_max, n)
     else:
         vals = scan(ts)  # closed forms in the endpoint bands, DomainError outside [1, 2]
     i = int(np.argmin(vals))
@@ -155,7 +153,7 @@ def eta_negative_witness(
         i = int(near[np.argmin(vals[near])])
     if vals[i] >= ETA_NEGATIVE_THRESHOLD:
         return None
-    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, n_points - 1)], 64)
+    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, n - 1)], 64)
     fvals = scan(fine)
     j = int(np.argmin(fvals))
     if not math.isfinite(fvals[j]):
@@ -163,16 +161,15 @@ def eta_negative_witness(
     return Certificate("eta_sign", float(fine[j]), None, float(fvals[j]))
 
 
-def c_bounds(
-    beta: float, alpha_tol: float = 1e-3, n_points: int = 4096
-) -> Tuple[float, float]:
+def c_bounds(beta: float, alpha_tol: float = 1e-3) -> Tuple[float, float]:
     """Bracket for the complete-monotonicity threshold c(b), 1 < b <= 2.
 
     Bisection over alpha in [0, b/2]: a negative eta value certifies that
     the candidate lies below c(b) (pushes the lower bound up); a clean scan
     pushes the upper bound down, heuristically, since a finite grid cannot
     certify eta >= 0 everywhere.  The guaranteed cap c(b) <= b/2 always
-    holds, and the bracket contains 1 at b = 2.
+    holds, and the bracket contains 1 at b = 2.  Bisection stops early once
+    the midpoint is not strictly inside the bracket (float spacing).
     """
     if not 1.0 < beta <= 2.0:
         raise DomainError("c_bounds requires beta in (1, 2]")
@@ -182,7 +179,9 @@ def c_bounds(
     upper = beta / 2.0
     while upper - lower > alpha_tol:
         mid = 0.5 * (lower + upper)
-        if eta_negative_witness(mid, beta, n_points) is not None:
+        if not lower < mid < upper:
+            break
+        if eta_negative_witness(mid, beta) is not None:
             lower = mid
         else:
             upper = mid
@@ -248,7 +247,7 @@ def _derivative_scan(expr, params, max_order, x_grid, log: bool) -> Optional[Cer
 # -- classifiers --------------------------------------------------------------
 
 
-def classify_aux_cm(alpha: float, beta: float, alpha_tol: float = 0.05) -> Verdict:
+def classify_aux_cm(alpha: float, beta: float) -> Verdict:
     """Complete monotonicity of 1/(x^alpha (1 + x^beta))."""
     M.AuxParams(alpha, beta)  # finite, alpha >= 0, beta >= 0
     if beta > 2.0:
@@ -269,7 +268,7 @@ def classify_aux_cm(alpha: float, beta: float, alpha_tol: float = 0.05) -> Verdi
             certificate=witness,
             notes="eta sign criterion is exact: a negative value refutes",
         )
-    lo, hi = c_bounds(beta, alpha_tol)
+    lo, hi = c_bounds(beta, 0.05)
     return Verdict(
         "Undetermined",
         NUMERIC_BASIS,
@@ -410,7 +409,6 @@ class ThresholdTable:
     beta_star: float
     c_lower: Optional[np.ndarray] = None
     c_upper: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -444,7 +442,6 @@ class ThresholdTable:
             beta_star=star,
             c_lower=c_lo,
             c_upper=c_hi,
-            meta={"n": n, "alpha_tol": alpha_tol, "root_tol": root_tol},
         )
 
     def to_dict(self) -> dict:

@@ -191,23 +191,12 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 def _cmd_figure1(ns: argparse.Namespace) -> int:
     tol = _tol(ns)
     betas = _parse_grid(ns.grid)
-    if len(betas) < 11:
-        raise DomainError("figure1 grid needs at least 11 points")
     if betas[0] < 1.0 or betas[-1] > 2.0:
         raise DomainError("figure1 grid must lie within [1, 2]")
-    lines = ["beta,psi_max,one_plus_inv_beta,l_beta"]
-    try:
-        for b in betas:
-            b = float(b)
-            psi_b = C.psi_max(b)
-            lines.append(f"{b!r},{psi_b!r},{1.0 + 1.0 / b!r},{b * (psi_b - 1.0)!r}")
-        star = C.beta_star(tol)
-    except ConvergenceError as exc:
-        lines.append(f"# error,non-convergence: {exc}")
-        _emit("\n".join(lines) + "\n", ns.output)
-        print(f"dagum: numeric non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    lines.append(f"# beta_star,{star!r}")
+    table = C.ThresholdTable.build(len(betas), betas[0], betas[-1], root_tol=tol)
+    cols = (table.beta_grid.tolist(), table.psi_values.tolist(), table.l_values.tolist())
+    rows = [f"{b!r},{psi_b!r},{1.0 + 1.0 / b!r},{l_b!r}" for b, psi_b, l_b in zip(*cols)]
+    lines = ["beta,psi_max,one_plus_inv_beta,l_beta", *rows, f"# beta_star,{table.beta_star!r}"]
     _emit("\n".join(lines) + "\n", ns.output)
     return EXIT_OK
 

@@ -169,12 +169,10 @@ def _rng(seed: int, stream: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, (stream << 32) + trial]))
 
 
-def random_point_set(
-    dimension: int, n_points: int, seed: int, trial: int = 0, box: float = 10.0
-) -> PointSet:
-    """Uniform points in [0, box]^d, deterministic in (seed, trial)."""
+def random_point_set(dimension: int, n_points: int, seed: int, trial: int = 0) -> PointSet:
+    """Uniform points in [0, 10]^d, deterministic in (seed, trial)."""
     rng = _rng(seed, _SEARCH_STREAM, trial)
-    pts = rng.uniform(0.0, box, size=(n_points, dimension))
+    pts = rng.uniform(0.0, 10.0, size=(n_points, dimension))
     return PointSet(dimension, pts, id=f"uniform-d{dimension}-n{n_points}-s{seed}-t{trial}")
 
 

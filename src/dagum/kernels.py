@@ -47,14 +47,13 @@ import functools
 import math
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import QuadConfig, integrate
+from .numerics import integrate
 
 PI = math.pi
 
@@ -183,7 +182,7 @@ def rho_kernel(beta: float, t: float) -> float:
     return float(1.0 + _osc(beta, t, 0.0))
 
 
-def _tau_primary(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
+def _tau_primary(beta: float, t: float) -> Tuple[float, float]:
     """Direct s-domain integral: (sigma/pi) * int e^{-ts} s^(b-1) / D(s) ds."""
     sigma, c = _consts(beta)
 
@@ -191,11 +190,11 @@ def _tau_primary(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
         return math.exp(-t * s) * s ** (beta - 1.0) / _denom(s, beta, c)
 
     knots = _resonance_knots(beta, sigma, c, math.inf)
-    v, e = integrate(g, 0.0, math.inf, cfg, knots=knots)
+    v, e = integrate(g, 0.0, math.inf, knots=knots)
     return sigma / PI * v, sigma / PI * e
 
 
-def _tau_alternate(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
+def _tau_alternate(beta: float, t: float) -> Tuple[float, float]:
     """Arctangent-substituted route on the finite interval (0, (2-b)*pi]."""
     sigma, c = _consts(beta)
     w_hi = (2.0 - beta) * PI
@@ -206,13 +205,11 @@ def _tau_alternate(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float
         y = y if y > 0.0 else 0.0  # rounding noise at the y = 0 endpoint
         return math.exp(-t * y ** inv_beta)
 
-    v, e = integrate(g, 0.0, w_hi, cfg, knots=_ladder(0.0, w_hi))
+    v, e = integrate(g, 0.0, w_hi, knots=_ladder(0.0, w_hi))
     return v / (beta * PI), e / (beta * PI)
 
 
-def tau_kernel(
-    beta: float, t: float, route: str = "primary", cfg: Optional[QuadConfig] = None
-) -> KernelValue:
+def tau_kernel(beta: float, t: float, route: str = "primary") -> KernelValue:
     """Completely monotonic remainder tau_b(t) = psi_b(t) - rho_b(t).
 
     ``route`` selects between the two integral representations; they agree
@@ -223,15 +220,15 @@ def tau_kernel(
     if not t >= 0.0:
         raise DomainError("t must be >= 0")
     if route == "primary":
-        v, e = _tau_primary(beta, t, cfg)
+        v, e = _tau_primary(beta, t)
         return KernelValue(v, e, "quadrature_primary")
     if route == "alternate":
-        v, e = _tau_alternate(beta, t, cfg)
+        v, e = _tau_alternate(beta, t)
         return KernelValue(v, e, "quadrature_alternate")
     raise ValueError("route must be 'primary' or 'alternate'")
 
 
-def _J_integral(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
+def _J_integral(beta: float, t: float) -> Tuple[float, float]:
     """int_0^inf e^{-ts} s^b / D(s) ds, split at s^b = 4.
 
     The head is integrated directly; the algebraic tail is compactified
@@ -245,7 +242,7 @@ def _J_integral(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
         return math.exp(-t * s) * s ** beta / _denom(s, beta, c)
 
     knots = _ladder(0.0, s_split, (30, 0)) + _resonance_knots(beta, sigma, c, s_split)
-    v1, e1 = integrate(g, 0.0, s_split, cfg, knots=knots)
+    v1, e1 = integrate(g, 0.0, s_split, knots=knots)
 
     w_hi = math.atan(sigma / (4.0 + c))
     q = beta / (beta - 1.0)
@@ -273,17 +270,17 @@ def _J_integral(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
 
     # Knots geometric toward v = 0 as in the head: for small t the integrand
     # has a narrow feature near v = 0 that a three-knot start can miss.
-    v2, e2 = integrate(h, 0.0, v_hi, cfg, knots=_ladder(0.0, v_hi, (30, 0)))
+    v2, e2 = integrate(h, 0.0, v_hi, knots=_ladder(0.0, v_hi, (30, 0)))
     return v1 + v2 / (beta * sigma), e1 + e2 / (beta * sigma)
 
 
-def _phi_primary(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
+def _phi_primary(beta: float, t: float) -> Tuple[float, float]:
     sigma, _ = _consts(beta)
-    v, e = _J_integral(beta, t, cfg)
+    v, e = _J_integral(beta, t)
     return -(sigma / PI) * v + float(_osc(beta, t, PI / beta)), (sigma / PI) * e
 
 
-def _phi_alternate(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float]:
+def _phi_alternate(beta: float, t: float) -> Tuple[float, float]:
     """Integration-by-parts route with the arctan weight; valid for t > 0.
 
     The weight atan((s^b + c) / sin(b pi)) is shifted by pi/2 to decay like
@@ -300,17 +297,15 @@ def _phi_alternate(beta: float, t: float, cfg: QuadConfig) -> Tuple[float, float
         return math.atan2(sigma, s ** beta + c) * (1.0 - t * s) * math.exp(-t * s)
 
     if t >= 0.5:
-        v, e = integrate(g, 0.0, math.inf, cfg)
+        v, e = integrate(g, 0.0, math.inf)
     else:
         # below t = 0.5 the infinite-range transformation fails (t = 1e-8)
         hi = 45.0 / t
-        v, e = integrate(g, 0.0, hi, cfg, knots=_ladder(0.0, hi, 40))
+        v, e = integrate(g, 0.0, hi, knots=_ladder(0.0, hi, 40))
     return -(v / (beta * PI)) + float(_osc(beta, t, PI / beta)), e / (beta * PI)
 
 
-def phi(
-    beta: float, t: float, route: str = "primary", cfg: Optional[QuadConfig] = None
-) -> KernelValue:
+def phi(beta: float, t: float, route: str = "primary") -> KernelValue:
     """Laplace density of 1/(1+x^b) for b in [1, 2].
 
     Dispatches to the closed forms exp(-t) and sin(t) inside the endpoint
@@ -322,15 +317,15 @@ def phi(
     if forms is not None:
         return KernelValue(float(forms[0](t)[0]), 0.0, "closed_form")
     if route == "primary":
-        v, e = _phi_primary(beta, t, cfg)
+        v, e = _phi_primary(beta, t)
         return KernelValue(v, e, "quadrature_primary")
     if route == "alternate":
-        v, e = _phi_alternate(beta, t, cfg)
+        v, e = _phi_alternate(beta, t)
         return KernelValue(v, e, "quadrature_alternate")
     raise ValueError("route must be 'primary' or 'alternate'")
 
 
-def psi(beta: float, t: float, cfg: Optional[QuadConfig] = None) -> KernelValue:
+def psi(beta: float, t: float) -> KernelValue:
     """psi_b(t) = integral of phi_b over [0, t], via the rho + tau split.
 
     psi_b(0) = 0, psi_b >= 0, and psi_b(t) -> 1 as t -> infinity for b < 2.
@@ -340,7 +335,7 @@ def psi(beta: float, t: float, cfg: Optional[QuadConfig] = None) -> KernelValue:
         raise DomainError("t must be >= 0")
     if forms is not None:
         return KernelValue(float(forms[1](t)[0]), 0.0, "closed_form")
-    tau_v, tau_e = _tau_primary(beta, t, cfg)
+    tau_v, tau_e = _tau_primary(beta, t)
     return KernelValue(rho_kernel(beta, t) + tau_v, tau_e, "quadrature_primary")
 
 
@@ -526,23 +521,17 @@ class PsiEvaluator:
 
 # Distinct betas kept, least recently used dropped first (a rule is 16 kB).
 BETA_CACHE_SIZE = 32
-_BETA_CACHE: "OrderedDict[float, PsiEvaluator]" = OrderedDict()
+_RULES = functools.lru_cache(maxsize=BETA_CACHE_SIZE)(PsiEvaluator)
 _BETA_LOCK = threading.Lock()
 # The last eta scan's alpha-free arrays, [key, basis, buffer] (``PsiEvaluator._scan_basis``).
 _SCAN_SLOT: list = [None, None, np.empty(0)]
 
 
 def spectral_rule(beta: float) -> PsiEvaluator:
-    """The cached PsiEvaluator for beta in (1, 2)."""
+    """The cached PsiEvaluator for beta in (1, 2).  The lock makes the lookup
+    and a build one step, so two threads never build two rules for one beta."""
     with _BETA_LOCK:
-        rule = _BETA_CACHE.get(beta)
-        if rule is None:
-            rule = _BETA_CACHE[beta] = PsiEvaluator(beta)
-            if len(_BETA_CACHE) > BETA_CACHE_SIZE:
-                _BETA_CACHE.popitem(last=False)
-        else:
-            _BETA_CACHE.move_to_end(beta)
-        return rule
+        return _RULES(beta)
 
 
 def phi_callable(beta: float) -> Callable:
@@ -555,9 +544,7 @@ def phi_callable(beta: float) -> Callable:
     return forms[0] if forms else spectral_rule(beta).phi_values
 
 
-def eta(
-    alpha: float, beta: float, t: float, cfg: Optional[QuadConfig] = None
-) -> KernelValue:
+def eta(alpha: float, beta: float, t: float) -> KernelValue:
     """Fractional integral (1/Gamma(a)) int_0^t (t-s)^(a-1) phi_b(s) ds.
 
     The sign of eta decides complete monotonicity of 1/(x^a (1+x^b)); at
@@ -573,7 +560,7 @@ def eta(
     phi_vec = phi_callable(beta)
     phi_t = float(phi_vec(t)[0])
     g = lambda s: float(phi_vec(s)[0]) - phi_t  # noqa: E731
-    v, e = integrate(g, 0.0, t, cfg, alg_weight=(0.0, alpha - 1.0))
+    v, e = integrate(g, 0.0, t, alg_weight=(0.0, alpha - 1.0))
     scale, head = 1.0 / math.gamma(alpha), phi_t * t ** alpha / math.gamma(1.0 + alpha)
     return KernelValue(head + v * scale, e * scale, "quadrature_primary")
 
@@ -610,13 +597,7 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     return ts ** alpha / math.gamma(1.0 + alpha) * (forms[0](s_nodes) @ wq)
 
 
-def laplace_check(
-    kernel: str,
-    beta: float,
-    x: float,
-    alpha: Optional[float] = None,
-    cfg: Optional[QuadConfig] = None,
-) -> float:
+def laplace_check(kernel: str, beta: float, x: float, alpha: Optional[float] = None) -> float:
     """|numeric Laplace transform - closed-form target| as a validation probe.
 
     Targets: phi -> 1/(1+x^b); psi -> 1/(x(1+x^b));
@@ -625,7 +606,6 @@ def laplace_check(
     if x <= 0.0:
         raise DomainError("laplace check requires x > 0")
     forms = _closed_forms(beta)
-    cfg = cfg or QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
 
     if kernel == "phi":
         phi_vec = phi_callable(beta)
@@ -638,10 +618,10 @@ def laplace_check(
     elif kernel == "eta":
         if alpha is None or alpha <= 0.0:
             raise DomainError("eta kernel needs alpha > 0")
-        f = lambda t: math.exp(-x * t) * eta(alpha, beta, t, cfg).value if t > 0 else 0.0  # noqa: E731
+        f = lambda t: math.exp(-x * t) * eta(alpha, beta, t).value if t > 0 else 0.0  # noqa: E731
         target = 1.0 / (x ** alpha * (1.0 + x ** beta))
     else:
         raise ValueError("kernel must be one of 'phi', 'psi', 'eta'")
 
-    value, _ = integrate(f, 0.0, math.inf, cfg)
+    value, _ = integrate(f, 0.0, math.inf)
     return abs(value - target)

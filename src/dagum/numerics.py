@@ -14,20 +14,8 @@ import numpy as np
 
 from .errors import ConvergenceError, NoSignChangeError
 
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and subdivision budget (per QUADPACK call) for :func:`integrate`."""
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+# QUADPACK's absolute and relative tolerance and subdivision budget, per call.
+QUAD_TOL, QUAD_LIMIT = 1e-9, 4000
 
 
 @dataclass(frozen=True)
@@ -40,14 +28,10 @@ class Bracket:
             raise ValueError("bracket requires lo < hi")
 
 
-DEFAULT_QUAD = QuadConfig()
-
-
 def integrate(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: Optional[QuadConfig] = None,
     *,
     knots: Iterable[float] = (),
     alg_weight: Optional[Tuple[float, float]] = None,
@@ -61,10 +45,9 @@ def integrate(
     """
     from scipy.integrate import quad
 
-    cfg = cfg or DEFAULT_QUAD
     if not lo < hi:
         raise ValueError("need lo < hi")
-    opts = dict(epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions, full_output=1)
+    opts = dict(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=QUAD_LIMIT, full_output=1)
     inner = sorted({float(k) for k in knots if lo < k < hi})
     if alg_weight is not None:
         if inner:
@@ -83,16 +66,10 @@ def integrate(
     return value, err
 
 
-def maximize_1d(
-    f: Callable,
-    bracket: Bracket,
-    tol: float = 1e-7,
-    *,
-    grid_points: int = 2048,
-) -> Tuple[float, float]:
+def maximize_1d(f: Callable, bracket: Bracket, tol: float = 1e-7) -> Tuple[float, float]:
     """Maximum of ``f`` over the bracket, refined in the best cell of a grid.
 
-    A coarse scan (the objective may oscillate, so pure local search can
+    A coarse scan of 2048 cells (the objective may oscillate, so pure local search can
     miss the global peak) locates the best grid cell; golden-section then
     refines it.  Where two peaks are nearly equal the grid may pick the lower
     one, and the result is then its local maximum, not the global one: for
@@ -101,8 +78,7 @@ def maximize_1d(
     is one call on the whole grid, the refinement calls it on floats.
     Returns ``(t_star, f_star)``.
     """
-    lo, hi = bracket.lo, bracket.hi
-    n = max(grid_points, 4)
+    lo, hi, n = bracket.lo, bracket.hi, 2048
     step = (hi - lo) / n
     xs = lo + np.arange(n + 1) * step
     xs[-1] = hi

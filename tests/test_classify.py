@@ -87,6 +87,23 @@ def test_c_bounds():
         C.c_bounds(1.0, 1e-3)
 
 
+def test_c_bounds_stops_at_float_spacing(monkeypatch):
+    # a tolerance below the spacing of floats ends where the midpoint no
+    # longer falls strictly inside the bracket
+    scans = []
+    real = C.eta_negative_witness
+
+    def counted(alpha, beta):
+        scans.append(alpha)
+        assert len(scans) <= 100, "c_bounds is still bisecting"
+        return real(alpha, beta)
+
+    monkeypatch.setattr(C, "eta_negative_witness", counted)
+    lo, hi = C.c_bounds(1.5, alpha_tol=1e-300)
+    assert 0.0 < lo < hi <= 0.75
+    assert not lo < 0.5 * (lo + hi) < hi
+
+
 def test_psi_max_roots_reuse_scanned_phi(monkeypatch):
     # Newton starts inside each scan cell, whose ends the scan already holds;
     # after the scan, no scan point is evaluated again
@@ -556,7 +573,7 @@ def test_c_bounds_alpha_tol_must_be_finite_and_positive(alpha_tol):
 
 
 def test_eta_witness_never_from_nan():
-    assert C.eta_negative_witness(math.nan, 1.5, n_points=64) is None
+    assert C.eta_negative_witness(math.nan, 1.5) is None
 
 
 def test_verdict_json_is_strict():

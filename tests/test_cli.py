@@ -161,26 +161,22 @@ def test_figure1_small_grid(tmp_path, capsys):
     assert 1.70 <= star <= 1.78
 
 
-def test_figure1_nonconvergence_keeps_partial_file(tmp_path, monkeypatch, capsys):
-    from dagum import classify
+def test_figure1_nonconvergence_exits_3_without_output(tmp_path, monkeypatch, capsys):
     from dagum.errors import ConvergenceError
 
-    real_psi_max = classify.psi_max
+    real_psi_max = cli.C.psi_max
 
-    def flaky(beta, tol=1e-9):
+    def flaky(beta):
         if beta > 1.35:
             raise ConvergenceError("forced for the exit-code contract")
-        return real_psi_max(beta, tol)
+        return real_psi_max(beta)
 
     monkeypatch.setattr(cli.C, "psi_max", flaky)
-    out_path = tmp_path / "partial.csv"
+    out_path = tmp_path / "figure1.csv"
     code = cli.main(["figure1", "--grid", "1:2:11", "-o", str(out_path)])
-    capsys.readouterr()
     assert code == 3
-    lines = out_path.read_text().strip().split("\n")
-    assert lines[0] == "beta,psi_max,one_plus_inv_beta,l_beta"
-    assert lines[-1].startswith("# error,non-convergence")
-    assert len(lines) > 2  # rows before the failure were retained
+    assert "non-convergence" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
 
 
 def test_figure1_rejects_small_grid(capsys):

@@ -10,7 +10,7 @@ import pytest
 from dagum import classify as C
 from dagum import kernels as K
 from dagum.errors import DomainError
-from dagum.numerics import QuadConfig, integrate
+from dagum.numerics import integrate
 
 PI = math.pi
 
@@ -133,9 +133,8 @@ def test_psi_decomposition_identity():
 def test_psi_matches_integral_of_phi():
     # definition route: direct quadrature of phi over [0, t]
     beta = 1.5
-    cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
     for t in (0.5, 2.0, 5.0):
-        integral, _ = integrate(lambda s: K.phi(beta, s, "primary", cfg).value, 0.0, t, cfg)
+        integral, _ = integrate(lambda s: K.phi(beta, s, "primary").value, 0.0, t)
         assert K.psi(beta, t).value == pytest.approx(integral, abs=1e-6)
 
 
@@ -349,9 +348,13 @@ def test_phi_alternate_at_tiny_t(beta):
 def test_beta_cache_is_bounded():
     betas = np.linspace(1.401, 1.409, K.BETA_CACHE_SIZE + 5)
     rules = [K.spectral_rule(float(b)) for b in betas]
-    assert len(K._BETA_CACHE) == K.BETA_CACHE_SIZE
-    assert K.spectral_rule(float(betas[-1])) is rules[-1]
-    assert float(betas[0]) not in K._BETA_CACHE
+    info = K._RULES.cache_info()
+    assert info.currsize == info.maxsize == K.BETA_CACHE_SIZE
+    assert K.spectral_rule(float(betas[-1])) is rules[-1]  # a hit
+    assert K._RULES.cache_info().hits == info.hits + 1
+    # the least recently used beta was dropped, so asking for it builds a new rule
+    assert K.spectral_rule(float(betas[0])) is not rules[0]
+    assert K._RULES.cache_info().misses == info.misses + 1
 
 
 def test_eta_alpha_one_is_psi():
@@ -730,7 +733,14 @@ def test_import_loads_no_scipy():
         ["figure1", "--grid", "1:2:11"],
         ["classify", "aux-cm", "--alpha", "0.05", "--beta", "1.5"],  # eta certificate
         ["classify", "aux-cm", "--alpha", "0.3", "--beta", "1.5"],  # Undetermined
+        ["classify", "dagum", "--beta", "1.5", "--gamma", "0.3"],  # derivative scan
+        ["classify", "aux-lcm", "--alpha", "0.5", "--beta", "1.5"],
+        ["classify", "g", "--alpha", "0.5", "--lambda", "0.5"],
+        ["eval", "dagum", "--beta", "1.5", "--gamma", "0.3", "--grid", "0:5:11"],
         ["psd", "dagum", "--beta", "0.5", "--gamma", "1", "--dims", "2", "--n", "20"],
+        ["search", "dagum", "--beta", "3", "--gamma", "0.2", "--trials", "4", "--n", "20"],
+        ["simulate", "dagum5", "--gamma", "1", "--epsilon", "0.5", "--n", "64"],
+        ["decouple", "--family", "dagum5", "--gamma", "1", "--epsilon", "0.5"],
     ]
     out = run(
         "import sys\nfrom dagum import cli\n"
@@ -738,7 +748,7 @@ def test_import_loads_no_scipy():
         f"print(codes, {scipy_loaded})"
     )
     assert '"kind": "eta_sign"' in out and '"status": "Undetermined"' in out
-    assert out.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
+    assert out.strip().splitlines()[-1] == f"{[0] * len(commands)} []"
 
 
 def test_eta_domain():

@@ -5,7 +5,7 @@ import pytest
 
 from dagum.errors import ConvergenceError, NoSignChangeError
 from dagum.kernels import PsiEvaluator
-from dagum.numerics import Bracket, QuadConfig, find_root, integrate, maximize_1d
+from dagum.numerics import Bracket, find_root, integrate, maximize_1d
 
 PI = math.pi
 
@@ -37,13 +37,13 @@ def test_linearity():
 
 
 def test_nonconvergence_reports_partial():
-    cfg = QuadConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
+    # sin(1/s) oscillates without bound toward s = 0: the subdivision budget runs out
     with pytest.raises(ConvergenceError) as exc:
-        integrate(lambda s: math.sqrt(abs(math.sin(7.0 * s))), 0.0, 10.0, cfg)
+        integrate(lambda s: math.sin(1.0 / s), 0.0, 1.0)
     assert exc.value.value is not None
     assert exc.value.err_estimate > 0.0
     # QUADPACK's own diagnosis travels with the error
-    assert "maximum number of subdivisions (3)" in str(exc.value)
+    assert "maximum number of subdivisions (4000)" in str(exc.value)
 
 
 def test_semi_infinite_knots_are_honoured():
@@ -128,9 +128,5 @@ def test_find_root_requires_sign_change():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(max_subdivisions=0)
     with pytest.raises(ValueError):
         Bracket(1.0, 1.0)
