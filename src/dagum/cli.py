@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 parameter error, 3 numeric non-convergence, a
 degenerate exponent fit or an ``eval`` value whose float arithmetic overflows
-(or divides by an underflowed power), 4 permissibility failure.  Output goes
-to stdout or, with --output, is written atomically (temp file + rename).  CSV
-uses a header row, '.' decimals, repr-formatted floats (round-trip exact),
-newline-terminated.
+(or divides by an underflowed power), 4 a ``simulate`` model whose circulant
+embedding stays indefinite.  Output goes to stdout or, with --output, is
+written atomically (temp file + rename).  CSV uses a header row, '.' decimals,
+repr-formatted floats (round-trip exact), newline-terminated.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ class NoSignChangeError(ValueError):
 
 
 class NotPermissibleError(RuntimeError):
-    """Covariance factorization failed: model is not usable at this resolution."""
+    """Circulant embedding stays indefinite: model is not usable at this resolution."""
 
 
 class DegenerateFitError(RuntimeError):

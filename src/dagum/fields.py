@@ -21,7 +21,7 @@ from . import models as M
 from .errors import DegenerateFitError, DomainError, NotPermissibleError
 
 EIG_TOL = 1e-8
-CHOL_JITTER = 1e-10
+EMBED_DOUBLINGS = 4
 
 CONVENTIONS = ("squared_distance", "plain_distance")
 
@@ -204,34 +204,34 @@ def nonpsd_search(
 
 
 def simulate_profile(
-    model_id: str,
-    params: Mapping[str, float],
-    n: int,
-    spacing: float,
-    seed: int,
+    model_id: str, params: Mapping[str, float], n: int, spacing: float, seed: int
 ) -> Profile:
     """Zero-mean unit-variance Gaussian profile on a regular 1-D grid.
 
-    Uses the plain-distance Gram matrix (jittered Cholesky); a factorization
-    failure means the model is not usable at this resolution.
+    Circulant embedding (Wood & Chan 1994) of the plain-distance Gram matrix:
+    size 2(n-1), doubled at most EMBED_DOUBLINGS times while an eigenvalue is
+    below -EIG_TOL * lambda_max.  m normals go through its symmetric square
+    root, eigenvalues clamped at 0, by FFT; no BLAS call touches the draw.
     """
     if n < 2:
         raise DomainError("need n >= 2")
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise DomainError("spacing must be finite and > 0")
-    positions = (np.arange(n) * spacing)[:, None]
-    ps = PointSet(1, positions, id=f"grid-n{n}-h{spacing:g}")
-    cov = gram_matrix(model_id, params, ps, "plain_distance")
-    del ps  # its distances are freed before the Cholesky
-    cov.flat[:: n + 1] += CHOL_JITTER
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPermissibleError(
-            f"covariance factorization failed for {model_id} at n={n}, spacing={spacing}"
-        ) from exc
-    z = _rng(seed, _PROFILE_STREAM).standard_normal(n)
-    return Profile(spacing, chol @ z, seed, model_id, dict(params))
+    if not math.isfinite(((n - 1) * spacing) * ((n - 1) * spacing)):
+        raise DomainError("squared distances must be finite; the points are too far apart")
+    p, evaluator = M.make_model(model_id, params)
+    for m in (2 * (n - 1) << k for k in range(EMBED_DOUBLINGS + 1)):
+        with np.errstate(divide="ignore", over="ignore"):
+            half = np.append(1.0, evaluator(p, np.arange(1, m // 2 + 1) * spacing))
+        lam = np.fft.rfft(np.concatenate((half, half[-2:0:-1]))).real
+        if lam.min() >= -EIG_TOL * lam.max():
+            z = _rng(seed, _PROFILE_STREAM).standard_normal(m)
+            values = np.fft.irfft(np.sqrt(np.maximum(lam, 0.0)) * np.fft.rfft(z), m)[:n]
+            return Profile(spacing, values, seed, model_id, dict(params))
+    raise NotPermissibleError(
+        f"circulant embedding of {model_id} at n={n}, spacing={spacing} stays indefinite"
+        f" up to size {m}: smallest eigenvalue {float(lam.min())!r}"
+    )
 
 
 def _loglog_slope(fn, window: Tuple[float, float]) -> float:

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -246,6 +248,33 @@ def test_simulate_deterministic_and_permissibility(tmp_path, capsys):
     assert code == 4
 
 
+def test_simulate_stdout_does_not_depend_on_the_blas_thread_count():
+    # n = 1024, the size of the benchmark's simulations: large enough that
+    # OpenBLAS splits a dense factorization or product across threads
+    commands = [
+        ["simulate", "dagum5", "--gamma", "1", "--epsilon", "0.5", "--n", "1024",
+         "--spacing", "0.5", "--seed", str(seed)]
+        for seed in (1, 2)
+    ] + [
+        ["simulate", "cauchy", "--theta", "1.5", "--eta", "1", "--n", "1024",
+         "--spacing", "0.3", "--seed", "3"],
+        ["simulate", "cauchy", "--theta", "2", "--eta", "0.5", "--n", "1024",
+         "--spacing", "0.05", "--seed", "4"],  # an embedding that needs doublings
+    ]
+    code = f"from dagum import cli\nfor argv in {commands!r}:\n    assert cli.main(argv) == 0\n"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, check=True, timeout=300,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0].count(b"\n") == len(commands) * 1025
+    assert outs[0] == outs[1]
+
+
 SEEDED_COMMANDS = (
     ["psd", "dagum", "--beta", "0.5", "--gamma", "1", "--dims", "2", "--n", "5", "--sets", "1"],
     ["search", "cauchy", "--theta", "1.5", "--eta", "1", "--n", "10", "--trials", "2"],
@@ -266,8 +295,8 @@ def test_negative_seed_streams_unchanged(capsys):
     code, out, _ = run(simulate + ["--seed", "-1"], capsys)
     assert code == 0
     assert out == (
-        "index,position,value\n0,0.0,-1.3371172351174143\n"
-        "1,1.0,-0.1780716017561138\n2,2.0,-0.08390854411819658\n"
+        "index,position,value\n0,0.0,-1.339846721828821\n"
+        "1,1.0,0.09540598225375241\n2,2.0,-0.0643048017199972\n"
     )
     code, out, _ = run(psd + ["--seed", "-1"], capsys)
     assert code == 0

@@ -131,8 +131,40 @@ def test_simulate_profile_variance_monte_carlo():
 
 
 def test_simulate_not_permissible_at_resolution():
-    with pytest.raises(NotPermissibleError):
+    with pytest.raises(NotPermissibleError, match="smallest eigenvalue") as exc:
         F.simulate_profile("g", {"alpha": 0.5, "lambda": 0.5}, 8, 0.1, seed=0)
+    # the eigenvalue is printed as a float repr and is negative past the tolerance
+    assert float(str(exc.value).rsplit(" ", 1)[1]) < -F.EIG_TOL
+
+
+@pytest.mark.parametrize(
+    "model_id, params, n, spacing, doublings",
+    (
+        ("dagum5", {"gamma": 1.0, "epsilon": 0.5}, 256, 1.0, 0),
+        ("cauchy", {"theta": 2.0, "eta": 0.5}, 1024, 0.05, 3),
+    ),
+    ids=("dagum5-minimal", "cauchy-doubled"),
+)
+def test_simulate_sample_autocovariance_within_4_standard_errors(
+    model_id, params, n, spacing, doublings
+):
+    row, _ = _embedding_written_out(model_id, params, n, spacing)
+    assert len(row) == 2 * (n - 1) << doublings
+    rho = M.correlation(model_id, params)
+    r = np.array([1.0] + [rho(k * spacing) for k in range(1, n)])
+    seeds = range(200)
+    # The estimate at lag k is S_k / L averaged over the seeds, S_k = sum_i x_i x_(i+k)
+    # over L = n - k pairs.  For a zero-mean Gaussian, Var S_k = sum_(i,j) r(i-j)^2
+    # + r(i-j-k) r(i-j+k), and d = i - j occurs L - |d| times: the bound is fixed here.
+    bounds = []
+    for k in range(4):
+        L, d = n - k, np.arange(-(n - k - 1), n - k)
+        var_s = np.sum((L - np.abs(d)) * (r[np.abs(d)] ** 2 + r[np.abs(d - k)] * r[np.abs(d + k)]))
+        bounds.append(4.0 * math.sqrt(var_s / len(seeds)) / L)
+    draws = np.array([F.simulate_profile(model_id, params, n, spacing, s).values for s in seeds])
+    for k, bound in enumerate(bounds):
+        estimate = float(np.mean(np.sum(draws[:, : n - k] * draws[:, k:], axis=1))) / (n - k)
+        assert abs(estimate - r[k]) <= bound, (k, estimate, r[k], bound)
 
 
 def test_local_exponents_analytic():
@@ -294,16 +326,60 @@ def test_gram_is_exactly_symmetric_with_unit_diagonal(model_id, convention):
         assert np.all(np.diag(g) == 1.0)
 
 
-@pytest.mark.parametrize("n", (64, 1024))
-def test_simulate_profile_is_jittered_cholesky_of_gram(n):
-    params, seed = {"gamma": 1.0, "epsilon": 0.5}, 11
-    ps = F.PointSet(1, (np.arange(n) * 0.5)[:, None], "grid")
-    gram = F.gram_matrix("dagum5", params, ps, "plain_distance")
+def _embedding_written_out(model_id, params, n, spacing):
+    # Circulant of size m = 2(n-1) 2^k, k <= 4, the first that has no eigenvalue
+    # below -1e-8 times the largest: row[k] = rho(k * spacing) for 0 < k <= m/2,
+    # row[0] = 1, and row[m - k] = row[k].
+    p, evaluator = M.make_model(model_id, params)
+    for k in range(5):
+        m = 2 * (n - 1) * 2**k
+        half = np.concatenate(([1.0], evaluator(p, np.arange(1, m // 2 + 1) * spacing)))
+        row = np.concatenate((half, half[1:-1][::-1]))
+        lam = np.fft.rfft(row).real
+        if lam.min() >= -1e-8 * lam.max():
+            return row, lam
+    raise AssertionError("no embedding up to 16 times the minimal size")
+
+
+SIMULATE_CASES = (
+    ("dagum5", {"gamma": 1.0, "epsilon": 0.5}, 64, 0.5, 0),
+    ("dagum5", {"gamma": 1.0, "epsilon": 0.5}, 1024, 0.5, 0),
+    ("cauchy", {"theta": 2.0, "eta": 0.5}, 1024, 0.0625, 3),
+)
+SIMULATE_IDS = ("dagum5-64", "dagum5-1024", "cauchy-1024-doubled")
+
+
+@pytest.mark.parametrize(
+    "model_id, params, n, spacing, doublings", SIMULATE_CASES, ids=SIMULATE_IDS
+)
+def test_simulate_profile_is_fft_draw_of_circulant_embedding(
+    model_id, params, n, spacing, doublings
+):
+    seed = 11
+    row, lam = _embedding_written_out(model_id, params, n, spacing)
+    m = len(row)
+    assert m == 2 * (n - 1) << doublings
     # the profile stream: Philox keyed by (seed, stream tag 2024 << 32)
-    z = np.random.Generator(np.random.Philox(key=[seed, 2024 << 32])).standard_normal(n)
-    expected = np.linalg.cholesky(gram + F.CHOL_JITTER * np.eye(n)) @ z
-    profile = F.simulate_profile("dagum5", params, n, 0.5, seed)
-    assert np.array_equal(profile.values, expected)
+    z = np.random.Generator(np.random.Philox(key=[seed, 2024 << 32])).standard_normal(m)
+    expected = np.fft.irfft(np.sqrt(np.maximum(lam, 0.0)) * np.fft.rfft(z), m)[:n]
+    profile = F.simulate_profile(model_id, params, n, spacing, seed)
+    assert profile.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "model_id, params, n, spacing, doublings", SIMULATE_CASES, ids=SIMULATE_IDS
+)
+def test_circulant_embedding_leading_block_is_the_gram_matrix(
+    model_id, params, n, spacing, doublings
+):
+    # Dyadic spacings keep i * h - j * h = (i - j) * h exact, so the grid's Gram
+    # matrix is Toeplitz to the last bit; at h = 0.05 it is not.
+    row, _ = _embedding_written_out(model_id, params, n, spacing)
+    ps = F.PointSet(1, (np.arange(n) * spacing)[:, None], "grid")
+    gram = F.gram_matrix(model_id, params, ps, "plain_distance")
+    i = np.arange(n)
+    block = row[(i[None, :] - i[:, None]) % len(row)]
+    assert block.tobytes() == gram.tobytes()
 
 
 def _sq_distances_written_out(pts):
@@ -352,7 +428,8 @@ def test_simulate_rejects_overflowing_spacing():
 
 def test_gram_working_set_is_small():
     # Point sets keep one squared distance per pair; the model's temporaries
-    # and the distances go before the n x n output and the Cholesky.
+    # and the distances go before the n x n output.  simulate builds no Gram
+    # matrix: its working set is a few vectors of the embedding's size 2(n-1).
     params = {"gamma": 1.0, "epsilon": 0.5}
     F.simulate_profile("dagum5", params, 16, 0.5, seed=1)
     n = 512
@@ -365,5 +442,5 @@ def test_gram_working_set_is_small():
         psd_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sim_peak < 3 * 8 * n * n  # 4.1 n^2 doubles with an (n, n) distance matrix
+    assert sim_peak < 16 * 8 * n  # about 12 n doubles: the row, its spectrum, z, FFT temporaries
     assert psd_peak < 4 * 8 * n * n  # 6 n^2 doubles with an (n, n, d) difference array
