@@ -19,7 +19,7 @@ import numpy as np
 from . import models as M
 from . import taylor as ta
 from .errors import DomainError
-from .kernels import ENDPOINT_BAND, eta_grid, phi_callable, spectral_rule
+from .kernels import BETA_CACHE_SIZE, ENDPOINT_BAND, eta_grid, phi_callable, psi_jets, spectral_rule
 from .numerics import Bracket, find_root
 
 PI = math.pi
@@ -38,6 +38,7 @@ CITE_T9I = "Theorem 9(i)"
 CITE_EQ415 = "Eq. (4.15)"
 CITE_T9III = "Theorem 9(iii)"
 CITE_R4 = {k: f"Remark 4({k})" for k in ("i", "ii", "iii", "iv", "v")}
+CITE_R4_PRODUCT = "Remark 4(iii) + product rule"
 
 NUMERIC_BASIS = "numeric certificate"
 
@@ -74,38 +75,54 @@ def scan_range(beta: float, periods: float = 3.0) -> float:
     return periods * PI / math.sin(PI / beta)
 
 
-def psi_max(beta: float) -> float:
-    """Global maximum Psi(b) of psi_b over t in [0, 3 pi / sin(pi/b)].
+def psi_max(beta):
+    """Global maximum Psi(b) of psi_b over t in [0, 3 pi / sin(pi/b)]: a float
+    for a float beta, an array for an array of betas, each value as if alone.
 
     Pinned to the exact endpoints 1 and 2.  In between, the largest psi_b on a
     coarse grid (uniform plus geometric, for a peak at small t near b = 1) and
     at a root of phi = psi_b' in every cell where phi goes from > 0 to <= 0, not
-    just the best one: near b = 2 two humps are almost equally high.  The roots
-    come from bracketed Newton on phi, all cells per step (one ``psi_jet`` block
-    of psi, phi, phi'), from each cell's secant point, a step that leaves the
-    bracket replaced by its midpoint, until |phi/phi'| or the bracket is <= 1e-9.
+    just the best one: near b = 2 two humps are almost equally high.  The scan
+    is one ``psi_jet`` block of psi and phi per beta.  The roots come from
+    bracketed Newton on phi, each step one ``psi_jets`` call of psi, phi and
+    phi' for the open cells of all betas of a group of ``BETA_CACHE_SIZE``,
+    from each cell's secant point, a step that leaves the bracket replaced by
+    its midpoint, until |phi/phi'| or the bracket is <= 1e-9.
     """
-    if not 1.0 <= beta <= 2.0:
+    out = np.array(beta, dtype=float)
+    flat = out.reshape(-1)
+    if not ((1.0 <= flat) & (flat <= 2.0)).all():
         raise DomainError("psi_max requires beta in [1, 2]")
-    if beta in (1.0, 2.0):
-        return float(beta)
-    ev, hi = spectral_rule(beta), scan_range(beta)
-    # from t > 0: psi = phi = 0 at t = 0, and its exp row would keep every node
-    ts = np.sort(np.concatenate([np.linspace(0.0, hi, 65)[1:], np.geomspace(1e-2, hi, 64)]))
-    ts = ts[np.append(True, ts[1:] != ts[:-1])]
-    psis, phis = ev.psi_jet(ts, 1)
-    best = float(np.max(psis))
-    i = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0))
-    lo, up = ts[i], ts[i + 1]
-    t = lo + phis[i] * (up - lo) / (phis[i] - phis[i + 1])
+    inner = np.flatnonzero((1.0 < flat) & (flat < 2.0))  # Psi(1) = 1, Psi(2) = 2
+    for start in range(0, inner.size, BETA_CACHE_SIZE):
+        group = inner[start : start + BETA_CACHE_SIZE]
+        flat[group] = _psi_max_group(flat[group].tolist())
+    return float(out) if out.ndim == 0 else out
+
+
+def _psi_max_group(betas: list) -> np.ndarray:
+    """``psi_max`` at each beta in (1, 2) of ``betas``, one rule alive per beta."""
+    rules, best, cells = [spectral_rule(b) for b in betas], [], []
+    for j, (b, ev) in enumerate(zip(betas, rules)):
+        hi = scan_range(b)
+        # from t > 0: psi = phi = 0 at t = 0, and its exp row would keep every node
+        ts = np.sort(np.concatenate([np.linspace(0.0, hi, 65)[1:], np.geomspace(1e-2, hi, 64)]))
+        ts = ts[np.append(True, ts[1:] != ts[:-1])]
+        psis, phis = ev.psi_jet(ts, 1)
+        best.append(np.max(psis))
+        i = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0))
+        cells.append((np.full(i.size, j), ts[i], ts[i + 1], phis[i], phis[i + 1]))
+    which, lo, up, phi_lo, phi_up = map(np.concatenate, zip(*cells))
+    best, jet = np.array(best), psi_jets(rules, 2)
+    t = lo + phi_lo * (up - lo) / (phi_lo - phi_up)
     while t.size:
-        psi, phi, dphi = ev.psi_jet(t, 2)
-        best = max(best, float(np.max(psi)))
+        psi, phi, dphi = jet(t, which)
+        np.fmax.at(best, which, psi)
         newton = t - phi / dphi
         lo, up = np.where(phi > 0.0, t, lo), np.where(phi > 0.0, up, t)
         t = np.where((lo < newton) & (newton < up), newton, 0.5 * (lo + up))
         go = (np.abs(phi) > 1e-9 * np.abs(dphi)) & (up - lo > 1e-9) & (lo < t) & (t < up)
-        lo, up, t = lo[go], up[go], t[go]
+        which, lo, up, t = which[go], lo[go], up[go], t[go]
     return best
 
 
@@ -376,6 +393,12 @@ def classify_g(alpha: float, lam: float) -> Verdict:
         return Verdict("ProvenNotCM", CITE_R4["iv"])
     if alpha == lam and 0.0 < alpha < 1.0:
         return Verdict("ProvenNotCM", CITE_R4["v"])
+    if alpha >= 1.0 and lam <= 1.0:
+        return Verdict(
+            "ProvenCM",
+            CITE_R4_PRODUCT,
+            notes="x^-(alpha-1) is CM for alpha >= 1, and a product of CM functions is CM",
+        )
     return Verdict(
         "Undetermined",
         NUMERIC_BASIS,
@@ -423,7 +446,7 @@ class ThresholdTable:
         if n < 11:
             raise DomainError("grid needs at least 11 points")
         betas = np.linspace(lo, hi, n)
-        psis = np.array([psi_max(float(b)) for b in betas])
+        psis = psi_max(betas)
         ls = betas * (psis - 1.0)
         star = beta_star(root_tol)
         c_lo = c_hi = None

@@ -31,9 +31,11 @@ hands (t-s)^(a-1) to the algebraic-weight rule, on phi_b(s) - phi_b(t).
 Grid work goes through ``PsiEvaluator`` instead: one fixed composite
 Gauss-Legendre rule of 800 nodes on the arctangent-substituted tau integral,
 whose Laplace sums give psi, phi = rho' + tau', phi' and eta on whole grids
-(``psi_jet``: psi and derivatives from one exp block, for the psi_max scan from
-t > 0 and its Newton steps).  eta is the same branch-cut inversion as tau, with
-alpha-dependent weights on the same nodes.  The eta sign scans themselves
+(``psi_jets``: psi and derivatives from one exp block, each t on its own
+rule, for the Newton steps of psi_max over a beta grid; ``psi_jet`` is its
+one-rule case, for the psi_max scan from t > 0).  eta is the same branch-cut
+inversion as tau, with alpha-dependent weights on the same nodes.  The
+Gauss-Legendre tables are held as constants.  The eta sign scans themselves
 run on a uniform grid t = k h, where exp(-k h d) factors into a per-block
 and a per-row part: ``eta_scan`` is one matrix product of a block of
 exp(-j h d) and a column of shifts per block, not one exp per (t, node).
@@ -48,7 +50,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,9 +103,27 @@ def _ladder(lo: float, hi: float, levels=45) -> list:
     return out
 
 
+# The nonnegative halves of the Gauss-Legendre (nodes, weights) on [-1, 1] of
+# orders 8 and 10, equal to numpy's ``leggauss`` bit for bit: held here, since
+# loading numpy.polynomial costs a process about 4 ms and 0.9 MB.
+_GAUSS_LEGENDRE = {
+    8: (
+        (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
+        (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
+    ),
+    10: (
+        (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+         0.9739065285171717),
+        (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+         0.06667134430868814),
+    ),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)  # loads numpy.polynomial on first use
+    x, w = map(np.array, _GAUSS_LEGENDRE[order])
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,11 +150,13 @@ def _resonance_knots(beta: float, sigma: float, c: float, upper: float) -> list:
     return [k for k in (s0 - 10 * w, s0 - w, s0, s0 + w, s0 + 10 * w) if 0.0 < k < upper]
 
 
-def _osc(beta: float, ts, shift: float):
+def _osc(beta, ts, shift, turn=None):
     """Residue term -(2/b) e^{t cos A} cos(t sin A + shift), A = pi/b, of the
-    poles x = e^{+-i pi/b} of 1/(1+x^b); ``ts`` is a float or an array."""
-    a = PI / beta
-    return -(2.0 / beta) * np.exp(ts * math.cos(a)) * np.cos(ts * math.sin(a) + shift)
+    poles x = e^{+-i pi/b} of 1/(1+x^b); ``ts`` is a float or an array.  For
+    an array of one beta per t, ``turn`` holds their (cos A, sin A), each taken
+    by ``math`` as for a float beta."""
+    cos_a, sin_a = (math.cos(PI / beta), math.sin(PI / beta)) if turn is None else turn
+    return -(2.0 / beta) * np.exp(ts * cos_a) * np.cos(ts * sin_a + shift)
 
 
 def _grid(ts) -> np.ndarray:
@@ -342,10 +364,71 @@ def psi(beta: float, t: float) -> KernelValue:
 RULE_ORDER, RULE_LEVELS = 10, (50, 30)  # the spectral rule's shape, see ``PsiEvaluator``
 
 # Rows of t per block of a Laplace sum: 256 rows x 800 nodes is about 1.6 MB;
-# a uniform scan reuses one block of 128 rows (``PsiEvaluator.eta_scan``).
+# rows gathered from several rules go 16 to a block (``psi_jets``), and a
+# uniform scan reuses one block of 128 rows (``PsiEvaluator.eta_scan``).
 # Every exponent is floored at -600, off numpy's slow exp range (-745, -707.7);
 # e^-600 |v_i| stays a normal double for every |v_i| > 1e-47.
-_BLOCK_ROWS, _SCAN_ROWS, _EXP_FLOOR = 256, 128, -600.0
+_BLOCK_ROWS, _GATHER_ROWS, _SCAN_ROWS, _EXP_FLOOR = 256, 16, 128, -600.0
+
+
+def _laplace_sums(ts: np.ndarray, d: np.ndarray, v: np.ndarray, which=None) -> np.ndarray:
+    """Row k: sum_i v[k, j, i] exp(-t d[j, i]) for each t = ts[r] of the 1-D
+    ``ts``, on rule j = which[r] of the G rules whose decays are the rows of
+    ``d``, shape (G, n), or on rule 0 when ``which`` is None; ``v`` is (K, G, n).
+
+    Each row is reduced on its own (einsum, not BLAS gemv), so a value does
+    not depend on which t, rules or vectors share its block.  The decays fall
+    with i; a block skips the leading nodes where exp(-t d) underflows to 0
+    for all its t, in multiples of 64, so the rest keep their einsum lanes.
+    Exponents below ``_EXP_FLOOR`` are raised to it (exp's fast path), which
+    moves a sum by at most sum |v_i| e^-600, about 1e-250: a skip that differs
+    between blocks drops only such terms, which vanish in each sum's rounding.
+    Rows of several rules are gathered ``_GATHER_ROWS`` at a time.
+    """
+    out = np.empty((len(v), ts.size))
+    step = _BLOCK_ROWS if which is None else _GATHER_ROWS
+    for start in range(0, ts.size, step):
+        rows = ts[start : start + step]
+        pick = slice(0, 1) if which is None else which[start : start + step]
+        ds = d[pick]
+        # exp(-x) is exactly 0 in double precision for x > 745.14
+        skip = int(np.count_nonzero(ds.min(axis=0) * rows.min() > 746.0)) // 64 * 64
+        block = np.multiply(-rows[:, None], ds[:, skip:])
+        np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
+        for row, vk in zip(out, v):
+            row[start : start + step] = np.einsum("ij,ij->i", block, vk[pick, skip:])
+    return out
+
+
+def psi_jets(rules: Sequence["PsiEvaluator"], order: int) -> Callable:
+    """Psi jets on several rules at once: a function (ts, which=None) whose
+    row k = 0, ..., order holds psi_b and its derivatives phi_b, phi_b', ...
+    at each t = ts[r] of the 1-D ``ts`` on the rule rules[which[r]], or on the
+    only rule when ``which`` is None, all from one exp block per block of t.
+    Row k is _osc(b, t, k pi/b) + (-1)^k sum_i w_i d_i^k e^(-t d_i) / (b pi),
+    plus 1 for k = 0, with phi_b(0) = 0 exactly; a value does not depend on
+    the other t.  The derivative weights are built here, once per call.
+    """
+    betas = np.array([rule.beta for rule in rules])
+    turn = np.array([(math.cos(PI / rule.beta), math.sin(PI / rule.beta)) for rule in rules]).T
+    d = np.array([rule._decay for rule in rules])
+    v = np.empty((order + 1,) + d.shape)
+    v[0] = [rule._weights for rule in rules]
+    for j in range(order):
+        np.multiply(v[j], -d, out=v[j + 1])  # (-1)^k w_i d_i^k
+    k = np.arange(order + 1)[:, None]
+
+    def jet(ts, which=None) -> np.ndarray:
+        which = None if len(rules) == 1 else which  # one rule: nothing to gather
+        ts, pick = _grid(ts), 0 if which is None else which
+        b = betas[pick]
+        out = _osc(b, ts, k * (PI / b), turn[:, pick])
+        out[0] += 1.0
+        out += _laplace_sums(ts, d, v, which) / (b * PI)
+        out[1:2] = np.where(ts == 0.0, 0.0, out[1:2])
+        return out
+
+    return jet
 
 
 class PsiEvaluator:
@@ -370,27 +453,10 @@ class PsiEvaluator:
         self._decay = y ** (1.0 / beta)
 
     def _laplace_sum(self, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """sum_i v_i exp(-t d_i) for each t in the 1-D array ``ts``; for a 2-D
-        ``v``, row k holds the sums of v[k], all from the same exp blocks.
-
-        Each row is reduced on its own (einsum, not BLAS gemv), so a value
-        does not depend on how many t or vectors share its block.  The decays
-        fall with i; a block skips the leading nodes where exp(-t d) underflows
-        to 0 for all its t, in multiples of 64, so the rest keep their einsum
-        lanes.  Exponents below ``_EXP_FLOOR`` are raised to it (exp's fast
-        path), which moves a sum by at most sum |v_i| e^-600, about 1e-250.
-        """
-        d, vs = self._decay, np.atleast_2d(v)
-        out = np.empty((len(vs), ts.size))
-        for start in range(0, ts.size, _BLOCK_ROWS):
-            rows = ts[start : start + _BLOCK_ROWS]
-            # exp(-x) is exactly 0 in double precision for x > 745.14
-            skip = int(np.count_nonzero(d * rows.min() > 746.0)) // 64 * 64
-            block = np.multiply.outer(-rows, d[skip:])
-            np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
-            for row, vk in zip(out, vs):
-                row[start : start + _BLOCK_ROWS] = np.einsum("ij,j->i", block, vk[skip:])
-        return out.reshape(np.shape(v)[:-1] + ts.shape)
+        """``_laplace_sums`` on this rule: sum_i v_i exp(-t d_i) for each t in
+        the 1-D array ``ts``; for a 2-D ``v``, row k holds the sums of v[k]."""
+        sums = _laplace_sums(ts, self._decay[None], np.atleast_2d(v)[:, None])
+        return sums.reshape(np.shape(v)[:-1] + ts.shape)
 
     def psi_values(self, ts) -> np.ndarray:
         """psi_b = rho_b + tau_b, with tau_b the Laplace sum of the weights."""
@@ -402,17 +468,8 @@ class PsiEvaluator:
 
     def psi_jet(self, ts, order: int) -> np.ndarray:
         """Rows k = 0, ..., order: psi_b and its derivatives phi_b, phi_b', ...
-        from one exp block.  Row k is _osc(b, t, k pi/b) + (-1)^k sum_i w_i d_i^k
-        e^(-t d_i) / (b pi), plus 1 for k = 0, with phi_b(0) = 0 exactly."""
-        ts, b, k = _grid(ts), self.beta, np.arange(order + 1)[:, None]
-        v = [self._weights]
-        for _ in range(order):
-            v.append(v[-1] * -self._decay)  # (-1)^k w_i d_i^k
-        jet = _osc(b, ts, k * (PI / b))
-        jet[0] += 1.0
-        jet += self._laplace_sum(ts, np.array(v)) / (b * PI)
-        jet[1:2] = np.where(ts == 0.0, 0.0, jet[1:2])
-        return jet
+        from one exp block: the one-rule case of ``psi_jets``."""
+        return psi_jets([self], order)(ts)
 
     def _eta_weights(self, alpha: float) -> np.ndarray:
         """The v_i of ``eta_grid``'s branch-cut sum; DomainError unless
@@ -519,7 +576,8 @@ class PsiEvaluator:
 
 # -- per-beta cache of spectral rules ----------------------------------------
 
-# Distinct betas kept, least recently used dropped first (a rule is 16 kB).
+# Distinct betas kept, least recently used dropped first (a rule is 16 kB);
+# ``classify.psi_max`` takes a beta grid in groups of this many.
 BETA_CACHE_SIZE = 32
 _RULES = functools.lru_cache(maxsize=BETA_CACHE_SIZE)(PsiEvaluator)
 _BETA_LOCK = threading.Lock()

@@ -104,6 +104,24 @@ def test_c_bounds_stops_at_float_spacing(monkeypatch):
     assert not lo < 0.5 * (lo + hi) < hi
 
 
+def _record_newton_steps(monkeypatch):
+    """Patch ``classify.psi_jets`` so that every jet it hands out records its
+    calls into the returned list as (order, ts, which)."""
+    real, steps = C.psi_jets, []
+
+    def psi_jets(rules, order):
+        jet = real(rules, order)
+
+        def record(ts, which=None):
+            steps.append((order, np.array(ts), None if which is None else np.array(which)))
+            return jet(ts, which)
+
+        return record
+
+    monkeypatch.setattr(C, "psi_jets", psi_jets)
+    return steps
+
+
 def test_psi_max_roots_reuse_scanned_phi(monkeypatch):
     # Newton starts inside each scan cell, whose ends the scan already holds;
     # after the scan, no scan point is evaluated again
@@ -118,15 +136,16 @@ def test_psi_max_roots_reuse_scanned_phi(monkeypatch):
             return f(ts, *args)
 
         monkeypatch.setattr(rule, name, record)
+    steps = _record_newton_steps(monkeypatch)
     assert 1.0 < C.psi_max(beta) <= 4.0 / beta
-    scan, later = calls[0], calls[1:]
+    (scan,), later = calls, [ts for _, ts, _ in steps]
     assert scan.size == 127 and later
     assert not np.isin(np.concatenate(later), scan).any()
 
 
 def test_psi_max_scans_psi_and_phi_from_one_block(monkeypatch):
-    # the scan is one psi_jet(ts, 1) call, and every Newton step is one
-    # psi_jet(t, 2) call with one point in each cell still open, all cells at
+    # the scan is one psi_jet(ts, 1) call, and every Newton step is one call
+    # of an order-2 jet with one point in each cell still open, all cells at
     # the first step; psi_values and phi_values are not called
     beta = 1.9337
     rule = spectral_rule(beta)
@@ -135,17 +154,83 @@ def test_psi_max_scans_psi_and_phi_from_one_block(monkeypatch):
     monkeypatch.setattr(rule, "psi_jet", record)
     for name in ("psi_values", "phi_values"):
         monkeypatch.setattr(rule, name, lambda ts: pytest.fail("a separate psi or phi call"))
+    steps = _record_newton_steps(monkeypatch)
     C.psi_max(beta)
-    (scan_order, ts), steps = calls[0], calls[1:]
+    ((scan_order, ts),) = calls
     phis = real(ts, 1)[1]
     cells = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0))
     assert scan_order == 1 and cells.size == 2 and steps
     sizes = []
-    for order, t in steps:
+    for order, t, which in steps:
         cell = np.searchsorted(ts, t) - 1
         assert order == 2 and np.isin(cell, cells).all() and np.unique(cell).size == t.size
+        assert np.array_equal(which, np.zeros(t.size))  # the one beta's rule
         sizes.append(t.size)
     assert sizes[0] == cells.size and sizes == sorted(sizes, reverse=True)
+
+
+def test_psi_max_on_a_grid_scans_each_beta_once(monkeypatch):
+    # the array form: one order-1 scan per beta inside (1, 2), and Newton steps
+    # over the open cells of every beta of a group, each cell on its own rule
+    betas = np.concatenate([[1.0], np.linspace(1.001, 1.999, 70), [2.0]])
+    scans = []
+    real = K.PsiEvaluator.psi_jet
+    record = lambda ev, ts, order: scans.append((ev.beta, order)) or real(ev, ts, order)  # noqa: E731
+    monkeypatch.setattr(K.PsiEvaluator, "psi_jet", record)
+    steps = _record_newton_steps(monkeypatch)
+    values = C.psi_max(betas)
+    assert scans == [(b, 1) for b in betas[1:-1]]
+    groups = -(-70 // K.BETA_CACHE_SIZE)
+    assert len(steps) <= 12 * groups
+    assert max(int(which.max()) for _, _, which in steps) == K.BETA_CACHE_SIZE - 1
+    assert values[0] == 1.0 and values[-1] == 2.0
+
+
+def _grid_betas():
+    """The figure1 grid at 1001 points, 500 random betas in (1, 2) and 50 points
+    inside each endpoint band, each band edge included."""
+    rng = np.random.default_rng(18)
+    band = K.ENDPOINT_BAND
+    return (
+        np.linspace(1.0, 2.0, 1001),
+        rng.uniform(1.0, 2.0, 500),
+        np.linspace(1.0 + band / 50, 1.0 + band, 50),
+        np.linspace(2.0 - band, 2.0 - band / 50, 50),
+    )
+
+
+@pytest.mark.parametrize("betas", _grid_betas(), ids=("1001", "random", "band-1", "band-2"))
+def test_psi_max_on_a_grid_equals_psi_max_at_each_beta(betas):
+    values = C.psi_max(betas)
+    assert isinstance(values, np.ndarray) and values.shape == betas.shape
+    assert values.tobytes() == np.array([C.psi_max(float(b)) for b in betas]).tobytes()
+    assert type(C.psi_max(float(betas[1]))) is float
+
+
+@pytest.mark.parametrize("bad", (math.nan, 0.999, 2.001, -math.inf))
+def test_psi_max_on_a_grid_rejects_any_bad_beta(bad):
+    for at in (0, 17, 40):
+        betas = np.linspace(1.0, 2.0, 41)
+        betas[at] = bad
+        with pytest.raises(DomainError):
+            C.psi_max(betas)
+    with pytest.raises(DomainError):
+        C.psi_max(bad)
+
+
+def test_psi_max_on_overlapping_grids_from_threads():
+    # threads on overlapping grids of fresh betas, each with more betas than
+    # the rule cache holds, from more threads than cores, get the serial values
+    grids = [np.minimum(np.linspace(lo, 2.0, n) + 1e-5, 2.0) for lo, n in ((1.0, 61), (1.3, 57))] * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = list(pool.map(C.psi_max, grids))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [C.psi_max(g) for g in grids]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(concurrent, serial))
 
 
 def test_psi_max_scan_grid_is_the_set_union_without_zero(monkeypatch):
@@ -174,14 +259,17 @@ def test_psi_max_matches_oracle_on_figure1_grid():
 
 def test_psi_max_newton_steps_are_few(monkeypatch):
     # bracketed Newton ends within 12 steps, even within 1e-6 of the endpoints
-    real, steps = K.PsiEvaluator.psi_jet, []
+    real, scans = K.PsiEvaluator.psi_jet, []
     monkeypatch.setattr(
-        K.PsiEvaluator, "psi_jet", lambda ev, ts, order: steps.append(order) or real(ev, ts, order)
+        K.PsiEvaluator, "psi_jet", lambda ev, ts, order: scans.append(order) or real(ev, ts, order)
     )
+    steps = _record_newton_steps(monkeypatch)
     for beta in map(float, PSI_MAX_BETAS):
+        scans.clear()
         steps.clear()
         C.psi_max(beta)
-        assert steps[0] == 1 and 1 <= steps.count(2) <= 12, beta
+        assert scans == [1] and 1 <= len(steps) <= 12, beta
+        assert all(order == 2 for order, _, _ in steps), beta
 
 
 WITNESS_CASES = ((0.0, 1.5), (0.05, 1.5), (0.2, 1.9), (0.1, 1.738), (0.3, 1.3), (0.6, 1.5))
@@ -274,6 +362,10 @@ TRUTH_TABLE = [
     ("g", (1.0, 0.5), "ProvenCM", C.CITE_R4["iii"]),
     ("g", (0.5, 0.5), "ProvenNotCM", C.CITE_R4["v"]),
     ("g", (2.0, 1.0), "ProvenCM", C.CITE_R4["ii"]),
+    # 1 <= alpha < 2 lambda < 2: only the product rule covers it; below alpha = 1 it stays open
+    ("g", (1.2, 0.9), "ProvenCM", C.CITE_R4_PRODUCT),
+    ("g", (1.0 + 1e-9, 0.5 + 1e-9), "ProvenCM", C.CITE_R4_PRODUCT),
+    ("g", (1.0 - 1e-9, 0.6), "Undetermined", C.NUMERIC_BASIS),
 ]
 
 _CLASSIFIERS = {
@@ -506,6 +598,33 @@ def test_threshold_table_c_columns():
     assert set(payload) == {
         "beta_grid", "psi_max", "l_values", "beta_star", "c_lower", "c_upper",
     }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])),
+    st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.5])),
+)
+def test_g_product_rule_keeps_remark_4_labels(alpha, lam):
+    # x^-(alpha-1) is CM for alpha >= 1, so for lambda <= 1 the g function is
+    # a product of CM functions: never ProvenNotCM; a point that a Remark 4
+    # branch labels keeps that label
+    verdict = C.classify_g(alpha, lam)
+    labelled = (
+        (alpha == 1.0 and lam <= 1.0, "iii"),
+        (alpha >= 2.0 * lam, "ii"),
+        (alpha >= lam >= 1.0, "i"),
+        (alpha < lam, "iv"),
+        (alpha == lam and 0.0 < alpha < 1.0, "v"),
+    )
+    label = next((C.CITE_R4[k] for applies, k in labelled if applies), None)
+    if alpha >= 1.0 and lam <= 1.0:
+        assert verdict.status == "ProvenCM"
+        assert verdict.basis == (label or C.CITE_R4_PRODUCT)
+    elif label is not None:
+        assert verdict.basis == label
+    else:
+        assert verdict.status == "Undetermined"
 
 
 def test_verdict_serialization_field_names():

@@ -169,7 +169,7 @@ def test_figure1_nonconvergence_exits_3_without_output(tmp_path, monkeypatch, ca
     real_psi_max = cli.C.psi_max
 
     def flaky(beta):
-        if beta > 1.35:
+        if np.max(beta) > 1.35:
             raise ConvergenceError("forced for the exit-code contract")
         return real_psi_max(beta)
 

@@ -223,10 +223,13 @@ def test_psi_jet_phi_prime_matches_central_differences(beta):
 
 
 def _rule_values(beta, ts, levels=None, order=None):
-    """psi, phi and eta at alpha 0.05, 0.5 and 1 on a rule of the given shape."""
+    """psi, phi and eta at alpha 0.05, 0.5 and 1 on a rule of the given shape;
+    an order without held Gauss-Legendre tables takes numpy's ``leggauss``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(K, "RULE_LEVELS", levels or K.RULE_LEVELS)
         mp.setattr(K, "RULE_ORDER", order or K.RULE_ORDER)
+        if (order or K.RULE_ORDER) not in K._GAUSS_LEGENDRE:
+            mp.setattr(K, "_leggauss", np.polynomial.legendre.leggauss)
         ev = K.PsiEvaluator(beta)
     return np.array(
         [ev.psi_values(ts), ev.phi_values(ts)] + [ev.eta_values(a, ts) for a in (0.05, 0.5, 1.0)]
@@ -718,8 +721,26 @@ def test_eta_grid_domain():
     assert K.eta_grid(1.5, 2.0, [0.0])[0] == 0.0
 
 
+@pytest.mark.parametrize("order", (8, 10))
+def test_held_gauss_legendre_tables(order):
+    # the held tables are numpy's leggauss to 1 ulp (in fact bit for bit),
+    # and they integrate x^k over [-1, 1] exactly for k < 2n, up to rounding
+    # (numpy's order-8 weights sum to 2 + 1.2e-15)
+    nodes, weights = K._leggauss(order)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+    assert np.all(np.abs(nodes - ref_nodes) <= np.spacing(np.abs(ref_nodes)))
+    assert np.all(np.abs(weights - ref_weights) <= np.spacing(ref_weights))
+    for k in range(2 * order):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert np.sum(weights * nodes ** k) == pytest.approx(exact, abs=8 * np.finfo(float).eps), k
+
+
 def test_import_loads_no_scipy():
-    scipy_loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    # nor numpy.polynomial: the Gauss-Legendre tables are held as constants
+    scipy_loaded = (
+        "sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'polynomial'])"
+    )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(K.__file__))}
 
     def run(code):
