@@ -19,7 +19,16 @@ import numpy as np
 from . import models as M
 from . import taylor as ta
 from .errors import DomainError
-from .kernels import BETA_CACHE_SIZE, ENDPOINT_BAND, eta_grid, phi_callable, psi_jets, spectral_rule
+from .kernels import (
+    BETA_CACHE_SIZE,
+    ENDPOINT_BAND,
+    eta_grid,
+    eta_scan_grid,
+    phi_callable,
+    psi_jets,
+    scan_range,
+    spectral_rule,
+)
 from .numerics import Bracket, find_root
 
 PI = math.pi
@@ -50,7 +59,7 @@ _PRODUCT_BAND = 1e-12
 class Certificate:
     """Refutation witness: a sign violation at a concrete location."""
 
-    kind: str  # derivative_sign | eta_sign | indefinite_gram
+    kind: str  # derivative_sign | eta_sign
     location: float | str
     order: Optional[int]
     value: float
@@ -68,11 +77,6 @@ class Verdict:
 
 
 # -- threshold machinery ------------------------------------------------------
-
-
-def scan_range(beta: float, periods: float = 3.0) -> float:
-    """Search horizon t-scale: the oscillation of psi_b is set by sin(pi/b)."""
-    return periods * PI / math.sin(PI / beta)
 
 
 def psi_max(beta):
@@ -131,10 +135,14 @@ def l_of_beta(beta: float) -> float:
     return beta * (psi_max(beta) - 1.0)
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    if not 0.0 < tol < math.inf:  # also a NaN
+        raise DomainError(f"{name} must be finite and positive")
+
+
 def beta_star(tol: float = 1e-6) -> float:
     """The unique b in (1, 2) with l(b) = 1; approximately 1.74."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("tol must be finite and positive")
+    _check_tol(tol)
     return find_root(lambda b: l_of_beta(b) - 1.0, Bracket(1.5, 1.9), tol)
 
 
@@ -147,7 +155,8 @@ ETA_NEGATIVE_THRESHOLD = -1e-7
 
 
 def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
-    """Scan eta_{a,b} on 4096 points of [0, 6 pi / sin(pi/b)] for a sign violation.
+    """Scan eta_{a,b} for a sign violation on ``eta_scan_grid``, 4096 points of
+    [0, 6 pi / sin(pi/b)].
 
     Negativity refutes complete monotonicity of 1/(x^a (1+x^b)) exactly;
     absence of negativity on a finite grid proves nothing.  Sign changes
@@ -155,11 +164,10 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
     to phi_b itself (the power-law factor becomes a point mass).  A value
     that is not finite (a NaN from invalid input) never becomes a witness.
     """
-    t_max, n = scan_range(beta, 6.0), 4096
-    ts = np.linspace(0.0, t_max, n)
+    ts = eta_scan_grid(beta)
     scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
     if beta - 1.0 >= ENDPOINT_BAND and 2.0 - beta >= ENDPOINT_BAND:
-        vals = spectral_rule(beta).eta_scan(alpha, t_max, n)
+        vals = spectral_rule(beta).eta_scan(alpha)
     else:
         vals = scan(ts)  # closed forms in the endpoint bands, DomainError outside [1, 2]
     i = int(np.argmin(vals))
@@ -170,7 +178,7 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
         i = int(near[np.argmin(vals[near])])
     if vals[i] >= ETA_NEGATIVE_THRESHOLD:
         return None
-    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, n - 1)], 64)
+    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)], 64)
     fvals = scan(fine)
     j = int(np.argmin(fvals))
     if not math.isfinite(fvals[j]):
@@ -190,8 +198,7 @@ def c_bounds(beta: float, alpha_tol: float = 1e-3) -> Tuple[float, float]:
     """
     if not 1.0 < beta <= 2.0:
         raise DomainError("c_bounds requires beta in (1, 2]")
-    if not 0.0 < alpha_tol < math.inf:
-        raise DomainError("alpha_tol must be finite and positive")
+    _check_tol(alpha_tol, "alpha_tol")
     lower = 0.0
     upper = beta / 2.0
     while upper - lower > alpha_tol:
@@ -298,8 +305,10 @@ def classify_aux_cm(alpha: float, beta: float) -> Verdict:
 
 
 def classify_aux_lcm(alpha: float, beta: float, tol: float = 1e-6) -> Verdict:
-    """Logarithmic complete monotonicity of 1/(x^alpha (1 + x^beta))."""
+    """Logarithmic complete monotonicity of 1/(x^alpha (1 + x^beta));
+    DomainError unless tol, the width of the Undetermined band, is finite and > 0."""
     M.AuxParams(alpha, beta)  # finite, alpha >= 0, beta >= 0
+    _check_tol(tol)
     if beta > 2.0:
         return Verdict(
             "ProvenNotLCM",
@@ -330,8 +339,10 @@ def classify_aux_lcm(alpha: float, beta: float, tol: float = 1e-6) -> Verdict:
 
 def classify_dagum(beta: float, gamma: float, tol: float = 1e-6) -> Verdict:
     """Complete monotonicity (hence all-dimension positive definiteness) of
-    the correlation 1 - (x^beta/(1+x^beta))^gamma."""
+    the correlation 1 - (x^beta/(1+x^beta))^gamma; DomainError unless tol, the
+    width of the Undetermined band, is finite and > 0."""
     M.DagumParams(beta, gamma)  # finite, beta > 0, gamma > 0
+    _check_tol(tol)
     product = beta * gamma
     if beta > 2.0 or product > 1.0 + _PRODUCT_BAND:
         return Verdict("ProvenNotCM", CITE_T9_NECESSITY)
@@ -420,63 +431,20 @@ CLASSIFIERS = {
 
 @dataclass
 class ThresholdTable:
-    """Tabulated Psi, l and (optionally) c-bounds over a beta grid.
-
-    Only the internal consistency c_lower <= c_upper is enforced at build
-    time; the monotonicity facts are validated by the test suite.
-    """
+    """Tabulated Psi, l and beta* over a beta grid (what ``figure1`` prints);
+    the monotonicity facts are validated by the test suite."""
 
     beta_grid: np.ndarray
     psi_values: np.ndarray
     l_values: np.ndarray
     beta_star: float
-    c_lower: Optional[np.ndarray] = None
-    c_upper: Optional[np.ndarray] = None
 
     @classmethod
     def build(
-        cls,
-        n: int = 101,
-        lo: float = 1.0,
-        hi: float = 2.0,
-        compute_c: bool = False,
-        alpha_tol: float = 1e-3,
-        root_tol: float = 1e-6,
+        cls, n: int = 101, lo: float = 1.0, hi: float = 2.0, root_tol: float = 1e-6
     ) -> "ThresholdTable":
         if n < 11:
             raise DomainError("grid needs at least 11 points")
         betas = np.linspace(lo, hi, n)
         psis = psi_max(betas)
-        ls = betas * (psis - 1.0)
-        star = beta_star(root_tol)
-        c_lo = c_hi = None
-        if compute_c:
-            pairs = [
-                c_bounds(float(b), alpha_tol) if b > 1.0 else (0.0, 0.0) for b in betas
-            ]
-            c_lo = np.array([p[0] for p in pairs])
-            c_hi = np.array([p[1] for p in pairs])
-            if np.any(c_lo > c_hi):
-                raise AssertionError("c bracket inverted")
-        return cls(
-            beta_grid=betas,
-            psi_values=psis,
-            l_values=ls,
-            beta_star=star,
-            c_lower=c_lo,
-            c_upper=c_hi,
-        )
-
-    def to_dict(self) -> dict:
-        out = {
-            "beta_grid": self.beta_grid.tolist(),
-            "psi_max": self.psi_values.tolist(),
-            "l_values": self.l_values.tolist(),
-            "beta_star": self.beta_star,
-            "c_lower": self.c_lower.tolist() if self.c_lower is not None else None,
-            "c_upper": self.c_upper.tolist() if self.c_upper is not None else None,
-        }
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return cls(betas, psis, betas * (psis - 1.0), beta_star(root_tol))

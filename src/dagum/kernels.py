@@ -36,9 +36,10 @@ rule, for the Newton steps of psi_max over a beta grid; ``psi_jet`` is its
 one-rule case, for the psi_max scan from t > 0).  eta is the same branch-cut
 inversion as tau, with alpha-dependent weights on the same nodes.  The
 Gauss-Legendre tables are held as constants.  The eta sign scans themselves
-run on a uniform grid t = k h, where exp(-k h d) factors into a per-block
-and a per-row part: ``eta_scan`` is one matrix product of a block of
-exp(-j h d) and a column of shifts per block, not one exp per (t, node).
+run on one uniform grid t = k h (``eta_scan_grid``), where exp(-k h d)
+factors into a per-block and a per-row part: ``eta_scan`` is one matrix
+product of a block of exp(-j h d) and a column of shifts per block, not one
+exp per (t, node).
 Every Laplace-sum exponent is floored at -600, off numpy's slow exp range
 (-745, -707.7).  The adaptive routes above stay as the independent check.
 """
@@ -62,7 +63,7 @@ PI = math.pi
 # Closed forms take over this close to b = 1 and b = 2 (``_closed_forms``).
 ENDPOINT_BAND = 2.5e-4
 
-ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta on the rule; scans start above 7e-5
+ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta on the rule; scans start above 4.6e-3
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,11 @@ def _consts(beta: float) -> Tuple[float, float]:
     if sigma <= 0.0:
         raise DomainError(f"integral routes need beta strictly inside (1, 2), got {beta}")
     return sigma, math.cos(beta * PI)
+
+
+def scan_range(beta: float, periods: float = 3.0) -> float:
+    """Search horizon t-scale: the oscillation of psi_b is set by sin(pi/b)."""
+    return periods * PI / math.sin(PI / beta)
 
 
 def _denom(s: float, beta: float, c: float) -> float:
@@ -364,11 +370,20 @@ def psi(beta: float, t: float) -> KernelValue:
 RULE_ORDER, RULE_LEVELS = 10, (50, 30)  # the spectral rule's shape, see ``PsiEvaluator``
 
 # Rows of t per block of a Laplace sum: 256 rows x 800 nodes is about 1.6 MB;
-# rows gathered from several rules go 16 to a block (``psi_jets``), and a
-# uniform scan reuses one block of 128 rows (``PsiEvaluator.eta_scan``).
+# rows gathered from several rules go 16 to a block (``psi_jets``), and the
+# sign scan reuses one block of 128 rows (``PsiEvaluator.eta_scan``).
 # Every exponent is floored at -600, off numpy's slow exp range (-745, -707.7);
 # e^-600 |v_i| stays a normal double for every |v_i| > 1e-47.
 _BLOCK_ROWS, _GATHER_ROWS, _SCAN_ROWS, _EXP_FLOOR = 256, 16, 128, -600.0
+_SCAN_POINTS = 4096  # of the sign-scan grid: 32 blocks of ``_SCAN_ROWS``
+
+
+def eta_scan_grid(beta: float) -> np.ndarray:
+    """The one grid of every eta sign scan: t_k = k h, k < 4096, on
+    [0, scan_range(b, 6) = 6 pi / sin(pi/b)], so h = t_max / 4095 (at least
+    4.6e-3, at b = 2).  ``eta_scan`` and ``classify.eta_negative_witness``
+    both read it."""
+    return np.arange(_SCAN_POINTS) * (scan_range(beta, 6.0) / (_SCAN_POINTS - 1))
 
 
 def _laplace_sums(ts: np.ndarray, d: np.ndarray, v: np.ndarray, which=None) -> np.ndarray:
@@ -494,67 +509,55 @@ class PsiEvaluator:
         out[pos] = kappa(alpha, tp) + _osc(b, tp, (1.0 - alpha) * (PI / b)) + self._laplace_sum(tp, v)
         return out
 
-    def eta_scan(self, alpha: float, t_max: float, n: int) -> np.ndarray:
-        """eta_{a,b} (0 < a <= 1) or phi_b (a = 0) at t_k = k t_max/(n-1),
-        k < n, with the value 0 at t = 0: the uniform grid of a sign scan.
+    def eta_scan(self, alpha: float) -> np.ndarray:
+        """eta_{a,b} (0 < a <= 1) or phi_b (a = 0) on ``eta_scan_grid(b)``,
+        with the value 0 at t = 0.
 
         On that grid exp(-(k R + j) h d_i) = exp(-k R h d_i) exp(-j h d_i): the
         scan is one product of B[j, i] = exp(-j h d_i), R = ``_SCAN_ROWS`` rows,
-        and E[i, k] = v_i exp(-k R h d_i), 0 below ``_EXP_FLOOR``, where B is
-        floored; each moves a value by at most sum |v_i| e^-600.  Everything
-        but the weights v comes from ``_scan_basis``, held for the next scan of
-        the same grid (a ``c_bounds`` bisection).  Values
-        differ from ``eta_values`` and ``phi_values`` only by rounding (about
-        1e-14), as between BLAS thread counts.  DomainError for a
-        outside [0, 1], for t_max not finite and positive, for n < 1, and for
-        0 < a with a grid step below ``ETA_GRID_T_FLOOR``; a NaN a gives NaN.
+        and E[i, k] = v_i exp(-k R h d_i), 0 below ``_EXP_FLOOR``, k < 32, where
+        B is floored; each moves a value by at most sum |v_i| e^-600.
+        Everything but the weights v comes from ``_scan_basis``, held for the
+        next scan of the same beta (a ``c_bounds`` bisection).  Values differ
+        from ``eta_values`` and ``phi_values`` only by rounding (about 1e-14),
+        as between BLAS thread counts.  DomainError for a outside [0, 1]; a
+        NaN a gives NaN.
         """
         if alpha < 0.0 or alpha > 1.0:
             raise DomainError(f"the scan requires 0 <= alpha <= 1, got {alpha}")
-        if not 0.0 < t_max < math.inf:
-            raise DomainError(f"the scan requires a finite t_max > 0, got {t_max}")
-        if n < 1:
-            raise DomainError(f"the scan requires n >= 1 points, got {n}")
-        if alpha != 0.0 and n > 1 and t_max / (n - 1) < ETA_GRID_T_FLOOR:
-            raise DomainError(f"eta on the rule requires t = 0 or t >= {ETA_GRID_T_FLOOR}")
         b = self.beta
         if alpha == 0.0:
             v, shift = self._weights * self._decay / (-b * PI), PI / b
         else:
             v, shift = self._eta_weights(alpha), (1.0 - alpha) * (PI / b)
-        with _BETA_LOCK:  # another grid's scan rewrites the basis in place
-            ts, keep, block, cols, grow, turn = self._scan_basis(t_max, n)
+        with _BETA_LOCK:  # another beta's scan rewrites the basis in place
+            ts, keep, block, cols, grow, turn = self._scan_basis()
             # ``_osc(b, ts, shift)`` from the held exp(t cos A) and t sin A
             out = -(2.0 / b) * grow * np.cos(turn + shift)
-            out += (block @ (cols * v[keep, None])).T.ravel()[:n]
+            out += (block @ (cols * v[keep, None])).T.ravel()
             if alpha != 0.0:
                 out[1:] += kappa(alpha, ts[1:])
         out[0] = 0.0
         return out
 
-    def _scan_basis(self, t_max: float, n: int) -> tuple:
-        """``eta_scan``'s alpha-free arrays for (beta, t_max, n), held from call
-        to call, read-only: t, the kept nodes, B, exp(-k R h d_i), exp(t cos A)
+    def _scan_basis(self) -> tuple:
+        """``eta_scan``'s alpha-free arrays for this beta, held from call to
+        call, read-only: t, the kept nodes, B, exp(-k R h d_i), exp(t cos A)
         and t sin A.  Call under ``_BETA_LOCK``: they are views of one buffer,
-        rewritten for a new key, as a freed basis would page-fault afresh."""
-        key = (self.beta, t_max, n)
-        if _SCAN_SLOT[0] != key:
-            _SCAN_SLOT[:2] = [None, None]  # invalid while the buffer is rewritten
-            h = t_max / max(n - 1, 1)
+        rewritten for a new beta, as a freed basis would page-fault afresh."""
+        if _SCAN_SLOT[0] != self.beta:
+            _SCAN_SLOT[:] = [None, None]  # invalid while the buffer is rewritten
+            n, rows = _SCAN_POINTS, _SCAN_ROWS
+            buffer = _scan_buffer(self._decay.size)
+            ts, grow, turn = buffer[: 3 * n].reshape(3, n)
+            ts[:] = eta_scan_grid(self.beta)
+            h = float(ts[1])
             # exp(-x) is exactly 0 in double precision for x > 745.14, so a
             # node with h d > 746 adds nothing at any t > 0
             keep = h * self._decay <= 746.0
             d = self._decay[keep]
-            rows = min(n, _SCAN_ROWS)
-            m = -(-n // rows)  # columns of shifts
-            room = 3 * n + (rows + m) * self._decay.size  # for every node at this n
-            if _SCAN_SLOT[2].size < room:
-                _SCAN_SLOT[2] = np.empty(0)  # free the old buffer before allocating
-                _SCAN_SLOT[2] = np.empty(room)
-            ts, grow, turn = _SCAN_SLOT[2][: 3 * n].reshape(3, n)
-            rest = _SCAN_SLOT[2][3 * n : 3 * n + (rows + m) * d.size]
-            block, cols = rest[: rows * d.size].reshape(rows, -1), rest[rows * d.size :].reshape(-1, m)
-            np.multiply(np.arange(n), h, out=ts)
+            rest = buffer[3 * n : 3 * n + (rows + n // rows) * d.size]
+            block, cols = rest[: rows * d.size].reshape(rows, -1), rest[rows * d.size :].reshape(d.size, -1)
             np.multiply.outer(-h * np.arange(rows), d, out=block)
             np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
             # column k is exp(-k R h d_i), exactly 0 below the floor
@@ -565,7 +568,7 @@ class PsiEvaluator:
             np.multiply(ts, math.sin(PI / self.beta), out=turn)
             for arr in (ts, keep, block, cols, grow, turn):
                 arr.flags.writeable = False
-            _SCAN_SLOT[:2] = [key, (ts, keep, block, cols, grow, turn)]
+            _SCAN_SLOT[:] = [self.beta, (ts, keep, block, cols, grow, turn)]
         return _SCAN_SLOT[1]
 
     def psi(self, t):
@@ -581,8 +584,15 @@ class PsiEvaluator:
 BETA_CACHE_SIZE = 32
 _RULES = functools.lru_cache(maxsize=BETA_CACHE_SIZE)(PsiEvaluator)
 _BETA_LOCK = threading.Lock()
-# The last eta scan's alpha-free arrays, [key, basis, buffer] (``PsiEvaluator._scan_basis``).
-_SCAN_SLOT: list = [None, None, np.empty(0)]
+# The last eta scan's [beta, alpha-free arrays] (``PsiEvaluator._scan_basis``).
+_SCAN_SLOT: list = [None, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_buffer(nodes: int) -> np.ndarray:
+    """The one buffer that ``_scan_basis`` rewrites, with room for every node of
+    a rule (1.1 MB for 800), allocated by the first scan of the process."""
+    return np.empty(3 * _SCAN_POINTS + (_SCAN_ROWS + _SCAN_POINTS // _SCAN_ROWS) * nodes)
 
 
 def spectral_rule(beta: float) -> PsiEvaluator:

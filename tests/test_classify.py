@@ -298,7 +298,7 @@ def test_eta_witness_decides_near_ties_on_einsum_values(monkeypatch):
     # 1e-14 to either side of the threshold: the einsum values decide each one
     for alpha, beta in WITNESS_CASES:
         ref = C.eta_negative_witness(alpha, beta)
-        vals = K.spectral_rule(beta).eta_scan(alpha, C.scan_range(beta, 6.0), 4096)
+        vals = K.spectral_rule(beta).eta_scan(alpha)
         i = int(np.argmin(vals))
         j = (i + 2048) % 4096
 
@@ -318,15 +318,15 @@ def test_eta_witness_decides_near_ties_on_einsum_values(monkeypatch):
             monkeypatch.undo()
 
 
-def _witness_on_eta_grid(alpha, beta, n_points=4096, periods=6.0):
+def _witness_on_eta_grid(alpha, beta):
     # eta_negative_witness with its coarse scan taken from eta_grid, as the
-    # direct Laplace sums compute it
-    ts = np.linspace(0.0, C.scan_range(beta, periods), n_points)
+    # direct Laplace sums compute it, on the one sign-scan grid
+    ts = K.eta_scan_grid(beta)
     vals = K.eta_grid(alpha, beta, ts)
     i = int(np.argmin(vals))
     if vals[i] >= C.ETA_NEGATIVE_THRESHOLD:
         return None
-    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, n_points - 1)], 64)
+    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)], 64)
     fvals = K.eta_grid(alpha, beta, fine)
     j = int(np.argmin(fvals))
     return C.Certificate("eta_sign", float(fine[j]), None, float(fvals[j]))
@@ -586,18 +586,12 @@ def test_threshold_table_invariants(coarse_table):
     assert 1.70 <= t.beta_star <= 1.78
 
 
-def test_threshold_table_c_columns():
-    table = C.ThresholdTable.build(n=11, lo=1.2, hi=2.0, compute_c=True, alpha_tol=5e-3)
-    assert table.c_lower is not None and table.c_upper is not None
-    assert np.all(table.c_lower <= table.c_upper)
-    assert np.all(table.c_upper <= table.beta_grid / 2.0 + 1e-12)
-    assert np.all(table.c_lower > 0.0)
-    # c <= l with scan fuzz no larger than the bisection resolution
-    assert np.all(table.c_upper <= table.l_values + 2.0 * 5e-3)
-    payload = json.loads(table.to_json())
-    assert set(payload) == {
-        "beta_grid", "psi_max", "l_values", "beta_star", "c_lower", "c_upper",
-    }
+def test_c_bounds_on_a_beta_grid():
+    for beta in map(float, np.linspace(1.2, 2.0, 11)):
+        lower, upper = C.c_bounds(beta, 5e-3)
+        assert 0.0 < lower <= upper <= beta / 2.0, beta
+        # c <= l with scan fuzz no larger than the bisection resolution
+        assert upper <= C.l_of_beta(beta) + 2.0 * 5e-3, beta
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -689,6 +683,18 @@ def test_scan_grid_points_must_be_finite_and_positive(scan, bad):
 def test_c_bounds_alpha_tol_must_be_finite_and_positive(alpha_tol):
     with pytest.raises(DomainError, match="alpha_tol"):
         C.c_bounds(1.5, alpha_tol=alpha_tol)
+
+
+@pytest.mark.parametrize("tol", (math.nan, math.inf, 0.0, -1e-6, -1.0))
+def test_classifier_tol_must_be_finite_and_positive(tol):
+    # a negative tol would turn the Undetermined band inside out: at these
+    # points tol = -1 would give ProvenCM (Theorem 9(iii)) and ProvenLCM (Eq. (4.2))
+    assert C.classify_dagum(1.5, 0.6).status == "ProvenNotCM"
+    assert C.classify_aux_lcm(0.3, 1.5).status == "ProvenNotLCM"
+    for classify, args in ((C.classify_dagum, (1.5, 0.6)), (C.classify_aux_lcm, (0.3, 1.5)),
+                           (C.classify_dagum, (3.0, 1.0)), (C.classify_aux_lcm, (1.0, 0.5))):
+        with pytest.raises(DomainError, match="tol"):
+            classify(*args, tol=tol)
 
 
 def test_eta_witness_never_from_nan():

@@ -532,14 +532,26 @@ def test_every_kernel_route_rejects_negative_and_nan_t(bad):
 def test_eta_scan_matches_rule_values(beta):
     # the shifted-block scan against the direct Laplace sums at the same t
     rule = K.spectral_rule(beta)
+    ts = K.eta_scan_grid(beta)
+    for alpha in (0.0, 0.001, 0.05, 0.5, 1.0):
+        scan = rule.eta_scan(alpha)
+        ref = rule.phi_values(ts) if alpha == 0.0 else rule.eta_values(alpha, ts)
+        assert scan.shape == (4096,) and scan[0] == 0.0
+        assert np.max(np.abs(scan - ref)) <= 1e-13, alpha
+
+
+@pytest.mark.parametrize("beta", (1.0, 1.0001, 1.2508, 1.5, 1.9999, 2.0))
+def test_eta_scan_grid_is_one_fixed_grid(beta):
+    # 4096 points t_k = k h on [0, 6 pi / sin(pi/b)]: linspace's points but
+    # the last, which may be 1 ulp off k h (at b = 1.2508, for one); the step
+    # stays far above the small-t floor of eta on the rule
+    ts = K.eta_scan_grid(beta)
     t_max = 6.0 * PI / math.sin(PI / beta)
-    for n in (1, 2, K._SCAN_ROWS - 1, K._SCAN_ROWS, K._SCAN_ROWS + 1, 4096):
-        ts = np.arange(n) * (t_max / max(n - 1, 1))
-        for alpha in (0.0, 0.001, 0.05, 0.5, 1.0):
-            scan = rule.eta_scan(alpha, t_max, n)
-            ref = rule.phi_values(ts) if alpha == 0.0 else rule.eta_values(alpha, ts)
-            assert scan.shape == (n,) and scan[0] == 0.0
-            assert np.max(np.abs(scan - ref)) <= 1e-13, (n, alpha)
+    assert ts.size == 4096 == 32 * K._SCAN_ROWS
+    assert np.array_equal(ts, np.arange(4096) * (t_max / 4095))
+    assert np.array_equal(ts[:-1], np.linspace(0.0, t_max, 4096)[:-1])
+    assert ts[-1] == pytest.approx(t_max, rel=2.3e-16)
+    assert ts[1] >= 6.0 * PI / 4095 > 4.6e-3 > K.ETA_GRID_T_FLOOR
 
 
 @pytest.mark.parametrize("beta", (1.0, 1.0001, 1.5, 1.9999, 2.0))
@@ -552,33 +564,32 @@ def test_eta_at_subnormal_alpha_is_phi(beta):
         assert np.max(np.abs(K.eta_grid(alpha, beta, ts) - phi)) <= 1e-13
         if 1.0 < beta < 2.0:
             rule = K.spectral_rule(beta)
-            scan = rule.eta_scan(alpha, 20.0, 41)
-            assert np.max(np.abs(scan - rule.eta_scan(0.0, 20.0, 41))) <= 1e-13
+            scan = rule.eta_scan(alpha)
+            assert np.max(np.abs(scan - rule.eta_scan(0.0))) <= 1e-13
 
 
-def _fresh_scan(beta, alpha, t_max, n):
-    K._SCAN_SLOT[:] = [None, None, np.empty(0)]
-    return K.PsiEvaluator(beta).eta_scan(alpha, t_max, n)
+def _fresh_scan(beta, alpha):
+    K._SCAN_SLOT[:] = [None, None]
+    return K.PsiEvaluator(beta).eta_scan(alpha)
 
 
 def test_eta_scan_held_basis_equals_fresh_evaluator():
     # the alpha-free basis is held in one slot across scans; interleaved
-    # betas, grids and alphas must each give a fresh evaluator's bits
-    grids = ((20.0, 4096), (6.0 * PI / math.sin(PI / 1.3), 300))
-    cases = [(b, a, *g) for g in grids for b in (1.2, 1.5, 1.8) for a in (0.0, 0.3, 1.0)]
+    # betas and alphas must each give a fresh evaluator's bits
+    cases = [(b, a) for b in (1.0003, 1.2, 1.5, 1.8) for a in (0.0, 0.3, 1.0)]
     expected = {case: _fresh_scan(*case).tobytes() for case in cases}
     order = np.random.default_rng(3).permutation(len(cases) * 3) % len(cases)
-    buffers = set()
     for case in cases + [cases[i] for i in order]:
-        beta, alpha, t_max, n = case
-        assert K.spectral_rule(beta).eta_scan(alpha, t_max, n).tobytes() == expected[case], case
-        key, basis, buffer = K._SCAN_SLOT
-        assert key == (beta, t_max, n) and not any(arr.flags.writeable for arr in basis)
-        buffers.add(id(buffer))
-    assert len(buffers) == 1  # sized for 4096 points at the first case, then rewritten in place
+        beta, alpha = case
+        assert K.spectral_rule(beta).eta_scan(alpha).tobytes() == expected[case], case
+        key, basis = K._SCAN_SLOT
+        assert key == beta and not any(arr.flags.writeable for arr in basis)
+        # every array but the node mask is rewritten in place in the one buffer
+        ts, keep, *rest = basis
+        assert all(np.shares_memory(arr, K._scan_buffer(800)) for arr in [ts] + rest)
     held = K._SCAN_SLOT[1]
     for alpha in (0.0, 0.3, 1.0):  # a c_bounds bisection: one basis for every step
-        K.spectral_rule(beta).eta_scan(alpha, t_max, n)
+        K.spectral_rule(beta).eta_scan(alpha)
         assert K._SCAN_SLOT[1] is held
 
 
@@ -586,7 +597,7 @@ def test_eta_scan_basis_failed_rewrite_is_not_reused():
     # a rewrite that fails halfway leaves no key behind, so the next scan of
     # the old grid builds its basis again instead of reading the torn buffer
     rule = K.spectral_rule(1.5)
-    first = rule.eta_scan(0.3, 20.0, 4096).tobytes()
+    first = rule.eta_scan(0.3).tobytes()
 
     def broken(*args, **kwargs):
         raise MemoryError
@@ -594,19 +605,18 @@ def test_eta_scan_basis_failed_rewrite_is_not_reused():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "exp", broken)
         with pytest.raises(MemoryError):
-            K.spectral_rule(1.6).eta_scan(0.3, 20.0, 4096)
-    assert rule.eta_scan(0.3, 20.0, 4096).tobytes() == first
+            K.spectral_rule(1.6).eta_scan(0.3)
+    assert rule.eta_scan(0.3).tobytes() == first
 
 
 def test_eta_scan_threads_match_serial():
     # scans of two betas from more threads than cores contend for the one slot
-    t_max = 20.0
-    serial = {b: _fresh_scan(b, 0.3, t_max, 4096).tobytes() for b in (1.3, 1.7)}
+    serial = {b: _fresh_scan(b, 0.3).tobytes() for b in (1.3, 1.7)}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(lambda b: K.spectral_rule(b).eta_scan(0.3, t_max, 4096), b)
+            futures = [pool.submit(lambda b: K.spectral_rule(b).eta_scan(0.3), b)
                        for b in (1.3, 1.7) * 8]
             results = [f.result(timeout=60) for f in futures]
     finally:
@@ -616,20 +626,10 @@ def test_eta_scan_threads_match_serial():
 
 def test_eta_scan_domain():
     rule = K.spectral_rule(1.5)
-    for t_max in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError, match="t_max"):
-            rule.eta_scan(0.5, t_max, 16)
-    for n in (0, -3):
-        with pytest.raises(DomainError, match="n >= 1"):
-            rule.eta_scan(0.5, 10.0, n)
-    for alpha in (-0.1, 1.5):
+    for alpha in (-0.1, 1.5, -math.inf, math.inf):
         with pytest.raises(DomainError, match="alpha"):
-            rule.eta_scan(alpha, 10.0, 16)
-    # a first positive t below the floor of eta on the rule; phi has no floor
-    with pytest.raises(DomainError):
-        rule.eta_scan(0.5, 1e-4, 1000)
-    assert rule.eta_scan(0.0, 1e-4, 1000)[-1] == pytest.approx(rule.phi_values(1e-4)[0], abs=1e-13)
-    assert np.isnan(rule.eta_scan(math.nan, 10.0, 16)[1:]).all()
+            rule.eta_scan(alpha)
+    assert np.isnan(rule.eta_scan(math.nan)[1:]).all()
 
 
 def _psi_max_scan_grid(beta):
@@ -678,31 +678,33 @@ def test_laplace_sum_exponents_stay_above_the_floor():
         return real(x, *args, **kwargs)
 
     rule = K.spectral_rule(1.5)
-    K._SCAN_SLOT[:2] = [None, None]  # the scan builds its held basis here
+    K._SCAN_SLOT[:] = [None, None]  # the scan builds its held basis here
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "exp", exp)
         C.psi_max(1.5)
-        rule.eta_scan(0.3, 6.0 * PI / math.sin(PI / 1.5), 4096)
+        rule.eta_scan(0.3)
     assert min(lowest) == K._EXP_FLOOR  # the floor was reached, and never passed
 
 
 @pytest.mark.parametrize("beta", (1.0003, 1.3, 1.5, 1.9))
 def test_eta_scan_one_product_matches_rule_values(beta):
-    # column boundaries of the product at 2R+1, a short and a long last
-    # column at 4095 and 4097; at beta 1.0003 t_max is about 2e4, and even at
-    # 4097 points 40% of the nodes underflow at every t > 0
+    # one product of a 128-row block and 32 columns of shifts over the kept
+    # nodes; at beta 1.0003 t_max is about 2e4, and 40% of the nodes
+    # underflow at every t > 0 and are left out of the product
     rule = K.spectral_rule(beta)
-    t_max = 6.0 * PI / math.sin(PI / beta)
+    ts = K.eta_scan_grid(beta)
+    rule.eta_scan(0.5)
+    _, keep, block, cols, _, _ = K._SCAN_SLOT[1]
+    assert block.shape == (K._SCAN_ROWS, keep.sum()) and cols.shape == (keep.sum(), 32)
+    assert np.array_equal(keep, ts[1] * rule._decay <= 746.0)
     if beta == 1.0003:
-        assert t_max > 1.9e4
-        assert np.count_nonzero(t_max / 4096 * rule._decay > 746.0) > 0.4 * rule._decay.size
-    for n in (2 * K._SCAN_ROWS + 1, 4095, 4097):
-        ts = np.arange(n) * (t_max / (n - 1))
-        for alpha in (0.0, 0.001, 0.05, 0.5, 1.0):
-            scan = rule.eta_scan(alpha, t_max, n)
-            ref = rule.phi_values(ts) if alpha == 0.0 else rule.eta_values(alpha, ts)
-            assert scan.shape == (n,) and scan[0] == 0.0
-            assert np.max(np.abs(scan - ref)) <= 1e-13, (n, alpha)
+        assert ts[-1] > 1.9e4 and np.count_nonzero(~keep) > 0.4 * keep.size
+    # the values on both sides of every column boundary
+    edges = np.sort(np.concatenate([np.arange(0, 4096, 128), np.arange(127, 4096, 128)]))
+    for alpha in (0.0, 0.001, 0.05, 0.5, 1.0):
+        scan = rule.eta_scan(alpha)[edges]
+        ref = rule.phi_values(ts[edges]) if alpha == 0.0 else rule.eta_values(alpha, ts[edges])
+        assert np.max(np.abs(scan - ref)) <= 1e-13, alpha
 
 
 def test_eta_grid_domain():
