@@ -163,13 +163,16 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
     are refined locally before reporting.  At a = 0 the kernel degenerates
     to phi_b itself (the power-law factor becomes a point mass).  A value
     that is not finite (a NaN from invalid input) never becomes a witness.
+    DomainError unless 1 <= b <= 2.
     """
+    if not 1.0 <= beta <= 2.0:
+        raise DomainError(f"eta_negative_witness requires beta in [1, 2], got {beta}")
     ts = eta_scan_grid(beta)
     scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
     if beta - 1.0 >= ENDPOINT_BAND and 2.0 - beta >= ENDPOINT_BAND:
         vals = spectral_rule(beta).eta_scan(alpha)
     else:
-        vals = scan(ts)  # closed forms in the endpoint bands, DomainError outside [1, 2]
+        vals = scan(ts)  # the closed forms in the endpoint bands
     i = int(np.argmin(vals))
     # eta_scan moves by up to 7e-15 with the BLAS thread count: ``scan`` decides close calls
     near = np.flatnonzero(vals <= vals[i] + 1e-12)

@@ -467,12 +467,6 @@ class PsiEvaluator:
         y = np.maximum(sigma / np.tan(w) - c, 0.0)
         self._decay = y ** (1.0 / beta)
 
-    def _laplace_sum(self, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``_laplace_sums`` on this rule: sum_i v_i exp(-t d_i) for each t in
-        the 1-D array ``ts``; for a 2-D ``v``, row k holds the sums of v[k]."""
-        sums = _laplace_sums(ts, self._decay[None], np.atleast_2d(v)[:, None])
-        return sums.reshape(np.shape(v)[:-1] + ts.shape)
-
     def psi_values(self, ts) -> np.ndarray:
         """psi_b = rho_b + tau_b, with tau_b the Laplace sum of the weights."""
         return self.psi_jet(ts, 0)[0]
@@ -506,7 +500,8 @@ class PsiEvaluator:
         pos = ts > 0.0
         tp, b = ts[pos], self.beta
         out = np.zeros(ts.shape)
-        out[pos] = kappa(alpha, tp) + _osc(b, tp, (1.0 - alpha) * (PI / b)) + self._laplace_sum(tp, v)
+        sums = _laplace_sums(tp, self._decay[None], v[None, None])[0]
+        out[pos] = kappa(alpha, tp) + _osc(b, tp, (1.0 - alpha) * (PI / b)) + sums
         return out
 
     def eta_scan(self, alpha: float) -> np.ndarray:

@@ -107,10 +107,6 @@ def dagum_eval(p: DagumParams, x):
     return 1.0 - ta.powr(u / (1.0 + u), p.gamma)
 
 
-def dagum_sec5_eval(p: DagumSec5Params, t):
-    return dagum_eval(p.as_dagum(), t)
-
-
 def cauchy_eval(p: CauchyParams, t):
     if not isinstance(t, _UNCHECKED) and not t >= 0.0:
         raise DomainError("t must be >= 0")
@@ -239,9 +235,10 @@ def catalog_function(expr: str, params: Mapping[str, float]) -> Callable:
     ``cauchy``, ``reduced_dagum``.
     """
     if expr == "inv_x":
+        take_params("expression 'inv_x'", params, ())
         return lambda x: 1.0 / x
     if expr == "reduced_dagum":
-        p = DagumParams(**{k: float(v) for k, v in params.items()})
+        p = DagumParams(*take_params("expression 'reduced_dagum'", params, ("beta", "gamma")))
         return lambda x: reduced_dagum_eval(p, x)
     if expr in MODELS:
         p, evaluator = make_model(expr, params)

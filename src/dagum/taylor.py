@@ -1,20 +1,20 @@
 """Truncated Taylor-series arithmetic for exact high-order derivatives.
 
 A :class:`TaylorSeries` stores the coefficients ``c_k = f^(k)(x0)/k!`` of a
-function at an expansion point, up to a fixed truncation order.  All
-arithmetic (including exp/log/sin/cos and real powers) is closed on that
+function at an expansion point, up to a fixed truncation order.  The
+arithmetic the catalog expressions need (+, -, *, /, real powers through
+``powr``, and the series ``log`` of ``classify.lcm_scan``) is closed on that
 order, so the n-th derivative of any catalog expression comes out exact to
 rounding -- repeated finite differencing is hopeless beyond order ~4, the
 recurrences below are not.
 
 On a grid (vector mode), ``x0`` and each coefficient are equal-shape float
 arrays and every recurrence runs elementwise in the same IEEE operations, so
-column i is the series at ``x0[i]`` bit for bit: constant terms of exp, log,
-sin, cos and powers come from Python's libm per element, not numpy's.
+column i is the series at ``x0[i]`` bit for bit: constant terms of logs and
+powers come from Python's libm per element, not numpy's.
 
-The helper functions ``exp``, ``log``, ``sin``, ``cos``, ``powr`` accept
-plain floats as well (``powr`` also ndarrays), so a model written against
-them evaluates identically in ordinary, array and series arithmetic.
+``powr`` accepts plain floats and ndarrays as well, so a model written
+against it evaluates identically in ordinary, array and series arithmetic.
 """
 
 from __future__ import annotations
@@ -54,20 +54,6 @@ class TaylorSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def derivative(self, k: int) -> float:
-        """k-th derivative value at the expansion point."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"derivative order {k} outside stored range")
-        return self.coeffs[k] * math.factorial(k)
-
-    def __call__(self, x: float) -> float:
-        """Evaluate the truncated polynomial at x (Horner)."""
-        dx = x - self.x0
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * dx + c
-        return acc
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -131,14 +117,6 @@ class TaylorSeries:
     def __rtruediv__(self, other) -> "TaylorSeries":
         return self._lift(other) / self
 
-    def __pow__(self, r) -> "TaylorSeries":
-        if isinstance(r, int) and 0 <= r <= 4:
-            out = TaylorSeries.constant(1.0, self)
-            for _ in range(r):
-                out = out * self
-            return out
-        return powr(self, float(r))
-
     def __repr__(self) -> str:
         return f"TaylorSeries({list(self.coeffs)!r}, x0={self.x0!r})"
 
@@ -150,20 +128,8 @@ def _libm(f: Callable[[float], float], c0):
     return f(c0)
 
 
-def _series_exp(u: TaylorSeries) -> TaylorSeries:
-    n = len(u.coeffs)
-    uc = u.coeffs
-    out = [0.0] * n
-    out[0] = _libm(math.exp, uc[0])
-    for k in range(1, n):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += j * uc[j] * out[k - j]
-        out[k] = acc / k
-    return TaylorSeries(out, u.x0)
-
-
-def _series_log(u: TaylorSeries) -> TaylorSeries:
+def log(u: TaylorSeries) -> TaylorSeries:
+    """The series of log u; DomainError unless its constant term is positive."""
     if np.any(u.coeffs[0] <= 0.0):
         raise DomainError("log of series requires positive constant term")
     n = len(u.coeffs)
@@ -176,24 +142,6 @@ def _series_log(u: TaylorSeries) -> TaylorSeries:
             acc -= j * out[j] * uc[k - j]
         out[k] = acc / (k * uc[0])
     return TaylorSeries(out, u.x0)
-
-
-def _series_sincos(u: TaylorSeries) -> tuple[TaylorSeries, TaylorSeries]:
-    n = len(u.coeffs)
-    uc = u.coeffs
-    s = [0.0] * n
-    c = [0.0] * n
-    s[0] = _libm(math.sin, uc[0])
-    c[0] = _libm(math.cos, uc[0])
-    for k in range(1, n):
-        sa = 0.0
-        ca = 0.0
-        for j in range(1, k + 1):
-            sa += j * uc[j] * c[k - j]
-            ca -= j * uc[j] * s[k - j]
-        s[k] = sa / k
-        c[k] = ca / k
-    return TaylorSeries(s, u.x0), TaylorSeries(c, u.x0)
 
 
 def _series_powr(u: TaylorSeries, r: float) -> TaylorSeries:
@@ -209,35 +157,6 @@ def _series_powr(u: TaylorSeries, r: float) -> TaylorSeries:
             acc += (r * j - (k - j)) * uc[j] * out[k - j]
         out[k] = acc / (k * uc[0])
     return TaylorSeries(out, u.x0)
-
-
-# -- float/series generic front ends ---------------------------------------
-
-
-def exp(u: Scalar) -> Scalar:
-    if isinstance(u, TaylorSeries):
-        return _series_exp(u)
-    return math.exp(u)
-
-
-def log(u: Scalar) -> Scalar:
-    if isinstance(u, TaylorSeries):
-        return _series_log(u)
-    if u <= 0.0:
-        raise DomainError("log requires a positive argument")
-    return math.log(u)
-
-
-def sin(u: Scalar) -> Scalar:
-    if isinstance(u, TaylorSeries):
-        return _series_sincos(u)[0]
-    return math.sin(u)
-
-
-def cos(u: Scalar) -> Scalar:
-    if isinstance(u, TaylorSeries):
-        return _series_sincos(u)[1]
-    return math.cos(u)
 
 
 def powr(u: Scalar, r: float) -> Scalar:
@@ -259,9 +178,9 @@ def taylor_eval(fn: Callable[[Scalar], Scalar], x0, order: int) -> TaylorSeries:
 
     ``x0`` is a point or a grid; on a grid every coefficient is an array with
     one element per point, equal bit for bit to the series at that point.
-    ``fn`` must be written against the generic helpers of this module.
-    Domain restrictions (positivity for powers and logs) surface from the
-    expression itself, so entire functions may be expanded anywhere.
+    ``fn`` must be written against ``powr`` and the arithmetic operators.
+    Domain restrictions (positivity for powers) surface from the expression
+    itself, so a polynomial may be expanded anywhere.
     """
     if order < 0:
         raise ValueError("order must be >= 0")

@@ -513,6 +513,19 @@ def test_scan_budget_validation():
         C.cm_scan("aux", {"alpha": 0.0, "beta": 2.0}, 4, [0.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "expr,params",
+    [
+        ("reduced_dagum", {"beta": 1.5}),
+        ("reduced_dagum", {"beta": 1.5, "gamma": 0.5, "theta": 1.0}),
+        ("inv_x", {"beta": 2.0}),
+    ],
+)
+def test_catalog_parameters_are_checked(expr, params):
+    with pytest.raises(DomainError, match="parameters"):
+        C.cm_scan(expr, params)
+
+
 def scan_oracle(expr, params, max_order=C.DEFAULT_SCAN_ORDER, x_grid=C.DEFAULT_SCAN_GRID, log=False):
     """cm_scan (lcm_scan with ``log``) one grid point and one order at a time."""
     if max_order < 2:
@@ -699,6 +712,12 @@ def test_classifier_tol_must_be_finite_and_positive(tol):
 
 def test_eta_witness_never_from_nan():
     assert C.eta_negative_witness(math.nan, 1.5) is None
+
+
+@pytest.mark.parametrize("beta", (0.0, math.inf, -1.0, 0.5, math.nan))
+def test_eta_witness_checks_beta_first(beta):
+    with pytest.raises(DomainError, match="beta"):
+        C.eta_negative_witness(0.5, beta)
 
 
 def test_verdict_json_is_strict():

@@ -181,7 +181,7 @@ def test_laplace_sum_skipping_is_exact():
         v = rng.normal(size=ev._decay.size) * ev._weights
         ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 80.0, 700))])
         full = np.einsum("ij,j->i", np.exp(np.multiply.outer(-ts, ev._decay)), v)
-        assert np.array_equal(ev._laplace_sum(ts, v), full)
+        assert np.array_equal(K._laplace_sums(ts, ev._decay[None], v[None, None])[0], full)
 
 
 @pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.8, 1.98))
@@ -203,7 +203,7 @@ def test_psi_jet_matches_written_out_psi_and_phi(beta):
     w, d, b = ev._weights, ev._decay, beta
     for n in (1, 255, 256, 257, 2049):
         ts = np.linspace(0.0, 40.0, n)
-        tau, tau_prime = ev._laplace_sum(ts, np.array([w, w * d]))
+        tau, tau_prime = K._laplace_sums(ts, d[None], np.array([w, w * d])[:, None])
         psi = 1.0 + K._osc(b, ts, 0.0) + tau / (b * PI)
         phi = np.where(ts == 0.0, 0.0, K._osc(b, ts, PI / b) - tau_prime / (b * PI))
         jet = ev.psi_jet(ts, 1)
@@ -300,8 +300,9 @@ def test_rule_values_match_written_out_formulas(beta):
     ts = np.linspace(0.0, 25.0, 101)
     b, a, w, d = beta, PI / beta, ev._weights, ev._decay
     grow, turn = np.exp(ts * math.cos(a)), ts * math.sin(a)
-    psi = 1.0 - (2.0 / b) * grow * np.cos(turn) + ev._laplace_sum(ts, w) / (b * PI)
-    phi = -(2.0 / b) * grow * np.cos(a + turn) - ev._laplace_sum(ts, w * d) / (b * PI)
+    tau, tau_prime = (K._laplace_sums(ts, d[None], v[None, None])[0] for v in (w, w * d))
+    psi = 1.0 - (2.0 / b) * grow * np.cos(turn) + tau / (b * PI)
+    phi = -(2.0 / b) * grow * np.cos(a + turn) - tau_prime / (b * PI)
     phi[0] = 0.0
     assert np.array_equal(ev.psi_values(ts), psi)
     assert np.array_equal(ev.phi_values(ts), phi)
@@ -313,7 +314,7 @@ def test_rule_values_match_written_out_formulas(beta):
         eta = (
             tp ** (alpha - 1.0) / math.gamma(alpha)
             - (2.0 / b) * np.exp(tp * math.cos(a)) * np.cos(tp * math.sin(a) + (1.0 - alpha) * a)
-            + ev._laplace_sum(tp, v)
+            + K._laplace_sums(tp, d[None], v[None, None])[0]
         )
         assert np.array_equal(ev.eta_values(alpha, ts), np.concatenate([[0.0], eta]))
 
@@ -662,9 +663,9 @@ def test_exp_floor_is_exact_on_psi_max_grid(beta):
     assert np.max(np.multiply.outer(ts, ev._decay[skip:])) > -K._EXP_FLOOR
     vs = np.array([ev._weights, ev._weights * ev._decay])
     full = np.exp(np.multiply.outer(-ts, ev._decay))
-    for v, sums in zip(vs, ev._laplace_sum(ts, vs)):
+    for v, sums in zip(vs, K._laplace_sums(ts, ev._decay[None], vs[:, None])):
         assert np.array_equal(sums, np.einsum("ij,j->i", full, v))
-        assert np.array_equal(ev._laplace_sum(ts, v), sums)
+        assert np.array_equal(K._laplace_sums(ts, ev._decay[None], v[None, None])[0], sums)
 
 
 def test_laplace_sum_exponents_stay_above_the_floor():

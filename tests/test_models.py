@@ -33,16 +33,14 @@ def test_dagum_point_values():
 
 
 def test_dagum_sec5_matches_reparametrized_dagum():
-    p5 = M.DagumSec5Params(1.0, 0.5)
-    assert M.dagum_sec5_eval(p5, 1.0) == pytest.approx(1.0 - math.sqrt(0.5), rel=1e-12)
+    rho5 = M.correlation("dagum5", {"gamma": 1.0, "epsilon": 0.5})
+    assert rho5(1.0) == pytest.approx(1.0 - math.sqrt(0.5), rel=1e-12)
     grid = np.geomspace(1e-3, 1e3, 1000)
     pd = M.DagumParams(beta=1.3, gamma=0.4 / 1.3)
-    p5 = M.DagumSec5Params(gamma5=1.3, epsilon=0.4)
+    rho5 = M.correlation("dagum5", {"gamma": 1.3, "epsilon": 0.4})
     for t in grid:
-        a = M.dagum_sec5_eval(p5, float(t))
-        b = M.dagum_eval(pd, float(t))
-        assert a == pytest.approx(b, rel=1e-12)
-    assert M.dagum_sec5_eval(M.DagumSec5Params(2.0, 1.0), 1e8) < 1e-7
+        assert rho5(float(t)) == pytest.approx(M.dagum_eval(pd, float(t)), rel=1e-12)
+    assert M.correlation("dagum5", {"gamma": 2.0, "epsilon": 1.0})(1e8) < 1e-7
 
 
 def test_cauchy_point_values():
@@ -77,7 +75,7 @@ def test_reduced_dagum_is_scaled_negative_derivative():
     p = M.DagumParams(1.5, 0.5)
     for x0 in (0.2, 1.0, 3.7):
         series = ta.taylor_eval(lambda x: M.dagum_eval(p, x), x0, 1)
-        lhs = -series.derivative(1)
+        lhs = -series.coeffs[1]
         rhs = p.beta * p.gamma * M.reduced_dagum_eval(p, x0)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
