@@ -21,7 +21,6 @@ from . import taylor as ta
 from .errors import DomainError
 from .kernels import (
     BETA_CACHE_SIZE,
-    ENDPOINT_BAND,
     eta_grid,
     eta_scan_grid,
     phi_callable,
@@ -169,10 +168,7 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
         raise DomainError(f"eta_negative_witness requires beta in [1, 2], got {beta}")
     ts = eta_scan_grid(beta)
     scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
-    if beta - 1.0 >= ENDPOINT_BAND and 2.0 - beta >= ENDPOINT_BAND:
-        vals = spectral_rule(beta).eta_scan(alpha)
-    else:
-        vals = scan(ts)  # the closed forms in the endpoint bands
+    vals = spectral_rule(beta).eta_scan(alpha) if 1.0 < beta < 2.0 else scan(ts)
     i = int(np.argmin(vals))
     # eta_scan moves by up to 7e-15 with the BLAS thread count: ``scan`` decides close calls
     near = np.flatnonzero(vals <= vals[i] + 1e-12)

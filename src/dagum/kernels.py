@@ -11,9 +11,10 @@ The central object is phi_b, the density whose Laplace transform is
     kappa_a(t) = t^(a-1)/Gamma(a), the power-law Laplace density
 
 Each of phi, psi and eta is the residue term of the poles x = e^{+-i pi/b}
-of 1/(1+x^b), written once as ``_osc``, plus a branch-cut integral.  Near
-b = 1 and b = 2 the closed forms of ``_closed_forms`` take over; it also
-checks that beta lies in [1, 2].
+of 1/(1+x^b), written once as ``_osc``, plus a branch-cut integral.  Grids
+and sign scans use the spectral rule on 1 < b < 2; ``_closed_forms`` (which
+checks beta in [1, 2]) serves only b = 1 and 2, where no rule exists, and
+``ENDPOINT_BAND`` only the adaptive ``phi`` and ``psi``, whose routes fail there.
 
 Evaluation notes.  The adaptive routes run on QUADPACK (``numerics``).
 tau's primary route and phi's alternate route (t >= 0.5) integrate to
@@ -60,7 +61,7 @@ from .numerics import integrate
 
 PI = math.pi
 
-# Closed forms take over this close to b = 1 and b = 2 (``_closed_forms``).
+# The adaptive ``phi`` and ``psi`` use the closed forms this close to b = 1, 2.
 ENDPOINT_BAND = 2.5e-4
 
 ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta on the rule; scans start above 4.6e-3
@@ -174,17 +175,17 @@ def _grid(ts) -> np.ndarray:
 
 
 def _closed_forms(beta: float) -> Optional[Tuple[Callable, Callable]]:
-    """(phi_b, psi_b) as array functions inside ``ENDPOINT_BAND``, else None.
+    """(phi_b, psi_b) as array functions at b = 1 and b = 2, else None.
 
-    exp(-t) and 1 - exp(-t) near b = 1, sin t and 1 - cos t near b = 2.  Each
+    exp(-t) and 1 - exp(-t) at b = 1, sin t and 1 - cos t at b = 2.  Each
     returns an array of at least one dimension.  Raises DomainError for beta
     outside [1, 2], the domain of every kernel built from phi_b.
     """
     if not 1.0 <= beta <= 2.0:
         raise DomainError(f"the kernels require beta in [1, 2], got {beta}")
-    if abs(beta - 1.0) < ENDPOINT_BAND:
+    if beta == 1.0:
         return lambda ts: np.exp(-_grid(ts)), lambda ts: 1.0 - np.exp(-_grid(ts))
-    if abs(beta - 2.0) < ENDPOINT_BAND:
+    if beta == 2.0:
         return lambda ts: np.sin(_grid(ts)), lambda ts: 1.0 - np.cos(_grid(ts))
     return None
 
@@ -336,14 +337,15 @@ def _phi_alternate(beta: float, t: float) -> Tuple[float, float]:
 def phi(beta: float, t: float, route: str = "primary") -> KernelValue:
     """Laplace density of 1/(1+x^b) for b in [1, 2].
 
-    Dispatches to the closed forms exp(-t) and sin(t) inside the endpoint
-    band; otherwise evaluates the requested integral route.
+    Within ``ENDPOINT_BAND`` of b = 1 or 2, exp(-t) or sin(t), err_estimate
+    its gap to ``phi_callable``; otherwise the requested integral route.
     """
-    forms = _closed_forms(beta)
+    _closed_forms(beta)  # DomainError unless 1 <= b <= 2
     if not t >= 0.0:
         raise DomainError("t must be >= 0")
-    if forms is not None:
-        return KernelValue(float(forms[0](t)[0]), 0.0, "closed_form")
+    if abs(beta - round(beta)) < ENDPOINT_BAND:
+        v = float(_closed_forms(round(beta))[0](t)[0])
+        return KernelValue(v, abs(v - float(phi_callable(beta)(t)[0])), "closed_form")
     if route == "primary":
         v, e = _phi_primary(beta, t)
         return KernelValue(v, e, "quadrature_primary")
@@ -357,12 +359,14 @@ def psi(beta: float, t: float) -> KernelValue:
     """psi_b(t) = integral of phi_b over [0, t], via the rho + tau split.
 
     psi_b(0) = 0, psi_b >= 0, and psi_b(t) -> 1 as t -> infinity for b < 2.
+    Within ``ENDPOINT_BAND`` of b = 1 or 2, the closed form as in ``phi``.
     """
-    forms = _closed_forms(beta)
+    _closed_forms(beta)  # DomainError unless 1 <= b <= 2
     if not t >= 0.0:
         raise DomainError("t must be >= 0")
-    if forms is not None:
-        return KernelValue(float(forms[1](t)[0]), 0.0, "closed_form")
+    if abs(beta - round(beta)) < ENDPOINT_BAND:
+        v = float(_closed_forms(round(beta))[1](t)[0])
+        return KernelValue(v, abs(v - spectral_rule(beta).psi(t)) if 1 < beta < 2 else 0.0, "closed_form")
     tau_v, tau_e = _tau_primary(beta, t)
     return KernelValue(rho_kernel(beta, t) + tau_v, tau_e, "quadrature_primary")
 
@@ -600,8 +604,8 @@ def spectral_rule(beta: float) -> PsiEvaluator:
 def phi_callable(beta: float) -> Callable:
     """Vectorized t -> phi_b(t) for t >= 0.
 
-    Closed forms at the endpoint band; elsewhere the spectral rule's
-    ``phi_values``, which returns a 1-D array.
+    exp(-t) and sin t at b = 1 and b = 2; on 1 < b < 2 the spectral rule's
+    ``phi_values`` (the phi of ``psi_max``).  Each returns a 1-D array.
     """
     forms = _closed_forms(beta)
     return forms[0] if forms else spectral_rule(beta).phi_values
@@ -643,9 +647,9 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     is required.  As t -> 0 the t^(a-1) term and the sum cancel beyond what
     the rule resolves (-27061 for eta = 6e-9 at b = 1.98, t = 1e-8), so a
     positive t below ``ETA_GRID_T_FLOOR`` = 1e-6 raises DomainError; from it
-    up the error is at most about 1e-10.  In the endpoint bands,
+    up the error is at most about 1e-10.  At b = 1 and 2, with no rule,
     eta(t) = (t^a / Gamma(1 + a)) int_0^1 phi(t (1 - xi^(1/a))) d(xi) with
-    the closed-form phi, on a fixed composite rule.
+    the closed-form phi, on a fixed composite rule, for any a > 0.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")

@@ -406,6 +406,22 @@ def test_aux_cm_refutation_scan():
     assert verdict.certificate.value < 0.0
 
 
+@pytest.mark.parametrize("alpha,beta", ((0.99980001, 1.9998), (0.99994, 1.9999), (0.999994, 1.99999)))
+def test_aux_cm_near_two_is_not_refuted_by_sin(alpha, beta):
+    # with sin t (phi_2) for phi_b, eta dips to -7.0e-4, -2.1e-4 and -2.1e-5
+    # near t = 6 pi, where the series gives eta > 0: no witness may come of it
+    assert C.classify_aux_cm(alpha, beta).status == "Undetermined"
+
+
+def test_aux_cm_near_two_certificate_matches_the_series(eta_series):
+    verdict = C.classify_aux_cm(0.9995, 1.9998)
+    cert = verdict.certificate
+    assert verdict.status == "ProvenNotCM" and cert.kind == "eta_sign"
+    assert cert.location == pytest.approx(6.28238, abs=1e-5)
+    assert cert.value == pytest.approx(-3.27612652556e-4, abs=1e-14)
+    assert abs(cert.value - eta_series(0.9995, 1.9998, cert.location)) <= 1e-10
+
+
 def test_aux_cm_undetermined_band():
     # between the eta-refutable region and the beta/2 guarantee
     verdict = C.classify_aux_cm(0.5, 1.5)

@@ -108,6 +108,43 @@ def test_phi_matches_endpoint_limits_nearby():
         assert K.phi(1.999, t, "primary").value == pytest.approx(math.sin(t), abs=2e-3)
 
 
+# Inside ENDPOINT_BAND = 2.5e-4 of b = 1 and b = 2, where exp(-t) and sin t
+# miss phi_b by 5e-6 to 3e-3 on these t; the spectral rule measured <= 3.4e-10.
+NEAR_ENDPOINT_BETAS = (1.0 + 1e-5, 1.0002, 1.9998, 2.0 - 1e-5)
+SERIES_TS = (0.005, 0.05, 0.5, 2.0, 6.0, 12.0, 18.0)
+
+
+@pytest.mark.parametrize("beta", NEAR_ENDPOINT_BETAS)
+def test_grid_kernels_near_the_endpoints_match_the_series(beta, eta_series):
+    ts = np.array(SERIES_TS)
+    phi = K.phi_callable(beta)(ts)
+    assert np.max(np.abs(phi - [eta_series(0.0, beta, t) for t in ts])) <= 1e-9
+    for alpha in (0.05, 0.3, 0.7, 1.0):
+        eta = K.eta_grid(alpha, beta, ts)
+        assert np.max(np.abs(eta - [eta_series(alpha, beta, t) for t in ts])) <= 1e-9, alpha
+
+
+@pytest.mark.parametrize("beta", NEAR_ENDPOINT_BETAS)
+def test_phi_callable_is_the_phi_of_psi_max(beta):
+    ts = np.concatenate([[0.0], np.geomspace(1e-6, 40.0, 200)])
+    jet = K.spectral_rule(beta).psi_jet(ts, 1)[1]
+    assert K.phi_callable(beta)(ts).tobytes() == jet.tobytes()
+
+
+@pytest.mark.parametrize("beta", (1.0001, 1.0002, 1.9998, 1.99999))
+def test_endpoint_closed_form_error_estimate_covers_the_series(beta, eta_series):
+    # the adaptive phi and psi keep the closed forms in the band; their
+    # err_estimate is the gap to the spectral rule, so it is the series error
+    # up to the rule's own (<= 1e-9)
+    for t in (0.01, 0.5, 2.0, 6.0, 12.0, 18.85, 20.0):
+        for kv, alpha in ((K.phi(beta, t), 0.0), (K.psi(beta, t), 1.0)):
+            miss = abs(kv.value - eta_series(alpha, beta, t))
+            assert kv.route == "closed_form"
+            assert miss <= kv.err_estimate + 1e-9 and kv.err_estimate <= miss + 1e-9, (t, alpha)
+    for beta, t in ((1.0, 0.7), (2.0, 0.7), (1.0, 20.0), (2.0, 20.0)):
+        assert K.phi(beta, t).err_estimate == K.psi(beta, t).err_estimate == 0.0
+
+
 def test_psi_values_and_contract():
     assert K.psi(2.0, PI).value == pytest.approx(2.0, abs=1e-12)
     assert K.psi(1.0, 1.0).value == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
@@ -457,28 +494,15 @@ def test_adaptive_eta_at_small_alpha_matches_grid(beta):
             assert abs(kv.value - grid) <= kv.err_estimate + 1e-12, (alpha, t)
 
 
-def _eta_mittag_leffler(alpha, beta, t):
-    """40-digit eta = sum_k (-1)^k t^(a+b+kb-1) / Gamma(a+b+kb), for small t."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        a, b, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(t)
-
-        def term(k):
-            p = a + b + k * b
-            return (-1) ** int(k) * t ** (p - 1) / mpmath.gamma(p)
-
-        return float(mpmath.nsum(term, [0, mpmath.inf]))
-
-
 @pytest.mark.parametrize("beta", (1.9, 1.98, 1.999))
-def test_eta_grid_small_t_floor(beta):
+def test_eta_grid_small_t_floor(beta, eta_series):
     for alpha in (0.05, 0.5):
         for t in (1e-8, 1e-7):
             with pytest.raises(DomainError):
                 K.eta_grid(alpha, beta, [0.0, t, 1.0])
         ts = np.array([1e-6, 1e-5, 1e-4, 1e-3])
         for t, value in zip(ts, K.eta_grid(alpha, beta, ts)):
-            assert abs(value - _eta_mittag_leffler(alpha, beta, t)) <= 1e-9
+            assert abs(value - eta_series(alpha, beta, t)) <= 1e-9
 
 
 def test_eta_values_domain():
