@@ -139,10 +139,9 @@ def _check_tol(tol: float, name: str = "tol") -> None:
         raise DomainError(f"{name} must be finite and positive")
 
 
-def beta_star(tol: float = 1e-6) -> float:
-    """The unique b in (1, 2) with l(b) = 1; approximately 1.74."""
-    _check_tol(tol)
-    return find_root(lambda b: l_of_beta(b) - 1.0, Bracket(1.5, 1.9), tol)
+def beta_star() -> float:
+    """The unique b in (1, 2) with l(b) = 1, about 1.738, solved to float spacing."""
+    return find_root(lambda b: l_of_beta(b) - 1.0, Bracket(1.7, 1.8))
 
 
 # -- eta sign scans -----------------------------------------------------------
@@ -162,10 +161,13 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
     are refined locally before reporting.  At a = 0 the kernel degenerates
     to phi_b itself (the power-law factor becomes a point mass).  A value
     that is not finite (a NaN from invalid input) never becomes a witness.
-    DomainError unless 1 <= b <= 2.
+    At b = 1 no witness exists, as 1/(x^a (1+x)) is CM (Theorem 3(i)), so
+    None returns before any grid is built.  DomainError unless 1 <= b <= 2.
     """
     if not 1.0 <= beta <= 2.0:
         raise DomainError(f"eta_negative_witness requires beta in [1, 2], got {beta}")
+    if beta == 1.0:
+        return None
     ts = eta_scan_grid(beta)
     scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
     vals = spectral_rule(beta).eta_scan(alpha) if 1.0 < beta < 2.0 else scan(ts)
@@ -439,11 +441,9 @@ class ThresholdTable:
     beta_star: float
 
     @classmethod
-    def build(
-        cls, n: int = 101, lo: float = 1.0, hi: float = 2.0, root_tol: float = 1e-6
-    ) -> "ThresholdTable":
+    def build(cls, n: int = 101, lo: float = 1.0, hi: float = 2.0) -> "ThresholdTable":
         if n < 11:
             raise DomainError("grid needs at least 11 points")
         betas = np.linspace(lo, hi, n)
         psis = psi_max(betas)
-        return cls(betas, psis, betas * (psis - 1.0), beta_star(root_tol))
+        return cls(betas, psis, betas * (psis - 1.0), beta_star())

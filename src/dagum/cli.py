@@ -36,8 +36,6 @@ EXIT_PARAM = 2
 EXIT_NUMERIC = 3
 EXIT_PERMISSIBILITY = 4
 
-DEFAULT_TOL = 1e-6
-
 _PARAMS = ("alpha", "beta", "gamma", "epsilon", "theta", "eta", "lambda")
 
 
@@ -49,14 +47,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 def _params(ns: argparse.Namespace) -> Dict[str, float]:
     """The model parameters given on the command line, by wire name."""
     return {k: getattr(ns, k) for k in _PARAMS if getattr(ns, k) is not None}
-
-
-def _tol(ns: argparse.Namespace) -> float:
-    if ns.tol is None:
-        return DEFAULT_TOL
-    if not (math.isfinite(ns.tol) and ns.tol > 0.0):
-        raise DomainError("--tol must be finite and > 0")
-    return ns.tol
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -108,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure1", help="threshold curves Psi, 1 + 1/beta, l, and beta*")
     p.add_argument("--grid", default="1:2:101", help="start:stop:count over beta")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("psd", help="eigenvalue checks on random point sets")
@@ -178,22 +167,23 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
-    tol = _tol(ns)
     classifier, names, takes_tol = C.CLASSIFIERS[ns.family]
-    if ns.tol is not None and not takes_tol:
-        raise DomainError(f"classify {ns.family} takes no --tol")
+    if ns.tol is not None:
+        if not (math.isfinite(ns.tol) and ns.tol > 0.0):
+            raise DomainError("--tol must be finite and > 0")
+        if not takes_tol:
+            raise DomainError(f"classify {ns.family} takes no --tol")
     args = M.take_params(ns.family, _params(ns), names)
-    verdict = classifier(*args, tol) if takes_tol else classifier(*args)
+    verdict = classifier(*args) if ns.tol is None else classifier(*args, ns.tol)
     _emit(verdict.to_json(), ns.output)
     return EXIT_OK
 
 
 def _cmd_figure1(ns: argparse.Namespace) -> int:
-    tol = _tol(ns)
     betas = _parse_grid(ns.grid)
     if betas[0] < 1.0 or betas[-1] > 2.0:
         raise DomainError("figure1 grid must lie within [1, 2]")
-    table = C.ThresholdTable.build(len(betas), betas[0], betas[-1], root_tol=tol)
+    table = C.ThresholdTable.build(len(betas), betas[0], betas[-1])
     cols = (table.beta_grid.tolist(), table.psi_values.tolist(), table.l_values.tolist())
     rows = [f"{b!r},{psi_b!r},{1.0 + 1.0 / b!r},{l_b!r}" for b, psi_b, l_b in zip(*cols)]
     lines = ["beta,psi_max,one_plus_inv_beta,l_beta", *rows, f"# beta_star,{table.beta_star!r}"]

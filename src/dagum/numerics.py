@@ -108,11 +108,11 @@ def maximize_1d(f: Callable, bracket: Bracket, tol: float = 1e-7) -> Tuple[float
     return t_star, f_star
 
 
-def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-9) -> float:
+def find_root(f: Callable[[float], float], bracket: Bracket) -> float:
     """Root of ``f`` on the bracket by Illinois regula falsi (Dowell & Jarratt,
-    BIT 11, 1971); needs a sign change.  Returns the newest point once |f| <=
-    tol or the bracket is at most tol wide, or once a new point would not fall
-    strictly inside the bracket (it is down to float spacing).
+    BIT 11, 1971); needs a sign change.  Runs to float spacing: returns the
+    newest point once the next one would not fall strictly inside the bracket
+    (a zero of ``f`` puts it on an end).
     """
     a, b = bracket.lo, bracket.hi
     fa, fb = f(a), f(b)
@@ -133,5 +133,3 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-9) 
         else:
             b, fb = c, fc
             fa, kept = (0.5 * fa if kept == -1 else fa), -1
-        if abs(fc) <= tol or b - a <= tol:
-            return x

@@ -67,12 +67,10 @@ def test_l_of_beta():
 
 
 def test_beta_star():
-    coarse = C.beta_star(1e-4)
-    fine = C.beta_star(1e-6)
-    assert 1.70 <= coarse <= 1.78
-    assert abs(coarse - fine) <= 1e-3
-    assert abs(coarse - fine) <= 1.5e-4  # refinement consistency, 4 decimals
-    assert C.l_of_beta(fine) == pytest.approx(1.0, abs=1e-5)
+    # 1.738005447409384366 to 25 digits; the solve runs to float spacing
+    star = C.beta_star()
+    assert abs(star - 1.738005447409384366) <= 1e-13
+    assert C.l_of_beta(star) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_c_bounds():
@@ -666,9 +664,6 @@ def test_classifier_domain_errors():
         C.classify_aux_cm(-0.1, 1.0)
     with pytest.raises(DomainError):
         C.classify_g(-1.0, 0.5)
-    for tol in (0.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            C.beta_star(tol)
 
 
 def test_psi_max_concurrent_matches_serial():
@@ -734,6 +729,18 @@ def test_eta_witness_never_from_nan():
 def test_eta_witness_checks_beta_first(beta):
     with pytest.raises(DomainError, match="beta"):
         C.eta_negative_witness(0.5, beta)
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.3, 1.0))
+def test_eta_witness_at_beta_one_scans_nothing(alpha, monkeypatch):
+    # 1/(x^a (1+x)) is CM (Theorem 3(i)); sin(pi/1) rounds to 1.2e-16, so a
+    # grid built at b = 1 would span [0, 1.5e17] and look at nothing
+    def no_scan(*args):
+        raise AssertionError("a scan ran at beta = 1")
+
+    for name in ("eta_grid", "phi_callable", "eta_scan_grid", "spectral_rule"):
+        monkeypatch.setattr(C, name, no_scan)
+    assert C.eta_negative_witness(alpha, 1.0) is None
 
 
 def test_verdict_json_is_strict():

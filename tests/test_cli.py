@@ -317,11 +317,19 @@ def test_decouple_command(capsys):
     assert float(fields[3]) == pytest.approx(-1.0, abs=0.02)
 
 
+def test_figure1_takes_no_tol(capsys):
+    # beta* is solved to float spacing; no tolerance is left to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["figure1", "--grid", "1:2:11", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ("nan", "inf", "0", "-1e-6"))
 @pytest.mark.parametrize(
     "argv",
     (
-        ["figure1", "--grid", "1:2:11"],
+        ["classify", "g", "--alpha", "0.3", "--lambda", "0.5"],
         ["classify", "aux-lcm", "--alpha", "0.3", "--beta", "1.5"],
         ["classify", "dagum", "--beta", "1.5", "--gamma", "0.5"],
         ["classify", "aux-cm", "--alpha", "0.3", "--beta", "1.5"],
