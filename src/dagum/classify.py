@@ -107,10 +107,7 @@ def _psi_max_group(betas: list) -> np.ndarray:
     """``psi_max`` at each beta in (1, 2) of ``betas``, one rule alive per beta."""
     rules, best, cells = [spectral_rule(b) for b in betas], [], []
     for j, (b, ev) in enumerate(zip(betas, rules)):
-        hi = scan_range(b)
-        # from t > 0: psi = phi = 0 at t = 0, and its exp row would keep every node
-        ts = np.sort(np.concatenate([np.linspace(0.0, hi, 65)[1:], np.geomspace(1e-2, hi, 64)]))
-        ts = ts[np.append(True, ts[1:] != ts[:-1])]
+        ts = _scan_grid(scan_range(b))
         psis, phis = ev.psi_jet(ts, 1)
         best.append(np.max(psis))
         i = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0))
@@ -127,6 +124,21 @@ def _psi_max_group(betas: list) -> np.ndarray:
         go = (np.abs(phi) > 1e-9 * np.abs(dphi)) & (up - lo > 1e-9) & (lo < t) & (t < up)
         which, lo, up, t = which[go], lo[go], up[go], t[go]
     return best
+
+
+def _scan_grid(hi: float) -> np.ndarray:
+    """``psi_max``'s scan grid: the points of np.linspace(0, hi, 65) but 0 and
+    of np.geomspace(1e-2, hi, 64), sorted, each once, bit for bit as numpy
+    builds them, ends pinned, without calling either.  It starts above t = 0:
+    psi = phi = 0 there, and its exp row would keep every node."""
+    ts = np.empty(127)
+    # linspace: k (hi/64), its last point pinned to hi, which geomspace ends on
+    np.multiply(np.arange(1.0, 64.0), hi / 64, out=ts[:63])
+    # geomspace: 10 ** (k step - 2) with step = (log10(hi) + 2) / 63, both ends pinned
+    np.power(10.0, np.arange(64.0) * ((np.log10(hi) + 2.0) / 63) - 2.0, out=ts[63:])
+    ts[63], ts[126] = 1e-2, hi
+    ts.sort()
+    return ts[np.append(True, ts[1:] != ts[:-1])]
 
 
 def l_of_beta(beta: float) -> float:

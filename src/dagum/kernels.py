@@ -92,7 +92,10 @@ def _consts(beta: float) -> Tuple[float, float]:
 
 
 def scan_range(beta: float, periods: float = 3.0) -> float:
-    """Search horizon t-scale: the oscillation of psi_b is set by sin(pi/b)."""
+    """Search horizon t-scale: the oscillation of psi_b is set by sin(pi/b).
+    DomainError unless 1 < b <= 2 (at b = 1, sin(pi) rounds to 1.2e-16)."""
+    if not 1.0 < beta <= 2.0:  # also a NaN
+        raise DomainError(f"scan_range requires beta in (1, 2], got {beta}")
     return periods * PI / math.sin(PI / beta)
 
 
@@ -395,10 +398,13 @@ def _laplace_sums(ts: np.ndarray, d: np.ndarray, v: np.ndarray, which=None) -> n
     ``ts``, on rule j = which[r] of the G rules whose decays are the rows of
     ``d``, shape (G, n), or on rule 0 when ``which`` is None; ``v`` is (K, G, n).
 
-    Each row is reduced on its own (einsum, not BLAS gemv), so a value does
-    not depend on which t, rules or vectors share its block.  The decays fall
-    with i; a block skips the leading nodes where exp(-t d) underflows to 0
-    for all its t, in multiples of 64, so the rest keep their einsum lanes.
+    A block of t is filled as an einsum outer product of -t and the decays
+    (rows of several rules: a broadcast product of the gathered decays), each
+    entry one product, and one einsum reduces all K rows of ``v`` over it.
+    Each (k, t) is still its own reduction (einsum, not BLAS gemv), so a value
+    does not depend on which t, rules or vectors share its block.  The decays
+    fall with i; a block skips the leading nodes where exp(-t d) underflows
+    to 0 for all its t, in multiples of 64, so the rest keep their einsum lanes.
     Exponents below ``_EXP_FLOOR`` are raised to it (exp's fast path), which
     moves a sum by at most sum |v_i| e^-600, about 1e-250: a skip that differs
     between blocks drops only such terms, which vanish in each sum's rounding.
@@ -408,14 +414,17 @@ def _laplace_sums(ts: np.ndarray, d: np.ndarray, v: np.ndarray, which=None) -> n
     step = _BLOCK_ROWS if which is None else _GATHER_ROWS
     for start in range(0, ts.size, step):
         rows = ts[start : start + step]
-        pick = slice(0, 1) if which is None else which[start : start + step]
-        ds = d[pick]
+        pick = 0 if which is None else which[start : start + step]
+        ds = d[pick]  # one rule's decay row, or one row per t
         # exp(-x) is exactly 0 in double precision for x > 745.14
-        skip = int(np.count_nonzero(ds.min(axis=0) * rows.min() > 746.0)) // 64 * 64
-        block = np.multiply(-rows[:, None], ds[:, skip:])
+        low = ds if ds.ndim == 1 else ds.min(axis=0)
+        skip = int(np.count_nonzero(low * rows.min() > 746.0)) // 64 * 64
+        if ds.ndim == 1:
+            block, spec = np.einsum("i,j->ij", -rows, ds[skip:]), "ij,kj->ki"
+        else:
+            block, spec = np.multiply(-rows[:, None], ds[:, skip:]), "ij,kij->ki"
         np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
-        for row, vk in zip(out, v):
-            row[start : start + step] = np.einsum("ij,ij->i", block, vk[pick, skip:])
+        out[:, start : start + step] = np.einsum(spec, block, v[:, pick, skip:])
     return out
 
 

@@ -243,6 +243,22 @@ def test_psi_max_scan_grid_is_the_set_union_without_zero(monkeypatch):
         assert np.array_equal(grids[0], old[1:]) and old[0] == 0.0
 
 
+def test_psi_max_scan_grid_is_built_as_numpy_builds_it():
+    # the direct build equals the linspace/geomspace union without 0, bit for
+    # bit, on 2000 random betas, the 99 interior figure1 betas and near the ends
+    betas = np.concatenate(
+        [
+            np.random.default_rng(27).uniform(1.0, 2.0, 2000),
+            np.linspace(1.0, 2.0, 101)[1:-1],
+            [1.0 + 1e-6, 2.0 - 1e-7],
+        ]
+    )
+    for beta in map(float, betas):
+        hi = C.scan_range(beta)
+        old = np.array(sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)})[1:])
+        assert C._scan_grid(hi).tobytes() == old.tobytes(), beta
+
+
 def test_psi_max_matches_oracle_on_figure1_grid():
     # at the 101 figure1 betas, the best of golden-section on each half-range
     for beta in map(float, np.linspace(1.0, 2.0, 101)):
