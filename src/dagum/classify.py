@@ -25,6 +25,7 @@ from .kernels import (
     eta_scan_grid,
     phi_callable,
     psi_jets,
+    rule_rows,
     scan_range,
     spectral_rule,
 )
@@ -85,12 +86,15 @@ def psi_max(beta):
     Pinned to the exact endpoints 1 and 2.  In between, the largest psi_b on a
     coarse grid (uniform plus geometric, for a peak at small t near b = 1) and
     at a root of phi = psi_b' in every cell where phi goes from > 0 to <= 0, not
-    just the best one: near b = 2 two humps are almost equally high.  The scan
-    is one ``psi_jet`` block of psi and phi per beta.  The roots come from
-    bracketed Newton on phi, each step one ``psi_jets`` call of psi, phi and
-    phi' for the open cells of all betas of a group of ``BETA_CACHE_SIZE``,
-    from each cell's secant point, a step that leaves the bracket replaced by
-    its midpoint, until |phi/phi'| or the bracket is <= 1e-9.
+    just the best one: near b = 2 two humps are almost equally high.  Betas go
+    in groups of ``BETA_CACHE_SIZE``, each group's rules built at once by
+    ``rule_rows`` (not taken from the rule cache) and its grids as one array.
+    The scan is one ``psi_jets`` call of psi and phi for the whole group, each
+    beta's grid its own one-rule block.  The roots come from bracketed Newton
+    on phi, each step one ``psi_jets`` call of psi, phi and phi' for the open
+    cells of all betas of the group, from each cell's secant point, a step
+    that leaves the bracket replaced by its midpoint, until |phi/phi'| or the
+    bracket is <= 1e-9.
     """
     out = np.array(beta, dtype=float)
     flat = out.reshape(-1)
@@ -104,16 +108,17 @@ def psi_max(beta):
 
 
 def _psi_max_group(betas: list) -> np.ndarray:
-    """``psi_max`` at each beta in (1, 2) of ``betas``, one rule alive per beta."""
-    rules, best, cells = [spectral_rule(b) for b in betas], [], []
-    for j, (b, ev) in enumerate(zip(betas, rules)):
-        ts = _scan_grid(scan_range(b))
-        psis, phis = ev.psi_jet(ts, 1)
-        best.append(np.max(psis))
-        i = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0))
-        cells.append((np.full(i.size, j), ts[i], ts[i + 1], phis[i], phis[i + 1]))
-    which, lo, up, phi_lo, phi_up = map(np.concatenate, zip(*cells))
-    best, jet = np.array(best), psi_jets(rules, 2)
+    """``psi_max`` at each beta in (1, 2) of ``betas``, from one rule build, one
+    scan call over all their grids and one Newton jet."""
+    b = np.array(betas)
+    rules = (b,) + rule_rows(b)
+    ts, which = _scan_grid(np.array([scan_range(x) for x in betas]))
+    psis, phis = psi_jets(*rules, 1, True)(ts, which)
+    best = np.maximum.reduceat(psis, np.searchsorted(which, np.arange(b.size)))
+    # a cell: phi from > 0 to <= 0 between two points of one grid
+    i = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0) & (which[:-1] == which[1:]))
+    which, lo, up, phi_lo, phi_up = which[i], ts[i], ts[i + 1], phis[i], phis[i + 1]
+    jet = psi_jets(*rules, 2)
     t = lo + phi_lo * (up - lo) / (phi_lo - phi_up)
     while t.size:
         psi, phi, dphi = jet(t, which)
@@ -126,19 +131,23 @@ def _psi_max_group(betas: list) -> np.ndarray:
     return best
 
 
-def _scan_grid(hi: float) -> np.ndarray:
-    """``psi_max``'s scan grid: the points of np.linspace(0, hi, 65) but 0 and
-    of np.geomspace(1e-2, hi, 64), sorted, each once, bit for bit as numpy
-    builds them, ends pinned, without calling either.  It starts above t = 0:
-    psi = phi = 0 there, and its exp row would keep every node."""
-    ts = np.empty(127)
+def _scan_grid(his: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``psi_max``'s scan grids for the spans ``his``, one after another: (ts,
+    which), ts[r] a point of grid which[r].  Grid j holds the points of
+    np.linspace(0, his[j], 65) but 0 and of np.geomspace(1e-2, his[j], 64),
+    sorted, each once, bit for bit as numpy builds them, ends pinned, without
+    calling either; all grids are built as one (G, 127) array.  It starts above
+    t = 0: psi = phi = 0 there, and its exp row would keep every node."""
+    hi, ts = his[:, None], np.empty((his.size, 127))
     # linspace: k (hi/64), its last point pinned to hi, which geomspace ends on
-    np.multiply(np.arange(1.0, 64.0), hi / 64, out=ts[:63])
+    np.multiply(np.arange(1.0, 64.0), hi / 64, out=ts[:, :63])
     # geomspace: 10 ** (k step - 2) with step = (log10(hi) + 2) / 63, both ends pinned
-    np.power(10.0, np.arange(64.0) * ((np.log10(hi) + 2.0) / 63) - 2.0, out=ts[63:])
-    ts[63], ts[126] = 1e-2, hi
+    np.power(10.0, np.arange(64.0) * ((np.log10(hi) + 2.0) / 63) - 2.0, out=ts[:, 63:])
+    ts[:, 63], ts[:, 126] = 1e-2, his
     ts.sort()
-    return ts[np.append(True, ts[1:] != ts[:-1])]
+    keep = np.ones(ts.shape, dtype=bool)
+    keep[:, 1:] = ts[:, 1:] != ts[:, :-1]  # a point of both: kept once
+    return ts[keep], np.nonzero(keep)[0]
 
 
 def l_of_beta(beta: float) -> float:

@@ -29,18 +29,13 @@ removes the remaining w^(-1/b) endpoint singularity.  The denominator
 sin^2(b pi) near s^b = -cos(b pi), where break points are seeded.  eta
 hands (t-s)^(a-1) to the algebraic-weight rule, on phi_b(s) - phi_b(t).
 
-Grid work goes through ``PsiEvaluator`` instead: one fixed composite
-Gauss-Legendre rule of 800 nodes on the arctangent-substituted tau integral,
-whose Laplace sums give psi, phi = rho' + tau', phi' and eta on whole grids
-(``psi_jets``: psi and derivatives from one exp block, each t on its own
-rule, for the Newton steps of psi_max over a beta grid; ``psi_jet`` is its
-one-rule case, for the psi_max scan from t > 0).  eta is the same branch-cut
-inversion as tau, with alpha-dependent weights on the same nodes.  The
-Gauss-Legendre tables are held as constants.  The eta sign scans themselves
-run on one uniform grid t = k h (``eta_scan_grid``), where exp(-k h d)
-factors into a per-block and a per-row part: ``eta_scan`` is one matrix
-product of a block of exp(-j h d) and a column of shifts per block, not one
-exp per (t, node).
+Grid work goes through the spectral rule instead: one composite Gauss-Legendre
+rule of 800 nodes on the arctangent-substituted tau integral (``rule_rows``,
+for a group of betas at once), whose Laplace sums give psi, phi = rho' + tau',
+phi' (``psi_jets``) and eta, with alpha-dependent weights on the same nodes,
+on whole grids.  The eta sign scans run on one grid t = k h
+(``eta_scan_grid``), where exp(-k h d) factors into a per-block and a per-row
+part: ``eta_scan`` is one matrix product per block, not one exp per (t, node).
 Every Laplace-sum exponent is floored at -600, off numpy's slow exp range
 (-745, -707.7).  The adaptive routes above stay as the independent check.
 """
@@ -52,7 +47,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -142,13 +137,14 @@ def _unit_breaks(levels) -> np.ndarray:
     return np.array(sorted(set(_ladder(0.0, 1.0, levels) + [0.0, 1.0])))
 
 
-def _panel_rule(lo: float, hi: float, levels, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre (nodes, weights) on the panels of ``_ladder``."""
+def _panel_rule(lo: float, hi, levels, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre (nodes, weights) on the panels of ``_ladder``;
+    for a column of ``hi``, one row of each per hi, as if for that hi alone."""
     breaks = lo + (hi - lo) * _unit_breaks(levels)
     xg, wg = _leggauss(order)
-    h = 0.5 * np.diff(breaks)[:, None]
-    nodes = 0.5 * (breaks[:-1] + breaks[1:])[:, None] + h * xg
-    return nodes.ravel(), (h * wg).ravel()
+    h = 0.5 * np.diff(breaks)[..., None]
+    nodes = 0.5 * (breaks[..., :-1] + breaks[..., 1:])[..., None] + h * xg
+    return nodes.reshape(breaks.shape[:-1] + (-1,)), (h * wg).reshape(breaks.shape[:-1] + (-1,))
 
 
 def _resonance_knots(beta: float, sigma: float, c: float, upper: float) -> list:
@@ -251,13 +247,10 @@ def tau_kernel(beta: float, t: float, route: str = "primary") -> KernelValue:
         raise DomainError("tau kernel requires beta in (1, 2)")
     if not t >= 0.0:
         raise DomainError("t must be >= 0")
-    if route == "primary":
-        v, e = _tau_primary(beta, t)
-        return KernelValue(v, e, "quadrature_primary")
-    if route == "alternate":
-        v, e = _tau_alternate(beta, t)
-        return KernelValue(v, e, "quadrature_alternate")
-    raise ValueError("route must be 'primary' or 'alternate'")
+    if route not in ("primary", "alternate"):
+        raise ValueError("route must be 'primary' or 'alternate'")
+    v, e = (_tau_primary if route == "primary" else _tau_alternate)(beta, t)
+    return KernelValue(v, e, "quadrature_" + route)
 
 
 def _J_integral(beta: float, t: float) -> Tuple[float, float]:
@@ -349,13 +342,10 @@ def phi(beta: float, t: float, route: str = "primary") -> KernelValue:
     if abs(beta - round(beta)) < ENDPOINT_BAND:
         v = float(_closed_forms(round(beta))[0](t)[0])
         return KernelValue(v, abs(v - float(phi_callable(beta)(t)[0])), "closed_form")
-    if route == "primary":
-        v, e = _phi_primary(beta, t)
-        return KernelValue(v, e, "quadrature_primary")
-    if route == "alternate":
-        v, e = _phi_alternate(beta, t)
-        return KernelValue(v, e, "quadrature_alternate")
-    raise ValueError("route must be 'primary' or 'alternate'")
+    if route not in ("primary", "alternate"):
+        raise ValueError("route must be 'primary' or 'alternate'")
+    v, e = (_phi_primary if route == "primary" else _phi_alternate)(beta, t)
+    return KernelValue(v, e, "quadrature_" + route)
 
 
 def psi(beta: float, t: float) -> KernelValue:
@@ -393,24 +383,25 @@ def eta_scan_grid(beta: float) -> np.ndarray:
     return np.arange(_SCAN_POINTS) * (scan_range(beta, 6.0) / (_SCAN_POINTS - 1))
 
 
-def _laplace_sums(ts: np.ndarray, d: np.ndarray, v: np.ndarray, which=None) -> np.ndarray:
-    """Row k: sum_i v[k, j, i] exp(-t d[j, i]) for each t = ts[r] of the 1-D
-    ``ts``, on rule j = which[r] of the G rules whose decays are the rows of
-    ``d``, shape (G, n), or on rule 0 when ``which`` is None; ``v`` is (K, G, n).
+def _laplace_sums(ts: np.ndarray, d: np.ndarray, w: np.ndarray, order: int = 0,
+                  which=None) -> np.ndarray:
+    """Row k = 0, ..., order: sum_i w[j, i] (-d[j, i])^k exp(-t d[j, i]), the
+    k-th t-derivative of row 0, for each t = ts[r] of the 1-D ``ts``, on rule
+    j = which[r] of the G rules whose decays and weights are the rows of ``d``
+    and ``w``, shape (G, n), or on rule 0 when ``which`` is None.
 
-    A block of t is filled as an einsum outer product of -t and the decays
-    (rows of several rules: a broadcast product of the gathered decays), each
-    entry one product, and one einsum reduces all K rows of ``v`` over it.
-    Each (k, t) is still its own reduction (einsum, not BLAS gemv), so a value
-    does not depend on which t, rules or vectors share its block.  The decays
-    fall with i; a block skips the leading nodes where exp(-t d) underflows
-    to 0 for all its t, in multiples of 64, so the rest keep their einsum lanes.
+    A block of t is filled as an einsum outer product of t and the negated
+    decays (rows of several rules: a broadcast product of the gathered ones), each
+    entry one product, and one einsum reduces all rows k over it, on the
+    w_i (-d_i)^k of the block's rules, each (k, t) its own reduction, so a
+    value does not depend on which t or rules share its block.  A block skips
+    the leading nodes (the decays fall with i) where exp(-t d) underflows to 0
+    for all its t, in multiples of 64, so the rest keep their einsum lanes.
     Exponents below ``_EXP_FLOOR`` are raised to it (exp's fast path), which
-    moves a sum by at most sum |v_i| e^-600, about 1e-250: a skip that differs
-    between blocks drops only such terms, which vanish in each sum's rounding.
-    Rows of several rules are gathered ``_GATHER_ROWS`` at a time.
+    moves a sum by at most sum |w_i d_i^k| e^-600, as a skip does: terms that
+    vanish in each sum's rounding.  Rows of several rules go 16 to a block.
     """
-    out = np.empty((len(v), ts.size))
+    out = np.empty((order + 1, ts.size))
     step = _BLOCK_ROWS if which is None else _GATHER_ROWS
     for start in range(0, ts.size, step):
         rows = ts[start : start + step]
@@ -419,66 +410,76 @@ def _laplace_sums(ts: np.ndarray, d: np.ndarray, v: np.ndarray, which=None) -> n
         # exp(-x) is exactly 0 in double precision for x > 745.14
         low = ds if ds.ndim == 1 else ds.min(axis=0)
         skip = int(np.count_nonzero(low * rows.min() > 746.0)) // 64 * 64
+        ds = -ds[..., skip:]
+        v = np.empty((order + 1,) + ds.shape)
+        v[0] = w[pick, skip:]
+        for k in range(order):
+            np.multiply(v[k], ds, out=v[k + 1])
         if ds.ndim == 1:
-            block, spec = np.einsum("i,j->ij", -rows, ds[skip:]), "ij,kj->ki"
+            block, spec = np.einsum("i,j->ij", rows, ds), "ij,kj->ki"
         else:
-            block, spec = np.multiply(-rows[:, None], ds[:, skip:]), "ij,kij->ki"
+            block, spec = np.multiply(rows[:, None], ds), "ij,kij->ki"
         np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
-        out[:, start : start + step] = np.einsum(spec, block, v[:, pick, skip:])
+        out[:, start : start + step] = np.einsum(spec, block, v)
     return out
 
 
-def psi_jets(rules: Sequence["PsiEvaluator"], order: int) -> Callable:
-    """Psi jets on several rules at once: a function (ts, which=None) whose
-    row k = 0, ..., order holds psi_b and its derivatives phi_b, phi_b', ...
-    at each t = ts[r] of the 1-D ``ts`` on the rule rules[which[r]], or on the
-    only rule when ``which`` is None, all from one exp block per block of t.
-    Row k is _osc(b, t, k pi/b) + (-1)^k sum_i w_i d_i^k e^(-t d_i) / (b pi),
-    plus 1 for k = 0, with phi_b(0) = 0 exactly; a value does not depend on
-    the other t.  The derivative weights are built here, once per call.
+def psi_jets(betas: np.ndarray, decays: np.ndarray, weights: np.ndarray, order: int,
+             runs: bool = False) -> Callable:
+    """Psi jets on the rules of ``betas``, rule j the rows j of ``decays`` and
+    ``weights`` (``rule_rows``): a function (ts, which=None) whose row k = 0,
+    ..., order holds psi_b, phi_b, phi_b', ... at each t = ts[r] of the 1-D
+    ``ts`` on rule which[r] (rule 0 if None): _osc(b, t, k pi/b) + (-1)^k
+    sum_i w_i d_i^k e^(-t d_i) / (b pi), plus 1 for k = 0, phi_b(0) = 0
+    exactly; a value does not depend on the other t.  Rows of several rules
+    are gathered; with ``runs``, ``which`` is non-decreasing and each rule's
+    run of t is one rule's block alone.
     """
-    betas = np.array([rule.beta for rule in rules])
-    turn = np.array([(math.cos(PI / rule.beta), math.sin(PI / rule.beta)) for rule in rules]).T
-    d = np.array([rule._decay for rule in rules])
-    v = np.empty((order + 1,) + d.shape)
-    v[0] = [rule._weights for rule in rules]
-    for j in range(order):
-        np.multiply(v[j], -d, out=v[j + 1])  # (-1)^k w_i d_i^k
+    turn = np.array([(math.cos(PI / b), math.sin(PI / b)) for b in betas.tolist()]).T
     k = np.arange(order + 1)[:, None]
 
     def jet(ts, which=None) -> np.ndarray:
-        which = None if len(rules) == 1 else which  # one rule: nothing to gather
+        which = None if betas.size == 1 else which  # one rule: nothing to gather or cut
         ts, pick = _grid(ts), 0 if which is None else which
         b = betas[pick]
         out = _osc(b, ts, k * (PI / b), turn[:, pick])
         out[0] += 1.0
-        out += _laplace_sums(ts, d, v, which) / (b * PI)
+        if runs and which is not None:  # each rule's run of t a one-rule block
+            parts = np.split(ts, np.searchsorted(which, np.arange(1, betas.size)))
+            sums = np.hstack([_laplace_sums(p, decays[j : j + 1], weights[j : j + 1], order)
+                              for j, p in enumerate(parts)])
+        else:
+            sums = _laplace_sums(ts, decays, weights, order, which)
+        out += sums / (b * PI)
         out[1:2] = np.where(ts == 0.0, 0.0, out[1:2])
         return out
 
     return jet
 
 
-class PsiEvaluator:
-    """Spectral Gauss-Legendre rule for psi_b, phi_b and eta_{a,b} on vectors
-    of t.
+def rule_rows(betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(decays, weights), each (G, 800), row j the spectral rule of betas[j] in
+    (1, 2), bit for bit as if built alone: composite Gauss-Legendre on the
+    arctangent-substituted tau integral, 80 panels of 10 nodes halved 50 times
+    toward w = 0 (the large decays small t needs) and 30 times toward the
+    small-y kink at w = (2-b) pi."""
+    consts = [(*_consts(b), (2.0 - b) * PI, 1.0 / b) for b in betas.tolist()]
+    sigma, c, span, power = np.array(consts).T[:, :, None]
+    d, weights = _panel_rule(0.0, span, RULE_LEVELS, RULE_ORDER)
+    np.subtract(np.divide(sigma, np.tan(d, out=d), out=d), c, out=d)  # the nodes, in place
+    return np.power(np.maximum(d, 0.0, out=d), power, out=d), weights
 
-    Precomputes composite Gauss-Legendre nodes of the arctangent-substituted
-    tau integral: 80 panels of 10 nodes, halved 50 times toward w = 0 (the
-    large decays that small t needs) and 30 times toward the small-y kink at
-    w = (2-b) pi.  Every value is a Laplace sum over those nodes, taken in
-    blocks of t so that a dense grid never holds the whole t-by-node matrix.
-    Agreement with the adaptive routes is covered by the test suite.
-    """
+
+class PsiEvaluator:
+    """psi_b, phi_b and eta_{a,b} on vectors of t from the spectral rule of one
+    beta (``rule_rows``): Laplace sums over its nodes, taken in blocks of t so
+    that a dense grid never holds the whole t-by-node matrix."""
 
     def __init__(self, beta: float):
         if not 1.0 < beta < 2.0:
             raise DomainError("PsiEvaluator requires beta in (1, 2)")
         self.beta = beta
-        sigma, c = _consts(beta)
-        w, self._weights = _panel_rule(0.0, (2.0 - beta) * PI, RULE_LEVELS, RULE_ORDER)
-        y = np.maximum(sigma / np.tan(w) - c, 0.0)
-        self._decay = y ** (1.0 / beta)
+        (self._decay,), (self._weights,) = rule_rows(np.array([beta]))
 
     def psi_values(self, ts) -> np.ndarray:
         """psi_b = rho_b + tau_b, with tau_b the Laplace sum of the weights."""
@@ -491,7 +492,7 @@ class PsiEvaluator:
     def psi_jet(self, ts, order: int) -> np.ndarray:
         """Rows k = 0, ..., order: psi_b and its derivatives phi_b, phi_b', ...
         from one exp block: the one-rule case of ``psi_jets``."""
-        return psi_jets([self], order)(ts)
+        return psi_jets(np.array([self.beta]), self._decay[None], self._weights[None], order)(ts)
 
     def _eta_weights(self, alpha: float) -> np.ndarray:
         """The v_i of ``eta_grid``'s branch-cut sum; DomainError unless
@@ -513,7 +514,7 @@ class PsiEvaluator:
         pos = ts > 0.0
         tp, b = ts[pos], self.beta
         out = np.zeros(ts.shape)
-        sums = _laplace_sums(tp, self._decay[None], v[None, None])[0]
+        sums = _laplace_sums(tp, self._decay[None], v[None])[0]
         out[pos] = kappa(alpha, tp) + _osc(b, tp, (1.0 - alpha) * (PI / b)) + sums
         return out
 
@@ -524,12 +525,10 @@ class PsiEvaluator:
         On that grid exp(-(k R + j) h d_i) = exp(-k R h d_i) exp(-j h d_i): the
         scan is one product of B[j, i] = exp(-j h d_i), R = ``_SCAN_ROWS`` rows,
         and E[i, k] = v_i exp(-k R h d_i), 0 below ``_EXP_FLOOR``, k < 32, where
-        B is floored; each moves a value by at most sum |v_i| e^-600.
-        Everything but the weights v comes from ``_scan_basis``, held for the
-        next scan of the same beta (a ``c_bounds`` bisection).  Values differ
-        from ``eta_values`` and ``phi_values`` only by rounding (about 1e-14),
-        as between BLAS thread counts.  DomainError for a outside [0, 1]; a
-        NaN a gives NaN.
+        B is floored.  All but the weights v comes from ``_scan_basis``, held
+        for the next scan of the same beta (a ``c_bounds`` bisection).  Values
+        differ from ``eta_values`` and ``phi_values`` by rounding (about 1e-14).
+        DomainError for a outside [0, 1]; a NaN a gives NaN.
         """
         if alpha < 0.0 or alpha > 1.0:
             raise DomainError(f"the scan requires 0 <= alpha <= 1, got {alpha}")
@@ -587,8 +586,9 @@ class PsiEvaluator:
 
 # -- per-beta cache of spectral rules ----------------------------------------
 
-# Distinct betas kept, least recently used dropped first (a rule is 16 kB);
-# ``classify.psi_max`` takes a beta grid in groups of this many.
+# Distinct betas kept, least recently used dropped first (a rule is 12.8 kB:
+# 800 decays and 800 weights); ``classify.psi_max`` takes a beta grid in
+# groups of this many, on rules of its own, not from this cache.
 BETA_CACHE_SIZE = 32
 _RULES = functools.lru_cache(maxsize=BETA_CACHE_SIZE)(PsiEvaluator)
 _BETA_LOCK = threading.Lock()

@@ -102,85 +102,72 @@ def test_c_bounds_stops_at_float_spacing(monkeypatch):
     assert not lo < 0.5 * (lo + hi) < hi
 
 
-def _record_newton_steps(monkeypatch):
+def _record_jets(monkeypatch):
     """Patch ``classify.psi_jets`` so that every jet it hands out records its
-    calls into the returned list as (order, ts, which)."""
-    real, steps = C.psi_jets, []
+    calls into the returned list as (order, betas, ts, which, values)."""
+    real, calls = C.psi_jets, []
 
-    def psi_jets(rules, order):
-        jet = real(rules, order)
+    def psi_jets(betas, decays, weights, order, *args):
+        jet = real(betas, decays, weights, order, *args)
 
         def record(ts, which=None):
-            steps.append((order, np.array(ts), None if which is None else np.array(which)))
-            return jet(ts, which)
+            out = jet(ts, which)
+            calls.append((order, betas.copy(), np.array(ts), None if which is None else np.array(which), out))
+            return out
 
         return record
 
     monkeypatch.setattr(C, "psi_jets", psi_jets)
-    return steps
+    return calls
 
 
 def test_psi_max_roots_reuse_scanned_phi(monkeypatch):
     # Newton starts inside each scan cell, whose ends the scan already holds;
     # after the scan, no scan point is evaluated again
     beta = 1.9337
-    rule = spectral_rule(beta)
-    calls = []
-    for name in ("psi_jet", "psi_values", "phi_values"):
-        original = getattr(rule, name)
-
-        def record(ts, *args, f=original):
-            calls.append(np.atleast_1d(ts).copy())
-            return f(ts, *args)
-
-        monkeypatch.setattr(rule, name, record)
-    steps = _record_newton_steps(monkeypatch)
+    calls = _record_jets(monkeypatch)
     assert 1.0 < C.psi_max(beta) <= 4.0 / beta
-    (scan,), later = calls, [ts for _, ts, _ in steps]
-    assert scan.size == 127 and later
+    (scan,), later = [c[2] for c in calls if c[0] == 1], [c[2] for c in calls if c[0] != 1]
+    assert calls[0][0] == 1 and scan.size == 127 and later
     assert not np.isin(np.concatenate(later), scan).any()
 
 
 def test_psi_max_scans_psi_and_phi_from_one_block(monkeypatch):
-    # the scan is one psi_jet(ts, 1) call, and every Newton step is one call
-    # of an order-2 jet with one point in each cell still open, all cells at
-    # the first step; psi_values and phi_values are not called
+    # the scan is one order-1 jet call, and every Newton step is one call of
+    # an order-2 jet with one point in each cell still open, all cells at the
+    # first step; no rule object's psi or phi is called
     beta = 1.9337
-    rule = spectral_rule(beta)
-    real, calls = rule.psi_jet, []
-    record = lambda ts, order: calls.append((order, ts)) or real(ts, order)  # noqa: E731
-    monkeypatch.setattr(rule, "psi_jet", record)
-    for name in ("psi_values", "phi_values"):
-        monkeypatch.setattr(rule, name, lambda ts: pytest.fail("a separate psi or phi call"))
-    steps = _record_newton_steps(monkeypatch)
+    for name in ("psi_jet", "psi_values", "phi_values"):
+        monkeypatch.setattr(K.PsiEvaluator, name, lambda *a: pytest.fail("a separate psi or phi call"))
+    calls = _record_jets(monkeypatch)
     C.psi_max(beta)
-    ((scan_order, ts),) = calls
-    phis = real(ts, 1)[1]
+    (scan_order, _, ts, _, (_, phis)), *steps = calls
     cells = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0))
     assert scan_order == 1 and cells.size == 2 and steps
     sizes = []
-    for order, t, which in steps:
+    for order, betas, t, which, _ in steps:
         cell = np.searchsorted(ts, t) - 1
         assert order == 2 and np.isin(cell, cells).all() and np.unique(cell).size == t.size
-        assert np.array_equal(which, np.zeros(t.size))  # the one beta's rule
+        assert betas.tolist() == [beta] and np.array_equal(which, np.zeros(t.size))  # the one beta's rule
         sizes.append(t.size)
     assert sizes[0] == cells.size and sizes == sorted(sizes, reverse=True)
 
 
 def test_psi_max_on_a_grid_scans_each_beta_once(monkeypatch):
-    # the array form: one order-1 scan per beta inside (1, 2), and Newton steps
-    # over the open cells of every beta of a group, each cell on its own rule
+    # the array form: one 127-point order-1 scan per beta inside (1, 2), one
+    # scan call per group, and Newton steps over the open cells of every beta
+    # of a group, each cell on its own rule
     betas = np.concatenate([[1.0], np.linspace(1.001, 1.999, 70), [2.0]])
-    scans = []
-    real = K.PsiEvaluator.psi_jet
-    record = lambda ev, ts, order: scans.append((ev.beta, order)) or real(ev, ts, order)  # noqa: E731
-    monkeypatch.setattr(K.PsiEvaluator, "psi_jet", record)
-    steps = _record_newton_steps(monkeypatch)
+    calls = _record_jets(monkeypatch)
     values = C.psi_max(betas)
-    assert scans == [(b, 1) for b in betas[1:-1]]
+    scans = [(group, which) for order, group, _, which, _ in calls if order == 1]
+    steps = [which for order, _, _, which, _ in calls if order != 1]
     groups = -(-70 // K.BETA_CACHE_SIZE)
+    assert np.concatenate([group for group, _ in scans]).tolist() == betas[1:-1].tolist()
+    assert all((np.bincount(which, minlength=group.size) == 127).all() for group, which in scans)
+    assert len(scans) == groups and all(order in (1, 2) for order, *_ in calls)
     assert len(steps) <= 12 * groups
-    assert max(int(which.max()) for _, _, which in steps) == K.BETA_CACHE_SIZE - 1
+    assert max(int(which.max()) for which in steps) == K.BETA_CACHE_SIZE - 1
     assert values[0] == 1.0 and values[-1] == 2.0
 
 
@@ -234,18 +221,19 @@ def test_psi_max_on_overlapping_grids_from_threads():
 def test_psi_max_scan_grid_is_the_set_union_without_zero(monkeypatch):
     # the sorted, deduplicated grid equals the sorted set of the uniform and the
     # geometric points, less t = 0
+    calls = _record_jets(monkeypatch)
     for beta in np.linspace(1.001, 1.999, 37):
-        rule, hi = spectral_rule(float(beta)), C.scan_range(float(beta))
-        real, grids = rule.psi_jet, []
-        monkeypatch.setattr(rule, "psi_jet", lambda ts, order: grids.append(ts) or real(ts, order))
+        hi = C.scan_range(float(beta))
+        calls.clear()
         C.psi_max(float(beta))
         old = sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)})
-        assert np.array_equal(grids[0], old[1:]) and old[0] == 0.0
+        assert np.array_equal(calls[0][2], old[1:]) and old[0] == 0.0
 
 
 def test_psi_max_scan_grid_is_built_as_numpy_builds_it():
     # the direct build equals the linspace/geomspace union without 0, bit for
-    # bit, on 2000 random betas, the 99 interior figure1 betas and near the ends
+    # bit, on 2000 random betas, the 99 interior figure1 betas and near the
+    # ends, every grid of a group built at once in groups of 1, 7 and 32
     betas = np.concatenate(
         [
             np.random.default_rng(27).uniform(1.0, 2.0, 2000),
@@ -253,10 +241,21 @@ def test_psi_max_scan_grid_is_built_as_numpy_builds_it():
             [1.0 + 1e-6, 2.0 - 1e-7],
         ]
     )
-    for beta in map(float, betas):
-        hi = C.scan_range(beta)
-        old = np.array(sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)})[1:])
-        assert C._scan_grid(hi).tobytes() == old.tobytes(), beta
+    his = np.array([C.scan_range(beta) for beta in map(float, betas)])
+    old = [np.array(sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)})[1:]) for hi in his]
+    for size in (1, 7, 32):
+        for start in range(0, his.size, size):
+            ts, which = C._scan_grid(his[start : start + size])
+            assert np.array_equal(which, np.sort(which))
+            for j, row in enumerate(old[start : start + size]):
+                assert ts[which == j].tobytes() == row.tobytes(), betas[start + j]
+    # a span of 0.64 puts uniform points on geometric ones (0.01 among them):
+    # that row alone is deduplicated
+    ts, which = C._scan_grid(np.array([his[0], 0.64, his[1]]))
+    assert np.bincount(which)[[0, 2]].tolist() == [127, 127] and np.bincount(which)[1] < 127
+    for j, hi in enumerate((his[0], 0.64, his[1])):
+        row = sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)})[1:]
+        assert ts[which == j].tobytes() == np.array(row).tobytes()
 
 
 def test_psi_max_matches_oracle_on_figure1_grid():
@@ -273,17 +272,13 @@ def test_psi_max_matches_oracle_on_figure1_grid():
 
 def test_psi_max_newton_steps_are_few(monkeypatch):
     # bracketed Newton ends within 12 steps, even within 1e-6 of the endpoints
-    real, scans = K.PsiEvaluator.psi_jet, []
-    monkeypatch.setattr(
-        K.PsiEvaluator, "psi_jet", lambda ev, ts, order: scans.append(order) or real(ev, ts, order)
-    )
-    steps = _record_newton_steps(monkeypatch)
+    calls = _record_jets(monkeypatch)
     for beta in map(float, PSI_MAX_BETAS):
-        scans.clear()
-        steps.clear()
+        calls.clear()
         C.psi_max(beta)
-        assert scans == [1] and 1 <= len(steps) <= 12, beta
-        assert all(order == 2 for order, _, _ in steps), beta
+        (scan, *steps) = [order for order, *_ in calls]
+        assert scan == 1 and 1 <= len(steps) <= 12, beta
+        assert all(order == 2 for order in steps), beta
 
 
 WITNESS_CASES = ((0.0, 1.5), (0.05, 1.5), (0.2, 1.9), (0.1, 1.738), (0.3, 1.3), (0.6, 1.5))

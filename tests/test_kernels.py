@@ -220,7 +220,7 @@ def test_laplace_sum_skipping_is_exact():
         v = rng.normal(size=ev._decay.size) * ev._weights
         ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 80.0, 700))])
         full = np.einsum("ij,j->i", np.exp(np.multiply.outer(-ts, ev._decay)), v)
-        assert np.array_equal(K._laplace_sums(ts, ev._decay[None], v[None, None])[0], full)
+        assert np.array_equal(K._laplace_sums(ts, ev._decay[None], v[None])[0], full)
 
 
 @pytest.mark.parametrize("beta", (1.0, 0.5, 2.5, math.nan))
@@ -232,10 +232,13 @@ def test_scan_range_requires_beta_in_one_two(beta):
     assert K.scan_range(2.0) == 3.0 * PI
 
 
-def _per_row_laplace_sums(ts, d, v, which=None):
+def _per_row_laplace_sums(ts, d, w, order, which=None):
     # the block contract written out: the same blocks, skips and floor, each
-    # weight row reduced by its own "ij,ij->i" einsum
-    out = np.empty((len(v), ts.size))
+    # weight row w (-d)^k reduced by its own "ij,ij->i" einsum
+    v = [w]
+    for _ in range(order):
+        v.append(v[-1] * -d)
+    out = np.empty((order + 1, ts.size))
     step = K._BLOCK_ROWS if which is None else K._GATHER_ROWS
     for start in range(0, ts.size, step):
         rows = ts[start : start + step]
@@ -258,18 +261,18 @@ def test_laplace_sums_rows_match_the_per_row_reduction(seed, k):
     rng = np.random.default_rng(seed)
     rules = [K.spectral_rule(float(b)) for b in rng.uniform(1.0, 2.0, 3)]
     d = np.array([rule._decay for rule in rules])
-    v = rng.normal(size=(k,) + d.shape) * np.array([rule._weights for rule in rules])
+    w = rng.normal(size=d.shape) * np.array([rule._weights for rule in rules])
     ts = rng.uniform(1e-3, 60.0, 300)
     which = rng.integers(0, len(rules), ts.size)
-    one = K._laplace_sums(ts, d[:1], v[:, :1])
-    gathered = K._laplace_sums(ts, d, v, which)
+    one = K._laplace_sums(ts, d[:1], w[:1], k - 1)
+    gathered = K._laplace_sums(ts, d, w, k - 1, which)
     assert one.shape == gathered.shape == (k, ts.size)
-    assert one.tobytes() == _per_row_laplace_sums(ts, d[:1], v[:, :1]).tobytes()
-    assert gathered.tobytes() == _per_row_laplace_sums(ts, d, v, which).tobytes()
+    assert one.tobytes() == _per_row_laplace_sums(ts, d[:1], w[:1], k - 1).tobytes()
+    assert gathered.tobytes() == _per_row_laplace_sums(ts, d, w, k - 1, which).tobytes()
     for r in rng.choice(ts.size, 8, replace=False):
-        alone = K._laplace_sums(ts[r : r + 1], d[:1], v[:, :1])
+        alone = K._laplace_sums(ts[r : r + 1], d[:1], w[:1], k - 1)
         assert alone.tobytes() == one[:, r : r + 1].tobytes()
-        alone = K._laplace_sums(ts[r : r + 1], d, v, which[r : r + 1])
+        alone = K._laplace_sums(ts[r : r + 1], d, w, k - 1, which[r : r + 1])
         assert alone.tobytes() == gathered[:, r : r + 1].tobytes()
 
 
@@ -292,7 +295,7 @@ def test_psi_jet_matches_written_out_psi_and_phi(beta):
     w, d, b = ev._weights, ev._decay, beta
     for n in (1, 255, 256, 257, 2049):
         ts = np.linspace(0.0, 40.0, n)
-        tau, tau_prime = K._laplace_sums(ts, d[None], np.array([w, w * d])[:, None])
+        tau, tau_prime = (K._laplace_sums(ts, d[None], v[None])[0] for v in (w, w * d))
         psi = 1.0 + K._osc(b, ts, 0.0) + tau / (b * PI)
         phi = np.where(ts == 0.0, 0.0, K._osc(b, ts, PI / b) - tau_prime / (b * PI))
         jet = ev.psi_jet(ts, 1)
@@ -309,6 +312,28 @@ def test_psi_jet_phi_prime_matches_central_differences(beta):
     ts = np.concatenate([np.geomspace(0.05, 30.0, 200), np.linspace(0.05, 30.0, 200)])
     diff = (ev.phi_values(ts + h) - ev.phi_values(ts - h)) / (2.0 * h)
     assert np.max(np.abs(ev.psi_jet(ts, 2)[2] - diff)) <= 5e-8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([0, 1, 2]))
+def test_psi_jets_runs_and_gathered_rows_equal_each_rule_alone(seed, order):
+    # one call over contiguous one-rule runs of several rules (of any length,
+    # an empty one included) and one over gathered rows give, for each t, the
+    # bits of that rule's own one-rule jet; one rule takes no ``which``
+    rng = np.random.default_rng(seed)
+    betas = rng.uniform(1.0, 2.0, 5)
+    decays, weights = K.rule_rows(betas)
+    sizes = rng.integers(0, 140, betas.size)
+    which = np.repeat(np.arange(betas.size), sizes)
+    ts = np.concatenate([np.sort(rng.uniform(0.0, 60.0, n)) for n in sizes])
+    runs = K.psi_jets(betas, decays, weights, order, True)(ts, which)
+    gathered = K.psi_jets(betas, decays, weights, order)(ts, which)
+    for j, beta in enumerate(betas):
+        alone = K.PsiEvaluator(float(beta)).psi_jet(ts[which == j], order)
+        assert runs[:, which == j].tobytes() == alone.tobytes()
+        assert gathered[:, which == j].tobytes() == alone.tobytes()
+    one = K.psi_jets(betas[:1], decays[:1], weights[:1], order, True)
+    assert one(ts).tobytes() == one(ts, np.zeros(ts.size, int)).tobytes()
 
 
 def _rule_values(beta, ts, levels=None, order=None):
@@ -381,6 +406,33 @@ def test_spectral_rule_breaks_scale_the_cached_unit_ladder():
     assert K._unit_breaks(K.RULE_LEVELS) is K._unit_breaks(K.RULE_LEVELS)
 
 
+def test_rule_rows_are_each_beta_alone_bit_for_bit():
+    # a group build, in groups of 1, 7 and 32, gives every beta the rule of its
+    # own scalar build written out (float sigma, c and exponent, a 1-D panel
+    # rule), and PsiEvaluator holds the one-row case
+    betas = np.concatenate(
+        [
+            np.random.default_rng(28).uniform(1.0, 2.0, 2000),
+            np.linspace(1.0, 2.0, 101)[1:-1],
+            [1.0 + 1e-6, 2.0 - 1e-7],
+        ]
+    )
+    alone = []
+    for beta in map(float, betas):
+        sigma, c = K._consts(beta)
+        w, weights = K._panel_rule(0.0, (2.0 - beta) * PI, K.RULE_LEVELS, K.RULE_ORDER)
+        alone.append((np.maximum(sigma / np.tan(w) - c, 0.0) ** (1.0 / beta), weights))
+    for size in (1, 7, 32):
+        for start in range(0, betas.size, size):
+            decays, weights = K.rule_rows(betas[start : start + size])
+            assert decays.shape == weights.shape == (min(size, betas.size - start), 800)
+            for j, (d, w) in enumerate(alone[start : start + size]):
+                assert decays[j].tobytes() == d.tobytes() and weights[j].tobytes() == w.tobytes()
+    for beta, (d, w) in zip(betas[::97], alone[::97]):
+        ev = K.PsiEvaluator(float(beta))
+        assert ev._decay.tobytes() == d.tobytes() and ev._weights.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("beta", (1.0005, 1.3, 1.5, 1.75, 1.9995))
 def test_rule_values_match_written_out_formulas(beta):
     # each kernel's residue term and branch-cut sum written out in full, in
@@ -389,7 +441,7 @@ def test_rule_values_match_written_out_formulas(beta):
     ts = np.linspace(0.0, 25.0, 101)
     b, a, w, d = beta, PI / beta, ev._weights, ev._decay
     grow, turn = np.exp(ts * math.cos(a)), ts * math.sin(a)
-    tau, tau_prime = (K._laplace_sums(ts, d[None], v[None, None])[0] for v in (w, w * d))
+    tau, tau_prime = (K._laplace_sums(ts, d[None], v[None])[0] for v in (w, w * d))
     psi = 1.0 - (2.0 / b) * grow * np.cos(turn) + tau / (b * PI)
     phi = -(2.0 / b) * grow * np.cos(a + turn) - tau_prime / (b * PI)
     phi[0] = 0.0
@@ -403,7 +455,7 @@ def test_rule_values_match_written_out_formulas(beta):
         eta = (
             tp ** (alpha - 1.0) / math.gamma(alpha)
             - (2.0 / b) * np.exp(tp * math.cos(a)) * np.cos(tp * math.sin(a) + (1.0 - alpha) * a)
-            + K._laplace_sums(tp, d[None], v[None, None])[0]
+            + K._laplace_sums(tp, d[None], v[None])[0]
         )
         assert np.array_equal(ev.eta_values(alpha, ts), np.concatenate([[0.0], eta]))
 
@@ -710,16 +762,16 @@ def test_eta_scan_domain():
 
 
 def _psi_max_scan_grid(beta):
-    """The t grid of ``classify.psi_max``'s psi/phi scan, as it calls the rule."""
+    """The t grid of ``classify.psi_max``'s psi/phi scan, as it calls its jet."""
     grids = []
-    real = K.PsiEvaluator.psi_jet
+    real = C.psi_jets
 
-    def record(ev, ts, order):
-        grids.append((order, ts))
-        return real(ev, ts, order)
+    def psi_jets(betas, decays, weights, order, *args):
+        jet = real(betas, decays, weights, order, *args)
+        return lambda ts, which=None: grids.append((order, ts)) or jet(ts, which)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(K.PsiEvaluator, "psi_jet", record)
+        mp.setattr(C, "psi_jets", psi_jets)
         C.psi_max(beta)
     ((_, ts),) = [g for g in grids if g[0] == 1]
     return ts
@@ -737,11 +789,11 @@ def test_exp_floor_is_exact_on_psi_max_grid(beta):
     skip = np.count_nonzero(ev._decay * ts.min() > 746.0) // 64 * 64
     assert skip >= (192 if beta < 1.95 else 128)
     assert np.max(np.multiply.outer(ts, ev._decay[skip:])) > -K._EXP_FLOOR
-    vs = np.array([ev._weights, ev._weights * ev._decay])
+    vs = np.array([ev._weights, ev._weights * -ev._decay])
     full = np.exp(np.multiply.outer(-ts, ev._decay))
-    for v, sums in zip(vs, K._laplace_sums(ts, ev._decay[None], vs[:, None])):
+    for v, sums in zip(vs, K._laplace_sums(ts, ev._decay[None], ev._weights[None], 1)):
         assert np.array_equal(sums, np.einsum("ij,j->i", full, v))
-        assert np.array_equal(K._laplace_sums(ts, ev._decay[None], v[None, None])[0], sums)
+        assert np.array_equal(K._laplace_sums(ts, ev._decay[None], v[None])[0], sums)
 
 
 def test_laplace_sum_exponents_stay_above_the_floor():
