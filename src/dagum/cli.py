@@ -1,11 +1,12 @@
 """Command-line surface: evaluate, classify, tabulate, check, simulate.
 
 Exit codes: 0 success, 2 parameter error, 3 numeric non-convergence, a
-degenerate exponent fit or an ``eval`` value whose float arithmetic overflows
-(or divides by an underflowed power), 4 a ``simulate`` model whose circulant
-embedding stays indefinite.  Output goes to stdout or, with --output, is
-written atomically (temp file + rename).  CSV uses a header row, '.' decimals,
-repr-formatted floats (round-trip exact), newline-terminated.
+degenerate exponent fit or an ``eval`` value or ``psd``/``search`` Gram entry
+whose float arithmetic overflows (or divides by an underflowed power), 4 a
+``simulate`` model whose circulant embedding stays indefinite.  Output goes
+to stdout or, with --output, is written atomically (temp file + rename).  CSV
+uses a header row, '.' decimals, repr-formatted floats (round-trip exact),
+newline-terminated.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateFitError,
     DomainError,
     NotPermissibleError,
+    NumericOverflowError,
     UnsupportedExpressionError,
 )
 
@@ -159,8 +161,7 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         evaluator(p, xs[0])
         values = evaluator(p, np.array(xs, dtype=object))
     except (OverflowError, ZeroDivisionError):
-        print(f"dagum: numeric overflow: {ns.model} leaves the float range", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise NumericOverflowError(f"{ns.model} leaves the float range") from None
     rows = [f"{x!r},{v!r}" for x, v in zip(xs, values)]
     _emit("x,value\n" + "\n".join(rows) + "\n", ns.output)
     return EXIT_OK
@@ -272,6 +273,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_NUMERIC
     except DegenerateFitError as exc:
         print(f"dagum: degenerate exponent fit: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except NumericOverflowError as exc:
+        print(f"dagum: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -31,3 +31,7 @@ class NotPermissibleError(RuntimeError):
 
 class DegenerateFitError(RuntimeError):
     """Slope fit had no usable spread in its inputs."""
+
+
+class NumericOverflowError(OverflowError):
+    """A model value leaves the float range: it overflows, or divides by an underflowed power."""

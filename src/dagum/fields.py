@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import models as M
-from .errors import DegenerateFitError, DomainError, NotPermissibleError
+from .errors import DegenerateFitError, DomainError, NotPermissibleError, NumericOverflowError
 
 EIG_TOL = 1e-8
 EMBED_DOUBLINGS = 4
@@ -114,7 +114,9 @@ def gram_matrix(
 
     ``squared_distance`` feeds rho the squared Euclidean distances (the
     complete-monotonicity side of the Schoenberg correspondence);
-    ``plain_distance`` feeds it the distances themselves.
+    ``plain_distance`` feeds it the distances themselves.  An entry that
+    leaves the float range (x^beta overflowing, then inf/inf) raises
+    ``NumericOverflowError`` before any factorization or eigen-solve sees it.
     """
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
@@ -123,9 +125,11 @@ def gram_matrix(
     # distinct points have positive distances, where every family is defined.
     lower = np.tri(ps.n_points, k=-1, dtype=bool)
     arg = np.sqrt(ps._sq_pairs) if convention == "plain_distance" else ps._sq_pairs
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = evaluator(p, arg)
     del arg  # freed before the n x n output is allocated
+    if not np.isfinite(values).all():
+        raise NumericOverflowError(f"{model_id} leaves the float range")
     out = np.ones(lower.shape)
     out[lower] = out.T[lower] = values
     return out
@@ -144,9 +148,15 @@ def psd_check(
     dimension.
     """
     g = gram_matrix(model_id, params, ps, convention)
+    return _psd_report(g, model_id, params, ps, convention)
+
+
+def _psd_report(
+    g: np.ndarray, model_id: str, params: Mapping[str, float], ps: PointSet, convention: str
+) -> PsdReport:
+    # the verdict rule of psd_check and nonpsd_search, on a Gram matrix built once
     eigs = np.linalg.eigvalsh(g)
     mn, mx = float(eigs[0]), float(eigs[-1])
-    verdict = "indefinite" if mn < -EIG_TOL * mx else "psd"
     return PsdReport(
         model_id=model_id,
         params=dict(params),
@@ -156,7 +166,7 @@ def psd_check(
         dimension=ps.dimension,
         min_eigenvalue=mn,
         max_eigenvalue=mx,
-        verdict=verdict,
+        verdict="indefinite" if mn < -EIG_TOL * mx else "psd",
     )
 
 
@@ -191,16 +201,53 @@ def nonpsd_search(
     Returns the first indefinite (point set, report), or None -- and None
     proves nothing, since a witness may need dimensions or configurations
     outside the budget.
+
+    Each trial's Gram matrix G (n x n, finite: ``gram_matrix`` rejects
+    anything else, and OpenBLAS's Cholesky completes on NaN) is first
+    factored by Cholesky; only a trial whose factorization fails goes on to
+    the eigen-solve and verdict rule of ``psd_check``.  The screen is exact.
+    A Cholesky factorization that completes in floating point with unit
+    roundoff u = 2^-53 gives R^T R = G + dG with |dG| <= gamma_(n+1) |R^T| |R|
+    (Demmel 1989; Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Thm. 10.3, whose proof uses only that the algorithm completes,
+    in any order of its sums), where gamma_k = k u / (1 - k u).  Since
+    || |R^T| |R| ||_2 <= n ||R||_2^2 = n ||G + dG||_2, this gives
+    ||dG||_2 <= c ||G||_2 with c = n gamma_(n+1) / (1 - n gamma_(n+1)), about
+    n (n + 1) u.  G + dG is positive semidefinite, so lambda_min(G) >=
+    -c ||G||_2 (Weyl), and ||G||_2 = lambda_max(G).  ``eigvalsh`` is backward
+    stable: its eigenvalues are exact for G + E, ||E||_2 <= p(n) u ||G||_2.
+    So the computed min and max eigenvalues of an accepted trial satisfy
+    mn >= -(c + p(n) u) ||G||_2 and mx >= (1 - p(n) u) ||G||_2, and the rule
+    (indefinite when mn < -EIG_TOL mx) could call it indefinite only if
+    c + p(n) u > EIG_TOL (1 - p(n) u).  The screen runs only where
+    n (n + 1) u <= EIG_TOL / 100, i.e. n <= 948; there c < 1.01e-10, and
+    that would need p(n) > 8.9e7, where LAPACK's p(n) grows modestly (even
+    a worst-case n^2.5 is 2.8e7 at n = 948).  Every trial the screen accepts
+    is one the rule calls psd, so the search returns the same point set and
+    report as eigen-solving every trial.  Above n = 948 every trial is
+    eigen-solved.
     """
     if d_max < 1 or n_points < 2 or n_trials < 1:
         raise DomainError("budgets must be positive")
+    screen = n_points * (n_points + 1) * 2.0**-53 <= EIG_TOL / 100
     for trial in range(n_trials):
         dim = trial % d_max + 1
         ps = random_point_set(dim, n_points, seed, trial)
-        report = psd_check(model_id, params, ps, convention)
+        g = gram_matrix(model_id, params, ps, convention)
+        if screen and _cholesky_completes(g):
+            continue
+        report = _psd_report(g, model_id, params, ps, convention)
         if report.verdict == "indefinite":
             return ps, report
     return None
+
+
+def _cholesky_completes(g: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def simulate_profile(

@@ -564,6 +564,30 @@ def test_eval_float_overflow_exits_3(model_args, x, grid, where, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+NON_FINITE_GRAMS = (
+    # x^200 overflows past x = 34.8 and inf/inf is NaN, on which LAPACK's
+    # eigen-solve raises "Eigenvalues did not converge" or returns NaN
+    ["psd", "dagum", "--beta", "200", "--gamma", "0.5", "--n", "20", "--sets", "1", "--dims", "1"],
+    ["search", "dagum", "--beta", "200", "--gamma", "0.5", "--n", "20", "--trials", "3"],
+)
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_GRAMS, ids=lambda argv: argv[0])
+def test_non_finite_gram_exits_3(argv, tmp_path, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == "dagum: numeric overflow: dagum leaves the float range\n"
+    assert cli.main([*argv, "-o", str(tmp_path / "out.csv")]) == 3
+    assert list(tmp_path.iterdir()) == []
+    # no warning reaches the stderr of a plain interpreter either
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dagum.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
 def test_simulate_overflowing_spacing_exits_2(capsys):
     argv = ["simulate", "dagum", "--beta", "1", "--gamma", "0.5", "--n", "3",
             "--spacing", "1e200", "--seed", "1"]

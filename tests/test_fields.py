@@ -1,16 +1,17 @@
 import csv
 import io
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagum import fields as F
 from dagum import models as M
-from dagum.errors import DomainError, NotPermissibleError
+from dagum.errors import DomainError, NotPermissibleError, NumericOverflowError
 
 
 def test_gram_two_points_squared_distance():
@@ -103,6 +104,141 @@ def test_nonpsd_search_unbounded_family_probe():
         "g", {"alpha": 0.5, "lambda": 0.5}, d_max=5, n_points=60, n_trials=40, seed=0
     )
     assert np.array_equal(res2[0].points, ps.points)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(F, name)
+
+    def counted(*args):
+        calls.append(fn(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(F, name, counted)
+    return calls
+
+
+def _search_written_out(model_id, params, d_max, n_points, n_trials, seed, convention):
+    # every trial eigen-solved and judged by the psd rule, with no screen
+    for trial in range(n_trials):
+        ps = F.random_point_set(trial % d_max + 1, n_points, seed, trial)
+        eigs = np.linalg.eigvalsh(F.gram_matrix(model_id, params, ps, convention))
+        mn, mx = float(eigs[0]), float(eigs[-1])
+        if mn < -F.EIG_TOL * mx:
+            report = F.PsdReport(
+                model_id, dict(params), ps.id, convention, n_points, ps.dimension,
+                mn, mx, "indefinite",
+            )
+            return ps, report
+    return None
+
+
+SEARCH_CASES = (
+    # (model, params, convention): witnesses, at n = 5 and 12 some after trials
+    # whose factorization completes
+    ("cauchy", {"theta": 1.5, "eta": 1.0}, "squared_distance"),
+    ("cauchy", {"theta": 1.05, "eta": 2.0}, "squared_distance"),
+    ("g", {"alpha": 0.5, "lambda": 0.5}, "squared_distance"),
+    # budgets used up, every factorization completes
+    ("dagum", {"beta": 0.5, "gamma": 1.0}, "squared_distance"),
+    ("dagum", {"beta": 3.0, "gamma": 0.2}, "squared_distance"),
+    ("dagum5", {"gamma": 1.5, "epsilon": 0.6}, "plain_distance"),
+    # smooth in 1-D at n = 100: the factorization fails, yet the rule says psd
+    ("cauchy", {"theta": 2.0, "eta": 1.0}, "plain_distance"),
+    ("cauchy", {"theta": 1.0, "eta": 0.2}, "squared_distance"),
+)
+
+
+def test_nonpsd_search_equals_eigen_solving_every_trial(monkeypatch):
+    screened = _count_calls(monkeypatch, "_cholesky_completes")
+    solved = _count_calls(monkeypatch, "_psd_report")
+    late_witnesses = rejected_psd = exhausted = 0
+    for model_id, params, convention in SEARCH_CASES:
+        for n_points, d_max, seed in itertools.product((5, 12, 100), (1, 3), (0, 7)):
+            args = (model_id, params, d_max, n_points, 12, seed, convention)
+            screened.clear()
+            solved.clear()
+            found, expected = F.nonpsd_search(*args), _search_written_out(*args)
+            rejected_psd += sum(r.verdict == "psd" for r in solved)
+            if expected is None:
+                assert found is None, args
+                exhausted += 1
+                continue
+            (ps, report), (ref_ps, ref_report) = found, expected
+            assert ps.id == ref_ps.id and ps.points.tobytes() == ref_ps.points.tobytes(), args
+            assert report == ref_report, args
+            assert F.psd_reports_to_csv([report]) == F.psd_reports_to_csv([ref_report])
+            late_witnesses += any(screened[:-1])
+    # both branches of the screen, before a witness and in used-up budgets
+    assert late_witnesses >= 5 and rejected_psd >= 20 and exhausted >= 40
+
+
+def test_nonpsd_search_eigen_solves_only_the_trials_the_screen_rejects(monkeypatch):
+    screened = _count_calls(monkeypatch, "_cholesky_completes")
+    solved = _count_calls(monkeypatch, "_psd_report")
+    # completely monotonic on squared distances: every factorization completes
+    assert F.nonpsd_search("dagum", {"beta": 0.5, "gamma": 1.0}, 3, 100, 8, 0) is None
+    assert screened == [True] * 8 and solved == []
+    # smooth in 1-D: every factorization fails, every eigen-solve says psd
+    screened.clear()
+    params = {"theta": 2.0, "eta": 1.0}
+    assert F.nonpsd_search("cauchy", params, 1, 100, 4, 0, "plain_distance") is None
+    assert screened == [False] * 4 and [r.verdict for r in solved] == ["psd"] * 4
+    # the screen's size limit: n (n + 1) 2^-53 <= EIG_TOL / 100 holds up to n = 948
+    solved.clear()
+    screened.clear()
+    F.nonpsd_search("dagum", {"beta": 0.5, "gamma": 1.0}, 1, 948, 1, 0)
+    assert screened == [True] and solved == []
+    screened.clear()
+    F.nonpsd_search("dagum", {"beta": 0.5, "gamma": 1.0}, 1, 949, 1, 0)
+    assert screened == [] and [r.verdict for r in solved] == ["psd"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 948),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-18.0, -6.0),
+    n_negative=st.integers(1, 3),
+)
+# two that the factorization accepts with a computed lambda_min below 0
+@example(n=948, seed=1, exponent=-18.0, n_negative=1)
+@example(n=300, seed=2, exponent=-18.0, n_negative=1)
+def test_cholesky_screen_never_accepts_what_the_rule_calls_indefinite(
+    n, seed, exponent, n_negative
+):
+    # A symmetric matrix with a prescribed spectrum: lambda_max = 1, n_negative
+    # eigenvalues at -10^exponent (from rounding level to past -EIG_TOL), the
+    # rest uniform in [0, 1].  A completed factorization bounds lambda_min below
+    # by about -n (n + 1) 2^-53, which is at most EIG_TOL / 100 here.
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 1.0, n)
+    lam[0] = 1.0
+    lam[1 : 1 + n_negative] = -(10.0**exponent)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    g = (q * lam) @ q.T
+    g = (g + g.T) / 2.0
+    eigs = np.linalg.eigvalsh(g)
+    if F._cholesky_completes(g):
+        assert eigs[0] >= -F.EIG_TOL * eigs[-1], (n, exponent, eigs[0], eigs[-1])
+    if exponent > -9.0:  # ten times past the backward error a completed factorization allows
+        assert not F._cholesky_completes(g)
+
+
+def test_non_finite_gram_is_rejected_before_any_solve():
+    # x^200 overflows past x = 34.8, and inf/inf is NaN; the pytest configuration
+    # turns any RuntimeWarning into an error
+    params = {"beta": 200.0, "gamma": 0.5}
+    ps = F.PointSet(1, np.array([[0.0], [0.5], [10.0]]), "far")
+    for call in (F.gram_matrix, F.psd_check):
+        with pytest.raises(NumericOverflowError, match="^dagum leaves the float range$"):
+            call("dagum", params, ps, "squared_distance")
+    with pytest.raises(NumericOverflowError):
+        F.nonpsd_search("dagum", params, 1, 20, 3, 0)
+    # x^alpha underflows to 0 under g's reciprocal: an infinite entry
+    tiny = F.PointSet(1, np.array([[0.0], [1e-150]]), "tiny")
+    with pytest.raises(NumericOverflowError, match="^g leaves the float range$"):
+        F.gram_matrix("g", {"alpha": 2.0, "lambda": 1.0}, tiny, "squared_distance")
 
 
 def test_simulate_profile_determinism():
