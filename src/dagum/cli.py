@@ -1,8 +1,9 @@
 """Command-line surface: evaluate, classify, tabulate, check, simulate.
 
 Exit codes: 0 success, 2 parameter error, 3 numeric non-convergence, a
-degenerate exponent fit or an ``eval`` value or ``psd``/``search`` Gram entry
-whose float arithmetic overflows (or divides by an underflowed power), 4 a
+degenerate exponent fit or an ``eval`` value, ``psd``/``search`` Gram entry or
+``simulate`` model value whose float arithmetic overflows (or divides by an
+underflowed power), 4 a
 ``simulate`` model whose circulant embedding stays indefinite.  Output goes
 to stdout or, with --output, is written atomically (temp file + rename).  CSV
 uses a header row, '.' decimals, repr-formatted floats (round-trip exact),

@@ -259,6 +259,7 @@ def simulate_profile(
     size 2(n-1), doubled at most EMBED_DOUBLINGS times while an eigenvalue is
     below -EIG_TOL * lambda_max.  m normals go through its symmetric square
     root, eigenvalues clamped at 0, by FFT; no BLAS call touches the draw.
+    A model value that leaves the float range raises ``NumericOverflowError``.
     """
     if n < 2:
         raise DomainError("need n >= 2")
@@ -268,8 +269,10 @@ def simulate_profile(
         raise DomainError("squared distances must be finite; the points are too far apart")
     p, evaluator = M.make_model(model_id, params)
     for m in (2 * (n - 1) << k for k in range(EMBED_DOUBLINGS + 1)):
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             half = np.append(1.0, evaluator(p, np.arange(1, m // 2 + 1) * spacing))
+        if not np.isfinite(half).all():
+            raise NumericOverflowError(f"{model_id} leaves the float range")
         lam = np.fft.rfft(np.concatenate((half, half[-2:0:-1]))).real
         if lam.min() >= -EIG_TOL * lam.max():
             z = _rng(seed, _PROFILE_STREAM).standard_normal(m)

@@ -11,23 +11,21 @@ The central object is phi_b, the density whose Laplace transform is
     kappa_a(t) = t^(a-1)/Gamma(a), the power-law Laplace density
 
 Each of phi, psi and eta is the residue term of the poles x = e^{+-i pi/b}
-of 1/(1+x^b), written once as ``_osc``, plus a branch-cut integral.  Grids
-and sign scans use the spectral rule on 1 < b < 2; ``_closed_forms`` (which
-checks beta in [1, 2]) serves only b = 1 and 2, where no rule exists, and
-``ENDPOINT_BAND`` only the adaptive ``phi`` and ``psi``, whose routes fail there.
+of 1/(1+x^b), written once as ``_osc``, plus a branch-cut integral.
+``_closed_forms`` (which checks beta in [1, 2]) serves b = 1 and 2 exactly;
+the spectral rule and the primary routes below serve all of 1 < b < 2.
 
-Evaluation notes.  The adaptive routes run on QUADPACK (``numerics``).
-tau's primary route and phi's alternate route (t >= 0.5) integrate to
-infinity by the infinite-range transformation; the arctangent-substituted
-tau route and phi's alternate route below t = 0.5 (truncated at 45/t) are
-finite, with break points refined geometrically toward the ends.  phi's
-primary route folds its Mellin-type algebraic tail, which no truncation
-reaches for b near 1, onto a finite interval: y = s^b, then y + cos(b pi) =
-sin-magnitude * cot(w), and a power-law change of variable in log space
-removes the remaining w^(-1/b) endpoint singularity.  The denominator
-1 + 2 s^b cos(b pi) + s^(2b) has no real zero for b in (1, 2) but dips to
-sin^2(b pi) near s^b = -cos(b pi), where break points are seeded.  eta
-hands (t-s)^(a-1) to the algebraic-weight rule, on phi_b(s) - phi_b(t).
+Evaluation notes.  The adaptive routes run on QUADPACK (``numerics``).  The
+primary route of tau, phi and psi is the arctangent-substituted branch-cut
+integral, (1/(b pi)) int_0^{(2-b) pi} r^k e^{-t r} dw with r = (sigma cot w -
+c)^(1/b): tau at k = 0, -tau' at k = 1, so phi = rho' + tau' and psi = rho +
+tau.  It is finite, with break points refined geometrically toward both ends,
+where the features narrow as b nears 1 or 2.  The alternate routes are
+independent s-domain integrals: tau's to infinity by the infinite-range
+transformation, phi's integrated by parts (truncated at 45/t below t = 0.5).
+The denominator 1 + 2 s^b cos(b pi) + s^(2b) has no real zero for b in (1, 2)
+but dips to sin^2(b pi) near s^b = -cos(b pi), where break points are seeded.
+eta hands (t-s)^(a-1) to the algebraic-weight rule, on phi_b(s) - phi_b(t).
 
 Grid work goes through the spectral rule instead: one composite Gauss-Legendre
 rule of 800 nodes on the arctangent-substituted tau integral (``rule_rows``,
@@ -37,7 +35,8 @@ on whole grids.  The eta sign scans run on one grid t = k h
 (``eta_scan_grid``), where exp(-k h d) factors into a per-block and a per-row
 part: ``eta_scan`` is one matrix product per block, not one exp per (t, node).
 Every Laplace-sum exponent is floored at -600, off numpy's slow exp range
-(-745, -707.7).  The adaptive routes above stay as the independent check.
+(-745, -707.7).  The adaptive routes above check it: the primary ones on its
+integral by adaptive quadrature, the alternate ones on independent integrals.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ from .errors import DomainError
 from .numerics import integrate
 
 PI = math.pi
-
-# The adaptive ``phi`` and ``psi`` use the closed forms this close to b = 1, 2.
-ENDPOINT_BAND = 2.5e-4
 
 ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta on the rule; scans start above 4.6e-3
 
@@ -92,11 +88,6 @@ def scan_range(beta: float, periods: float = 3.0) -> float:
     if not 1.0 < beta <= 2.0:  # also a NaN
         raise DomainError(f"scan_range requires beta in (1, 2], got {beta}")
     return periods * PI / math.sin(PI / beta)
-
-
-def _denom(s: float, beta: float, c: float) -> float:
-    sb = s ** beta
-    return 1.0 + 2.0 * c * sb + sb * sb
 
 
 def _ladder(lo: float, hi: float, levels=45) -> list:
@@ -210,103 +201,57 @@ def rho_kernel(beta: float, t: float) -> float:
     return float(1.0 + _osc(beta, t, 0.0))
 
 
-def _tau_primary(beta: float, t: float) -> Tuple[float, float]:
-    """Direct s-domain integral: (sigma/pi) * int e^{-ts} s^(b-1) / D(s) ds."""
-    sigma, c = _consts(beta)
-
-    def g(s: float) -> float:
-        return math.exp(-t * s) * s ** (beta - 1.0) / _denom(s, beta, c)
-
-    knots = _resonance_knots(beta, sigma, c, math.inf)
-    v, e = integrate(g, 0.0, math.inf, knots=knots)
-    return sigma / PI * v, sigma / PI * e
-
-
-def _tau_alternate(beta: float, t: float) -> Tuple[float, float]:
-    """Arctangent-substituted route on the finite interval (0, (2-b)*pi]."""
+def _arctan_route(beta: float, t: float, k: int) -> Tuple[float, float]:
+    """(1/(b pi)) int_0^{(2-b) pi} r^k e^{-t r} dw, r = (sigma cot w - c)^(1/b),
+    on the finite arctangent-substituted interval: tau_b at k = 0, -tau_b' at k = 1."""
     sigma, c = _consts(beta)
     w_hi = (2.0 - beta) * PI
     inv_beta = 1.0 / beta
 
     def g(w: float) -> float:
         y = sigma / math.tan(w) - c
-        y = y if y > 0.0 else 0.0  # rounding noise at the y = 0 endpoint
-        return math.exp(-t * y ** inv_beta)
+        r = (y if y > 0.0 else 0.0) ** inv_beta  # rounding noise at the y = 0 endpoint
+        return r ** k * math.exp(-t * r)
 
     v, e = integrate(g, 0.0, w_hi, knots=_ladder(0.0, w_hi))
     return v / (beta * PI), e / (beta * PI)
 
 
-def tau_kernel(beta: float, t: float, route: str = "primary") -> KernelValue:
-    """Completely monotonic remainder tau_b(t) = psi_b(t) - rho_b(t).
+def _s_domain_route(beta: float, t: float) -> Tuple[float, float]:
+    """tau_b as (sigma/pi) int_0^inf e^{-ts} s^(b-1) / (1 + 2 c s^b + s^(2b)) ds."""
+    sigma, c = _consts(beta)
 
-    ``route`` selects between the two integral representations; they agree
-    within combined error estimates.  tau_b(0) = 2/b - 1.
-    """
-    if not 1.0 < beta < 2.0:
-        raise DomainError("tau kernel requires beta in (1, 2)")
+    def g(s: float) -> float:
+        sb = s ** beta
+        return math.exp(-t * s) * s ** (beta - 1.0) / (1.0 + 2.0 * c * sb + sb * sb)
+
+    knots = _resonance_knots(beta, sigma, c, math.inf)
+    v, e = integrate(g, 0.0, math.inf, knots=knots)
+    return sigma / PI * v, sigma / PI * e
+
+
+def _check_route(t: float, route: str) -> None:
     if not t >= 0.0:
         raise DomainError("t must be >= 0")
     if route not in ("primary", "alternate"):
         raise ValueError("route must be 'primary' or 'alternate'")
-    v, e = (_tau_primary if route == "primary" else _tau_alternate)(beta, t)
+
+
+def tau_kernel(beta: float, t: float, route: str = "primary") -> KernelValue:
+    """Completely monotonic remainder tau_b(t) = psi_b(t) - rho_b(t).
+
+    ``route`` selects the arctangent route (primary) or the s-domain integral
+    (alternate); they agree within combined error estimates.  tau_b(0) = 2/b - 1.
+    """
+    if not 1.0 < beta < 2.0:
+        raise DomainError("tau kernel requires beta in (1, 2)")
+    _check_route(t, route)
+    v, e = _arctan_route(beta, t, 0) if route == "primary" else _s_domain_route(beta, t)
     return KernelValue(v, e, "quadrature_" + route)
 
 
-def _J_integral(beta: float, t: float) -> Tuple[float, float]:
-    """int_0^inf e^{-ts} s^b / D(s) ds, split at s^b = 4.
-
-    The head is integrated directly; the algebraic tail is compactified
-    (y = s^b, then cot) and its w^(-1/b) endpoint removed by a power-law
-    substitution in log space.
-    """
-    sigma, c = _consts(beta)
-    s_split = 4.0 ** (1.0 / beta)
-
-    def g(s: float) -> float:
-        return math.exp(-t * s) * s ** beta / _denom(s, beta, c)
-
-    knots = _ladder(0.0, s_split, (30, 0)) + _resonance_knots(beta, sigma, c, s_split)
-    v1, e1 = integrate(g, 0.0, s_split, knots=knots)
-
-    w_hi = math.atan(sigma / (4.0 + c))
-    q = beta / (beta - 1.0)
-    v_hi = w_hi ** (1.0 / q)
-    ln_sigma = math.log(sigma)
-    inv_beta = 1.0 / beta
-
-    def h(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        ln_v = math.log(v)
-        ln_w = q * ln_v
-        if ln_w > -18.0:
-            w = math.exp(ln_w)
-            ln_y = math.log(sigma / math.tan(w) - c)
-        else:
-            ln_y = ln_sigma - ln_w  # cot(w) ~ 1/w
-        ln_big = ln_y * inv_beta
-        amp = q * math.exp((q - 1.0) * ln_v + ln_big)
-        if t == 0.0:
-            return amp
-        if ln_big > 700.0:
-            return 0.0
-        return amp * math.exp(-t * math.exp(ln_big))
-
-    # Knots geometric toward v = 0 as in the head: for small t the integrand
-    # has a narrow feature near v = 0 that a three-knot start can miss.
-    v2, e2 = integrate(h, 0.0, v_hi, knots=_ladder(0.0, v_hi, (30, 0)))
-    return v1 + v2 / (beta * sigma), e1 + e2 / (beta * sigma)
-
-
-def _phi_primary(beta: float, t: float) -> Tuple[float, float]:
-    sigma, _ = _consts(beta)
-    v, e = _J_integral(beta, t)
-    return -(sigma / PI) * v + float(_osc(beta, t, PI / beta)), (sigma / PI) * e
-
-
-def _phi_alternate(beta: float, t: float) -> Tuple[float, float]:
-    """Integration-by-parts route with the arctan weight; valid for t > 0.
+def _by_parts_route(beta: float, t: float) -> Tuple[float, float]:
+    """-tau_b' integrated by parts with the arctan weight; valid for t > 0.
 
     The weight atan((s^b + c) / sin(b pi)) is shifted by pi/2 to decay like
     s^(-b); the shift is exact because (1 - ts) e^{-ts} integrates to 0 over
@@ -327,40 +272,38 @@ def _phi_alternate(beta: float, t: float) -> Tuple[float, float]:
         # below t = 0.5 the infinite-range transformation fails (t = 1e-8)
         hi = 45.0 / t
         v, e = integrate(g, 0.0, hi, knots=_ladder(0.0, hi, 40))
-    return -(v / (beta * PI)) + float(_osc(beta, t, PI / beta)), e / (beta * PI)
+    return v / (beta * PI), e / (beta * PI)
 
 
 def phi(beta: float, t: float, route: str = "primary") -> KernelValue:
     """Laplace density of 1/(1+x^b) for b in [1, 2].
 
-    Within ``ENDPOINT_BAND`` of b = 1 or 2, exp(-t) or sin(t), err_estimate
-    its gap to ``phi_callable``; otherwise the requested integral route.
+    exp(-t) or sin t at b = 1 or 2; inside, phi_b = rho_b' + tau_b' with tau_b'
+    on the arctangent route (primary, phi_b(0) = 0 exactly) or the
+    integrated-by-parts route (alternate, t > 0).
     """
-    _closed_forms(beta)  # DomainError unless 1 <= b <= 2
-    if not t >= 0.0:
-        raise DomainError("t must be >= 0")
-    if abs(beta - round(beta)) < ENDPOINT_BAND:
-        v = float(_closed_forms(round(beta))[0](t)[0])
-        return KernelValue(v, abs(v - float(phi_callable(beta)(t)[0])), "closed_form")
-    if route not in ("primary", "alternate"):
-        raise ValueError("route must be 'primary' or 'alternate'")
-    v, e = (_phi_primary if route == "primary" else _phi_alternate)(beta, t)
-    return KernelValue(v, e, "quadrature_" + route)
+    forms = _closed_forms(beta)  # DomainError unless 1 <= b <= 2
+    _check_route(t, route)
+    if forms:
+        return KernelValue(float(forms[0](t)[0]), 0.0, "closed_form")
+    if t == 0.0 and route == "primary":
+        return KernelValue(0.0, 0.0, "quadrature_primary")
+    v, e = _arctan_route(beta, t, 1) if route == "primary" else _by_parts_route(beta, t)
+    return KernelValue(float(_osc(beta, t, PI / beta)) - v, e, "quadrature_" + route)
 
 
 def psi(beta: float, t: float) -> KernelValue:
-    """psi_b(t) = integral of phi_b over [0, t], via the rho + tau split.
+    """psi_b(t) = integral of phi_b over [0, t]: 1 - exp(-t) or 1 - cos t at
+    b = 1 or 2, inside rho_b + tau_b with tau_b on the arctangent route.
 
     psi_b(0) = 0, psi_b >= 0, and psi_b(t) -> 1 as t -> infinity for b < 2.
-    Within ``ENDPOINT_BAND`` of b = 1 or 2, the closed form as in ``phi``.
     """
-    _closed_forms(beta)  # DomainError unless 1 <= b <= 2
+    forms = _closed_forms(beta)  # DomainError unless 1 <= b <= 2
     if not t >= 0.0:
         raise DomainError("t must be >= 0")
-    if abs(beta - round(beta)) < ENDPOINT_BAND:
-        v = float(_closed_forms(round(beta))[1](t)[0])
-        return KernelValue(v, abs(v - spectral_rule(beta).psi(t)) if 1 < beta < 2 else 0.0, "closed_form")
-    tau_v, tau_e = _tau_primary(beta, t)
+    if forms:
+        return KernelValue(float(forms[1](t)[0]), 0.0, "closed_form")
+    tau_v, tau_e = _arctan_route(beta, t, 0)
     return KernelValue(rho_kernel(beta, t) + tau_v, tau_e, "quadrature_primary")
 
 

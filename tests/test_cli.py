@@ -566,9 +566,11 @@ def test_eval_float_overflow_exits_3(model_args, x, grid, where, tmp_path, capsy
 
 NON_FINITE_GRAMS = (
     # x^200 overflows past x = 34.8 and inf/inf is NaN, on which LAPACK's
-    # eigen-solve raises "Eigenvalues did not converge" or returns NaN
+    # eigen-solve raises "Eigenvalues did not converge" or returns NaN, and
+    # the circulant embedding's spectrum is NaN
     ["psd", "dagum", "--beta", "200", "--gamma", "0.5", "--n", "20", "--sets", "1", "--dims", "1"],
     ["search", "dagum", "--beta", "200", "--gamma", "0.5", "--n", "20", "--trials", "3"],
+    ["simulate", "dagum", "--beta", "200", "--gamma", "0.5", "--n", "8", "--spacing", "10"],
 )
 
 

@@ -235,6 +235,10 @@ def test_non_finite_gram_is_rejected_before_any_solve():
             call("dagum", params, ps, "squared_distance")
     with pytest.raises(NumericOverflowError):
         F.nonpsd_search("dagum", params, 1, 20, 3, 0)
+    # simulate's circulant embedding, before the FFT: an overflow, not an
+    # embedding that stays indefinite
+    with pytest.raises(NumericOverflowError, match="^dagum leaves the float range$"):
+        F.simulate_profile("dagum", params, 8, 10.0, seed=1)
     # x^alpha underflows to 0 under g's reciprocal: an infinite entry
     tiny = F.PointSet(1, np.array([[0.0], [1e-150]]), "tiny")
     with pytest.raises(NumericOverflowError, match="^g leaves the float range$"):

@@ -55,8 +55,9 @@ def test_rho_kernel_values():
 
 def test_tau_at_zero_and_routes():
     for beta in (1.25, 1.5):
-        kv = K.tau_kernel(beta, 0.0, "alternate")
-        assert kv.value == pytest.approx(2.0 / beta - 1.0, abs=1e-9)
+        for route in ("primary", "alternate"):
+            kv = K.tau_kernel(beta, 0.0, route)
+            assert kv.value == pytest.approx(2.0 / beta - 1.0, abs=1e-9)
     primary = K.tau_kernel(1.5, 2.0, "primary")
     alternate = K.tau_kernel(1.5, 2.0, "alternate")
     assert primary.route == "quadrature_primary"
@@ -75,7 +76,7 @@ def test_tau_cross_route_agreement(beta):
 @pytest.mark.parametrize("beta", (1.2, 1.5, 1.8))
 def test_tau_positive_and_decreasing(beta):
     ts = np.linspace(0.0, 25.0, 40)
-    vals = [K.tau_kernel(beta, float(t), "alternate").value for t in ts]
+    vals = [K.tau_kernel(beta, float(t), "primary").value for t in ts]
     assert all(v > 0.0 for v in vals)
     assert all(a >= b - 1e-10 for a, b in zip(vals[:-1], vals[1:]))
 
@@ -110,7 +111,7 @@ def test_phi_matches_endpoint_limits_nearby():
         assert K.phi(1.999, t, "primary").value == pytest.approx(math.sin(t), abs=2e-3)
 
 
-# Inside ENDPOINT_BAND = 2.5e-4 of b = 1 and b = 2, where exp(-t) and sin t
+# Within 2.5e-4 of b = 1 and b = 2, where exp(-t) and sin t
 # miss phi_b by 5e-6 to 3e-3 on these t; the spectral rule measured <= 3.4e-10.
 NEAR_ENDPOINT_BETAS = (1.0 + 1e-5, 1.0002, 1.9998, 2.0 - 1e-5)
 SERIES_TS = (0.005, 0.05, 0.5, 2.0, 6.0, 12.0, 18.0)
@@ -133,18 +134,37 @@ def test_phi_callable_is_the_phi_of_psi_max(beta):
     assert K.phi_callable(beta)(ts).tobytes() == jet.tobytes()
 
 
-@pytest.mark.parametrize("beta", (1.0001, 1.0002, 1.9998, 1.99999))
-def test_endpoint_closed_form_error_estimate_covers_the_series(beta, eta_series):
-    # the adaptive phi and psi keep the closed forms in the band; their
-    # err_estimate is the gap to the spectral rule, so it is the series error
-    # up to the rule's own (<= 1e-9)
-    for t in (0.01, 0.5, 2.0, 6.0, 12.0, 18.85, 20.0):
+BAND_BETAS = (1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.00001, 1.0001, 1.0002, 1.00025,
+              1.99975, 1.9998, 1.99999, 2.0 - 1e-6, 2.0 - 1e-9, 2.0 - 1e-12)
+
+
+@pytest.mark.parametrize("beta", BAND_BETAS)
+def test_band_phi_and_psi_match_the_series(beta, eta_series):
+    # the adaptive routes converge right up to b = 1 and 2; the by-parts phi
+    # under-reports its error near b = 1 (1.8e-8 off at (1.0001, 1), 2.7e-10
+    # reported), so it gets a fixed bound
+    for t in (0.01, 0.5, 1.0, 2.0, 6.0, 12.0, 18.85, 20.0):
         for kv, alpha in ((K.phi(beta, t), 0.0), (K.psi(beta, t), 1.0)):
-            miss = abs(kv.value - eta_series(alpha, beta, t))
-            assert kv.route == "closed_form"
-            assert miss <= kv.err_estimate + 1e-9 and kv.err_estimate <= miss + 1e-9, (t, alpha)
+            assert kv.route == "quadrature_primary"
+            assert abs(kv.value - eta_series(alpha, beta, t)) <= kv.err_estimate + 1e-12, (t, alpha)
+        assert abs(K.phi(beta, t, "alternate").value - eta_series(0.0, beta, t)) <= 1e-7, t
     for beta, t in ((1.0, 0.7), (2.0, 0.7), (1.0, 20.0), (2.0, 20.0)):
+        assert K.phi(beta, t).route == K.psi(beta, t).route == "closed_form"
         assert K.phi(beta, t).err_estimate == K.psi(beta, t).err_estimate == 0.0
+
+
+@pytest.mark.parametrize("beta", (1.001, 1.02, 1.1, 1.5, 1.9, 1.999))
+def test_primary_routes_match_the_series(beta, eta_series):
+    # tau, phi and psi on the arctangent route, within their own error
+    # estimates, down to t = 1e-8
+    for t in (1e-8, 4.4e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0):
+        psi_series = eta_series(1.0, beta, t)
+        for kv, want in (
+            (K.tau_kernel(beta, t), psi_series - K.rho_kernel(beta, t)),
+            (K.phi(beta, t), eta_series(0.0, beta, t)),
+            (K.psi(beta, t), psi_series),
+        ):
+            assert abs(kv.value - want) <= kv.err_estimate + 1e-12, (t, kv)
 
 
 def test_psi_values_and_contract():
@@ -165,7 +185,7 @@ def test_psi_decomposition_identity():
         for t in (0.3, 2.0, 7.0):
             p = K.psi(beta, t)
             r = K.rho_kernel(beta, t)
-            tau = K.tau_kernel(beta, t, "primary")
+            tau = K.tau_kernel(beta, t, "alternate")
             assert abs(p.value - r - tau.value) <= p.err_estimate + tau.err_estimate + 1e-12
 
 
@@ -462,21 +482,23 @@ def test_rule_values_match_written_out_formulas(beta):
 
 @pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.8, 1.98))
 def test_phi_table_matches_adaptive_route(beta):
-    # pin the spectral rule's phi to the independent adaptive route at 130
-    # points of the former phi table's knot grid over [1e-8, 40]
+    # pin the spectral rule's phi to both adaptive routes at 130 points of the
+    # former phi table's knot grid over [1e-8, 40]; only the alternate route
+    # is independent of the rule's integral
     knots = np.concatenate(
         [np.geomspace(1e-8, 1.0, 400, endpoint=False), np.arange(1.0, 40.0 + 0.05, 0.05)]
     )
     knots = knots[knots <= 40.0]
     ts = knots[np.linspace(0, knots.size - 1, 130).round().astype(int)]
-    adaptive = np.array([K.phi(beta, float(t), "primary").value for t in ts])
     phi_vec = K.phi_callable(beta)
-    assert np.max(np.abs(phi_vec(ts) - adaptive)) <= 1e-8
+    for route in ("primary", "alternate"):
+        adaptive = np.array([K.phi(beta, float(t), route).value for t in ts])
+        assert np.max(np.abs(phi_vec(ts) - adaptive)) <= 1e-8, route
     assert phi_vec(0.0)[0] == 0.0
 
 
 def test_phi_primary_resolves_small_t_tail():
-    # the compactified tail has a narrow feature near v = 5e-5 at this point
+    # r e^{-t r} peaks at r = 1/t, near w = 1.6e-9 at this point
     kv = K.phi(1.98, 1.4454e-4, "primary")
     gap = abs(kv.value - K.spectral_rule(1.98).phi_values(1.4454e-4)[0])
     assert gap <= 1e-12
