@@ -31,7 +31,9 @@ Grid work goes through the spectral rule instead: one composite Gauss-Legendre
 rule of 800 nodes on the arctangent-substituted tau integral (``rule_rows``,
 for a group of betas at once), whose Laplace sums give psi, phi = rho' + tau',
 phi' (``psi_jets``) and eta, with alpha-dependent weights on the same nodes,
-on whole grids.  The eta sign scans run on one grid t = k h
+on whole grids.  Its panels (``_panel_rule``) are the module's one composite
+rule: at b = 1 and 2 ``eta_grid`` integrates the closed-form phi on them,
+stretched over [0, 1].  The eta sign scans run on one grid t = k h
 (``eta_scan_grid``), where exp(-k h d) factors into a per-block and a per-row
 part: ``eta_scan`` is one matrix product per block, not one exp per (t, node).
 Every Laplace-sum exponent is floored at -600, off numpy's slow exp range
@@ -50,7 +52,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .numerics import integrate
 
 PI = math.pi
@@ -99,40 +101,30 @@ def _ladder(lo: float, hi: float, levels=45) -> list:
     return out
 
 
-# The nonnegative halves of the Gauss-Legendre (nodes, weights) on [-1, 1] of
-# orders 8 and 10, equal to numpy's ``leggauss`` bit for bit: held here, since
-# loading numpy.polynomial costs a process about 4 ms and 0.9 MB.
-_GAUSS_LEGENDRE = {
-    8: (
-        (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
-        (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706),
-    ),
-    10: (
-        (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
-         0.9739065285171717),
-        (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804,
-         0.06667134430868814),
-    ),
-}
+# The order-10 Gauss-Legendre (nodes, weights) on [-1, 1], mirrored from the
+# nonnegative halves, equal to numpy's ``leggauss`` bit for bit: held here,
+# since loading numpy.polynomial costs a process about 4 ms and 0.9 MB.
+_GAUSS_LEGENDRE = tuple(
+    np.concatenate([sign * half[::-1], half])
+    for sign, half in (
+        (-1.0, np.array((0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+                         0.8650633666889845, 0.9739065285171717))),
+        (1.0, np.array((0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+                        0.1494513491505804, 0.06667134430868814))),
+    )
+)
+
+# The panel breaks on [0, 1]: ``_ladder`` halved 50 times toward 0 and 30
+# times toward 1, with its ends; times a span, that span's ladder bit for bit.
+_UNIT_BREAKS = np.array(sorted(set(_ladder(0.0, 1.0, (50, 30)) + [0.0, 1.0])))
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = map(np.array, _GAUSS_LEGENDRE[order])
-    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_breaks(levels) -> np.ndarray:
-    """Sorted [0, 1] ``_ladder`` with its ends; times a span, that span's ladder bit for bit."""
-    return np.array(sorted(set(_ladder(0.0, 1.0, levels) + [0.0, 1.0])))
-
-
-def _panel_rule(lo: float, hi, levels, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre (nodes, weights) on the panels of ``_ladder``;
-    for a column of ``hi``, one row of each per hi, as if for that hi alone."""
-    breaks = lo + (hi - lo) * _unit_breaks(levels)
-    xg, wg = _leggauss(order)
+def _panel_rule(lo: float, hi) -> Tuple[np.ndarray, np.ndarray]:
+    """The spectral rule's (nodes, weights): ``_GAUSS_LEGENDRE`` on each of the
+    80 panels of ``_UNIT_BREAKS`` stretched over [lo, hi]; for a column of
+    ``hi``, one row of each per hi, as if for that hi alone."""
+    breaks = lo + (hi - lo) * _UNIT_BREAKS
+    xg, wg = _GAUSS_LEGENDRE
     h = 0.5 * np.diff(breaks)[..., None]
     nodes = 0.5 * (breaks[..., :-1] + breaks[..., 1:])[..., None] + h * xg
     return nodes.reshape(breaks.shape[:-1] + (-1,)), (h * wg).reshape(breaks.shape[:-1] + (-1,))
@@ -226,7 +218,10 @@ def _s_domain_route(beta: float, t: float) -> Tuple[float, float]:
         return math.exp(-t * s) * s ** (beta - 1.0) / (1.0 + 2.0 * c * sb + sb * sb)
 
     knots = _resonance_knots(beta, sigma, c, math.inf)
-    v, e = integrate(g, 0.0, math.inf, knots=knots)
+    try:
+        v, e = integrate(g, 0.0, math.inf, knots=knots)
+    except ZeroDivisionError:  # near b = 1 (at 1 + 1e-9) the denominator rounds to 0
+        raise ConvergenceError(f"the s-domain denominator rounds to 0 at beta = {beta!r}") from None
     return sigma / PI * v, sigma / PI * e
 
 
@@ -307,11 +302,10 @@ def psi(beta: float, t: float) -> KernelValue:
     return KernelValue(rho_kernel(beta, t) + tau_v, tau_e, "quadrature_primary")
 
 
-RULE_ORDER, RULE_LEVELS = 10, (50, 30)  # the spectral rule's shape, see ``PsiEvaluator``
-
-# Rows of t per block of a Laplace sum: 256 rows x 800 nodes is about 1.6 MB;
-# rows gathered from several rules go 16 to a block (``psi_jets``), and the
-# sign scan reuses one block of 128 rows (``PsiEvaluator.eta_scan``).
+# Rows of t per block of a Laplace sum, and of ``eta_grid`` at b = 1 and 2:
+# 256 rows x 800 nodes is about 1.6 MB; rows gathered from several rules go
+# 16 to a block (``psi_jets``), and the sign scan reuses one block of 128 rows
+# (``PsiEvaluator.eta_scan``).
 # Every exponent is floored at -600, off numpy's slow exp range (-745, -707.7);
 # e^-600 |v_i| stays a normal double for every |v_i| > 1e-47.
 _BLOCK_ROWS, _GATHER_ROWS, _SCAN_ROWS, _EXP_FLOOR = 256, 16, 128, -600.0
@@ -408,7 +402,7 @@ def rule_rows(betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     small-y kink at w = (2-b) pi."""
     consts = [(*_consts(b), (2.0 - b) * PI, 1.0 / b) for b in betas.tolist()]
     sigma, c, span, power = np.array(consts).T[:, :, None]
-    d, weights = _panel_rule(0.0, span, RULE_LEVELS, RULE_ORDER)
+    d, weights = _panel_rule(0.0, span)
     np.subtract(np.divide(sigma, np.tan(d, out=d), out=d), c, out=d)  # the nodes, in place
     return np.power(np.maximum(d, 0.0, out=d), power, out=d), weights
 
@@ -521,11 +515,6 @@ class PsiEvaluator:
             _SCAN_SLOT[:] = [self.beta, (ts, keep, block, cols, grow, turn)]
         return _SCAN_SLOT[1]
 
-    def psi(self, t):
-        """psi_b at one t (returns a float) or on an array of t (an array)."""
-        vals = self.psi_values(t)
-        return vals if np.ndim(t) else float(vals[0])
-
 
 # -- per-beta cache of spectral rules ----------------------------------------
 
@@ -599,9 +588,11 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     is required.  As t -> 0 the t^(a-1) term and the sum cancel beyond what
     the rule resolves (-27061 for eta = 6e-9 at b = 1.98, t = 1e-8), so a
     positive t below ``ETA_GRID_T_FLOOR`` = 1e-6 raises DomainError; from it
-    up the error is at most about 1e-10.  At b = 1 and 2, with no rule,
+    up the error is at most about 1e-10.  At b = 1 and 2, for any a > 0,
     eta(t) = (t^a / Gamma(1 + a)) int_0^1 phi(t (1 - xi^(1/a))) d(xi) with
-    the closed-form phi, on a fixed composite rule, for any a > 0.
+    the closed-form phi, on the spectral rule's panels over [0, 1]
+    (``_panel_rule(0, 1)``), ``_BLOCK_ROWS`` rows of t at a time; within
+    about 1e-11 of the exact value for a in [0.01, 6] and t up to 18.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
@@ -611,9 +602,13 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     forms = _closed_forms(beta)
     if forms is None:
         return spectral_rule(beta).eta_values(alpha, ts)
-    xi, wq = _panel_rule(0.0, 1.0, 24, 8)
-    s_nodes = np.outer(ts, 1.0 - xi ** (1.0 / alpha))
-    return ts ** alpha / math.gamma(1.0 + alpha) * (forms[0](s_nodes) @ wq)
+    xi, wq = _panel_rule(0.0, 1.0)
+    shrink, ts = 1.0 - xi ** (1.0 / alpha), ts.ravel()
+    sums = np.empty(ts.size)
+    for start in range(0, ts.size, _BLOCK_ROWS):
+        rows = ts[start : start + _BLOCK_ROWS]
+        sums[start : start + _BLOCK_ROWS] = forms[0](np.outer(rows, shrink)) @ wq
+    return ts ** alpha / math.gamma(1.0 + alpha) * sums
 
 
 def laplace_check(kernel: str, beta: float, x: float, alpha: Optional[float] = None) -> float:

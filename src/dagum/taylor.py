@@ -117,9 +117,6 @@ class TaylorSeries:
     def __rtruediv__(self, other) -> "TaylorSeries":
         return self._lift(other) / self
 
-    def __repr__(self) -> str:
-        return f"TaylorSeries({list(self.coeffs)!r}, x0={self.x0!r})"
-
 
 def _libm(f: Callable[[float], float], c0):
     """f of a constant term, per element through Python floats on a grid."""

@@ -33,3 +33,14 @@ def eta_series():
                 k += 1
 
     return series
+
+
+@pytest.fixture(scope="session")
+def psi_objective():
+    """rule -> the golden-section oracles' objective, psi_b on that rule: a
+    float at one t and an array on an array of t, as ``maximize_1d`` calls it."""
+
+    def objective(rule):
+        return lambda t: rule.psi_values(t) if np.ndim(t) else float(rule.psi_values(t)[0])
+
+    return objective

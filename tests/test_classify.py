@@ -46,17 +46,17 @@ PSI_MAX_BETAS = np.concatenate(
 )
 
 
-def test_psi_max_against_golden_section_oracle():
+def test_psi_max_against_golden_section_oracle(psi_objective):
     for beta in map(float, PSI_MAX_BETAS):
         ev, hi = spectral_rule(beta), C.scan_range(beta)
         value = C.psi_max(beta)
-        oracle = maximize_1d(ev.psi, Bracket(0.0, hi), 1e-9)[1]
+        oracle = maximize_1d(psi_objective(ev), Bracket(0.0, hi), 1e-9)[1]
         assert value >= oracle - 1e-12, beta
         if value > oracle + 1e-6:
             # near beta = 2 golden-section can refine the lower of two humps
             # (at 2 - 2.02e-7 by 1.008e-6); then each half-range on its own
             halves = (Bracket(0.0, hi / 2), Bracket(hi / 2, hi))
-            oracle = max(maximize_1d(ev.psi, half, 1e-9)[1] for half in halves)
+            oracle = max(maximize_1d(psi_objective(ev), half, 1e-9)[1] for half in halves)
         assert value <= oracle + 1e-6, beta
 
 
@@ -74,8 +74,7 @@ def test_beta_star():
 
 
 def test_c_bounds():
-    lo, hi = C.c_bounds(2.0, 1e-3)
-    assert lo <= 1.0 <= hi
+    assert C.c_bounds(2.0, 1e-3) == (0.9990234375, 1.0)  # brackets 1
     lo, hi = C.c_bounds(1.5, 1e-3)
     assert lo > 0.0
     assert lo <= hi <= 0.75
@@ -258,7 +257,7 @@ def test_psi_max_scan_grid_is_built_as_numpy_builds_it():
         assert ts[which == j].tobytes() == np.array(row).tobytes()
 
 
-def test_psi_max_matches_oracle_on_figure1_grid():
+def test_psi_max_matches_oracle_on_figure1_grid(psi_objective):
     # at the 101 figure1 betas, the best of golden-section on each half-range
     for beta in map(float, np.linspace(1.0, 2.0, 101)):
         if beta in (1.0, 2.0):
@@ -266,7 +265,7 @@ def test_psi_max_matches_oracle_on_figure1_grid():
             continue
         ev, hi = spectral_rule(beta), C.scan_range(beta)
         halves = (Bracket(0.0, hi / 2), Bracket(hi / 2, hi))
-        oracle = max(maximize_1d(ev.psi, half, 1e-9)[1] for half in halves)
+        oracle = max(maximize_1d(psi_objective(ev), half, 1e-9)[1] for half in halves)
         assert abs(C.psi_max(beta) - oracle) <= 1e-13, beta
 
 
@@ -390,6 +389,24 @@ def test_truth_table(family, args, status, citation):
     verdict = _CLASSIFIERS[family](*args)
     assert verdict.status == status
     assert verdict.basis == citation
+
+
+def test_tol_bands_are_undetermined_with_proven_edges():
+    # alpha within +/-tol of l(b), and gamma within +/-tol of (1 - l)/(b + l),
+    # read Undetermined; 2e-6 off the threshold, past tol = 1e-6, they do not
+    ell = C.l_of_beta(1.5)
+    assert ell == pytest.approx(0.45029309275110285, abs=1e-12)
+    verdict = C.classify_aux_lcm(ell, 1.5)
+    assert (verdict.status, verdict.basis) == ("Undetermined", C.NUMERIC_BASIS)
+    assert "within +/-1e-06" in verdict.notes
+    assert C.classify_aux_lcm(ell + 2e-6, 1.5).status == "ProvenLCM"
+    assert C.classify_aux_lcm(ell - 2e-6, 1.5).status == "ProvenNotLCM"
+    cap = (1.0 - ell) / (1.5 + ell)
+    verdict = C.classify_dagum(1.5, cap)
+    assert (verdict.status, verdict.basis) == ("Undetermined", C.NUMERIC_BASIS)
+    assert "within +/-1e-06" in verdict.notes
+    verdict = C.classify_dagum(1.5, cap - 2e-6)
+    assert (verdict.status, verdict.basis) == ("ProvenCM", C.CITE_T9III)
 
 
 def test_dagum_open_region_certificate_is_genuine():

@@ -186,6 +186,37 @@ def test_figure1_rejects_small_grid(capsys):
     assert code == 2
     code, _, _ = run(["figure1", "--grid", "nonsense"], capsys)
     assert code == 2
+    code, out, err = run(["figure1", "--grid", "0.5:2:11"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "dagum: invalid parameters: figure1 grid must lie within [1, 2]\n"
+
+
+@pytest.mark.parametrize(
+    "dims,msg",
+    (
+        ("x", "--dims must be comma-separated integers, got 'x'"),
+        ("0", "need dims >= 1, n >= 2, sets >= 1"),
+    ),
+    ids=("x", "0"),
+)
+def test_psd_rejects_bad_dims(dims, msg, capsys):
+    argv = ["psd", "dagum", "--beta", "0.5", "--gamma", "1", "--n", "5", "--sets", "1"]
+    code, out, err = run(argv + ["--dims", dims], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"dagum: invalid parameters: {msg}\n"
+
+
+def test_tol_widens_the_undetermined_band(capsys):
+    # alpha = 0.4503 lies 6.9e-6 above l(1.5) = 0.450293093: past the default
+    # band of 1e-6, within one of 1e-5
+    argv = ["classify", "aux-lcm", "--alpha", "0.4503", "--beta", "1.5"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["status"] == "ProvenLCM"
+    code, out, _ = run(argv + ["--tol", "1e-5"], capsys)
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["status"] == "Undetermined"
+    assert verdict["notes"] == "alpha within +/-1e-05 of the numeric threshold l(1.5) = 0.450293093"
 
 
 def test_psd_command(capsys):
@@ -518,8 +549,11 @@ def test_eval_bench_size_grid_is_the_scalar_rows(model, params, capsys):
     grid = "0:23.71:50001"
     xs = np.linspace(0.0, 23.71, 50001)
     power = next(iter(params.values()))
-    # numpy's float64 array power differs from the scalar pow on this grid
-    assert not np.array_equal(xs**power, [x**power for x in xs.tolist()])
+    # eval's object array of Python floats takes the scalar pow at each point,
+    # whichever float64 power kernel numpy dispatches (the AVX-512 one differs
+    # from pow at about 8% of these points, the AVX2 and baseline ones nowhere)
+    objects = np.array(xs.tolist(), dtype=object) ** power
+    assert np.array(objects.tolist()).tobytes() == np.array([x**power for x in xs.tolist()]).tobytes()
     code, out, _ = run(_eval_argv(model, params, grid), capsys)
     assert code == 0
     assert out == _scalar_rows(model, params, grid)

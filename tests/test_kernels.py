@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dagum import classify as C
 from dagum import kernels as K
-from dagum.errors import DomainError
+from dagum.errors import ConvergenceError, DomainError
 from dagum.numerics import integrate
 
 PI = math.pi
@@ -51,6 +51,14 @@ def test_rho_kernel_values():
         K.rho_kernel(0.9, 1.0)
     with pytest.raises(DomainError):
         K.rho_kernel(1.5, -0.1)
+
+
+@pytest.mark.parametrize("beta", (1.0 + 1e-9, 1.0 + 1e-12))
+def test_s_domain_route_fails_as_a_quadrature_failure_near_one(beta):
+    # 1 + 2 c s^b + s^(2b) rounds to 0 there: a ConvergenceError, as every
+    # other quadrature failure, not a ZeroDivisionError
+    with pytest.raises(ConvergenceError):
+        K.tau_kernel(beta, 1.0, "alternate")
 
 
 def test_tau_at_zero_and_routes():
@@ -228,8 +236,7 @@ def test_psi_values_blocks_match_scalar():
     for n in (1, 255, 256, 257, 2049):
         ts = np.linspace(0.0, 20.0, n)
         table = ev.psi_values(ts)
-        assert np.array_equal(table, [ev.psi(float(t)) for t in ts])
-    assert isinstance(ev.psi(1.0), float)
+        assert np.array_equal(table, [ev.psi_values(float(t))[0] for t in ts])
 
 
 def test_laplace_sum_skipping_is_exact():
@@ -356,14 +363,19 @@ def test_psi_jets_runs_and_gathered_rows_equal_each_rule_alone(seed, order):
     assert one(ts).tobytes() == one(ts, np.zeros(ts.size, int)).tobytes()
 
 
+def _unit_breaks(levels):
+    """The sorted [0, 1] ``_ladder`` of ``levels`` with its ends."""
+    return np.array(sorted(set(K._ladder(0.0, 1.0, levels) + [0.0, 1.0])))
+
+
 def _rule_values(beta, ts, levels=None, order=None):
-    """psi, phi and eta at alpha 0.05, 0.5 and 1 on a rule of the given shape;
-    an order without held Gauss-Legendre tables takes numpy's ``leggauss``."""
+    """psi, phi and eta at alpha 0.05, 0.5 and 1 on the spectral rule, or on
+    one of another shape: numpy's order-``order`` ``leggauss`` on the panels
+    of a ladder of ``levels``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(K, "RULE_LEVELS", levels or K.RULE_LEVELS)
-        mp.setattr(K, "RULE_ORDER", order or K.RULE_ORDER)
-        if (order or K.RULE_ORDER) not in K._GAUSS_LEGENDRE:
-            mp.setattr(K, "_leggauss", np.polynomial.legendre.leggauss)
+        if levels:
+            mp.setattr(K, "_UNIT_BREAKS", _unit_breaks(levels))
+            mp.setattr(K, "_GAUSS_LEGENDRE", np.polynomial.legendre.leggauss(order))
         ev = K.PsiEvaluator(beta)
     return np.array(
         [ev.psi_values(ts), ev.phi_values(ts)] + [ev.eta_values(a, ts) for a in (0.05, 0.5, 1.0)]
@@ -393,10 +405,11 @@ def test_rule_matches_symmetric_50_level_rule(beta):
     assert np.max(np.abs(_rule_values(beta, ts) - old)) <= 5e-13
 
 
-def _panel_rule_loop(lo, hi, levels, order):
-    """One Gauss-Legendre panel at a time between the sorted ``_ladder`` breaks."""
-    breaks = sorted(set(K._ladder(lo, hi, levels) + [lo, hi]))
-    xg, wg = np.polynomial.legendre.leggauss(order)
+def _panel_rule_loop(lo, hi):
+    """One order-10 Gauss-Legendre panel at a time between the sorted breaks
+    of the spectral rule's ``_ladder``."""
+    breaks = sorted(set(K._ladder(lo, hi, (50, 30)) + [lo, hi]))
+    xg, wg = np.polynomial.legendre.leggauss(10)
     nodes, weights = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         h = 0.5 * (b - a)
@@ -406,24 +419,24 @@ def _panel_rule_loop(lo, hi, levels, order):
 
 
 def test_panel_rule_matches_panel_loop():
-    spans = [(2.0 - beta) * PI for beta in np.linspace(1.0005, 1.9995, 57)]
-    for lo, hi, levels, order in [(0.0, s, 50, 10) for s in spans] + [(0.0, 1.0, 24, 8)]:
-        nodes, weights = K._panel_rule(lo, hi, levels, order)
-        loop_nodes, loop_weights = _panel_rule_loop(lo, hi, levels, order)
+    # eta_grid's [0, 1] at b = 1 and 2, and a [lo, hi] off 0
+    for lo, hi in ((0.0, 1.0), (0.25, 3.0)):
+        nodes, weights = K._panel_rule(lo, hi)
+        loop_nodes, loop_weights = _panel_rule_loop(lo, hi)
         assert np.array_equal(nodes, loop_nodes)
         assert np.array_equal(weights, loop_weights)
 
 
 def test_spectral_rule_breaks_scale_the_cached_unit_ladder():
-    # the rule's panels come from one cached [0, 1] ladder times the span; the
+    # the rule's panels come from one held [0, 1] ladder times the span; the
     # nodes and weights equal those of the ladder written out for each span
     for beta in np.linspace(1.0005, 1.9995, 101):
         span = (2.0 - beta) * PI
-        nodes, weights = K._panel_rule(0.0, span, K.RULE_LEVELS, K.RULE_ORDER)
-        loop_nodes, loop_weights = _panel_rule_loop(0.0, span, K.RULE_LEVELS, K.RULE_ORDER)
+        nodes, weights = K._panel_rule(0.0, span)
+        loop_nodes, loop_weights = _panel_rule_loop(0.0, span)
         assert np.array_equal(nodes, loop_nodes)
         assert np.array_equal(weights, loop_weights)
-    assert K._unit_breaks(K.RULE_LEVELS) is K._unit_breaks(K.RULE_LEVELS)
+    assert np.array_equal(K._UNIT_BREAKS, _unit_breaks((50, 30)))
 
 
 def test_rule_rows_are_each_beta_alone_bit_for_bit():
@@ -440,7 +453,7 @@ def test_rule_rows_are_each_beta_alone_bit_for_bit():
     alone = []
     for beta in map(float, betas):
         sigma, c = K._consts(beta)
-        w, weights = K._panel_rule(0.0, (2.0 - beta) * PI, K.RULE_LEVELS, K.RULE_ORDER)
+        w, weights = K._panel_rule(0.0, (2.0 - beta) * PI)
         alone.append((np.maximum(sigma / np.tan(w) - c, 0.0) ** (1.0 / beta), weights))
     for size in (1, 7, 32):
         for start in range(0, betas.size, size):
@@ -557,6 +570,28 @@ def test_eta_grid_matches_pointwise():
         assert grid[i] == pytest.approx(K.eta(0.7, 1.5, float(t)).value, abs=1e-6)
 
 
+@pytest.mark.parametrize("beta", (1.0, 2.0))
+def test_eta_grid_at_the_endpoints_matches_the_series(beta, eta_series):
+    # the closed-form phi on the spectral rule's panels over [0, 1]; the old
+    # 24-level order-8 rule was 5.4e-7 off at (b, a, t) = (2, 6, 18)
+    ts = [1e-6, 0.01, 0.5, 2.0, 7.0, 18.0]
+    for alpha in (0.01, 0.05, 0.3, 1.0, 1.5, 3.0, 6.0):
+        for t, value in zip(ts, K.eta_grid(alpha, beta, ts)):
+            assert abs(value - eta_series(alpha, beta, t)) <= 1e-10, (alpha, t)
+
+
+def test_eta_grid_at_the_endpoints_keeps_its_shapes():
+    # rows of t go through the rule in blocks: a scalar t, an empty t and a t
+    # across several blocks give each value as if computed alone, up to rounding
+    assert K.eta_grid(0.5, 2.0, 1.0).shape == (1,)
+    assert K.eta_grid(0.5, 2.0, []).shape == (0,)
+    ts = np.linspace(0.0, 20.0, 600)
+    grid = K.eta_grid(0.5, 1.0, ts)
+    alone = np.concatenate([K.eta_grid(0.5, 1.0, [t]) for t in ts])
+    assert grid.shape == (600,) and grid[0] == 0.0
+    assert np.max(np.abs(grid - alone)) <= 1e-14
+
+
 def _eta_cut_integral(alpha, beta, t):
     """30-digit eta from the unsubtracted branch-cut integral and the two
     pole residues of 1/(x^a (1+x^b)); s = u^(1/(1-a)) removes s^(-a)."""
@@ -670,7 +705,6 @@ def test_every_kernel_route_rejects_negative_and_nan_t(bad):
         lambda: K.phi_callable(2.0)(bad),
         lambda: rule.phi_values([bad]),
         lambda: rule.psi_values([0.0, bad]),
-        lambda: rule.psi(bad),
         lambda: K.eta_grid(0.5, 1.5, [bad]),
         lambda: K.eta_grid(0.5, 1.0, [1.0, bad]),
     ]
@@ -874,12 +908,11 @@ def test_eta_grid_domain():
     assert K.eta_grid(1.5, 2.0, [0.0])[0] == 0.0
 
 
-@pytest.mark.parametrize("order", (8, 10))
-def test_held_gauss_legendre_tables(order):
-    # the held tables are numpy's leggauss to 1 ulp (in fact bit for bit),
-    # and they integrate x^k over [-1, 1] exactly for k < 2n, up to rounding
-    # (numpy's order-8 weights sum to 2 + 1.2e-15)
-    nodes, weights = K._leggauss(order)
+def test_held_gauss_legendre_table():
+    # the held order-10 table is numpy's leggauss to 1 ulp (in fact bit for
+    # bit), and it integrates x^k over [-1, 1] exactly for k < 20, up to rounding
+    order = 10
+    nodes, weights = K._GAUSS_LEGENDRE
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
     assert np.all(np.abs(nodes - ref_nodes) <= np.spacing(np.abs(ref_nodes)))
     assert np.all(np.abs(weights - ref_weights) <= np.spacing(ref_weights))

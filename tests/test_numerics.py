@@ -71,11 +71,11 @@ def test_maximize_parabola():
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
-def test_maximize_psi_against_dense_grid_oracle():
+def test_maximize_psi_against_dense_grid_oracle(psi_objective):
     beta = 1.5
     ev = PsiEvaluator(beta)
     hi = 3.0 * PI / math.sin(PI / beta)
-    t_star, f_star = maximize_1d(ev.psi, Bracket(0.0, hi), 1e-9)
+    t_star, f_star = maximize_1d(psi_objective(ev), Bracket(0.0, hi), 1e-9)
     # dense-grid oracle at step 1e-4
     ts = np.arange(0.0, hi, 1e-4)
     vals = ev.psi_values(ts)
