@@ -3,11 +3,10 @@
 Exit codes: 0 success, 2 parameter error, 3 numeric non-convergence, a
 degenerate exponent fit or an ``eval`` value, ``psd``/``search`` Gram entry or
 ``simulate`` model value whose float arithmetic overflows (or divides by an
-underflowed power), 4 a
-``simulate`` model whose circulant embedding stays indefinite.  Output goes
-to stdout or, with --output, is written atomically (temp file + rename).  CSV
-uses a header row, '.' decimals, repr-formatted floats (round-trip exact),
-newline-terminated.
+underflowed power), 4 a ``simulate`` model whose circulant embedding stays
+indefinite.  Each command returns its text and ``main`` writes it once: to
+stdout or, with --output, atomically (temp file + rename).  CSV uses a header
+row, '.' decimals, repr-formatted floats (round-trip exact), newline-terminated.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -79,6 +78,34 @@ def _emit(text: str, output: Optional[str]) -> None:
         raise
 
 
+PSD_CSV_HEADER = ("model,params,point_set_id,convention,n_points,dimension,"
+                  "min_eigenvalue,max_eigenvalue,verdict")
+PROFILE_CSV_HEADER = "index,position,value"
+
+
+def _csv(header: str, rows: Iterable[str]) -> str:
+    """A header row, then one row per line, newline-terminated."""
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _fmt_params(params: Mapping[str, float]) -> str:
+    return ";".join(f"{k}={params[k]!r}" for k in sorted(params))
+
+
+def psd_reports_to_csv(reports: Sequence[F.PsdReport]) -> str:
+    rows = (
+        f"{r.model_id},{_fmt_params(r.params)},{r.point_set_id},{r.convention},"
+        f"{r.n_points},{r.dimension},{r.min_eigenvalue!r},{r.max_eigenvalue!r},{r.verdict}"
+        for r in reports
+    )
+    return _csv(PSD_CSV_HEADER, rows)
+
+
+def profile_to_csv(profile: F.Profile) -> str:
+    rows = (f"{i},{i * profile.spacing!r},{float(v)!r}" for i, v in enumerate(profile.values))
+    return _csv(PROFILE_CSV_HEADER, rows)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dagum",
@@ -91,17 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--grid", default=None, help="start:stop:count")
-    p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("classify", help="three-valued permissibility verdict")
     p.add_argument("family", choices=tuple(C.CLASSIFIERS))
     _add_param_flags(p)
     p.add_argument("--tol", type=float, default=None, help="dagum and aux-lcm only")
-    p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("figure1", help="threshold curves Psi, 1 + 1/beta, l, and beta*")
     p.add_argument("--grid", default="1:2:101", help="start:stop:count over beta")
-    p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("psd", help="eigenvalue checks on random point sets")
     p.add_argument("model", choices=sorted(M.MODELS))
@@ -111,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--convention", choices=F.CONVENTIONS, default="squared_distance")
-    p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("search", help="random search for an indefinite configuration")
     p.add_argument("model", choices=sorted(M.MODELS))
@@ -121,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--convention", choices=F.CONVENTIONS, default="squared_distance")
-    p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("simulate", help="deterministic Gaussian profile draw")
     p.add_argument("model", choices=sorted(M.MODELS))
@@ -129,13 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--spacing", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", "-o", default=None)
 
     p = sub.add_parser("decouple", help="analytic local/tail exponent estimates")
     p.add_argument("--family", required=True, choices=sorted(M.MODELS))
     _add_param_flags(p)
-    p.add_argument("--output", "-o", default=None)
 
+    for p in sub.choices.values():  # last in each parser, as --help lists it
+        p.add_argument("--output", "-o", default=None)
     return parser
 
 
@@ -149,7 +171,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _cmd_eval(ns: argparse.Namespace) -> int:
+def _cmd_eval(ns: argparse.Namespace) -> str:
     p, evaluator = M.make_model(ns.model, _params(ns))
     if (ns.x is None) == (ns.grid is None):
         raise DomainError("provide exactly one of --x or --grid")
@@ -163,12 +185,10 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
         values = evaluator(p, np.array(xs, dtype=object))
     except (OverflowError, ZeroDivisionError):
         raise NumericOverflowError(f"{ns.model} leaves the float range") from None
-    rows = [f"{x!r},{v!r}" for x, v in zip(xs, values)]
-    _emit("x,value\n" + "\n".join(rows) + "\n", ns.output)
-    return EXIT_OK
+    return _csv("x,value", (f"{x!r},{v!r}" for x, v in zip(xs, values)))
 
 
-def _cmd_classify(ns: argparse.Namespace) -> int:
+def _cmd_classify(ns: argparse.Namespace) -> str:
     classifier, names, takes_tol = C.CLASSIFIERS[ns.family]
     if ns.tol is not None:
         if not (math.isfinite(ns.tol) and ns.tol > 0.0):
@@ -177,23 +197,21 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
             raise DomainError(f"classify {ns.family} takes no --tol")
     args = M.take_params(ns.family, _params(ns), names)
     verdict = classifier(*args) if ns.tol is None else classifier(*args, ns.tol)
-    _emit(verdict.to_json(), ns.output)
-    return EXIT_OK
+    return verdict.to_json()
 
 
-def _cmd_figure1(ns: argparse.Namespace) -> int:
+def _cmd_figure1(ns: argparse.Namespace) -> str:
     betas = _parse_grid(ns.grid)
     if betas[0] < 1.0 or betas[-1] > 2.0:
         raise DomainError("figure1 grid must lie within [1, 2]")
     table = C.ThresholdTable.build(len(betas), betas[0], betas[-1])
     cols = (table.beta_grid.tolist(), table.psi_values.tolist(), table.l_values.tolist())
     rows = [f"{b!r},{psi_b!r},{1.0 + 1.0 / b!r},{l_b!r}" for b, psi_b, l_b in zip(*cols)]
-    lines = ["beta,psi_max,one_plus_inv_beta,l_beta", *rows, f"# beta_star,{table.beta_star!r}"]
-    _emit("\n".join(lines) + "\n", ns.output)
-    return EXIT_OK
+    rows.append(f"# beta_star,{table.beta_star!r}")
+    return _csv("beta,psi_max,one_plus_inv_beta,l_beta", rows)
 
 
-def _cmd_psd(ns: argparse.Namespace) -> int:
+def _cmd_psd(ns: argparse.Namespace) -> str:
     params = _params(ns)
     M.make_model(ns.model, params)  # validate before the expensive part
     try:
@@ -207,45 +225,31 @@ def _cmd_psd(ns: argparse.Namespace) -> int:
         for k in range(ns.sets):
             ps = F.random_point_set(d, ns.n, ns.seed, trial=k)
             reports.append(F.psd_check(ns.model, params, ps, ns.convention))
-    _emit(F.psd_reports_to_csv(reports), ns.output)
-    return EXIT_OK
+    return psd_reports_to_csv(reports)
 
 
-def _cmd_search(ns: argparse.Namespace) -> int:
+def _cmd_search(ns: argparse.Namespace) -> str:
     params = _params(ns)
     M.make_model(ns.model, params)
     found = F.nonpsd_search(ns.model, params, ns.dmax, ns.n, ns.trials, ns.seed, ns.convention)
-    if found is None:
-        text = (
-            F.PSD_CSV_HEADER
-            + "\n"
-            + f"# none,no indefinite configuration in {ns.trials} trials"
-            + f" (d<={ns.dmax}, n={ns.n}, seed={ns.seed}); absence proves nothing\n"
-        )
-    else:
-        _, report = found
-        text = F.psd_reports_to_csv([report])
-    _emit(text, ns.output)
-    return EXIT_OK
+    if found is not None:
+        return psd_reports_to_csv([found[1]])
+    none = (f"# none,no indefinite configuration in {ns.trials} trials"
+            f" (d<={ns.dmax}, n={ns.n}, seed={ns.seed}); absence proves nothing")
+    return _csv(PSD_CSV_HEADER, [none])
 
 
-def _cmd_simulate(ns: argparse.Namespace) -> int:
-    profile = F.simulate_profile(ns.model, _params(ns), ns.n, ns.spacing, ns.seed)
-    _emit(F.profile_to_csv(profile), ns.output)
-    return EXIT_OK
+def _cmd_simulate(ns: argparse.Namespace) -> str:
+    return profile_to_csv(F.simulate_profile(ns.model, _params(ns), ns.n, ns.spacing, ns.seed))
 
 
-def _cmd_decouple(ns: argparse.Namespace) -> int:
+def _cmd_decouple(ns: argparse.Namespace) -> str:
     params = _params(ns)
     M.make_model(ns.family, params)
     local = F.estimate_local_exponent(ns.family, params)
     tail = F.estimate_hurst_exponent(ns.family, params)
-    lines = [
-        "family,params,local_exponent,tail_exponent",
-        f"{ns.family},{F._fmt_params(params)},{local!r},{tail!r}",
-    ]
-    _emit("\n".join(lines) + "\n", ns.output)
-    return EXIT_OK
+    row = f"{ns.family},{_fmt_params(params)},{local!r},{tail!r}"
+    return _csv("family,params,local_exponent,tail_exponent", [row])
 
 
 _COMMANDS = {
@@ -262,7 +266,8 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     ns = _parser().parse_args(argv)
     try:
-        return _COMMANDS[ns.command](ns)
+        _emit(_COMMANDS[ns.command](ns), ns.output)
+        return EXIT_OK
     except (DomainError, UnsupportedExpressionError) as exc:
         print(f"dagum: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAM

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -309,34 +309,3 @@ def estimate_hurst_exponent(model_id: str, params: Mapping[str, float]) -> float
     """
     rho = M.correlation(model_id, dict(params))
     return _loglog_slope(rho, TAIL_WINDOW)
-
-
-# -- CSV serialization --------------------------------------------------------
-
-PSD_CSV_HEADER = (
-    "model,params,point_set_id,convention,n_points,dimension,"
-    "min_eigenvalue,max_eigenvalue,verdict"
-)
-
-PROFILE_CSV_HEADER = "index,position,value"
-
-
-def _fmt_params(params: Mapping[str, float]) -> str:
-    return ";".join(f"{k}={params[k]!r}" for k in sorted(params))
-
-
-def psd_reports_to_csv(reports: Sequence[PsdReport]) -> str:
-    lines = [PSD_CSV_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.model_id},{_fmt_params(r.params)},{r.point_set_id},{r.convention},"
-            f"{r.n_points},{r.dimension},{r.min_eigenvalue!r},{r.max_eigenvalue!r},{r.verdict}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def profile_to_csv(profile: Profile) -> str:
-    lines = [PROFILE_CSV_HEADER]
-    for i, v in enumerate(profile.values):
-        lines.append(f"{i},{i * profile.spacing!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from dagum import fields as F
 from dagum.classify import ThresholdTable
 
 
@@ -44,3 +47,52 @@ def psi_objective():
         return lambda t: rule.psi_values(t) if np.ndim(t) else float(rule.psi_values(t)[0])
 
     return objective
+
+
+SEARCH_CASES = (
+    # (model, params, convention): witnesses, at n = 5 and 12 some after trials
+    # whose factorization completes
+    ("cauchy", {"theta": 1.5, "eta": 1.0}, "squared_distance"),
+    ("cauchy", {"theta": 1.05, "eta": 2.0}, "squared_distance"),
+    ("g", {"alpha": 0.5, "lambda": 0.5}, "squared_distance"),
+    # budgets used up, every factorization completes
+    ("dagum", {"beta": 0.5, "gamma": 1.0}, "squared_distance"),
+    ("dagum", {"beta": 3.0, "gamma": 0.2}, "squared_distance"),
+    ("dagum5", {"gamma": 1.5, "epsilon": 0.6}, "plain_distance"),
+    # smooth in 1-D at n = 100: the factorization fails, yet the rule says psd
+    ("cauchy", {"theta": 2.0, "eta": 1.0}, "plain_distance"),
+    ("cauchy", {"theta": 1.0, "eta": 0.2}, "squared_distance"),
+)
+
+
+@pytest.fixture(scope="session")
+def search_cases():
+    """``nonpsd_search`` arguments (model, params, d_max, n_points, n_trials,
+    seed, convention): each case at n = 5, 12 and 100, d_max 1 and 3, seeds 0
+    and 7, 12 trials."""
+    return [
+        (model_id, params, d_max, n_points, 12, seed, convention)
+        for model_id, params, convention in SEARCH_CASES
+        for n_points, d_max, seed in itertools.product((5, 12, 100), (1, 3), (0, 7))
+    ]
+
+
+@pytest.fixture(scope="session")
+def search_written_out():
+    """``nonpsd_search`` with every trial eigen-solved and judged by the psd
+    rule, with no screen."""
+
+    def search(model_id, params, d_max, n_points, n_trials, seed, convention):
+        for trial in range(n_trials):
+            ps = F.random_point_set(trial % d_max + 1, n_points, seed, trial)
+            eigs = np.linalg.eigvalsh(F.gram_matrix(model_id, params, ps, convention))
+            mn, mx = float(eigs[0]), float(eigs[-1])
+            if mn < -F.EIG_TOL * mx:
+                report = F.PsdReport(
+                    model_id, dict(params), ps.id, convention, n_points, ps.dimension,
+                    mn, mx, "indefinite",
+                )
+                return ps, report
+        return None
+
+    return search

@@ -771,6 +771,20 @@ def test_eta_witness_at_beta_one_scans_nothing(alpha, monkeypatch):
     assert C.eta_negative_witness(alpha, 1.0) is None
 
 
+@pytest.mark.parametrize("beta", (1.0 + 1e-9, 1.0 + 1e-12, 1.0000000000000002))
+def test_eta_scans_keep_no_node_just_above_beta_one(beta):
+    # below b = 1 + 4.88e-9 the scan step h is past 1.5e5 and h d > 746 at
+    # every node: the held basis has no node, and the scan is the residue and
+    # power-law terms alone, as eta_values and phi_values give them
+    rule, ts = spectral_rule(beta), K.eta_scan_grid(beta)
+    assert (float(ts[1]) * rule._decay > 746.0).all()
+    for alpha in (0.0, 0.3, 1.0):
+        ref = rule.eta_values(alpha, ts) if alpha else rule.phi_values(ts)
+        assert np.max(np.abs(rule.eta_scan(alpha) - ref)) <= 1e-250, alpha
+        assert C.eta_negative_witness(alpha, beta) is None
+    assert C.c_bounds(beta, 0.05) == (0.0, beta / 32.0)
+
+
 def test_verdict_json_is_strict():
     verdict = C.Verdict("ProvenNotCM", C.NUMERIC_BASIS, C.Certificate("eta_sign", 1.0, None, math.nan))
     with pytest.raises(ValueError):

@@ -8,8 +8,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagum import cli
+from dagum import fields as F
 from dagum import models as M
 
 
@@ -630,3 +633,108 @@ def test_simulate_overflowing_spacing_exits_2(capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("dagum: invalid parameters: squared distances must be finite")
+
+
+# -- one output path: each command returns its text, main writes it ----------
+
+ONE_OF_EACH = (
+    ["eval", "cauchy", "--theta", "1", "--eta", "1", "--grid", "0:10:11"],
+    ["classify", "aux-cm", "--alpha", "1.2", "--beta", "1.5"],
+    ["figure1", "--grid", "1:2:11"],
+    ["psd", "dagum", "--beta", "0.5", "--gamma", "1", "--dims", "1,2", "--n", "20", "--sets", "2"],
+    ["search", "g", "--alpha", "0.5", "--lambda", "0.5", "--dmax", "3", "--n", "30", "--trials", "10"],
+    ["simulate", "dagum5", "--gamma", "1", "--epsilon", "0.5", "--n", "16", "--seed", "1"],
+    ["decouple", "--family", "dagum5", "--gamma", "1", "--epsilon", "0.5"],
+)
+
+
+def test_one_of_each_covers_every_command():
+    assert sorted(argv[0] for argv in ONE_OF_EACH) == sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", ONE_OF_EACH, ids=lambda argv: argv[0])
+def test_output_file_holds_the_bytes_stdout_would(argv, tmp_path, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "") and out
+    target = tmp_path / "out.txt"
+    assert run([*argv, "-o", str(target)], capsys) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+    assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
+
+
+@pytest.mark.parametrize("beta", ("1.000000001", "1.000000000001", "1.0000000000000002"))
+def test_classify_aux_cm_just_above_beta_one(beta, capsys):
+    # the eta scan keeps no node of the rule there (see test_classify)
+    code, out, err = run(["classify", "aux-cm", "--alpha", "0.3", "--beta", beta], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "Undetermined"
+
+
+def test_simulate_profile_determinism():
+    a = F.simulate_profile("dagum5", {"gamma": 1.0, "epsilon": 0.5}, 64, 1.0, seed=7)
+    b = F.simulate_profile("dagum5", {"gamma": 1.0, "epsilon": 0.5}, 64, 1.0, seed=7)
+    assert cli.profile_to_csv(a) == cli.profile_to_csv(b)
+    c = F.simulate_profile("dagum5", {"gamma": 1.0, "epsilon": 0.5}, 64, 1.0, seed=8)
+    assert not np.array_equal(a.values, c.values)
+
+
+def test_search_csv_equals_eigen_solving_every_trial(search_cases, search_written_out, capsys):
+    # what search prints is the CSV of the report the written-out search finds
+    for model_id, params, d_max, n_points, n_trials, seed, convention in search_cases:
+        flags = [a for k, v in params.items() for a in (f"--{k}", repr(v))]
+        code, out, _ = run(
+            ["search", model_id, *flags, "--dmax", str(d_max), "--n", str(n_points),
+             "--trials", str(n_trials), "--seed", str(seed), "--convention", convention],
+            capsys,
+        )
+        assert code == 0
+        expected = search_written_out(model_id, params, d_max, n_points, n_trials, seed, convention)
+        if expected is None:
+            assert out.startswith(cli.PSD_CSV_HEADER + "\n# none,"), (model_id, params)
+        else:
+            assert out == cli.psd_reports_to_csv([expected[1]]), (model_id, params)
+
+
+def test_profile_csv_and_psd_csv_shapes():
+    p = F.simulate_profile("cauchy", {"theta": 1.0, "eta": 1.0}, 4, 0.5, seed=3)
+    text = cli.profile_to_csv(p)
+    lines = text.strip().split("\n")
+    assert lines[0] == cli.PROFILE_CSV_HEADER
+    assert len(lines) == 5
+    assert text.endswith("\n")
+    ps = F.PointSet(1, np.array([[0.0], [1.0]]), "pair")
+    rep = F.psd_check("dagum", {"beta": 0.5, "gamma": 1.0}, ps, "squared_distance")
+    text = cli.psd_reports_to_csv([rep])
+    assert text.startswith(cli.PSD_CSV_HEADER)
+    assert "psd" in text.strip().split("\n")[1]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    params=st.dictionaries(st.sampled_from(["alpha", "beta", "lambda"]), FINITE, min_size=1),
+    mn=FINITE,
+    mx=FINITE,
+)
+def test_psd_csv_floats_round_trip(params, mn, mx):
+    rep = F.PsdReport(
+        model_id="g",
+        params=params,
+        point_set_id="d3-n7-s0-t0",
+        convention="plain_distance",
+        n_points=7,
+        dimension=3,
+        min_eigenvalue=mn,
+        max_eigenvalue=mx,
+        verdict="psd",
+    )
+    (row,) = csv.DictReader(io.StringIO(cli.psd_reports_to_csv([rep])))
+    parsed = dict(item.split("=") for item in row["params"].split(";"))
+    # hex() tells -0.0 from 0.0 and compares every bit
+    assert {k: float(v).hex() for k, v in parsed.items()} == {
+        k: v.hex() for k, v in params.items()
+    }
+    assert float(row["min_eigenvalue"]).hex() == mn.hex()
+    assert float(row["max_eigenvalue"]).hex() == mx.hex()

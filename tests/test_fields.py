@@ -1,6 +1,3 @@
-import csv
-import io
-import itertools
 import math
 import tracemalloc
 
@@ -118,57 +115,26 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _search_written_out(model_id, params, d_max, n_points, n_trials, seed, convention):
-    # every trial eigen-solved and judged by the psd rule, with no screen
-    for trial in range(n_trials):
-        ps = F.random_point_set(trial % d_max + 1, n_points, seed, trial)
-        eigs = np.linalg.eigvalsh(F.gram_matrix(model_id, params, ps, convention))
-        mn, mx = float(eigs[0]), float(eigs[-1])
-        if mn < -F.EIG_TOL * mx:
-            report = F.PsdReport(
-                model_id, dict(params), ps.id, convention, n_points, ps.dimension,
-                mn, mx, "indefinite",
-            )
-            return ps, report
-    return None
-
-
-SEARCH_CASES = (
-    # (model, params, convention): witnesses, at n = 5 and 12 some after trials
-    # whose factorization completes
-    ("cauchy", {"theta": 1.5, "eta": 1.0}, "squared_distance"),
-    ("cauchy", {"theta": 1.05, "eta": 2.0}, "squared_distance"),
-    ("g", {"alpha": 0.5, "lambda": 0.5}, "squared_distance"),
-    # budgets used up, every factorization completes
-    ("dagum", {"beta": 0.5, "gamma": 1.0}, "squared_distance"),
-    ("dagum", {"beta": 3.0, "gamma": 0.2}, "squared_distance"),
-    ("dagum5", {"gamma": 1.5, "epsilon": 0.6}, "plain_distance"),
-    # smooth in 1-D at n = 100: the factorization fails, yet the rule says psd
-    ("cauchy", {"theta": 2.0, "eta": 1.0}, "plain_distance"),
-    ("cauchy", {"theta": 1.0, "eta": 0.2}, "squared_distance"),
-)
-
-
-def test_nonpsd_search_equals_eigen_solving_every_trial(monkeypatch):
+def test_nonpsd_search_equals_eigen_solving_every_trial(
+    monkeypatch, search_cases, search_written_out
+):
+    # the CSV of each report: test_cli.test_search_csv_equals_eigen_solving_every_trial
     screened = _count_calls(monkeypatch, "_cholesky_completes")
     solved = _count_calls(monkeypatch, "_psd_report")
     late_witnesses = rejected_psd = exhausted = 0
-    for model_id, params, convention in SEARCH_CASES:
-        for n_points, d_max, seed in itertools.product((5, 12, 100), (1, 3), (0, 7)):
-            args = (model_id, params, d_max, n_points, 12, seed, convention)
-            screened.clear()
-            solved.clear()
-            found, expected = F.nonpsd_search(*args), _search_written_out(*args)
-            rejected_psd += sum(r.verdict == "psd" for r in solved)
-            if expected is None:
-                assert found is None, args
-                exhausted += 1
-                continue
-            (ps, report), (ref_ps, ref_report) = found, expected
-            assert ps.id == ref_ps.id and ps.points.tobytes() == ref_ps.points.tobytes(), args
-            assert report == ref_report, args
-            assert F.psd_reports_to_csv([report]) == F.psd_reports_to_csv([ref_report])
-            late_witnesses += any(screened[:-1])
+    for args in search_cases:
+        screened.clear()
+        solved.clear()
+        found, expected = F.nonpsd_search(*args), search_written_out(*args)
+        rejected_psd += sum(r.verdict == "psd" for r in solved)
+        if expected is None:
+            assert found is None, args
+            exhausted += 1
+            continue
+        (ps, report), (ref_ps, ref_report) = found, expected
+        assert ps.id == ref_ps.id and ps.points.tobytes() == ref_ps.points.tobytes(), args
+        assert report == ref_report, args
+        late_witnesses += any(screened[:-1])
     # both branches of the screen, before a witness and in used-up budgets
     assert late_witnesses >= 5 and rejected_psd >= 20 and exhausted >= 40
 
@@ -243,14 +209,6 @@ def test_non_finite_gram_is_rejected_before_any_solve():
     tiny = F.PointSet(1, np.array([[0.0], [1e-150]]), "tiny")
     with pytest.raises(NumericOverflowError, match="^g leaves the float range$"):
         F.gram_matrix("g", {"alpha": 2.0, "lambda": 1.0}, tiny, "squared_distance")
-
-
-def test_simulate_profile_determinism():
-    a = F.simulate_profile("dagum5", {"gamma": 1.0, "epsilon": 0.5}, 64, 1.0, seed=7)
-    b = F.simulate_profile("dagum5", {"gamma": 1.0, "epsilon": 0.5}, 64, 1.0, seed=7)
-    assert F.profile_to_csv(a) == F.profile_to_csv(b)
-    c = F.simulate_profile("dagum5", {"gamma": 1.0, "epsilon": 0.5}, 64, 1.0, seed=8)
-    assert not np.array_equal(a.values, c.values)
 
 
 def test_simulate_two_point_correlation_monte_carlo():
@@ -367,51 +325,6 @@ def test_point_set_rejects_non_finite(bad):
     # checked before the distances, so no Gram matrix is built from a NaN
     with pytest.raises(DomainError, match="finite"):
         F.PointSet(2, np.array([[0.0, 1.0], [bad, 2.0]]), "bad")
-
-
-def test_profile_csv_and_psd_csv_shapes():
-    p = F.simulate_profile("cauchy", {"theta": 1.0, "eta": 1.0}, 4, 0.5, seed=3)
-    text = F.profile_to_csv(p)
-    lines = text.strip().split("\n")
-    assert lines[0] == F.PROFILE_CSV_HEADER
-    assert len(lines) == 5
-    assert text.endswith("\n")
-    ps = F.PointSet(1, np.array([[0.0], [1.0]]), "pair")
-    rep = F.psd_check("dagum", {"beta": 0.5, "gamma": 1.0}, ps, "squared_distance")
-    text = F.psd_reports_to_csv([rep])
-    assert text.startswith(F.PSD_CSV_HEADER)
-    assert "psd" in text.strip().split("\n")[1]
-
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(
-    params=st.dictionaries(st.sampled_from(["alpha", "beta", "lambda"]), FINITE, min_size=1),
-    mn=FINITE,
-    mx=FINITE,
-)
-def test_psd_csv_floats_round_trip(params, mn, mx):
-    rep = F.PsdReport(
-        model_id="g",
-        params=params,
-        point_set_id="d3-n7-s0-t0",
-        convention="plain_distance",
-        n_points=7,
-        dimension=3,
-        min_eigenvalue=mn,
-        max_eigenvalue=mx,
-        verdict="psd",
-    )
-    (row,) = csv.DictReader(io.StringIO(F.psd_reports_to_csv([rep])))
-    parsed = dict(item.split("=") for item in row["params"].split(";"))
-    # hex() tells -0.0 from 0.0 and compares every bit
-    assert {k: float(v).hex() for k, v in parsed.items()} == {
-        k: v.hex() for k, v in params.items()
-    }
-    assert float(row["min_eigenvalue"]).hex() == mn.hex()
-    assert float(row["max_eigenvalue"]).hex() == mx.hex()
 
 
 # The closed forms on arrays, written out independently of dagum.models.

@@ -130,9 +130,11 @@ def test_grid_kernels_near_the_endpoints_match_the_series(beta, eta_series):
     ts = np.array(SERIES_TS)
     phi = K.phi_callable(beta)(ts)
     assert np.max(np.abs(phi - [eta_series(0.0, beta, t) for t in ts])) <= 1e-9
-    for alpha in (0.05, 0.3, 0.7, 1.0):
+    # the rule is least accurate near b = 1 for alpha near 0.8 (1.1e-9 at
+    # (0.9, 1 + 1e-5, 18)), so those alphas get a bound of their own
+    for alpha, bound in ((0.05, 1e-9), (0.3, 1e-9), (0.7, 1e-9), (0.8, 2e-9), (0.9, 2e-9), (1.0, 1e-9)):
         eta = K.eta_grid(alpha, beta, ts)
-        assert np.max(np.abs(eta - [eta_series(alpha, beta, t) for t in ts])) <= 1e-9, alpha
+        assert np.max(np.abs(eta - [eta_series(alpha, beta, t) for t in ts])) <= bound, alpha
 
 
 @pytest.mark.parametrize("beta", NEAR_ENDPOINT_BETAS)
