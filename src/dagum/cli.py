@@ -180,10 +180,12 @@ def _cmd_eval(ns: argparse.Namespace) -> str:
     xs = [ns.x] if ns.x is not None else _parse_grid(ns.grid).tolist()
     try:
         # The domain check at the smallest x (grids are nondecreasing), then one
-        # call on Python floats in an object array: the scalar path's bits.
+        # call on Python floats in an object array: the scalar path's bits.  A
+        # float product that overflows sets the flag that numpy raises on here.
         evaluator(p, xs[0])
-        values = evaluator(p, np.array(xs, dtype=object))
-    except (OverflowError, ZeroDivisionError):
+        with np.errstate(over="raise"):
+            values = evaluator(p, np.array(xs, dtype=object))
+    except (OverflowError, FloatingPointError, ZeroDivisionError):
         raise NumericOverflowError(f"{ns.model} leaves the float range") from None
     return _csv("x,value", (f"{x!r},{v!r}" for x, v in zip(xs, values)))
 
@@ -213,7 +215,6 @@ def _cmd_figure1(ns: argparse.Namespace) -> str:
 
 def _cmd_psd(ns: argparse.Namespace) -> str:
     params = _params(ns)
-    M.make_model(ns.model, params)  # validate before the expensive part
     try:
         dims = [int(d) for d in ns.dims.split(",") if d]
     except ValueError:
@@ -230,7 +231,6 @@ def _cmd_psd(ns: argparse.Namespace) -> str:
 
 def _cmd_search(ns: argparse.Namespace) -> str:
     params = _params(ns)
-    M.make_model(ns.model, params)
     found = F.nonpsd_search(ns.model, params, ns.dmax, ns.n, ns.trials, ns.seed, ns.convention)
     if found is not None:
         return psd_reports_to_csv([found[1]])
@@ -245,7 +245,6 @@ def _cmd_simulate(ns: argparse.Namespace) -> str:
 
 def _cmd_decouple(ns: argparse.Namespace) -> str:
     params = _params(ns)
-    M.make_model(ns.family, params)
     local = F.estimate_local_exponent(ns.family, params)
     tail = F.estimate_hurst_exponent(ns.family, params)
     row = f"{ns.family},{_fmt_params(params)},{local!r},{tail!r}"

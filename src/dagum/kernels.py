@@ -130,13 +130,13 @@ def _panel_rule(lo: float, hi) -> Tuple[np.ndarray, np.ndarray]:
     return nodes.reshape(breaks.shape[:-1] + (-1,)), (h * wg).reshape(breaks.shape[:-1] + (-1,))
 
 
-def _resonance_knots(beta: float, sigma: float, c: float, upper: float) -> list:
+def _resonance_knots(beta: float, sigma: float, c: float) -> list:
     # Denominator minimum at s^b = -c (only reachable when c < 0, b < 1.5).
     if c >= 0.0:
         return []
     s0 = (-c) ** (1.0 / beta)
     w = max(sigma / beta, 1e-6)
-    return [k for k in (s0 - 10 * w, s0 - w, s0, s0 + w, s0 + 10 * w) if 0.0 < k < upper]
+    return [k for k in (s0 - 10 * w, s0 - w, s0, s0 + w, s0 + 10 * w) if k > 0.0]
 
 
 def _osc(beta, ts, shift, turn=None):
@@ -217,7 +217,7 @@ def _s_domain_route(beta: float, t: float) -> Tuple[float, float]:
         sb = s ** beta
         return math.exp(-t * s) * s ** (beta - 1.0) / (1.0 + 2.0 * c * sb + sb * sb)
 
-    knots = _resonance_knots(beta, sigma, c, math.inf)
+    knots = _resonance_knots(beta, sigma, c)
     try:
         v, e = integrate(g, 0.0, math.inf, knots=knots)
     except ZeroDivisionError:  # near b = 1 (at 1 + 1e-9) the denominator rounds to 0
@@ -309,6 +309,7 @@ def psi(beta: float, t: float) -> KernelValue:
 # Every exponent is floored at -600, off numpy's slow exp range (-745, -707.7);
 # e^-600 |v_i| stays a normal double for every |v_i| > 1e-47.
 _BLOCK_ROWS, _GATHER_ROWS, _SCAN_ROWS, _EXP_FLOOR = 256, 16, 128, -600.0
+_EXP_UNDERFLOW = 746.0  # exp(-x) is exactly 0 in double precision for x > 745.14
 _SCAN_POINTS = 4096  # of the sign-scan grid: 32 blocks of ``_SCAN_ROWS``
 
 
@@ -344,9 +345,8 @@ def _laplace_sums(ts: np.ndarray, d: np.ndarray, w: np.ndarray, order: int = 0,
         rows = ts[start : start + step]
         pick = 0 if which is None else which[start : start + step]
         ds = d[pick]  # one rule's decay row, or one row per t
-        # exp(-x) is exactly 0 in double precision for x > 745.14
         low = ds if ds.ndim == 1 else ds.min(axis=0)
-        skip = int(np.count_nonzero(low * rows.min() > 746.0)) // 64 * 64
+        skip = int(np.count_nonzero(low * rows.min() > _EXP_UNDERFLOW)) // 64 * 64
         ds = -ds[..., skip:]
         v = np.empty((order + 1,) + ds.shape)
         v[0] = w[pick, skip:]
@@ -462,10 +462,10 @@ class PsiEvaluator:
         On that grid exp(-(k R + j) h d_i) = exp(-k R h d_i) exp(-j h d_i): the
         scan is one product of B[j, i] = exp(-j h d_i), R = ``_SCAN_ROWS`` rows,
         and E[i, k] = v_i exp(-k R h d_i), 0 below ``_EXP_FLOOR``, k < 32, where
-        B is floored.  All but the weights v comes from ``_scan_basis``, held
-        for the next scan of the same beta (a ``c_bounds`` bisection).  Values
-        differ from ``eta_values`` and ``phi_values`` by rounding (about 1e-14).
-        DomainError for a outside [0, 1]; a NaN a gives NaN.
+        B is floored, plus the residue ``_osc``.  B and E but for v come from
+        ``_scan_basis``, held for the next scan of the same beta (a ``c_bounds``
+        bisection).  Values differ from ``eta_values`` and ``phi_values`` by
+        rounding (about 1e-14).  DomainError for a outside [0, 1]; a NaN a gives NaN.
         """
         if alpha < 0.0 or alpha > 1.0:
             raise DomainError(f"the scan requires 0 <= alpha <= 1, got {alpha}")
@@ -475,9 +475,8 @@ class PsiEvaluator:
         else:
             v, shift = self._eta_weights(alpha), (1.0 - alpha) * (PI / b)
         with _BETA_LOCK:  # another beta's scan rewrites the basis in place
-            ts, keep, block, cols, grow, turn = self._scan_basis()
-            # ``_osc(b, ts, shift)`` from the held exp(t cos A) and t sin A
-            out = -(2.0 / b) * grow * np.cos(turn + shift)
+            ts, keep, block, cols = self._scan_basis()
+            out = _osc(b, ts, shift)
             out += (block @ (cols * v[keep, None])).T.ravel()
             if alpha != 0.0:
                 out[1:] += kappa(alpha, ts[1:])
@@ -486,21 +485,19 @@ class PsiEvaluator:
 
     def _scan_basis(self) -> tuple:
         """``eta_scan``'s alpha-free arrays for this beta, held from call to
-        call, read-only: t, the kept nodes, B, exp(-k R h d_i), exp(t cos A)
-        and t sin A.  Call under ``_BETA_LOCK``: they are views of one buffer,
+        call, read-only: t, the kept nodes, B and exp(-k R h d_i).  Call under
+        ``_BETA_LOCK``: but for the node mask they are views of one buffer,
         rewritten for a new beta, as a freed basis would page-fault afresh."""
         if _SCAN_SLOT[0] != self.beta:
             _SCAN_SLOT[:] = [None, None]  # invalid while the buffer is rewritten
             n, rows = _SCAN_POINTS, _SCAN_ROWS
             buffer = _scan_buffer(self._decay.size)
-            ts, grow, turn = buffer[: 3 * n].reshape(3, n)
+            ts = buffer[:n]
             ts[:] = eta_scan_grid(self.beta)
             h = float(ts[1])
-            # exp(-x) is exactly 0 in double precision for x > 745.14, so a
-            # node with h d > 746 adds nothing at any t > 0
-            keep = h * self._decay <= 746.0
+            keep = h * self._decay <= _EXP_UNDERFLOW  # the rest add nothing at any t > 0
             d = self._decay[keep]
-            rest = buffer[3 * n : 3 * n + (rows + n // rows) * d.size]
+            rest = buffer[n : n + (rows + n // rows) * d.size]
             # explicit shapes: near b = 1 no node may be kept (d.size = 0)
             block = rest[: rows * d.size].reshape(rows, d.size)
             cols = rest[rows * d.size :].reshape(d.size, n // rows)
@@ -510,11 +507,9 @@ class PsiEvaluator:
             np.multiply.outer(d, -(h * np.arange(0, n, rows)), out=cols)
             np.exp(cols, out=cols, where=cols >= _EXP_FLOOR)
             cols[cols < _EXP_FLOOR] = 0.0  # the entries exp left as they were
-            np.exp(np.multiply(ts, math.cos(PI / self.beta), out=grow), out=grow)
-            np.multiply(ts, math.sin(PI / self.beta), out=turn)
-            for arr in (ts, keep, block, cols, grow, turn):
+            for arr in (ts, keep, block, cols):
                 arr.flags.writeable = False
-            _SCAN_SLOT[:] = [self.beta, (ts, keep, block, cols, grow, turn)]
+            _SCAN_SLOT[:] = [self.beta, (ts, keep, block, cols)]
         return _SCAN_SLOT[1]
 
 
@@ -534,7 +529,7 @@ _SCAN_SLOT: list = [None, None]
 def _scan_buffer(nodes: int) -> np.ndarray:
     """The one buffer that ``_scan_basis`` rewrites, with room for every node of
     a rule (1.1 MB for 800), allocated by the first scan of the process."""
-    return np.empty(3 * _SCAN_POINTS + (_SCAN_ROWS + _SCAN_POINTS // _SCAN_ROWS) * nodes)
+    return np.empty(_SCAN_POINTS + (_SCAN_ROWS + _SCAN_POINTS // _SCAN_ROWS) * nodes)
 
 
 def spectral_rule(beta: float) -> PsiEvaluator:
@@ -598,23 +593,22 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     phi(t (1 - xi^(1/a))) d(xi) with the closed-form phi, on the spectral
     rule's panels over [0, 1] (``_panel_rule(0, 1)``), ``_BLOCK_ROWS`` rows
     of t at a time; within about 1e-11 of the exact value for a in [0.01, 6]
-    and t up to 18.
+    and t up to 18.  t is read by ``_grid``: the result has its shape, at
+    least one dimension, at every b.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
-    ts = np.asarray(ts, dtype=float)
-    if not (ts >= 0.0).all():
-        raise DomainError("t must be >= 0")
+    ts = _grid(ts)
     forms = _closed_forms(beta)
     if forms is None:
         return spectral_rule(beta).eta_values(alpha, ts)
     xi, wq = _panel_rule(0.0, 1.0)
-    shrink, ts = 1.0 - xi ** (1.0 / alpha), ts.ravel()
-    sums = np.empty(ts.size)
-    for start in range(0, ts.size, _BLOCK_ROWS):
-        rows = ts[start : start + _BLOCK_ROWS]
+    shrink, flat = 1.0 - xi ** (1.0 / alpha), ts.ravel()
+    sums = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK_ROWS):
+        rows = flat[start : start + _BLOCK_ROWS]
         sums[start : start + _BLOCK_ROWS] = forms[0](np.outer(rows, shrink)) @ wq
-    return ts ** alpha / math.gamma(1.0 + alpha) * sums
+    return ts ** alpha / math.gamma(1.0 + alpha) * sums.reshape(ts.shape)
 
 
 def laplace_check(kernel: str, beta: float, x: float, alpha: Optional[float] = None) -> float:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -599,6 +600,32 @@ def test_eval_float_overflow_exits_3(model_args, x, grid, where, tmp_path, capsy
     target = tmp_path / "out.csv"
     assert cli.main(["eval", *model_args, *point, "-o", str(target)]) == 3
     assert list(tmp_path.iterdir()) == []
+
+
+PRODUCT_OVERFLOWS = (
+    # x * x and x^a (1 + x^b) overflow to inf on Python floats without an
+    # exception; the reciprocal of inf was printed as 0.0 after a RuntimeWarning
+    ["eval", "g", "--alpha", "0", "--lambda", "0.5", "--x", "1e200"],
+    ["eval", "aux", "--alpha", "1", "--beta", "1.5", "--grid", "1e150:1e200:3"],
+)
+
+
+@pytest.mark.parametrize("argv", PRODUCT_OVERFLOWS, ids=lambda argv: argv[1])
+def test_eval_product_overflow_exits_3(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv, capsys)
+    assert (code, out, caught) == (3, "", [])
+    assert err == f"dagum: numeric overflow: {argv[1]} leaves the float range\n"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dagum.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+    # below the float range the value is printed as before
+    assert run(["eval", "g", "--alpha", "0", "--lambda", "0.5", "--x", "1e100"], capsys)[:2] == (
+        0, "x,value\n1e+100,1e-100\n")
 
 
 NON_FINITE_GRAMS = (

@@ -594,6 +594,17 @@ def test_eta_grid_at_the_endpoints_keeps_its_shapes():
     assert np.max(np.abs(grid - alone)) <= 1e-14
 
 
+@pytest.mark.parametrize("beta", (1.0, 1.5, 2.0))
+@pytest.mark.parametrize("ts", (0.7, [0.0, 0.7, 3.0], [[0.0, 0.7, 3.0], [1.0, 2.0, 9.0]]),
+                         ids=("float", "1-D", "2-D"))
+def test_eta_grid_keeps_the_shape_of_t(beta, ts):
+    # t is read as at least 1-D at every b: a float gives (1,), a 2-D t its
+    # own shape, each value that of the flattened t
+    grid = K.eta_grid(0.5, beta, ts)
+    assert grid.shape == np.atleast_1d(ts).shape
+    assert np.array_equal(grid.ravel(), K.eta_grid(0.5, beta, np.ravel(ts)))
+
+
 def _eta_cut_integral(alpha, beta, t):
     """30-digit eta from the unsubtracted branch-cut integral and the two
     pole residues of 1/(x^a (1+x^b)); s = u^(1/(1-a)) removes s^(-a)."""
@@ -881,9 +892,21 @@ def test_eta_scan_one_product_matches_rule_values(beta):
     rule = K.spectral_rule(beta)
     ts = K.eta_scan_grid(beta)
     rule.eta_scan(0.5)
-    _, keep, block, cols, _, _ = K._SCAN_SLOT[1]
+    held, keep, block, cols = K._SCAN_SLOT[1]
     assert block.shape == (K._SCAN_ROWS, keep.sum()) and cols.shape == (keep.sum(), 32)
     assert np.array_equal(keep, ts[1] * rule._decay <= 746.0)
+    # the slot holds exactly t, the kept nodes, B and E, read-only; all but the
+    # node mask are views of the one buffer, which has room for nothing else
+    h, d = ts[1], rule._decay[keep]
+    exps = np.multiply.outer(d, -(h * np.arange(0, 4096, K._SCAN_ROWS)))
+    assert np.array_equal(held, ts)
+    assert np.array_equal(block, np.exp(np.maximum(np.multiply.outer(-h * np.arange(128), d),
+                                                   K._EXP_FLOOR)))
+    assert np.array_equal(cols, np.where(exps >= K._EXP_FLOOR, np.exp(exps), 0.0))
+    assert not any(arr.flags.writeable for arr in (held, keep, block, cols))
+    buffer = K._scan_buffer(800)
+    assert all(np.shares_memory(arr, buffer) for arr in (held, block, cols))
+    assert buffer.size == 4096 + (K._SCAN_ROWS + 32) * 800
     if beta == 1.0003:
         assert ts[-1] > 1.9e4 and np.count_nonzero(~keep) > 0.4 * keep.size
     # the values on both sides of every column boundary
