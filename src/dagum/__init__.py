@@ -3,124 +3,6 @@ family and its auxiliary families: kernel evaluation, threshold functions,
 three-valued permissibility verdicts, and empirical positive-definiteness
 validation."""
 
-from .classify import (
-    Certificate,
-    ThresholdTable,
-    Verdict,
-    beta_star,
-    c_bounds,
-    classify_aux_cm,
-    classify_aux_lcm,
-    classify_dagum,
-    classify_g,
-    cm_scan,
-    l_of_beta,
-    lcm_scan,
-    psi_max,
-)
-from .errors import (
-    ConvergenceError,
-    DegenerateFitError,
-    DomainError,
-    NoSignChangeError,
-    NotPermissibleError,
-    NumericOverflowError,
-    UnsupportedExpressionError,
-)
-from .fields import (
-    PointSet,
-    Profile,
-    PsdReport,
-    estimate_hurst_exponent,
-    estimate_local_exponent,
-    gram_matrix,
-    nonpsd_search,
-    psd_check,
-    simulate_profile,
-)
-from .kernels import (
-    KernelValue,
-    PsiEvaluator,
-    eta,
-    kappa,
-    laplace_check,
-    phi,
-    psi,
-    rho_kernel,
-    tau_kernel,
-)
-from .models import (
-    AuxParams,
-    CauchyParams,
-    DagumParams,
-    DagumSec5Params,
-    GParams,
-    aux_eval,
-    cauchy_eval,
-    dagum_eval,
-    g_eval,
-    reduced_dagum_eval,
-    semivariogram,
-)
-from .numerics import Bracket, find_root, integrate, maximize_1d
-from .taylor import TaylorSeries, taylor_eval
+from . import classify, errors, fields, kernels, models, numerics, taylor
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuxParams",
-    "Bracket",
-    "CauchyParams",
-    "Certificate",
-    "ConvergenceError",
-    "DagumParams",
-    "DagumSec5Params",
-    "DegenerateFitError",
-    "DomainError",
-    "GParams",
-    "KernelValue",
-    "NoSignChangeError",
-    "NotPermissibleError",
-    "NumericOverflowError",
-    "PointSet",
-    "Profile",
-    "PsdReport",
-    "PsiEvaluator",
-    "TaylorSeries",
-    "ThresholdTable",
-    "UnsupportedExpressionError",
-    "Verdict",
-    "aux_eval",
-    "beta_star",
-    "c_bounds",
-    "cauchy_eval",
-    "classify_aux_cm",
-    "classify_aux_lcm",
-    "classify_dagum",
-    "classify_g",
-    "cm_scan",
-    "dagum_eval",
-    "estimate_hurst_exponent",
-    "estimate_local_exponent",
-    "eta",
-    "find_root",
-    "g_eval",
-    "gram_matrix",
-    "integrate",
-    "kappa",
-    "l_of_beta",
-    "laplace_check",
-    "lcm_scan",
-    "maximize_1d",
-    "nonpsd_search",
-    "phi",
-    "psd_check",
-    "psi",
-    "psi_max",
-    "reduced_dagum_eval",
-    "rho_kernel",
-    "semivariogram",
-    "simulate_profile",
-    "tau_kernel",
-    "taylor_eval",
-]

@@ -186,10 +186,8 @@ def kappa(alpha: float, t):
 
 def rho_kernel(beta: float, t: float) -> float:
     """1 - (2/b) exp(t cos(pi/b)) cos(t sin(pi/b)); closed form on [1, 2]."""
-    if not 1.0 <= beta <= 2.0:
-        raise DomainError("rho kernel requires beta in [1, 2]")
-    if not t >= 0.0:
-        raise DomainError("t must be >= 0")
+    _closed_forms(beta)  # DomainError unless 1 <= b <= 2
+    _grid(t)  # DomainError for t < 0 or NaN
     return float(1.0 + _osc(beta, t, 0.0))
 
 
@@ -294,12 +292,11 @@ def psi(beta: float, t: float) -> KernelValue:
     psi_b(0) = 0, psi_b >= 0, and psi_b(t) -> 1 as t -> infinity for b < 2.
     """
     forms = _closed_forms(beta)  # DomainError unless 1 <= b <= 2
-    if not t >= 0.0:
-        raise DomainError("t must be >= 0")
     if forms:
         return KernelValue(float(forms[1](t)[0]), 0.0, "closed_form")
+    rho = rho_kernel(beta, t)  # DomainError for t < 0 before the quadrature
     tau_v, tau_e = _arctan_route(beta, t, 0)
-    return KernelValue(rho_kernel(beta, t) + tau_v, tau_e, "quadrature_primary")
+    return KernelValue(rho + tau_v, tau_e, "quadrature_primary")
 
 
 # Rows of t per block of a Laplace sum, and of ``eta_grid`` at b = 1 and 2:
@@ -365,19 +362,20 @@ def psi_jets(betas: np.ndarray, decays: np.ndarray, weights: np.ndarray, order: 
              runs: bool = False) -> Callable:
     """Psi jets on the rules of ``betas``, rule j the rows j of ``decays`` and
     ``weights`` (``rule_rows``): a function (ts, which=None) whose row k = 0,
-    ..., order holds psi_b, phi_b, phi_b', ... at each t = ts[r] of the 1-D
-    ``ts`` on rule which[r] (rule 0 if None): _osc(b, t, k pi/b) + (-1)^k
-    sum_i w_i d_i^k e^(-t d_i) / (b pi), plus 1 for k = 0, phi_b(0) = 0
-    exactly; a value does not depend on the other t.  Rows of several rules
-    are gathered; with ``runs``, ``which`` is non-decreasing and each rule's
-    run of t is one rule's block alone.
+    ..., order holds psi_b, phi_b, phi_b', ... at each t of ``ts``, in its
+    shape (at least 1-D), on rule 0, or on rule which[r] at t = ts[r] of a
+    1-D ``ts``: _osc(b, t, k pi/b) + (-1)^k sum_i w_i d_i^k e^(-t d_i) / (b pi),
+    plus 1 for k = 0, phi_b(0) = 0 exactly; a value does not depend on the
+    other t.  Rows of several rules are gathered; with ``runs``, ``which`` is
+    non-decreasing and each rule's run of t is one rule's block alone.
     """
     turn = np.array([(math.cos(PI / b), math.sin(PI / b)) for b in betas.tolist()]).T
     k = np.arange(order + 1)[:, None]
 
     def jet(ts, which=None) -> np.ndarray:
         which = None if betas.size == 1 else which  # one rule: nothing to gather or cut
-        ts, pick = _grid(ts), 0 if which is None else which
+        grid, pick = _grid(ts), 0 if which is None else which
+        ts = grid.ravel()
         b = betas[pick]
         out = _osc(b, ts, k * (PI / b), turn[:, pick])
         out[0] += 1.0
@@ -389,7 +387,7 @@ def psi_jets(betas: np.ndarray, decays: np.ndarray, weights: np.ndarray, order: 
             sums = _laplace_sums(ts, decays, weights, order, which)
         out += sums / (b * PI)
         out[1:2] = np.where(ts == 0.0, 0.0, out[1:2])
-        return out
+        return out.reshape(out.shape[:1] + grid.shape)
 
     return jet
 
@@ -543,7 +541,7 @@ def phi_callable(beta: float) -> Callable:
     """Vectorized t -> phi_b(t) for t >= 0.
 
     exp(-t) and sin t at b = 1 and b = 2; on 1 < b < 2 the spectral rule's
-    ``phi_values`` (the phi of ``psi_max``).  Each returns a 1-D array.
+    ``phi_values`` (the phi of ``psi_max``).  Each keeps t's shape, at least 1-D.
     """
     forms = _closed_forms(beta)
     return forms[0] if forms else spectral_rule(beta).phi_values
@@ -617,7 +615,7 @@ def laplace_check(kernel: str, beta: float, x: float, alpha: Optional[float] = N
     Targets: phi -> 1/(1+x^b); psi -> 1/(x(1+x^b));
     eta (needs alpha) -> 1/(x^a (1+x^b)).
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("laplace check requires x > 0")
     forms = _closed_forms(beta)
 

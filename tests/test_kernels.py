@@ -605,6 +605,23 @@ def test_eta_grid_keeps_the_shape_of_t(beta, ts):
     assert np.array_equal(grid.ravel(), K.eta_grid(0.5, beta, np.ravel(ts)))
 
 
+@pytest.mark.parametrize("beta", (1.0, 1.5, 2.0))
+@pytest.mark.parametrize("ts", (0.7, [0.0, 0.7, 3.0], [[0.0, 0.7, 3.0], [1.0, 2.0, 9.0]]),
+                         ids=("float", "1-D", "2-D"))
+def test_phi_callable_keeps_the_shape_of_t(beta, ts):
+    # as eta_grid: the closed forms and the spectral rule alike keep t's shape
+    values = K.phi_callable(beta)(ts)
+    assert values.shape == np.atleast_1d(ts).shape
+    assert np.array_equal(values.ravel(), K.phi_callable(beta)(np.ravel(ts)))
+
+
+def test_rule_values_on_a_2d_t_are_the_flat_values_reshaped():
+    rule, ts = K.spectral_rule(1.5), np.array([[0.0, 0.7, 3.0], [1.0, 2.0, 9.0]])
+    for values in (rule.psi_values, rule.phi_values):
+        assert values(ts).tobytes() == values(ts.ravel()).reshape(ts.shape).tobytes()
+    assert rule.psi_jet(ts, 2).shape == (3,) + ts.shape
+
+
 def _eta_cut_integral(alpha, beta, t):
     """30-digit eta from the unsubtracted branch-cut integral and the two
     pole residues of 1/(x^a (1+x^b)); s = u^(1/(1-a)) removes s^(-a)."""
@@ -983,6 +1000,17 @@ def test_import_loads_no_scipy():
     assert out.strip().splitlines()[-1] == f"{[0] * len(commands)} []"
 
 
+def test_package_names_its_seven_modules_and_nothing_else():
+    # each function is imported from its module; a fresh interpreter, as
+    # another test's import of dagum.cli adds that module to the package
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(K.__file__))}
+    code = "import dagum; print(sorted(n for n in vars(dagum) if not n.startswith('_')), dagum.__version__)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    modules = ["classify", "errors", "fields", "kernels", "models", "numerics", "taylor"]
+    assert out.strip() == f"{modules} 0.1.0"
+
+
 def test_eta_domain():
     with pytest.raises(DomainError):
         K.eta(0.0, 1.5, 1.0)
@@ -1010,6 +1038,13 @@ def test_laplace_spot_checks():
         K.laplace_check("phi", 1.5, 0.0)
     with pytest.raises(DomainError):
         K.laplace_check("eta", 1.5, 1.0)
+
+
+@pytest.mark.parametrize("kernel", ("phi", "psi", "eta"))
+def test_laplace_check_rejects_nan_x(kernel):
+    # at the boundary, not after a failed quadrature on a NaN integrand
+    with pytest.raises(DomainError):
+        K.laplace_check(kernel, 1.5, math.nan, alpha=0.5)
 
 
 def test_kernel_value_contract():
