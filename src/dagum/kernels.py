@@ -5,7 +5,7 @@ The central object is phi_b, the density whose Laplace transform is
 
     psi_b(t)   = integral of phi_b over [0, t]   (transform 1/(x(1+x^b)))
     rho_b      = the oscillatory closed-form part of psi_b
-    tau_b      = psi_b - rho_b, completely monotonic, two integral routes
+    tau_b      = psi_b - rho_b, completely monotonic, two routes
     eta_{a,b}  = fractional integral of phi_b; its sign decides complete
                  monotonicity of 1/(x^a (1+x^b))
     kappa_a(t) = t^(a-1)/Gamma(a), the power-law Laplace density
@@ -15,17 +15,16 @@ of 1/(1+x^b), written once as ``_osc``, plus a branch-cut integral.
 ``_closed_forms`` (which checks beta in [1, 2]) serves b = 1 and 2 exactly;
 the spectral rule and the primary routes below serve all of 1 < b < 2.
 
-Evaluation notes.  The adaptive routes run on QUADPACK (``numerics``).  The
-primary route of tau, phi and psi is the arctangent-substituted branch-cut
-integral, (1/(b pi)) int_0^{(2-b) pi} r^k e^{-t r} dw with r = (sigma cot w -
-c)^(1/b): tau at k = 0, -tau' at k = 1, so phi = rho' + tau' and psi = rho +
-tau.  It is finite, with break points refined geometrically toward both ends,
-where the features narrow as b nears 1 or 2.  The alternate routes are
-independent s-domain integrals: tau's to infinity by the infinite-range
-transformation, phi's integrated by parts (truncated at 45/t below t = 0.5).
-The denominator 1 + 2 s^b cos(b pi) + s^(2b) has no real zero for b in (1, 2)
-but dips to sin^2(b pi) near s^b = -cos(b pi), where break points are seeded.
-eta hands (t-s)^(a-1) to the algebraic-weight rule, on phi_b(s) - phi_b(t).
+Evaluation notes.  The primary route of tau, phi and psi runs on QUADPACK
+(``numerics``): the arctangent-substituted branch-cut integral, (1/(b pi))
+int_0^{(2-b) pi} r^k e^{-t r} dw with r = (sigma cot w - c)^(1/b): tau at
+k = 0, -tau' at k = 1, so phi = rho' + tau' and psi = rho + tau.  It is
+finite, with break points refined geometrically toward both ends, where the
+features narrow as b nears 1 or 2.  The alternate routes of tau and phi, and
+``eta``, invert the closed-form transforms instead (``_contour``):
+1/(1+s^b) for phi, s^(b-1)/(1+s^b) for 1 - psi and s^-a/(1+s^b) for eta, by
+the trapezoid rule on a parabola around the branch cut, 30 to 109 complex
+exponentials a value, with no quadrature and no spectral rule.
 
 Grid work goes through the spectral rule instead: one composite Gauss-Legendre
 rule of 800 nodes on the arctangent-substituted tau integral (``rule_rows``,
@@ -37,8 +36,8 @@ stretched over [0, 1].  The eta sign scans run on one grid t = k h
 (``eta_scan_grid``), where exp(-k h d) factors into a per-block and a per-row
 part: ``eta_scan`` is one matrix product per block, not one exp per (t, node).
 Every Laplace-sum exponent is floored at -600, off numpy's slow exp range
-(-745, -707.7).  The adaptive routes above check it: the primary ones on its
-integral by adaptive quadrature, the alternate ones on independent integrals.
+(-745, -707.7).  The routes above check it: the primary ones on its
+integral by adaptive quadrature, the contour by an independent method.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .numerics import integrate
 
 PI = math.pi
@@ -64,7 +63,7 @@ ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta on the rule; scans start a
 class KernelValue:
     value: float
     err_estimate: float
-    route: str  # closed_form | quadrature_primary | quadrature_alternate
+    route: str  # closed_form | quadrature_primary | contour
 
     def __post_init__(self):
         if self.err_estimate < 0.0:
@@ -128,15 +127,6 @@ def _panel_rule(lo: float, hi) -> Tuple[np.ndarray, np.ndarray]:
     h = 0.5 * np.diff(breaks)[..., None]
     nodes = 0.5 * (breaks[..., :-1] + breaks[..., 1:])[..., None] + h * xg
     return nodes.reshape(breaks.shape[:-1] + (-1,)), (h * wg).reshape(breaks.shape[:-1] + (-1,))
-
-
-def _resonance_knots(beta: float, sigma: float, c: float) -> list:
-    # Denominator minimum at s^b = -c (only reachable when c < 0, b < 1.5).
-    if c >= 0.0:
-        return []
-    s0 = (-c) ** (1.0 / beta)
-    w = max(sigma / beta, 1e-6)
-    return [k for k in (s0 - 10 * w, s0 - w, s0, s0 + w, s0 + 10 * w) if k > 0.0]
 
 
 def _osc(beta, ts, shift, turn=None):
@@ -207,20 +197,49 @@ def _arctan_route(beta: float, t: float, k: int) -> Tuple[float, float]:
     return v / (beta * PI), e / (beta * PI)
 
 
-def _s_domain_route(beta: float, t: float) -> Tuple[float, float]:
-    """tau_b as (sigma/pi) int_0^inf e^{-ts} s^(b-1) / (1 + 2 c s^b + s^(2b)) ds."""
-    sigma, c = _consts(beta)
+def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
+    """(value, err_estimate) of eta_{a,b}(t), the inverse Laplace transform of
+    s^-a / (1 + s^b), for any real a, 1 <= b <= 2 and a finite t > 0: phi_b at
+    a = 0, 1 - psi_b at a = 1 - b.
 
-    def g(s: float) -> float:
-        sb = s ** beta
-        return math.exp(-t * s) * s ** (beta - 1.0) / (1.0 + 2.0 * c * sb + sb * sb)
-
-    knots = _resonance_knots(beta, sigma, c)
-    try:
-        v, e = integrate(g, 0.0, math.inf, knots=knots)
-    except ZeroDivisionError:  # near b = 1 (at 1 + 1e-9) the denominator rounds to 0
-        raise ConvergenceError(f"the s-domain denominator rounds to 0 at beta = {beta!r}") from None
-    return sigma / PI * v, sigma / PI * e
+    The trapezoid rule of step h = 3/32 on the parabola s = sigma z(u), z(u) =
+    0.1309 - 0.1194 u^2 + 0.25 i u (Weideman & Trefethen, Math. Comp. 76 (2007)
+    1341), which opens left around the branch cut s <= 0; by conjugate
+    symmetry over u >= 0 only, cut where e^(sigma t Re z) < e^-37.  It meets
+    the poles s^b = -1, at e^{+-i pi/b}, at sigma = sigma_0.  Where sigma =
+    min(0.4 sigma_0, 32/t) gives sigma t >= 3, it passes left of them and
+    their residues are added, ``_osc`` with shift (1 - a) pi/b; else sigma =
+    max(32/t, 6.25 sigma_0) and it encloses them.  So sigma t <= 47, and
+    e^(t Re s) < e^(0.1309 sigma t) < 500 bounds the sum's cancellation.  The
+    error estimate is |I_h - I_2h|, the gap to the sum on every other node
+    (the rule converges geometrically in 1/h), plus 64 eps times the moduli
+    of the terms and, on the left, (1 + t) times the residues' amplitude: the
+    rounding of the sum and of the residues' phase.
+    """
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"the contour needs a finite t > 0, got {t}")
+    x, y = math.cos(PI / beta), math.sin(PI / beta)
+    # sigma_0 z(y / (0.25 sigma_0)) = x + iy: 0.1309 sigma_0^2 - x sigma_0 = q
+    q = 0.1194 / 0.25 ** 2 * y * y
+    sigma0 = 2.0 * q / (math.sqrt(x * x + 4.0 * 0.1309 * q) - x)
+    sigma = min(0.4 * sigma0, 32.0 / t)
+    left = sigma * t >= 3.0
+    if not left:
+        sigma = max(32.0 / t, 6.25 * sigma0)
+    h = 3.0 / 32.0
+    u = h * np.arange(1 + int(math.sqrt((37.0 / (sigma * t) + 0.1309) / 0.1194) / h))
+    z = sigma * (0.1309 - 0.1194 * u * u + 0.25j * u)
+    # e^{tz} F(z) z'(u) h / (2 pi i), over both halves; the u = 0 term is halved
+    scale = sigma * h / PI * (0.25 + 0.2388j * u)
+    terms = np.exp(t * z) * z ** -alpha / (1.0 + z ** beta) * scale
+    terms[0] *= 0.5
+    fine = float(terms.real.sum())
+    err = abs(fine - 2.0 * float(terms.real[::2].sum()))
+    rounding = float(np.abs(terms).sum())
+    if left:
+        fine += float(_osc(beta, t, (1.0 - alpha) * (PI / beta)))
+        rounding += (1.0 + t) * (2.0 / beta) * math.exp(t * x)
+    return fine, err + 64.0 * sys.float_info.epsilon * rounding
 
 
 def _check_route(t: float, route: str) -> None:
@@ -233,56 +252,40 @@ def _check_route(t: float, route: str) -> None:
 def tau_kernel(beta: float, t: float, route: str = "primary") -> KernelValue:
     """Completely monotonic remainder tau_b(t) = psi_b(t) - rho_b(t).
 
-    ``route`` selects the arctangent route (primary) or the s-domain integral
-    (alternate); they agree within combined error estimates.  tau_b(0) = 2/b - 1.
+    ``route`` selects the arctangent route (primary) or the contour
+    (alternate): tau_b = -_osc(b, t, 0) - (1 - psi_b), which ``_contour``
+    inverts from s^(b-1) / (1 + s^b).  tau_b(0) = 2/b - 1, exact on the
+    contour.
     """
     if not 1.0 < beta < 2.0:
         raise DomainError("tau kernel requires beta in (1, 2)")
     _check_route(t, route)
-    v, e = _arctan_route(beta, t, 0) if route == "primary" else _s_domain_route(beta, t)
-    return KernelValue(v, e, "quadrature_" + route)
-
-
-def _by_parts_route(beta: float, t: float) -> Tuple[float, float]:
-    """-tau_b' integrated by parts with the arctan weight; valid for t > 0.
-
-    The weight atan((s^b + c) / sin(b pi)) is shifted by pi/2 to decay like
-    s^(-b); the shift is exact because (1 - ts) e^{-ts} integrates to 0 over
-    [0, inf).  atan2(sigma, s^b + c) is the shifted weight without the
-    cancellation of -pi/2 + pi/2, whose noise over a 45/t-wide range stalls
-    the quadrature at small t.
-    """
-    if t <= 0.0:
-        raise DomainError("the integrated-by-parts route requires t > 0")
-    sigma, c = _consts(beta)
-
-    def g(s: float) -> float:
-        return math.atan2(sigma, s ** beta + c) * (1.0 - t * s) * math.exp(-t * s)
-
-    if t >= 0.5:
-        v, e = integrate(g, 0.0, math.inf)
-    else:
-        # below t = 0.5 the infinite-range transformation fails (t = 1e-8)
-        hi = 45.0 / t
-        v, e = integrate(g, 0.0, hi, knots=_ladder(0.0, hi, 40))
-    return v / (beta * PI), e / (beta * PI)
+    if route == "primary":
+        return KernelValue(*_arctan_route(beta, t, 0), "quadrature_primary")
+    if t == 0.0:
+        return KernelValue(2.0 / beta - 1.0, 0.0, "contour")
+    v, e = _contour(1.0 - beta, beta, t)
+    return KernelValue(-float(_osc(beta, t, 0.0)) - v, e, "contour")
 
 
 def phi(beta: float, t: float, route: str = "primary") -> KernelValue:
     """Laplace density of 1/(1+x^b) for b in [1, 2].
 
-    exp(-t) or sin t at b = 1 or 2; inside, phi_b = rho_b' + tau_b' with tau_b'
-    on the arctangent route (primary, phi_b(0) = 0 exactly) or the
-    integrated-by-parts route (alternate, t > 0).
+    exp(-t) or sin t at b = 1 or 2; inside, phi_b(0) = 0 exactly and for
+    t > 0 phi_b = rho_b' + tau_b' with tau_b' on the arctangent route
+    (primary), or the contour's inversion of 1/(1+s^b) (alternate).
     """
     forms = _closed_forms(beta)  # DomainError unless 1 <= b <= 2
     _check_route(t, route)
     if forms:
         return KernelValue(float(forms[0](t)[0]), 0.0, "closed_form")
-    if t == 0.0 and route == "primary":
-        return KernelValue(0.0, 0.0, "quadrature_primary")
-    v, e = _arctan_route(beta, t, 1) if route == "primary" else _by_parts_route(beta, t)
-    return KernelValue(float(_osc(beta, t, PI / beta)) - v, e, "quadrature_" + route)
+    label = "quadrature_primary" if route == "primary" else "contour"
+    if t == 0.0:
+        return KernelValue(0.0, 0.0, label)
+    if route == "alternate":
+        return KernelValue(*_contour(0.0, beta, t), label)
+    v, e = _arctan_route(beta, t, 1)
+    return KernelValue(float(_osc(beta, t, PI / beta)) - v, e, label)
 
 
 def psi(beta: float, t: float) -> KernelValue:
@@ -548,24 +551,18 @@ def phi_callable(beta: float) -> Callable:
 
 
 def eta(alpha: float, beta: float, t: float) -> KernelValue:
-    """Fractional integral (1/Gamma(a)) int_0^t (t-s)^(a-1) phi_b(s) ds.
+    """Fractional integral (1/Gamma(a)) int_0^t (t-s)^(a-1) phi_b(s) ds, for
+    every a > 0, b in [1, 2] and finite t > 0.
 
     The sign of eta decides complete monotonicity of 1/(x^a (1+x^b)); at
-    a = 1 it reduces to psi_b(t).  QUADPACK's algebraic-weight rule (QAWS)
-    takes the (t-s)^(a-1) endpoint as its weight, on phi_b(s) - phi_b(t), and
-    adds phi_b(t) t^a / Gamma(1 + a): exact as a -> 0, where the weight tends
-    to a point mass at s = t.  This adaptive route checks ``eta_grid``.
+    a = 1 it reduces to psi_b(t).  ``_contour`` inverts its Laplace transform
+    s^-a / (1+s^b): no quadrature and no spectral rule, so it checks
+    ``eta_grid`` and the sign scans independently.
     """
-    if not alpha - 1.0 > -1.0:
-        raise DomainError(f"eta requires alpha > 2^-54, where alpha - 1 > -1, got {alpha}")
-    if not t > 0.0:
-        raise DomainError("eta requires t > 0")
-    phi_vec = phi_callable(beta)
-    phi_t = float(phi_vec(t)[0])
-    g = lambda s: float(phi_vec(s)[0]) - phi_t  # noqa: E731
-    v, e = integrate(g, 0.0, t, alg_weight=(0.0, alpha - 1.0))
-    scale, head = 1.0 / math.gamma(alpha), phi_t * t ** alpha / math.gamma(1.0 + alpha)
-    return KernelValue(head + v * scale, e * scale, "quadrature_primary")
+    if not alpha > 0.0:
+        raise DomainError(f"eta requires alpha > 0, got {alpha}")
+    _closed_forms(beta)  # DomainError unless 1 <= b <= 2
+    return KernelValue(*_contour(alpha, beta, t), "contour")
 
 
 def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
@@ -586,7 +583,9 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     a 60-digit series, for a in [0.05, 1] and t from 1e-6 to 18, the error is
     at most about 1e-10 for b >= 1.0001 and grows toward b = 1, most for a
     near 0.8: about 1e-9 at b = 1 + 1e-5, 1e-8 at 1 + 1e-6 and 2e-7 at
-    1 + 1e-7; for t >= 0.005, 6e-5 at 1 + 1e-9 and 0.2 at 1 + 1e-12.  At
+    1 + 1e-7; for t >= 0.005, 6e-5 at 1 + 1e-9 and 0.2 at 1 + 1e-12; below
+    t = 0.005 more: at (b, a, t) = (1 + 1e-9, 0.01, 1e-6) it returns 1.305
+    where eta is 0.876 (``eta`` is the oracle there).  At
     b = 1 and 2, for any a > 0, eta(t) = (t^a / Gamma(1 + a)) int_0^1
     phi(t (1 - xi^(1/a))) d(xi) with the closed-form phi, on the spectral
     rule's panels over [0, 1] (``_panel_rule(0, 1)``), ``_BLOCK_ROWS`` rows

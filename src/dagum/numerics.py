@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
@@ -34,14 +34,12 @@ def integrate(
     hi: float,
     *,
     knots: Iterable[float] = (),
-    alg_weight: Optional[Tuple[float, float]] = None,
 ) -> Tuple[float, float]:
     """``(value, err_estimate)`` of the integral of ``f`` over [lo, hi]; ``hi`` may be inf.
 
     ``knots`` inside the range are break points for kinks or sharp features; on
     [lo, inf) the range is split at the last one, as break points need a finite
-    range.  ``alg_weight = (p, q)``, both > -1, weights ``f`` by (s-lo)^p (hi-s)^q
-    (QAWS).  A QUADPACK failure raises ConvergenceError with the partial value.
+    range.  A QUADPACK failure raises ConvergenceError with the partial value.
     """
     from scipy.integrate import quad
 
@@ -49,11 +47,7 @@ def integrate(
         raise ValueError("need lo < hi")
     opts = dict(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=QUAD_LIMIT, full_output=1)
     inner = sorted({float(k) for k in knots if lo < k < hi})
-    if alg_weight is not None:
-        if inner:
-            raise ValueError("knots and an algebraic weight do not combine")
-        parts = [quad(f, lo, hi, weight="alg", wvar=alg_weight, **opts)]
-    elif math.isinf(hi) and inner:
+    if math.isinf(hi) and inner:
         head = quad(f, lo, inner[-1], points=inner[:-1] or None, **opts)
         parts = [head, quad(f, inner[-1], hi, **opts)]
     else:

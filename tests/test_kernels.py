@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dagum import classify as C
 from dagum import kernels as K
-from dagum.errors import ConvergenceError, DomainError
+from dagum.errors import DomainError
 from dagum.numerics import integrate
 
 PI = math.pi
@@ -54,22 +54,25 @@ def test_rho_kernel_values():
 
 
 @pytest.mark.parametrize("beta", (1.0 + 1e-9, 1.0 + 1e-12))
-def test_s_domain_route_fails_as_a_quadrature_failure_near_one(beta):
-    # 1 + 2 c s^b + s^(2b) rounds to 0 there: a ConvergenceError, as every
-    # other quadrature failure, not a ZeroDivisionError
-    with pytest.raises(ConvergenceError):
-        K.tau_kernel(beta, 1.0, "alternate")
+def test_contour_tau_converges_near_one(beta, eta_series):
+    # the poles s^b = -1 lie next to the branch cut there; the contour
+    # encloses them
+    for t in (1e-8, 1e-4, 0.5, 2.0, 20.0):
+        kv = K.tau_kernel(beta, t, "alternate")
+        want = eta_series(1.0, beta, t) - K.rho_kernel(beta, t)
+        assert abs(kv.value - want) <= kv.err_estimate + 1e-12, t
 
 
 def test_tau_at_zero_and_routes():
     for beta in (1.25, 1.5):
-        for route in ("primary", "alternate"):
-            kv = K.tau_kernel(beta, 0.0, route)
-            assert kv.value == pytest.approx(2.0 / beta - 1.0, abs=1e-9)
+        kv = K.tau_kernel(beta, 0.0, "primary")
+        assert kv.value == pytest.approx(2.0 / beta - 1.0, abs=1e-9)
+        kv = K.tau_kernel(beta, 0.0, "alternate")
+        assert kv.value == 2.0 / beta - 1.0 and kv.err_estimate == 0.0
     primary = K.tau_kernel(1.5, 2.0, "primary")
     alternate = K.tau_kernel(1.5, 2.0, "alternate")
     assert primary.route == "quadrature_primary"
-    assert alternate.route == "quadrature_alternate"
+    assert alternate.route == "contour"
     assert abs(primary.value - alternate.value) <= 1e-8
 
 
@@ -106,7 +109,6 @@ def test_phi_closed_forms():
 
 @pytest.mark.parametrize("beta", CROSS_ROUTE_BETAS)
 def test_phi_cross_route_agreement(beta):
-    # the integrated-by-parts route needs t > 0
     for t in (0.5, 2.0, 10.0, 20.0):
         p = K.phi(beta, t, "primary")
         a = K.phi(beta, t, "alternate")
@@ -150,14 +152,15 @@ BAND_BETAS = (1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.00001, 1.0001, 1.0002, 1.00
 
 @pytest.mark.parametrize("beta", BAND_BETAS)
 def test_band_phi_and_psi_match_the_series(beta, eta_series):
-    # the adaptive routes converge right up to b = 1 and 2; the by-parts phi
-    # under-reports its error near b = 1 (1.8e-8 off at (1.0001, 1), 2.7e-10
-    # reported), so it gets a fixed bound
+    # both routes converge right up to b = 1 and 2, each within its own
+    # error estimate
     for t in (0.01, 0.5, 1.0, 2.0, 6.0, 12.0, 18.85, 20.0):
-        for kv, alpha in ((K.phi(beta, t), 0.0), (K.psi(beta, t), 1.0)):
+        phi_series = eta_series(0.0, beta, t)
+        for kv, want in ((K.phi(beta, t), phi_series), (K.psi(beta, t), eta_series(1.0, beta, t))):
             assert kv.route == "quadrature_primary"
-            assert abs(kv.value - eta_series(alpha, beta, t)) <= kv.err_estimate + 1e-12, (t, alpha)
-        assert abs(K.phi(beta, t, "alternate").value - eta_series(0.0, beta, t)) <= 1e-7, t
+            assert abs(kv.value - want) <= kv.err_estimate + 1e-12, (t, kv)
+        kv = K.phi(beta, t, "alternate")
+        assert abs(kv.value - phi_series) <= kv.err_estimate + 1e-12, t
     for beta, t in ((1.0, 0.7), (2.0, 0.7), (1.0, 20.0), (2.0, 20.0)):
         assert K.phi(beta, t).route == K.psi(beta, t).route == "closed_form"
         assert K.phi(beta, t).err_estimate == K.psi(beta, t).err_estimate == 0.0
@@ -165,15 +168,30 @@ def test_band_phi_and_psi_match_the_series(beta, eta_series):
 
 @pytest.mark.parametrize("beta", (1.001, 1.02, 1.1, 1.5, 1.9, 1.999))
 def test_primary_routes_match_the_series(beta, eta_series):
-    # tau, phi and psi on the arctangent route, within their own error
-    # estimates, down to t = 1e-8
+    # tau, phi and psi on the arctangent route, and tau and phi on the
+    # contour, within their own error estimates, down to t = 1e-8
     for t in (1e-8, 4.4e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0):
-        psi_series = eta_series(1.0, beta, t)
+        psi_series, phi_series = eta_series(1.0, beta, t), eta_series(0.0, beta, t)
+        tau_series = psi_series - K.rho_kernel(beta, t)
         for kv, want in (
-            (K.tau_kernel(beta, t), psi_series - K.rho_kernel(beta, t)),
-            (K.phi(beta, t), eta_series(0.0, beta, t)),
+            (K.tau_kernel(beta, t), tau_series),
+            (K.phi(beta, t), phi_series),
             (K.psi(beta, t), psi_series),
+            (K.tau_kernel(beta, t, "alternate"), tau_series),
+            (K.phi(beta, t, "alternate"), phi_series),
         ):
+            assert abs(kv.value - want) <= kv.err_estimate + 1e-12, (t, kv)
+
+
+@pytest.mark.parametrize("beta", BAND_BETAS + (1.001, 1.02, 1.1, 1.5, 1.9, 1.999))
+def test_contour_routes_match_the_series(beta, eta_series):
+    # the alternate tau and phi return at every t, tau(0) = 2/b - 1 and
+    # phi(0) = 0 exactly, and each is within its own error estimate
+    for t in (0.0, 1e-8, 1e-6, 1e-4, 0.01, 0.5, 2.0, 6.0, 12.0, 18.85, 20.0, 40.0):
+        tau_series = eta_series(1.0, beta, t) - K.rho_kernel(beta, t)
+        for kv, want in ((K.tau_kernel(beta, t, "alternate"), tau_series),
+                         (K.phi(beta, t, "alternate"), eta_series(0.0, beta, t))):
+            assert kv.route == "contour"
             assert abs(kv.value - want) <= kv.err_estimate + 1e-12, (t, kv)
 
 
@@ -522,7 +540,7 @@ def test_phi_primary_resolves_small_t_tail():
 
 @pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.98))
 def test_phi_alternate_at_tiny_t(beta):
-    # the shifted arctan weight lets the truncated route converge at t = 1e-8
+    # the contour at t = 1e-8 against the spectral rule
     kv = K.phi(beta, 1e-8, "alternate")
     assert abs(kv.value - K.spectral_rule(beta).phi_values(1e-8)[0]) <= 1e-9
 
@@ -676,8 +694,8 @@ def test_eta_grid_matches_adaptive_eta():
 
 @pytest.mark.parametrize("beta", (1.3, 1.5, 1.8))
 def test_adaptive_eta_at_small_alpha_matches_grid(beta):
-    # as alpha -> 0 the weight (t-s)^(alpha-1) tends to a point mass at s = t,
-    # which the adaptive route takes exactly by subtracting phi(t)
+    # as alpha -> 0 the transform s^-a / (1+s^b) tends to phi's, so eta and
+    # the grid agree down to alpha = 1e-16
     for alpha in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16):
         for t in (0.05, 2.0, 9.0):
             kv = K.eta(alpha, beta, t)
@@ -1021,10 +1039,49 @@ def test_eta_domain():
 
 
 @pytest.mark.parametrize("alpha", (1e-17, 5e-17))
-def test_eta_rejects_alpha_where_alpha_minus_one_rounds(alpha):
-    # below 2^-54, alpha - 1 rounds to -1, outside QUADPACK's weight domain
-    with pytest.raises(DomainError):
-        K.eta(alpha, 1.5, 2.0)
+def test_eta_accepts_every_positive_alpha(alpha, eta_series):
+    # also below 2^-54, where alpha - 1 rounds to -1; there eta is phi_b up
+    # to a t^a - 1 of about 1e-16
+    for beta in (1.0, 1.5, 1.9998, 2.0):
+        for t in (0.05, 2.0, 9.0):
+            kv = K.eta(alpha, beta, t)
+            assert abs(kv.value - eta_series(0.0, beta, t)) <= kv.err_estimate + 1e-12, (beta, t)
+    assert math.isfinite(K.eta(5e-324, 1.5, 2.0).value)
+
+
+@pytest.mark.parametrize("beta", (1.0, 1.0 + 1e-9, 1.0001, 1.3, 1.5, 1.9, 1.9998, 2.0 - 1e-9, 2.0))
+def test_eta_matches_the_series(beta, eta_series):
+    # at b = 1 and 2 exactly as inside, for alpha > 1 too, and out to t = 80
+    for alpha in (1e-17, 0.01, 0.3, 0.8, 1.0, 1.5, 3.0):
+        for t in (1e-6, 0.01, 0.5, 2.0, 6.0, 18.0, 30.0, 80.0):
+            kv, want = K.eta(alpha, beta, t), eta_series(alpha, beta, t)
+            assert kv.route == "contour"
+            assert abs(kv.value - want) <= kv.err_estimate + 1e-12 * max(1.0, abs(want)), (alpha, t)
+
+
+def test_eta_is_the_oracle_where_eta_grid_fails_near_one(eta_series):
+    # eta_grid returns 1.305 at this point; the contour is within its own
+    # error estimate of the series, with no slack
+    beta, alpha, t = 1.0 + 1e-9, 0.01, 1e-6
+    kv, want = K.eta(alpha, beta, t), eta_series(alpha, beta, t)
+    assert want == pytest.approx(0.876, abs=1e-3)
+    assert abs(kv.value - want) <= kv.err_estimate
+
+
+def test_eta_is_independent_of_the_scans():
+    # it builds no spectral rule and loads no scipy module (a fresh
+    # interpreter, as other tests load scipy for the primary routes)
+    code = (
+        "import sys; from dagum import kernels as K; K._RULES.cache_clear(); "
+        "[K.eta(a, b, t) for a in (0.05, 0.5, 1.0, 2.0) for b in (1.0, 1.02, 1.5, 1.98, 2.0)"
+        " for t in (0.3, 7.0, 40.0)]; "
+        "print(K._RULES.cache_info().currsize,"
+        " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(K.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "0 []"
 
 
 def test_laplace_spot_checks():

@@ -88,6 +88,52 @@ def test_no_proven_point_below_a_refuted_one_in_alpha(verdicts, family):
         assert alpha < lowest_proven.get(fixed, math.inf), (family, fixed)
 
 
+# Bernstein composition: f(x^theta) is CM (LCM) for a CM (LCM) f and
+# 0 < theta <= 1 (Schilling, Song & Vondracek, Bernstein Functions, Thm. 3.7).
+# 1/(x^a (1+x^b)) at x^theta is the point (theta a, theta b), on the ray
+# alpha/b = const, and the Dagum rho_{b,g}(x^theta) is rho_{theta b, g}.
+
+
+def test_l_over_beta_is_nondecreasing_on_the_figure1_grid():
+    table = C.ThresholdTable.build()  # figure1's 101-point grid
+    assert np.all(np.diff(table.l_values / table.beta_grid) >= 0.0)
+
+
+def test_c_bounds_over_beta_admit_a_nondecreasing_function():
+    # c(b)/b is nondecreasing, so each lower end over b lies below every
+    # upper end over b to its right
+    betas = np.linspace(1.05, 1.95, 19).tolist()
+    ends = [(lo / b, hi / b) for b in betas for lo, hi in [C.c_bounds(b, 1e-3)]]
+    assert all(ends[i][0] <= ends[j][1] for i in range(19) for j in range(i, 19))
+
+
+@pytest.mark.parametrize("family", ("aux-cm", "aux-lcm"))
+def test_no_proven_point_above_a_refuted_one_on_a_ray(verdicts, family):
+    # proven at (a, b) holds at (a b'/b, b') for b' <= b, and then at every
+    # larger alpha: so no refuted (a', b') with b' <= b and a'/b' >= a/b (on
+    # the aux-cm lattice each column is one ray)
+    proven, refuted = _UPWARD_CLOSED[family]
+    rays = {proven: [], refuted: []}
+    for f, (alpha, beta), v in verdicts:
+        if f == family and v.status in rays:
+            rays[v.status].append((alpha / beta, beta))
+    bad = [(p, q) for p in rays[proven] for q in rays[refuted]
+           if q[1] <= p[1] and q[0] >= p[0] * (1.0 - 1e-12)]
+    assert not bad, bad[:5]
+
+
+def test_no_dagum_cm_point_above_a_refuted_one_in_beta(verdicts):
+    # at fixed gamma, CM at b holds at every b' <= b; the lattice's gamma =
+    # q / b repeats on 12 sets of points, equal up to rounding
+    points = {"ProvenCM": [], "ProvenNotCM": []}
+    for f, (beta, gamma), v in verdicts:
+        if f == "dagum" and v.status in points:
+            points[v.status].append((gamma, beta))
+    bad = [(p, q) for p in points["ProvenCM"] for q in points["ProvenNotCM"]
+           if abs(q[0] - p[0]) <= 1e-12 * p[0] and q[1] <= p[1]]
+    assert not bad, bad[:5]
+
+
 def _oracle_gap(family: str, args, cert, eta_series) -> str:
     """Why the oracle rejects ``cert``, or "" when it confirms it."""
     if cert.kind == "eta_sign":
