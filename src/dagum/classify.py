@@ -48,6 +48,7 @@ CITE_EQ415 = "Eq. (4.15)"
 CITE_T9III = "Theorem 9(iii)"
 CITE_R4 = {k: f"Remark 4({k})" for k in ("i", "ii", "iii", "iv", "v")}
 CITE_R4_PRODUCT = "Remark 4(iii) + product rule"
+CITE_R4IV_RHO = "Remark 4(iv) via rho'"
 
 NUMERIC_BASIS = "numeric certificate"
 
@@ -211,16 +212,18 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
 def c_bounds(beta: float, alpha_tol: float = 1e-3) -> Tuple[float, float]:
     """Bracket for the complete-monotonicity threshold c(b), 1 < b <= 2.
 
-    Bisection over alpha in [0, b/2]: a negative eta value certifies that
-    the candidate lies below c(b) (pushes the lower bound up); a clean scan
-    pushes the upper bound down, heuristically, since a finite grid cannot
-    certify eta >= 0 everywhere.  The guaranteed cap c(b) <= b/2 always
-    holds, and the bracket contains 1 at b = 2.  Bisection stops early once
+    At b = 2 it is (1, 1), as c(2) = 1 by Lemma 1.  For 1 < b < 2, bisection
+    over alpha in [0, b/2]: a negative eta value certifies that the candidate
+    lies below c(b) (pushes the lower bound up); a clean scan pushes the upper
+    bound down, heuristically, since a finite grid cannot certify eta >= 0
+    everywhere.  The cap c(b) <= b/2 always holds.  Bisection stops early once
     the midpoint is not strictly inside the bracket (float spacing).
     """
     if not 1.0 < beta <= 2.0:
         raise DomainError("c_bounds requires beta in (1, 2]")
     _check_tol(alpha_tol, "alpha_tol")
+    if beta == 2.0:
+        return 1.0, 1.0
     lower = 0.0
     upper = beta / 2.0
     while upper - lower > alpha_tol:
@@ -300,10 +303,8 @@ def classify_aux_cm(alpha: float, beta: float) -> Verdict:
         return Verdict("ProvenNotCM", CITE_AUX_NECESSITY)
     if beta <= 1.0:
         return Verdict("ProvenCM", CITE_T3I)
-    if beta == 2.0:
-        if alpha >= 1.0:
-            return Verdict("ProvenCM", CITE_LEMMA1)
-        return Verdict("ProvenNotCM", CITE_LEMMA1)
+    if beta == 2.0:  # Lemma 1 is Remark 4 at lambda = 1
+        return Verdict(classify_g(alpha, 1.0).status, CITE_LEMMA1)
     if alpha >= beta / 2.0:
         return Verdict("ProvenCM", CITE_T3II)
     witness = eta_negative_witness(alpha, beta)
@@ -362,7 +363,8 @@ def classify_aux_lcm(alpha: float, beta: float, tol: float = 1e-6) -> Verdict:
 def classify_dagum(beta: float, gamma: float, tol: float = 1e-6) -> Verdict:
     """Complete monotonicity (hence all-dimension positive definiteness) of
     the correlation 1 - (x^beta/(1+x^beta))^gamma; DomainError unless tol, the
-    width of the Undetermined band, is finite and > 0."""
+    width of the Undetermined band, is finite and > 0.  Remark 4(iv) refutes it at
+    beta = 2: -rho'/(2 gamma) = 1/(x^(1-2g) (1+x^2)^(1+g)) and 1 - 2g < 1 + g."""
     M.DagumParams(beta, gamma)  # finite, beta > 0, gamma > 0
     _check_tol(tol)
     product = beta * gamma
@@ -374,8 +376,9 @@ def classify_dagum(beta: float, gamma: float, tol: float = 1e-6) -> Verdict:
         return Verdict("ProvenNotCM", CITE_EQ415)
     if beta <= 1.0:
         return Verdict("ProvenCM", CITE_T9I)
-    # open region: beta*gamma < 1 with 1 < beta <= 2
-    threshold = l_of_beta(beta) if beta < 2.0 else 2.0
+    if beta == 2.0:  # exactly 1 - 2g < 1 < 1 + g; classify_g would see the rounded pair
+        return Verdict("ProvenNotCM", CITE_R4IV_RHO)
+    threshold = l_of_beta(beta)  # open region: beta gamma < 1 with 1 < beta < 2
     if threshold < 1.0:
         gamma_cap = (1.0 - threshold) / (beta + threshold)
         if gamma <= gamma_cap - tol:

@@ -38,8 +38,8 @@ def integrate(
     """``(value, err_estimate)`` of the integral of ``f`` over [lo, hi]; ``hi`` may be inf.
 
     ``knots`` inside the range are break points for kinks or sharp features; on
-    [lo, inf) the range is split at the last one, as break points need a finite
-    range.  A QUADPACK failure raises ConvergenceError with the partial value.
+    [lo, inf) QUADPACK takes none, and ``quad`` raises its own ValueError.  A
+    QUADPACK failure raises ConvergenceError with the partial value.
     """
     from scipy.integrate import quad
 
@@ -47,14 +47,9 @@ def integrate(
         raise ValueError("need lo < hi")
     opts = dict(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=QUAD_LIMIT, full_output=1)
     inner = sorted({float(k) for k in knots if lo < k < hi})
-    if math.isinf(hi) and inner:
-        head = quad(f, lo, inner[-1], points=inner[:-1] or None, **opts)
-        parts = [head, quad(f, inner[-1], hi, **opts)]
-    else:
-        parts = [quad(f, lo, hi, points=inner or None, **opts)]
-    value, err = (sum(part[i] for part in parts) for i in (0, 1))
-    failed = " ".join(part[3].split("\n")[0] for part in parts if len(part) > 3)
-    if failed:
+    value, err, *info = quad(f, lo, hi, points=inner or None, **opts)
+    if len(info) > 1:  # info[1]: QUADPACK's message, the first line its diagnosis
+        failed = info[1].split("\n")[0]
         msg = f"quadrature did not converge: {failed} (estimate {value!r}, error {err!r})"
         raise ConvergenceError(msg, value=value, err_estimate=err)
     return value, err

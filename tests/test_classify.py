@@ -74,7 +74,7 @@ def test_beta_star():
 
 
 def test_c_bounds():
-    assert C.c_bounds(2.0, 1e-3) == (0.9990234375, 1.0)  # brackets 1
+    assert C.c_bounds(2.0, 1e-3) == C.c_bounds(2.0, 0.05) == (1.0, 1.0)  # c(2) = 1, Lemma 1
     lo, hi = C.c_bounds(1.5, 1e-3)
     assert lo > 0.0
     assert lo <= hi <= 0.75
@@ -374,6 +374,8 @@ TRUTH_TABLE = [
     ("g", (1.2, 0.9), "ProvenCM", C.CITE_R4_PRODUCT),
     ("g", (1.0 + 1e-9, 0.5 + 1e-9), "ProvenCM", C.CITE_R4_PRODUCT),
     ("g", (1.0 - 1e-9, 0.6), "Undetermined", C.NUMERIC_BASIS),
+    # -rho'/(2g) at b = 2 is the g point (1 - 2g, 1 + g), refuted by Remark 4(iv)
+    ("dagum", (2.0, 0.2), "ProvenNotCM", C.CITE_R4IV_RHO),
 ]
 
 _CLASSIFIERS = {
@@ -407,6 +409,15 @@ def test_tol_bands_are_undetermined_with_proven_edges():
     assert "within +/-1e-06" in verdict.notes
     verdict = C.classify_dagum(1.5, cap - 2e-6)
     assert (verdict.status, verdict.basis) == ("ProvenCM", C.CITE_T9III)
+
+
+@pytest.mark.parametrize("gamma", (1e-300, 1e-17, 1e-6, 0.01, 0.2, 0.45, 0.5 - 1e-9))
+def test_dagum_at_beta_two_is_refuted_by_theorem_without_a_scan(monkeypatch, gamma):
+    # 1 - 2g < 1 < 1 + g holds for every g > 0; at g = 1e-17 both round to 1.0,
+    # where classify_g(1.0, 1.0) is ProvenCM by Remark 4(iii)
+    monkeypatch.setattr(C, "cm_scan", lambda *a: pytest.fail("a derivative scan at b = 2"))
+    verdict = C.classify_dagum(2.0, gamma)
+    assert (verdict.status, verdict.basis, verdict.certificate) == ("ProvenNotCM", C.CITE_R4IV_RHO, None)
 
 
 def test_dagum_open_region_certificate_is_genuine():

@@ -23,11 +23,12 @@ HEADER = ["family", "arg1", "arg2", "status", "basis"]
 
 def lattice(family: str) -> list:
     """The 400 argument pairs of ``family``'s classifier, in its argument
-    order; q = linspace(0.025, 0.975, 20) spans the undecided direction."""
+    order, and for Dagum 20 more at b = 2 exactly; q = linspace(0.025, 0.975,
+    20) spans the undecided direction."""
     q = np.linspace(0.025, 0.975, 20).tolist()
     betas = np.linspace(1.025, 1.975, 20).tolist()
     if family == "dagum":  # (beta, gamma), beta gamma < 1
-        return [(b, qj / b) for b in betas for qj in q]
+        return [(b, qj / b) for b in betas + [2.0] for qj in q]
     if family == "aux-cm":  # (alpha, beta), alpha < beta/2
         return [(qj * b / 2.0, b) for b in betas for qj in q]
     if family == "aux-lcm":  # (alpha, beta), alpha < 2
@@ -59,7 +60,7 @@ def test_ledger_matches_the_classifiers(verdicts):
         header, *pinned = list(csv.reader(fh))
     assert header == HEADER
     now = ledger_rows(verdicts)
-    assert len(pinned) == len(now) == 1600
+    assert len(pinned) == len(now) == 1620
     moved = [(old, new) for old, new in zip(pinned, now) if old != new]
     assert not moved, f"{len(moved)} points differ from the ledger, first {moved[:5]}"
 
@@ -132,6 +133,22 @@ def test_no_dagum_cm_point_above_a_refuted_one_in_beta(verdicts):
     bad = [(p, q) for p in points["ProvenCM"] for q in points["ProvenNotCM"]
            if abs(q[0] - p[0]) <= 1e-12 * p[0] and q[1] <= p[1]]
     assert not bad, bad[:5]
+
+
+def test_reductions_between_families_agree(verdicts):
+    # Dagum at b = 2 is CM exactly when -rho'/(2g) = 1/(x^(1-2g) (1+x^2)^(1+g)),
+    # the g point (1 - 2g, 1 + g), is
+    gammas = np.concatenate([np.geomspace(1e-12, 1e-2, 10, endpoint=False),
+                             np.linspace(0.01, 0.49, 25), [0.5 - 1e-9]]).tolist()
+    disagree = [g for g in gammas
+                if C.classify_dagum(2.0, g).status != C.classify_g(1.0 - 2.0 * g, 1.0 + g).status]
+    assert not disagree
+    # aux-cm at b = 2 is the g family at lambda = 1
+    for alpha in (0.0, 0.5, 1.0 - 2.0**-53, 1.0, 1.5, 2.0, 3.0):
+        assert C.classify_aux_cm(alpha, 2.0).status == C.classify_g(alpha, 1.0).status, alpha
+    # every LCM function is CM
+    lcm = [args for f, args, v in verdicts if f == "aux-lcm" and v.status == "ProvenLCM"]
+    assert lcm and not [a for a in lcm if C.classify_aux_cm(*a).status == "ProvenNotCM"]
 
 
 def _oracle_gap(family: str, args, cert, eta_series) -> str:
