@@ -29,7 +29,7 @@ from .kernels import (
     scan_range,
     spectral_rule,
 )
-from .numerics import Bracket, find_root
+from .numerics import find_root
 
 PI = math.pi
 
@@ -163,7 +163,7 @@ def _check_tol(tol: float, name: str = "tol") -> None:
 
 def beta_star() -> float:
     """The unique b in (1, 2) with l(b) = 1, about 1.738, solved to float spacing."""
-    return find_root(lambda b: l_of_beta(b) - 1.0, Bracket(1.7, 1.8))
+    return find_root(lambda b: l_of_beta(b) - 1.0, 1.7, 1.8)
 
 
 # -- eta sign scans -----------------------------------------------------------
@@ -298,7 +298,7 @@ def _derivative_scan(expr, params, max_order, x_grid, log: bool) -> Optional[Cer
 
 def classify_aux_cm(alpha: float, beta: float) -> Verdict:
     """Complete monotonicity of 1/(x^alpha (1 + x^beta))."""
-    M.AuxParams(alpha, beta)  # finite, alpha >= 0, beta >= 0
+    M.check("aux", alpha, beta)
     if beta > 2.0:
         return Verdict("ProvenNotCM", CITE_AUX_NECESSITY)
     if beta <= 1.0:
@@ -330,7 +330,7 @@ def classify_aux_cm(alpha: float, beta: float) -> Verdict:
 def classify_aux_lcm(alpha: float, beta: float, tol: float = 1e-6) -> Verdict:
     """Logarithmic complete monotonicity of 1/(x^alpha (1 + x^beta));
     DomainError unless tol, the width of the Undetermined band, is finite and > 0."""
-    M.AuxParams(alpha, beta)  # finite, alpha >= 0, beta >= 0
+    M.check("aux", alpha, beta)
     _check_tol(tol)
     if beta > 2.0:
         return Verdict(
@@ -365,7 +365,7 @@ def classify_dagum(beta: float, gamma: float, tol: float = 1e-6) -> Verdict:
     the correlation 1 - (x^beta/(1+x^beta))^gamma; DomainError unless tol, the
     width of the Undetermined band, is finite and > 0.  Remark 4(iv) refutes it at
     beta = 2: -rho'/(2 gamma) = 1/(x^(1-2g) (1+x^2)^(1+g)) and 1 - 2g < 1 + g."""
-    M.DagumParams(beta, gamma)  # finite, beta > 0, gamma > 0
+    M.check("dagum", beta, gamma)
     _check_tol(tol)
     product = beta * gamma
     if beta > 2.0 or product > 1.0 + _PRODUCT_BAND:
@@ -393,7 +393,7 @@ def classify_dagum(beta: float, gamma: float, tol: float = 1e-6) -> Verdict:
                 NUMERIC_BASIS,
                 notes=f"gamma within +/-{tol:g} of the numeric bound {gamma_cap:.9f}",
             )
-    witness = cm_scan("reduced_dagum", {"beta": beta, "gamma": gamma})
+    witness = cm_scan("reduced_dagum", dict(zip(M.MODELS["dagum"].names, (beta, gamma))))
     if witness is not None:
         return Verdict(
             "ProvenNotCM",
@@ -418,7 +418,7 @@ def classify_dagum(beta: float, gamma: float, tol: float = 1e-6) -> Verdict:
 
 def classify_g(alpha: float, lam: float) -> Verdict:
     """Complete monotonicity of 1/(x^alpha (1 + x^2)^lambda)."""
-    M.GParams(alpha, lam)  # finite, alpha >= 0, lambda >= 0
+    M.check("g", alpha, lam)
     if alpha == 1.0 and lam <= 1.0:
         return Verdict("ProvenCM", CITE_R4["iii"])
     if alpha >= 2.0 * lam:
@@ -442,12 +442,12 @@ def classify_g(alpha: float, lam: float) -> Verdict:
     )
 
 
-# CLI family -> (classifier, parameter names in argument order, takes tol).
+# CLI family -> (classifier, the model whose parameters it takes, takes tol).
 CLASSIFIERS = {
-    "dagum": (classify_dagum, ("beta", "gamma"), True),
-    "aux-cm": (classify_aux_cm, ("alpha", "beta"), False),
-    "aux-lcm": (classify_aux_lcm, ("alpha", "beta"), True),
-    "g": (classify_g, ("alpha", "lambda"), False),
+    "dagum": (classify_dagum, "dagum", True),
+    "aux-cm": (classify_aux_cm, "aux", False),
+    "aux-lcm": (classify_aux_lcm, "aux", True),
+    "g": (classify_g, "g", False),
 }
 
 

@@ -38,7 +38,8 @@ EXIT_PARAM = 2
 EXIT_NUMERIC = 3
 EXIT_PERMISSIBILITY = 4
 
-_PARAMS = ("alpha", "beta", "gamma", "epsilon", "theta", "eta", "lambda")
+# One flag per wire name, in order of first appearance in MODELS.
+_PARAMS = tuple(dict.fromkeys(name for row in M.MODELS.values() for name in row.names))
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -191,13 +192,13 @@ def _cmd_eval(ns: argparse.Namespace) -> str:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> str:
-    classifier, names, takes_tol = C.CLASSIFIERS[ns.family]
+    classifier, model_id, takes_tol = C.CLASSIFIERS[ns.family]
     if ns.tol is not None:
         if not (math.isfinite(ns.tol) and ns.tol > 0.0):
             raise DomainError("--tol must be finite and > 0")
         if not takes_tol:
             raise DomainError(f"classify {ns.family} takes no --tol")
-    args = M.take_params(ns.family, _params(ns), names)
+    args = M.take_params(ns.family, _params(ns), M.MODELS[model_id].names)
     verdict = classifier(*args) if ns.tol is None else classifier(*args, ns.tol)
     return verdict.to_json()
 

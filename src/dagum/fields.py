@@ -83,12 +83,6 @@ class Profile:
     model_id: str
     params: Dict[str, float]
 
-    def __post_init__(self):
-        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
-            raise DomainError("spacing must be finite and > 0")
-        if len(self.values) < 2:
-            raise DomainError("profile needs at least two samples")
-
 
 def _sq_distances(pts: np.ndarray) -> np.ndarray:
     # Even and odd coordinates summed apart, then added, one (n, n) square at a

@@ -4,12 +4,13 @@ Every evaluator is written against the generic arithmetic helpers in
 :mod:`dagum.taylor`, so the same closed form serves floating point
 evaluation, whole arrays (the Gram matrices) and truncated-series
 evaluation (exact high-order derivatives for the monotonicity scans).
+Each model is one row of ``MODELS``; an evaluator takes the parameter
+tuple that the row's domain check returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -17,77 +18,42 @@ import numpy as np
 from . import taylor as ta
 from .errors import DomainError, UnsupportedExpressionError
 
-
-def _require_finite(params: Mapping[str, float]) -> None:
-    """Reject NaN and infinite parameters, naming each one."""
-    bad = [name for name, value in params.items() if not math.isfinite(value)]
-    if bad:
-        raise DomainError(f"{' and '.join(bad)} must be finite")
+# -- domain checks: finite values in wire-name order -> the evaluator's tuple --
 
 
-@dataclass(frozen=True)
-class DagumParams:
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        _require_finite(vars(self))
-        if not (self.beta > 0.0 and self.gamma > 0.0):
-            raise DomainError("dagum requires beta > 0 and gamma > 0")
+def _dagum_domain(beta, gamma):
+    if not (beta > 0.0 and gamma > 0.0):
+        raise DomainError("dagum requires beta > 0 and gamma > 0")
+    return beta, gamma
 
 
-@dataclass(frozen=True)
-class DagumSec5Params:
-    """Alternative parametrization: shape ``gamma5`` in (0, 2], smoothness
-    ``epsilon`` in (0, gamma5).  Equivalent to DagumParams(gamma5, epsilon/gamma5)."""
-
-    gamma5: float
-    epsilon: float
-
-    def __post_init__(self):
-        _require_finite(vars(self))
-        if not (0.0 < self.gamma5 <= 2.0):
-            raise DomainError("dagum5 requires gamma in (0, 2]")
-        if not (0.0 < self.epsilon < self.gamma5):
-            raise DomainError("dagum5 requires 0 < epsilon < gamma")
-
-    def as_dagum(self) -> DagumParams:
-        return DagumParams(self.gamma5, self.epsilon / self.gamma5)
+def _dagum5_domain(gamma, epsilon):
+    """Shape gamma in (0, 2], smoothness epsilon in (0, gamma): Dagum (gamma, epsilon/gamma)."""
+    if not 0.0 < gamma <= 2.0:
+        raise DomainError("dagum5 requires gamma in (0, 2]")
+    if not 0.0 < epsilon < gamma:
+        raise DomainError("dagum5 requires 0 < epsilon < gamma")
+    return gamma, epsilon / gamma
 
 
-@dataclass(frozen=True)
-class CauchyParams:
-    theta: float
-    eta: float
-
-    def __post_init__(self):
-        _require_finite(vars(self))
-        if not (0.0 < self.theta <= 2.0):
-            raise DomainError("cauchy requires theta in (0, 2]")
-        if not self.eta > 0.0:
-            raise DomainError("cauchy requires eta > 0")
+def _cauchy_domain(theta, eta):
+    if not 0.0 < theta <= 2.0:
+        raise DomainError("cauchy requires theta in (0, 2]")
+    if not eta > 0.0:
+        raise DomainError("cauchy requires eta > 0")
+    return theta, eta
 
 
-@dataclass(frozen=True)
-class AuxParams:
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        _require_finite(vars(self))
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise DomainError("aux requires alpha >= 0 and beta >= 0")
+def _aux_domain(alpha, beta):
+    if alpha < 0.0 or beta < 0.0:
+        raise DomainError("aux requires alpha >= 0 and beta >= 0")
+    return alpha, beta
 
 
-@dataclass(frozen=True)
-class GParams:
-    alpha: float
-    lam: float
-
-    def __post_init__(self):
-        _require_finite(vars(self))
-        if self.alpha < 0.0 or self.lam < 0.0:
-            raise DomainError("g requires alpha >= 0 and lambda >= 0")
+def _g_domain(alpha, lam):
+    if alpha < 0.0 or lam < 0.0:
+        raise DomainError("g requires alpha >= 0 and lambda >= 0")
+    return alpha, lam
 
 
 # -- evaluators --------------------------------------------------------------
@@ -99,36 +65,41 @@ class GParams:
 _UNCHECKED = (ta.TaylorSeries, np.ndarray)
 
 
-def dagum_eval(p: DagumParams, x):
-    """1 - (x^beta / (1 + x^beta))^gamma for x >= 0."""
+def dagum_eval(p, x):
+    """1 - (x^beta / (1 + x^beta))^gamma for x >= 0; p = (beta, gamma)."""
     if not isinstance(x, _UNCHECKED) and not x >= 0.0:
         raise DomainError("x must be >= 0")
-    u = ta.powr(x, p.beta)
-    return 1.0 - ta.powr(u / (1.0 + u), p.gamma)
+    beta, gamma = p
+    u = ta.powr(x, beta)
+    return 1.0 - ta.powr(u / (1.0 + u), gamma)
 
 
-def cauchy_eval(p: CauchyParams, t):
+def cauchy_eval(p, t):
+    """(1 + t^theta)^(-eta/theta) for t >= 0; p = (theta, eta)."""
     if not isinstance(t, _UNCHECKED) and not t >= 0.0:
         raise DomainError("t must be >= 0")
-    return ta.powr(1.0 + ta.powr(t, p.theta), -p.eta / p.theta)
+    theta, eta = p
+    return ta.powr(1.0 + ta.powr(t, theta), -eta / theta)
 
 
-def aux_eval(p: AuxParams, x):
-    """1 / (x^alpha (1 + x^beta)); diverges as x -> 0+ when alpha > 0."""
-    if not isinstance(x, _UNCHECKED) and (not x >= 0.0 or (x == 0.0 and p.alpha > 0.0)):
+def aux_eval(p, x):
+    """1 / (x^alpha (1 + x^beta)); diverges as x -> 0+ when alpha > 0; p = (alpha, beta)."""
+    alpha, beta = p
+    if not isinstance(x, _UNCHECKED) and (not x >= 0.0 or (x == 0.0 and alpha > 0.0)):
         raise DomainError("aux diverges at x = 0 for alpha > 0; need x > 0")
-    return 1.0 / (ta.powr(x, p.alpha) * (1.0 + ta.powr(x, p.beta)))
+    return 1.0 / (ta.powr(x, alpha) * (1.0 + ta.powr(x, beta)))
 
 
-def g_eval(p: GParams, x):
-    """1 / (x^alpha (1 + x^2)^lambda); diverges as x -> 0+ when alpha > 0."""
-    if not isinstance(x, _UNCHECKED) and (not x >= 0.0 or (x == 0.0 and p.alpha > 0.0)):
+def g_eval(p, x):
+    """1 / (x^alpha (1 + x^2)^lambda); diverges as x -> 0+ when alpha > 0; p = (alpha, lambda)."""
+    alpha, lam = p
+    if not isinstance(x, _UNCHECKED) and (not x >= 0.0 or (x == 0.0 and alpha > 0.0)):
         raise DomainError("g diverges at x = 0 for alpha > 0; need x > 0")
-    return 1.0 / (ta.powr(x, p.alpha) * ta.powr(1.0 + x * x, p.lam))
+    return 1.0 / (ta.powr(x, alpha) * ta.powr(1.0 + x * x, lam))
 
 
-def reduced_dagum_eval(p: DagumParams, x):
-    """x^(beta*gamma - 1) / (1 + x^beta)^(gamma + 1).
+def reduced_dagum_eval(p, x):
+    """x^(beta*gamma - 1) / (1 + x^beta)^(gamma + 1); p = (beta, gamma).
 
     Complete monotonicity of this function is equivalent to complete
     monotonicity of the Dagum correlation with the same parameters: it is
@@ -136,58 +107,65 @@ def reduced_dagum_eval(p: DagumParams, x):
     """
     if not isinstance(x, ta.TaylorSeries) and not x > 0.0:
         raise DomainError("reduced dagum needs x > 0")
-    num = ta.powr(x, p.beta * p.gamma - 1.0)
-    return num / ta.powr(1.0 + ta.powr(x, p.beta), p.gamma + 1.0)
+    beta, gamma = p
+    return ta.powr(x, beta * gamma - 1.0) / ta.powr(1.0 + ta.powr(x, beta), gamma + 1.0)
 
 
 # Cancellation-free semivariograms 1 - rho(t) for t > 0 (aux and g only at
 # alpha = 0, where rho(0) = 1).
 
 
-def _dagum_semivariogram(p: DagumParams, t: float) -> float:
-    u = t ** p.beta
-    return (u / (1.0 + u)) ** p.gamma
+def _dagum_semivariogram(p, t: float) -> float:
+    u = t ** p[0]
+    return (u / (1.0 + u)) ** p[1]
 
 
-def _cauchy_semivariogram(p: CauchyParams, t: float) -> float:
-    return -math.expm1(-(p.eta / p.theta) * math.log1p(t ** p.theta))
+def _cauchy_semivariogram(p, t: float) -> float:
+    theta, eta = p
+    return -math.expm1(-(eta / theta) * math.log1p(t ** theta))
 
 
-def _aux_semivariogram(p: AuxParams, t: float) -> float:
-    if p.alpha > 0.0:
+def _aux_semivariogram(p, t: float) -> float:
+    if p[0] > 0.0:
         return 1.0 - aux_eval(p, t)
-    u = t ** p.beta
+    u = t ** p[1]
     return u / (1.0 + u)
 
 
-def _g_semivariogram(p: GParams, t: float) -> float:
-    if p.alpha > 0.0:
+def _g_semivariogram(p, t: float) -> float:
+    if p[0] > 0.0:
         return 1.0 - g_eval(p, t)
-    return -math.expm1(-p.lam * math.log1p(t * t))
+    return -math.expm1(-p[1] * math.log1p(t * t))
 
 
 # -- model registry (CLI / fields wire names) --------------------------------
 
 
-class ModelEntry(NamedTuple):
-    build: Callable[..., object]  # parameters from values in ``names`` order
+class Model(NamedTuple):
+    names: Tuple[str, ...]  # wire names, in the order of the domain check's arguments
+    domain: Callable[..., tuple]  # finite values -> the evaluator's parameter tuple
     evaluator: Callable  # rho(p, x) for a float, ndarray or TaylorSeries x
-    names: Tuple[str, ...]
-    semivariogram: Callable[[object, float], float]  # 1 - rho for t > 0
+    semivariogram: Callable[[tuple, float], float]  # 1 - rho for t > 0
 
 
-MODELS: Dict[str, ModelEntry] = {
-    "dagum": ModelEntry(DagumParams, dagum_eval, ("beta", "gamma"), _dagum_semivariogram),
-    "dagum5": ModelEntry(  # built as its DagumParams, so evaluations skip as_dagum()
-        lambda g, e: DagumSec5Params(g, e).as_dagum(),
-        dagum_eval,
-        ("gamma", "epsilon"),
-        _dagum_semivariogram,
-    ),
-    "cauchy": ModelEntry(CauchyParams, cauchy_eval, ("theta", "eta"), _cauchy_semivariogram),
-    "aux": ModelEntry(AuxParams, aux_eval, ("alpha", "beta"), _aux_semivariogram),
-    "g": ModelEntry(GParams, g_eval, ("alpha", "lambda"), _g_semivariogram),
+MODELS: Dict[str, Model] = {
+    "aux": Model(("alpha", "beta"), _aux_domain, aux_eval, _aux_semivariogram),
+    "dagum": Model(("beta", "gamma"), _dagum_domain, dagum_eval, _dagum_semivariogram),
+    "dagum5": Model(("gamma", "epsilon"), _dagum5_domain, dagum_eval, _dagum_semivariogram),
+    "cauchy": Model(("theta", "eta"), _cauchy_domain, cauchy_eval, _cauchy_semivariogram),
+    "g": Model(("alpha", "lambda"), _g_domain, g_eval, _g_semivariogram),
 }
+
+
+def check(model_id: str, *values: float) -> tuple:
+    """The evaluator's parameter tuple for ``values`` in wire-name order; a
+    DomainError names each non-finite value by its wire name, else the
+    row's domain check decides."""
+    row = MODELS[model_id]
+    bad = [name for name, value in zip(row.names, values) if not math.isfinite(value)]
+    if bad:
+        raise DomainError(f"{' and '.join(bad)} must be finite")
+    return row.domain(*values)
 
 
 def take_params(label: str, params: Mapping[str, float], names: Sequence[str]) -> List[float]:
@@ -202,13 +180,11 @@ def take_params(label: str, params: Mapping[str, float], names: Sequence[str]) -
 
 
 def make_model(model_id: str, params: Mapping[str, float]):
-    """Resolve a wire-format model id and keyword parameters."""
-    try:
-        entry = MODELS[model_id]
-    except KeyError:
-        raise UnsupportedExpressionError(f"unknown model id {model_id!r}") from None
-    p = entry.build(*take_params(f"model {model_id!r}", params, entry.names))
-    return p, entry.evaluator
+    """Resolve a wire-format model id and keyword parameters to ``(p, evaluator)``."""
+    if model_id not in MODELS:
+        raise UnsupportedExpressionError(f"unknown model id {model_id!r}")
+    row = MODELS[model_id]
+    return check(model_id, *take_params(f"model {model_id!r}", params, row.names)), row.evaluator
 
 
 def correlation(model_id: str, params: Mapping[str, float]) -> Callable[[float], float]:
@@ -231,17 +207,13 @@ def semivariogram(model_id: str, params: Mapping[str, float], t: float) -> float
 def catalog_function(expr: str, params: Mapping[str, float]) -> Callable:
     """Closed-form expression by id, as a generic (float or series) callable.
 
-    Known ids: ``inv_x``, ``aux``, ``g``, ``dagum``, ``dagum5``,
-    ``cauchy``, ``reduced_dagum``.
+    Known ids: the ``MODELS`` ids, and ``reduced_dagum``, which takes the
+    parameters of the ``dagum`` row.
     """
-    if expr == "inv_x":
-        take_params("expression 'inv_x'", params, ())
-        return lambda x: 1.0 / x
-    if expr == "reduced_dagum":
-        p = DagumParams(*take_params("expression 'reduced_dagum'", params, ("beta", "gamma")))
-        return lambda x: reduced_dagum_eval(p, x)
-    if expr in MODELS:
-        p, evaluator = make_model(expr, params)
-        return lambda x: evaluator(p, x)
-    raise UnsupportedExpressionError(f"unknown expression id {expr!r}")
-
+    model_id = "dagum" if expr == "reduced_dagum" else expr
+    if model_id not in MODELS:
+        raise UnsupportedExpressionError(f"unknown expression id {expr!r}")
+    row = MODELS[model_id]
+    p = check(model_id, *take_params(f"expression {expr!r}", params, row.names))
+    evaluator = reduced_dagum_eval if expr == "reduced_dagum" else row.evaluator
+    return lambda x: evaluator(p, x)

@@ -7,7 +7,6 @@ imported on the first call so that importing this module does not load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Tuple
 
 import numpy as np
@@ -16,16 +15,6 @@ from .errors import ConvergenceError, NoSignChangeError
 
 # QUADPACK's absolute and relative tolerance and subdivision budget, per call.
 QUAD_TOL, QUAD_LIMIT = 1e-9, 4000
-
-
-@dataclass(frozen=True)
-class Bracket:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("bracket requires lo < hi")
 
 
 def integrate(
@@ -55,8 +44,8 @@ def integrate(
     return value, err
 
 
-def maximize_1d(f: Callable, bracket: Bracket, tol: float = 1e-7) -> Tuple[float, float]:
-    """Maximum of ``f`` over the bracket, refined in the best cell of a grid.
+def maximize_1d(f: Callable, lo: float, hi: float, tol: float = 1e-7) -> Tuple[float, float]:
+    """Maximum of ``f`` over [lo, hi], refined in the best cell of a grid.
 
     A coarse scan of 2048 cells (the objective may oscillate, so pure local search can
     miss the global peak) locates the best grid cell; golden-section then
@@ -65,9 +54,11 @@ def maximize_1d(f: Callable, bracket: Bracket, tol: float = 1e-7) -> Tuple[float
     psi_b at b = 2 - 2.02e-7 it refines the hump near 3 pi, 1.008e-6 below
     the hump near pi.  ``f`` must accept an ndarray as well as a float: the scan
     is one call on the whole grid, the refinement calls it on floats.
-    Returns ``(t_star, f_star)``.
+    Returns ``(t_star, f_star)``; ValueError unless lo < hi.
     """
-    lo, hi, n = bracket.lo, bracket.hi, 2048
+    if not lo < hi:
+        raise ValueError("bracket requires lo < hi")
+    n = 2048
     step = (hi - lo) / n
     xs = lo + np.arange(n + 1) * step
     xs[-1] = hi
@@ -97,13 +88,15 @@ def maximize_1d(f: Callable, bracket: Bracket, tol: float = 1e-7) -> Tuple[float
     return t_star, f_star
 
 
-def find_root(f: Callable[[float], float], bracket: Bracket) -> float:
-    """Root of ``f`` on the bracket by Illinois regula falsi (Dowell & Jarratt,
-    BIT 11, 1971); needs a sign change.  Runs to float spacing: returns the
-    newest point once the next one would not fall strictly inside the bracket
-    (a zero of ``f`` puts it on an end).
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` on [lo, hi] by Illinois regula falsi (Dowell & Jarratt,
+    BIT 11, 1971); needs a sign change, and lo < hi (else ValueError).  Runs
+    to float spacing: returns the newest point once the next one would not
+    fall strictly inside the bracket (a zero of ``f`` puts it on an end).
     """
-    a, b = bracket.lo, bracket.hi
+    if not lo < hi:
+        raise ValueError("bracket requires lo < hi")
+    a, b = lo, hi
     fa, fb = f(a), f(b)
     if fa == 0.0 or fb == 0.0:
         return a if fa == 0.0 else b

@@ -15,7 +15,7 @@ from dagum import taylor as ta
 from dagum.errors import DomainError
 from dagum.kernels import PsiEvaluator, spectral_rule
 from dagum.models import catalog_function
-from dagum.numerics import Bracket, maximize_1d
+from dagum.numerics import maximize_1d
 
 PI = math.pi
 
@@ -50,13 +50,13 @@ def test_psi_max_against_golden_section_oracle(psi_objective):
     for beta in map(float, PSI_MAX_BETAS):
         ev, hi = spectral_rule(beta), C.scan_range(beta)
         value = C.psi_max(beta)
-        oracle = maximize_1d(psi_objective(ev), Bracket(0.0, hi), 1e-9)[1]
+        oracle = maximize_1d(psi_objective(ev), 0.0, hi, 1e-9)[1]
         assert value >= oracle - 1e-12, beta
         if value > oracle + 1e-6:
             # near beta = 2 golden-section can refine the lower of two humps
             # (at 2 - 2.02e-7 by 1.008e-6); then each half-range on its own
-            halves = (Bracket(0.0, hi / 2), Bracket(hi / 2, hi))
-            oracle = max(maximize_1d(psi_objective(ev), half, 1e-9)[1] for half in halves)
+            halves = ((0.0, hi / 2), (hi / 2, hi))
+            oracle = max(maximize_1d(psi_objective(ev), *half, 1e-9)[1] for half in halves)
         assert value <= oracle + 1e-6, beta
 
 
@@ -264,8 +264,8 @@ def test_psi_max_matches_oracle_on_figure1_grid(psi_objective):
             assert C.psi_max(beta) == beta
             continue
         ev, hi = spectral_rule(beta), C.scan_range(beta)
-        halves = (Bracket(0.0, hi / 2), Bracket(hi / 2, hi))
-        oracle = max(maximize_1d(psi_objective(ev), half, 1e-9)[1] for half in halves)
+        halves = ((0.0, hi / 2), (hi / 2, hi))
+        oracle = max(maximize_1d(psi_objective(ev), *half, 1e-9)[1] for half in halves)
         assert abs(C.psi_max(beta) - oracle) <= 1e-13, beta
 
 
@@ -571,7 +571,7 @@ def test_scan_budget_validation():
     [
         ("reduced_dagum", {"beta": 1.5}),
         ("reduced_dagum", {"beta": 1.5, "gamma": 0.5, "theta": 1.0}),
-        ("inv_x", {"beta": 2.0}),
+        ("aux", {"beta": 2.0}),
     ],
 )
 def test_catalog_parameters_are_checked(expr, params):
@@ -611,7 +611,7 @@ SCAN_CASES = [
     ("reduced_dagum", {"beta": 1.9, "gamma": 0.4}, 8, C.DEFAULT_SCAN_GRID),
     ("g", {"alpha": 0.5, "lambda": 0.5}, 8, C.DEFAULT_SCAN_GRID),
     ("cauchy", {"theta": 1.7, "eta": 0.4}, 8, [3.0, 0.02, 40.0]),
-    ("inv_x", {}, 4, []),
+    ("aux", {"alpha": 1.0, "beta": 0.0}, 4, []),  # 1/(2x), on an empty grid
 ]
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagum import classify as C
 from dagum import cli
 from dagum import fields as F
 from dagum import models as M
@@ -519,6 +520,24 @@ EVAL_PARAMS = {
     "aux": {"alpha": 0.3, "beta": 1.5},
     "g": {"alpha": 0.4, "lambda": 0.6},
 }
+
+
+def _non_finite_cases():
+    """Every eval model and classify family, each parameter NaN or infinite in turn."""
+    commands = [(["eval", m, "--x", "1"], m) for m in sorted(M.MODELS)]
+    commands += [(["classify", f], C.CLASSIFIERS[f][1]) for f in sorted(C.CLASSIFIERS)]
+    for head, model in commands:
+        for name in M.MODELS[model].names:
+            for bad in ("nan", "inf", "-inf"):
+                flags = [f"--{k}={bad if k == name else repr(v)}" for k, v in EVAL_PARAMS[model].items()]
+                yield pytest.param(head + flags, name, id=f"{head[0]}-{head[1]}-{name}-{bad}")
+
+
+@pytest.mark.parametrize("argv,flag", _non_finite_cases())
+def test_non_finite_parameter_exits_2_naming_its_flag(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"dagum: invalid parameters: {flag} must be finite\n"
 
 
 def _eval_argv(model, params, grid):

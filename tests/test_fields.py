@@ -365,8 +365,6 @@ def test_gram_entries_are_the_model_evaluator(model_id, convention):
 def test_simulate_rejects_bad_spacing(spacing):
     with pytest.raises(DomainError, match="spacing"):
         F.simulate_profile("cauchy", {"theta": 1.0, "eta": 1.0}, 4, spacing, seed=0)
-    with pytest.raises(DomainError, match="spacing"):
-        F.Profile(spacing, np.zeros(4), 0, "cauchy", {"theta": 1.0, "eta": 1.0})
 
 
 @pytest.mark.parametrize("model_id", sorted(GRAM_REFERENCE))

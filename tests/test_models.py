@@ -19,15 +19,16 @@ ALL_MODELS = {
 def reduced_dagum_power_form(p, x):
     """Algebraically identical power form: aux(alpha*, beta)^(1 + gamma)
     with alpha* = (1 - beta*gamma) / (1 + gamma)."""
-    a_star = (1.0 - p.beta * p.gamma) / (1.0 + p.gamma)
-    inner = 1.0 / (ta.powr(x, a_star) * (1.0 + ta.powr(x, p.beta)))
-    return ta.powr(inner, 1.0 + p.gamma)
+    beta, gamma = p
+    a_star = (1.0 - beta * gamma) / (1.0 + gamma)
+    inner = 1.0 / (ta.powr(x, a_star) * (1.0 + ta.powr(x, beta)))
+    return ta.powr(inner, 1.0 + gamma)
 
 
 def test_dagum_point_values():
-    assert M.dagum_eval(M.DagumParams(1.0, 1.0), 1.0) == pytest.approx(0.5)
-    assert M.dagum_eval(M.DagumParams(1.7, 0.3), 0.0) == 1.0
-    assert M.dagum_eval(M.DagumParams(2.0, 0.5), 1.0) == pytest.approx(
+    assert M.dagum_eval((1.0, 1.0), 1.0) == pytest.approx(0.5)
+    assert M.dagum_eval((1.7, 0.3), 0.0) == 1.0
+    assert M.dagum_eval((2.0, 0.5), 1.0) == pytest.approx(
         1.0 - math.sqrt(0.5), rel=1e-12
     )
 
@@ -36,7 +37,7 @@ def test_dagum_sec5_matches_reparametrized_dagum():
     rho5 = M.correlation("dagum5", {"gamma": 1.0, "epsilon": 0.5})
     assert rho5(1.0) == pytest.approx(1.0 - math.sqrt(0.5), rel=1e-12)
     grid = np.geomspace(1e-3, 1e3, 1000)
-    pd = M.DagumParams(beta=1.3, gamma=0.4 / 1.3)
+    pd = (1.3, 0.4 / 1.3)  # (beta, gamma)
     rho5 = M.correlation("dagum5", {"gamma": 1.3, "epsilon": 0.4})
     for t in grid:
         assert rho5(float(t)) == pytest.approx(M.dagum_eval(pd, float(t)), rel=1e-12)
@@ -44,26 +45,26 @@ def test_dagum_sec5_matches_reparametrized_dagum():
 
 
 def test_cauchy_point_values():
-    assert M.cauchy_eval(M.CauchyParams(1.0, 1.0), 1.0) == pytest.approx(0.5)
-    assert M.cauchy_eval(M.CauchyParams(2.0, 2.0), 1.0) == pytest.approx(0.5)
-    assert M.cauchy_eval(M.CauchyParams(0.7, 3.0), 0.0) == 1.0
+    assert M.cauchy_eval((1.0, 1.0), 1.0) == pytest.approx(0.5)
+    assert M.cauchy_eval((2.0, 2.0), 1.0) == pytest.approx(0.5)
+    assert M.cauchy_eval((0.7, 3.0), 0.0) == 1.0
 
 
 def test_aux_point_values():
-    assert M.aux_eval(M.AuxParams(0.0, 2.0), 1.0) == pytest.approx(0.5)
-    assert M.aux_eval(M.AuxParams(0.0, 2.0), 0.0) == 1.0
+    assert M.aux_eval((0.0, 2.0), 1.0) == pytest.approx(0.5)
+    assert M.aux_eval((0.0, 2.0), 0.0) == 1.0
     # alpha = beta = 0 is the constant 1/2, at x = 0 as well
-    assert M.aux_eval(M.AuxParams(0.0, 0.0), 0.0) == 0.5
-    assert M.aux_eval(M.AuxParams(1.0, 1.0), 1.0) == pytest.approx(0.5)
-    assert M.aux_eval(M.AuxParams(0.5, 2.0), 4.0) == pytest.approx(1.0 / 34.0, rel=1e-12)
+    assert M.aux_eval((0.0, 0.0), 0.0) == 0.5
+    assert M.aux_eval((1.0, 1.0), 1.0) == pytest.approx(0.5)
+    assert M.aux_eval((0.5, 2.0), 4.0) == pytest.approx(1.0 / 34.0, rel=1e-12)
 
 
 def test_reduced_dagum_values_and_form_identity():
-    assert M.reduced_dagum_eval(M.DagumParams(1.0, 1.0), 1.0) == pytest.approx(0.25)
-    assert M.reduced_dagum_eval(M.DagumParams(2.0, 0.5), 1.0) == pytest.approx(
+    assert M.reduced_dagum_eval((1.0, 1.0), 1.0) == pytest.approx(0.25)
+    assert M.reduced_dagum_eval((2.0, 0.5), 1.0) == pytest.approx(
         2.0 ** (-1.5), rel=1e-12
     )
-    p = M.DagumParams(1.5, 0.4)
+    p = (1.5, 0.4)
     for x in np.geomspace(1e-3, 1e3, 200):
         a = M.reduced_dagum_eval(p, float(x))
         b = reduced_dagum_power_form(p, float(x))
@@ -72,18 +73,18 @@ def test_reduced_dagum_values_and_form_identity():
 
 def test_reduced_dagum_is_scaled_negative_derivative():
     # -rho'(x) = beta*gamma * x^(beta*gamma - 1) / (1 + x^beta)^(gamma + 1)
-    p = M.DagumParams(1.5, 0.5)
+    p = (1.5, 0.5)
     for x0 in (0.2, 1.0, 3.7):
         series = ta.taylor_eval(lambda x: M.dagum_eval(p, x), x0, 1)
         lhs = -series.coeffs[1]
-        rhs = p.beta * p.gamma * M.reduced_dagum_eval(p, x0)
+        rhs = p[0] * p[1] * M.reduced_dagum_eval(p, x0)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_g_with_unit_lambda_equals_aux_beta2():
     for alpha in (0.0, 0.5, 1.0, 2.5):
         for x in (0.1, 1.0, 7.3):
-            assert M.g_eval(M.GParams(alpha, 1.0), x) == M.aux_eval(M.AuxParams(alpha, 2.0), x)
+            assert M.g_eval((alpha, 1.0), x) == M.aux_eval((alpha, 2.0), x)
 
 
 @pytest.mark.parametrize(
@@ -132,11 +133,11 @@ def test_evaluators_take_arrays(model_id):
 
 def test_divergence_at_zero_is_signaled():
     with pytest.raises(DomainError):
-        M.aux_eval(M.AuxParams(0.5, 2.0), 0.0)
+        M.aux_eval((0.5, 2.0), 0.0)
     with pytest.raises(DomainError):
-        M.g_eval(M.GParams(1.0, 0.5), 0.0)
+        M.g_eval((1.0, 0.5), 0.0)
     with pytest.raises(DomainError):
-        M.dagum_eval(M.DagumParams(1.0, 1.0), -0.5)
+        M.dagum_eval((1.0, 1.0), -0.5)
 
 
 @pytest.mark.parametrize(
@@ -157,37 +158,46 @@ def test_nan_argument_is_a_domain_error(model_id, params):
 
 def test_reduced_dagum_rejects_nan():
     with pytest.raises(DomainError):
-        M.reduced_dagum_eval(M.DagumParams(1.5, 0.5), math.nan)
+        M.reduced_dagum_eval((1.5, 0.5), math.nan)
 
 
 def test_param_validation():
-    with pytest.raises(DomainError):
-        M.DagumParams(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        M.DagumSec5Params(2.5, 1.0)
-    with pytest.raises(DomainError):
-        M.DagumSec5Params(1.0, 1.0)  # epsilon must be < gamma
-    with pytest.raises(DomainError):
-        M.CauchyParams(0.0, 1.0)
-    with pytest.raises(DomainError):
-        M.AuxParams(-0.1, 1.0)
+    for model_id, values, message in (
+        ("dagum", (-1.0, 1.0), "dagum requires beta > 0 and gamma > 0"),
+        ("dagum5", (2.5, 1.0), "dagum5 requires gamma in (0, 2]"),
+        ("dagum5", (1.0, 1.0), "dagum5 requires 0 < epsilon < gamma"),
+        ("cauchy", (0.0, 1.0), "cauchy requires theta in (0, 2]"),
+        ("cauchy", (1.0, 0.0), "cauchy requires eta > 0"),
+        ("aux", (-0.1, 1.0), "aux requires alpha >= 0 and beta >= 0"),
+        ("g", (1.0, -0.5), "g requires alpha >= 0 and lambda >= 0"),
+    ):
+        with pytest.raises(DomainError) as info:
+            M.check(model_id, *values)
+        assert str(info.value) == message
+
+
+def test_check_returns_the_evaluator_tuple():
+    assert M.check("dagum", 1.5, 0.5) == (1.5, 0.5)
+    assert M.check("dagum5", 1.5, 0.6) == (1.5, 0.6 / 1.5)  # the Dagum (beta, gamma)
+    assert M.check("g", 1.0, 0.5) == (1.0, 0.5)
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_params_reject_non_finite(bad):
-    for cls, good in (
-        (M.DagumParams, (1.5, 0.5)),
-        (M.DagumSec5Params, (1.5, 0.5)),
-        (M.CauchyParams, (1.0, 1.0)),
-        (M.AuxParams, (0.5, 1.5)),
-        (M.GParams, (1.0, 0.5)),
-    ):
-        cls(*good)
-        for i in range(2):
-            args = list(good)
-            args[i] = bad
-            with pytest.raises(DomainError, match="must be finite"):
-                cls(*args)
+    # each non-finite value is named by its wire name, before the domain check
+    for model_id, params in ALL_MODELS.items():
+        names = M.MODELS[model_id].names
+        good = [params[n] for n in names]
+        M.check(model_id, *good)
+        for i, name in enumerate(names):
+            values = list(good)
+            values[i] = bad
+            with pytest.raises(DomainError) as info:
+                M.check(model_id, *values)
+            assert str(info.value) == f"{name} must be finite"
+        with pytest.raises(DomainError) as info:
+            M.check(model_id, bad, bad)
+        assert str(info.value) == f"{names[0]} and {names[1]} must be finite"
 
 
 def test_make_model_wire_format():

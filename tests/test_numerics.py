@@ -5,7 +5,7 @@ import pytest
 
 from dagum.errors import ConvergenceError, NoSignChangeError
 from dagum.kernels import PsiEvaluator
-from dagum.numerics import Bracket, find_root, integrate, maximize_1d
+from dagum.numerics import find_root, integrate, maximize_1d
 
 PI = math.pi
 
@@ -61,13 +61,13 @@ def test_knots_are_break_points_on_a_finite_range_only():
 
 
 def test_maximize_one_minus_cos():
-    t, v = maximize_1d(lambda t: 1.0 - np.cos(t), Bracket(0.0, 2.0 * PI), 1e-10)
+    t, v = maximize_1d(lambda t: 1.0 - np.cos(t), 0.0, 2.0 * PI, 1e-10)
     assert t == pytest.approx(PI, abs=1e-6)
     assert v == pytest.approx(2.0, abs=1e-12)
 
 
 def test_maximize_parabola():
-    t, v = maximize_1d(lambda t: -((t - 1.0) ** 2), Bracket(0.0, 2.0), 1e-10)
+    t, v = maximize_1d(lambda t: -((t - 1.0) ** 2), 0.0, 2.0, 1e-10)
     assert t == pytest.approx(1.0, abs=1e-6)
     assert v == pytest.approx(0.0, abs=1e-12)
 
@@ -76,7 +76,7 @@ def test_maximize_psi_against_dense_grid_oracle(psi_objective):
     beta = 1.5
     ev = PsiEvaluator(beta)
     hi = 3.0 * PI / math.sin(PI / beta)
-    t_star, f_star = maximize_1d(psi_objective(ev), Bracket(0.0, hi), 1e-9)
+    t_star, f_star = maximize_1d(psi_objective(ev), 0.0, hi, 1e-9)
     # dense-grid oracle at step 1e-4
     ts = np.arange(0.0, hi, 1e-4)
     vals = ev.psi_values(ts)
@@ -89,25 +89,25 @@ def test_maximize_psi_against_dense_grid_oracle(psi_objective):
 
 def test_maximize_constant_shift_invariance():
     f = lambda t: np.sin(t) * np.exp(-0.1 * t)  # noqa: E731
-    t1, v1 = maximize_1d(f, Bracket(0.0, 10.0), 1e-9)
-    t2, v2 = maximize_1d(lambda t: f(t) + 5.0, Bracket(0.0, 10.0), 1e-9)
+    t1, v1 = maximize_1d(f, 0.0, 10.0, 1e-9)
+    t2, v2 = maximize_1d(lambda t: f(t) + 5.0, 0.0, 10.0, 1e-9)
     assert t1 == pytest.approx(t2, abs=1e-6)
     assert v2 - v1 == pytest.approx(5.0, abs=1e-10)
 
 
 def test_find_root_sqrt2():
-    r = find_root(lambda x: x * x - 2.0, Bracket(1.0, 2.0))
+    r = find_root(lambda x: x * x - 2.0, 1.0, 2.0)
     assert r == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
 
 def test_find_root_identity():
-    assert find_root(lambda x: x, Bracket(-1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert find_root(lambda x: x, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_find_root_below_float_spacing_stays_in_bracket():
     # the iteration runs to float spacing: it stops once a new point no
     # longer falls strictly inside the bracket
-    r = find_root(lambda x: x * x - 2.0, Bracket(1.0, 2.0))
+    r = find_root(lambda x: x * x - 2.0, 1.0, 2.0)
     assert 1.0 <= r <= 2.0
     assert r == pytest.approx(math.sqrt(2.0), abs=4e-16)
 
@@ -119,15 +119,19 @@ def test_find_root_evaluation_count():
         calls.append(x)
         return x * x - 2.0
 
-    find_root(f, Bracket(1.0, 2.0))
+    find_root(f, 1.0, 2.0)
     assert len(calls) == 11  # both ends and nine Illinois points, to float spacing
 
 
 def test_find_root_requires_sign_change():
     with pytest.raises(NoSignChangeError):
-        find_root(lambda x: 1.0 + x * x, Bracket(-1.0, 1.0))
+        find_root(lambda x: 1.0 + x * x, -1.0, 1.0)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        Bracket(1.0, 1.0)
+    # an empty or reversed range, NaN ends included, before any call of f
+    for lo, hi in ((1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="lo < hi"):
+            find_root(lambda x: x, lo, hi)
+        with pytest.raises(ValueError, match="lo < hi"):
+            maximize_1d(lambda x: x, lo, hi)

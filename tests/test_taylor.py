@@ -34,7 +34,7 @@ def test_reciprocal_series_at_one():
     [
         ("dagum", {"beta": 0.5, "gamma": 1.0}, "cauchy", {"theta": 1.0, "eta": 1.0}),
         ("aux", {"alpha": 1.0, "beta": 1.0}, "g", {"alpha": 0.5, "lambda": 0.5}),
-        ("inv_x", {}, "cauchy", {"theta": 2.0, "eta": 2.0}),
+        ("aux", {"alpha": 1.0, "beta": 0.0}, "cauchy", {"theta": 2.0, "eta": 2.0}),  # 1/(2x)
     ],
 )
 def test_product_rule_is_cauchy_product(expr_a, params_a, expr_b, params_b):
@@ -113,7 +113,6 @@ CATALOG = {
     "dagum5": lambda p, q: {"gamma": p, "epsilon": p * q / 2.5},
     "cauchy": lambda p, q: {"theta": p, "eta": q},
     "reduced_dagum": lambda p, q: {"beta": p, "gamma": q},
-    "inv_x": lambda p, q: {},
 }
 SHAPES = st.floats(0.05, 2.0)
 
