@@ -5,7 +5,7 @@ The central object is phi_b, the density whose Laplace transform is
 
     psi_b(t)   = integral of phi_b over [0, t]   (transform 1/(x(1+x^b)))
     rho_b      = the oscillatory closed-form part of psi_b
-    tau_b      = psi_b - rho_b, completely monotonic, two routes
+    tau_b      = psi_b - rho_b, completely monotonic
     eta_{a,b}  = fractional integral of phi_b; its sign decides complete
                  monotonicity of 1/(x^a (1+x^b))
     kappa_a(t) = t^(a-1)/Gamma(a), the power-law Laplace density
@@ -13,31 +13,26 @@ The central object is phi_b, the density whose Laplace transform is
 Each of phi, psi and eta is the residue term of the poles x = e^{+-i pi/b}
 of 1/(1+x^b), written once as ``_osc``, plus a branch-cut integral.
 ``_closed_forms`` (which checks beta in [1, 2]) serves b = 1 and 2 exactly;
-the spectral rule and the primary routes below serve all of 1 < b < 2.
+the contour and the spectral rule below serve all of 1 < b < 2.
 
-Evaluation notes.  The primary route of tau, phi and psi runs on QUADPACK
-(``numerics``): the arctangent-substituted branch-cut integral, (1/(b pi))
-int_0^{(2-b) pi} r^k e^{-t r} dw with r = (sigma cot w - c)^(1/b): tau at
-k = 0, -tau' at k = 1, so phi = rho' + tau' and psi = rho + tau.  It is
-finite, with break points refined geometrically toward both ends, where the
-features narrow as b nears 1 or 2.  The alternate routes of tau and phi, and
-``eta``, invert the closed-form transforms instead (``_contour``):
-1/(1+s^b) for phi, s^(b-1)/(1+s^b) for 1 - psi and s^-a/(1+s^b) for eta, by
-the trapezoid rule on a parabola around the branch cut, 30 to 109 complex
-exponentials a value, with no quadrature and no spectral rule.
+Evaluation notes.  Each kernel has two routes inside (1, 2).  The scalar
+route of tau, phi, psi and ``eta`` inverts the closed-form transforms
+(``_contour``): 1/(1+s^b) for phi, s^(b-1)/(1+s^b) for 1 - psi (so psi,
+and tau = psi - rho) and s^-a/(1+s^b) for eta, by the trapezoid rule on a
+parabola around the branch cut, 30 to 109 complex exponentials a value,
+with no quadrature and no spectral rule.
 
-Grid work goes through the spectral rule instead: one composite Gauss-Legendre
-rule of 800 nodes on the arctangent-substituted tau integral (``rule_rows``,
-for a group of betas at once), whose Laplace sums give psi, phi = rho' + tau',
-phi' (``psi_jets``) and eta, with alpha-dependent weights on the same nodes,
-on whole grids.  Its panels (``_panel_rule``) are the module's one composite
-rule: at b = 1 and 2 ``eta_grid`` integrates the closed-form phi on them,
-stretched over [0, 1].  The eta sign scans run on one grid t = k h
-(``eta_scan_grid``), where exp(-k h d) factors into a per-block and a per-row
-part: ``eta_scan`` is one matrix product per block, not one exp per (t, node).
-Every Laplace-sum exponent is floored at -600, off numpy's slow exp range
-(-745, -707.7).  The routes above check it: the primary ones on its
-integral by adaptive quadrature, the contour by an independent method.
+Grid work, and so every command, goes through the spectral rule: one composite
+Gauss-Legendre rule of 800 nodes on the arctangent-substituted tau integral
+(``rule_rows``, for a group of betas at once), whose Laplace sums give psi,
+phi = rho' + tau', phi' (``psi_jets``) and eta, with alpha-dependent weights
+on the same nodes, on whole grids.  Its panels (``_panel_rule``) are the
+module's one composite rule: at b = 1 and 2 ``eta_grid`` integrates the
+closed-form phi on them, stretched over [0, 1].  The eta sign scans run on one
+grid t = k h (``eta_scan_grid``), where exp(-k h d) factors into a per-block
+and a per-row part: ``eta_scan`` is one matrix product per block, not one exp
+per (t, node).  Every Laplace-sum exponent is floored at -600, off numpy's slow
+exp range (-745, -707.7).  The contour checks it by an independent method.
 """
 
 from __future__ import annotations
@@ -63,10 +58,10 @@ ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta on the rule; scans start a
 class KernelValue:
     value: float
     err_estimate: float
-    route: str  # closed_form | quadrature_primary | contour
+    route: str  # closed_form | contour
 
     def __post_init__(self):
-        if self.err_estimate < 0.0:
+        if not self.err_estimate >= 0.0:  # also a NaN
             raise ValueError("err_estimate must be >= 0")
 
 
@@ -74,12 +69,12 @@ def _consts(beta: float) -> Tuple[float, float]:
     """(sigma, c) with sigma = -sin(beta*pi) > 0 and c = cos(beta*pi).
 
     sigma > 0 is exactly the discriminant condition under which
-    1 + 2 c s^b + s^(2b) has no real zero, so the integrands below divide
-    safely; it fails only at b = 1, 2, which the callers dispatch first.
+    1 + 2 c s^b + s^(2b) has no real zero, so the spectral rule's weights
+    divide safely; it fails only at b = 1, 2, which the callers dispatch first.
     """
     sigma = -math.sin(beta * PI)
     if sigma <= 0.0:
-        raise DomainError(f"integral routes need beta strictly inside (1, 2), got {beta}")
+        raise DomainError(f"the spectral rule needs beta strictly inside (1, 2), got {beta}")
     return sigma, math.cos(beta * PI)
 
 
@@ -91,9 +86,9 @@ def scan_range(beta: float, periods: float = 3.0) -> float:
     return periods * PI / math.sin(PI / beta)
 
 
-def _ladder(lo: float, hi: float, levels=45) -> list:
-    """Knots halving toward lo and hi ``levels`` times each, or a (lo, hi) pair of times."""
-    down, up = levels if isinstance(levels, tuple) else (levels, levels)
+def _ladder(lo: float, hi: float, levels: Tuple[int, int]) -> list:
+    """Points halving toward lo and hi, (down, up) = ``levels`` times each."""
+    down, up = levels
     span = hi - lo
     out = [lo + span * 2.0 ** (-k) for k in range(1, down + 1)]
     out += [lo + span * (1.0 - 2.0 ** (-k)) for k in range(1, up + 1)]
@@ -139,10 +134,11 @@ def _osc(beta, ts, shift, turn=None):
 
 
 def _grid(ts) -> np.ndarray:
-    """``ts`` as a float array of at least one dimension; DomainError for t < 0 or NaN."""
+    """``ts`` as a float array of at least one dimension; DomainError unless
+    every t is finite and >= 0."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if not (ts >= 0.0).all():
-        raise DomainError("t must be >= 0")
+    if not ((ts >= 0.0) & (ts < math.inf)).all():  # also a NaN
+        raise DomainError("t must be finite and >= 0")
     return ts
 
 
@@ -177,24 +173,8 @@ def kappa(alpha: float, t):
 def rho_kernel(beta: float, t: float) -> float:
     """1 - (2/b) exp(t cos(pi/b)) cos(t sin(pi/b)); closed form on [1, 2]."""
     _closed_forms(beta)  # DomainError unless 1 <= b <= 2
-    _grid(t)  # DomainError for t < 0 or NaN
+    _grid(t)  # DomainError unless t is finite and >= 0
     return float(1.0 + _osc(beta, t, 0.0))
-
-
-def _arctan_route(beta: float, t: float, k: int) -> Tuple[float, float]:
-    """(1/(b pi)) int_0^{(2-b) pi} r^k e^{-t r} dw, r = (sigma cot w - c)^(1/b),
-    on the finite arctangent-substituted interval: tau_b at k = 0, -tau_b' at k = 1."""
-    sigma, c = _consts(beta)
-    w_hi = (2.0 - beta) * PI
-    inv_beta = 1.0 / beta
-
-    def g(w: float) -> float:
-        y = sigma / math.tan(w) - c
-        r = (y if y > 0.0 else 0.0) ** inv_beta  # rounding noise at the y = 0 endpoint
-        return r ** k * math.exp(-t * r)
-
-    v, e = integrate(g, 0.0, w_hi, knots=_ladder(0.0, w_hi))
-    return v / (beta * PI), e / (beta * PI)
 
 
 def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
@@ -209,12 +189,14 @@ def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
     the poles s^b = -1, at e^{+-i pi/b}, at sigma = sigma_0.  Where sigma =
     min(0.4 sigma_0, 32/t) gives sigma t >= 3, it passes left of them and
     their residues are added, ``_osc`` with shift (1 - a) pi/b; else sigma =
-    max(32/t, 6.25 sigma_0) and it encloses them.  So sigma t <= 47, and
-    e^(t Re s) < e^(0.1309 sigma t) < 500 bounds the sum's cancellation.  The
+    max(32/t, 6.25 sigma_0) and it encloses them, summed in w = t s for t < 1,
+    so that no power overflows at a tiny t.  So sigma t <= 47,
+    and e^(t Re s) < e^(0.1309 sigma t) < 500 bounds the sum's cancellation.  The
     error estimate is |I_h - I_2h|, the gap to the sum on every other node
     (the rule converges geometrically in 1/h), plus 64 eps times the moduli
     of the terms and, on the left, (1 + t) times the residues' amplitude: the
-    rounding of the sum and of the residues' phase.
+    rounding of the sum and of the residues' phase; in w, 2^-1074 (1 + the
+    moduli) more, for t^(a+b-1) and the value where they are subnormal.
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"the contour needs a finite t > 0, got {t}")
@@ -228,78 +210,69 @@ def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
         sigma = max(32.0 / t, 6.25 * sigma0)
     h = 3.0 / 32.0
     u = h * np.arange(1 + int(math.sqrt((37.0 / (sigma * t) + 0.1309) / 0.1194) / h))
-    z = sigma * (0.1309 - 0.1194 * u * u + 0.25j * u)
+    # below t = 1 (enclosing, sigma = 32/t) the sum runs in w = t s, as e^w w^-a
+    # / (t^b + w^b) times t^(a+b-1) <= 1: at a tiny t, s^b overflows and s^-a
+    # underflows; above, t^(a+b-1) may overflow where the value does not
+    in_w = t < 1.0
+    r, tr, one = (sigma * t, 1.0, t ** beta) if in_w else (sigma, t, 1.0)
+    z = r * (0.1309 - 0.1194 * u * u + 0.25j * u)
     # e^{tz} F(z) z'(u) h / (2 pi i), over both halves; the u = 0 term is halved
-    scale = sigma * h / PI * (0.25 + 0.2388j * u)
-    terms = np.exp(t * z) * z ** -alpha / (1.0 + z ** beta) * scale
+    scale = r * h / PI * (0.25 + 0.2388j * u)
+    terms = np.exp(tr * z) * z ** -alpha / (one + z ** beta) * scale
     terms[0] *= 0.5
     fine = float(terms.real.sum())
     err = abs(fine - 2.0 * float(terms.real[::2].sum()))
     rounding = float(np.abs(terms).sum())
+    if in_w:  # t^(a+b-1) and the product each round by up to 2^-1075 if subnormal
+        unit, err = t ** (alpha + beta - 1.0), err + 64.0 * sys.float_info.epsilon * rounding
+        return fine * unit, err * unit + (1.0 + rounding) * math.ulp(0.0)
     if left:
         fine += float(_osc(beta, t, (1.0 - alpha) * (PI / beta)))
         rounding += (1.0 + t) * (2.0 / beta) * math.exp(t * x)
     return fine, err + 64.0 * sys.float_info.epsilon * rounding
 
 
-def _check_route(t: float, route: str) -> None:
-    if not t >= 0.0:
-        raise DomainError("t must be >= 0")
-    if route not in ("primary", "alternate"):
-        raise ValueError("route must be 'primary' or 'alternate'")
+def _on_contour(alpha: float, beta: float, t: float, at_zero: float) -> Tuple[float, float]:
+    """``_contour`` for t > 0, and ``at_zero`` with err_estimate 0 at t = 0;
+    DomainError unless t is finite and >= 0."""
+    _grid(t)
+    return (at_zero, 0.0) if t == 0.0 else _contour(alpha, beta, t)
 
 
-def tau_kernel(beta: float, t: float, route: str = "primary") -> KernelValue:
-    """Completely monotonic remainder tau_b(t) = psi_b(t) - rho_b(t).
-
-    ``route`` selects the arctangent route (primary) or the contour
-    (alternate): tau_b = -_osc(b, t, 0) - (1 - psi_b), which ``_contour``
-    inverts from s^(b-1) / (1 + s^b).  tau_b(0) = 2/b - 1, exact on the
-    contour.
+def tau_kernel(beta: float, t: float) -> KernelValue:
+    """Completely monotonic remainder tau_b(t) = psi_b(t) - rho_b(t) for
+    1 < b < 2: -_osc(b, t, 0) - (1 - psi_b), with 1 - psi_b the contour's
+    inversion of s^(b-1) / (1 + s^b); tau_b(0) = 2/b - 1 exactly.
     """
     if not 1.0 < beta < 2.0:
         raise DomainError("tau kernel requires beta in (1, 2)")
-    _check_route(t, route)
-    if route == "primary":
-        return KernelValue(*_arctan_route(beta, t, 0), "quadrature_primary")
-    if t == 0.0:
-        return KernelValue(2.0 / beta - 1.0, 0.0, "contour")
-    v, e = _contour(1.0 - beta, beta, t)
+    v, e = _on_contour(1.0 - beta, beta, t, 1.0)
     return KernelValue(-float(_osc(beta, t, 0.0)) - v, e, "contour")
 
 
-def phi(beta: float, t: float, route: str = "primary") -> KernelValue:
-    """Laplace density of 1/(1+x^b) for b in [1, 2].
-
-    exp(-t) or sin t at b = 1 or 2; inside, phi_b(0) = 0 exactly and for
-    t > 0 phi_b = rho_b' + tau_b' with tau_b' on the arctangent route
-    (primary), or the contour's inversion of 1/(1+s^b) (alternate).
+def phi(beta: float, t: float) -> KernelValue:
+    """Laplace density of 1/(1+x^b) for b in [1, 2]: exp(-t) or sin t at
+    b = 1 or 2; inside, the contour's inversion of 1/(1+s^b), with
+    phi_b(0) = 0 exactly.
     """
     forms = _closed_forms(beta)  # DomainError unless 1 <= b <= 2
-    _check_route(t, route)
     if forms:
         return KernelValue(float(forms[0](t)[0]), 0.0, "closed_form")
-    label = "quadrature_primary" if route == "primary" else "contour"
-    if t == 0.0:
-        return KernelValue(0.0, 0.0, label)
-    if route == "alternate":
-        return KernelValue(*_contour(0.0, beta, t), label)
-    v, e = _arctan_route(beta, t, 1)
-    return KernelValue(float(_osc(beta, t, PI / beta)) - v, e, label)
+    return KernelValue(*_on_contour(0.0, beta, t, 0.0), "contour")
 
 
 def psi(beta: float, t: float) -> KernelValue:
     """psi_b(t) = integral of phi_b over [0, t]: 1 - exp(-t) or 1 - cos t at
-    b = 1 or 2, inside rho_b + tau_b with tau_b on the arctangent route.
+    b = 1 or 2; inside, 1 minus the contour's inversion of s^(b-1) / (1 + s^b),
+    with psi_b(0) = 0 exactly.
 
-    psi_b(0) = 0, psi_b >= 0, and psi_b(t) -> 1 as t -> infinity for b < 2.
+    psi_b >= 0, and psi_b(t) -> 1 as t -> infinity for b < 2.
     """
     forms = _closed_forms(beta)  # DomainError unless 1 <= b <= 2
     if forms:
         return KernelValue(float(forms[1](t)[0]), 0.0, "closed_form")
-    rho = rho_kernel(beta, t)  # DomainError for t < 0 before the quadrature
-    tau_v, tau_e = _arctan_route(beta, t, 0)
-    return KernelValue(rho + tau_v, tau_e, "quadrature_primary")
+    v, e = _on_contour(1.0 - beta, beta, t, 1.0)
+    return KernelValue(1.0 - v, e, "contour")
 
 
 # Rows of t per block of a Laplace sum, and of ``eta_grid`` at b = 1 and 2:

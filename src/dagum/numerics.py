@@ -7,7 +7,7 @@ imported on the first call so that importing this module does not load scipy.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -17,26 +17,17 @@ from .errors import ConvergenceError, NoSignChangeError
 QUAD_TOL, QUAD_LIMIT = 1e-9, 4000
 
 
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    knots: Iterable[float] = (),
-) -> Tuple[float, float]:
+def integrate(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
     """``(value, err_estimate)`` of the integral of ``f`` over [lo, hi]; ``hi`` may be inf.
 
-    ``knots`` inside the range are break points for kinks or sharp features; on
-    [lo, inf) QUADPACK takes none, and ``quad`` raises its own ValueError.  A
-    QUADPACK failure raises ConvergenceError with the partial value.
+    A QUADPACK failure raises ConvergenceError with the partial value.
     """
     from scipy.integrate import quad
 
     if not lo < hi:
         raise ValueError("need lo < hi")
-    opts = dict(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=QUAD_LIMIT, full_output=1)
-    inner = sorted({float(k) for k in knots if lo < k < hi})
-    value, err, *info = quad(f, lo, hi, points=inner or None, **opts)
+    value, err, *info = quad(f, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=QUAD_LIMIT,
+                             full_output=1)
     if len(info) > 1:  # info[1]: QUADPACK's message, the first line its diagnosis
         failed = info[1].split("\n")[0]
         msg = f"quadrature did not converge: {failed} (estimate {value!r}, error {err!r})"

@@ -92,13 +92,15 @@ def test_criterion_04_laplace_and_cross_route():
     xs = (0.5, 1.0, 2.0, 5.0)
     worst_phi = max(K.laplace_check("phi", b, x) for b in betas for x in xs)
     worst_psi = max(K.laplace_check("psi", b, x) for b in betas for x in xs)
+    # the two routes: the contour, and the spectral rule every command runs
     worst_phi_route = max(
-        abs(K.phi(b, t, "primary").value - K.phi(b, t, "alternate").value)
+        abs(K.phi(b, t).value - float(K.phi_callable(b)(t)[0]))
         for b in betas
         for t in (0.5, 2.0, 10.0, 20.0)
     )
     worst_tau_route = max(
-        abs(K.tau_kernel(b, t, "primary").value - K.tau_kernel(b, t, "alternate").value)
+        abs(K.tau_kernel(b, t).value
+            - (float(K.spectral_rule(b).psi_values(t)[0]) - K.rho_kernel(b, t)))
         for b in betas
         for t in (0.0, 0.5, 2.0, 10.0, 20.0)
     )

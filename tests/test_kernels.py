@@ -58,36 +58,38 @@ def test_contour_tau_converges_near_one(beta, eta_series):
     # the poles s^b = -1 lie next to the branch cut there; the contour
     # encloses them
     for t in (1e-8, 1e-4, 0.5, 2.0, 20.0):
-        kv = K.tau_kernel(beta, t, "alternate")
+        kv = K.tau_kernel(beta, t)
         want = eta_series(1.0, beta, t) - K.rho_kernel(beta, t)
         assert abs(kv.value - want) <= kv.err_estimate + 1e-12, t
 
 
+def _rule_tau(beta, t):
+    """tau_b = psi_b - rho_b on the spectral rule, the route every command runs."""
+    return float(K.spectral_rule(beta).psi_values(t)[0]) - K.rho_kernel(beta, t)
+
+
 def test_tau_at_zero_and_routes():
     for beta in (1.25, 1.5):
-        kv = K.tau_kernel(beta, 0.0, "primary")
-        assert kv.value == pytest.approx(2.0 / beta - 1.0, abs=1e-9)
-        kv = K.tau_kernel(beta, 0.0, "alternate")
+        kv = K.tau_kernel(beta, 0.0)
         assert kv.value == 2.0 / beta - 1.0 and kv.err_estimate == 0.0
-    primary = K.tau_kernel(1.5, 2.0, "primary")
-    alternate = K.tau_kernel(1.5, 2.0, "alternate")
-    assert primary.route == "quadrature_primary"
-    assert alternate.route == "contour"
-    assert abs(primary.value - alternate.value) <= 1e-8
+        assert kv.route == "contour"
+        assert _rule_tau(beta, 0.0) == pytest.approx(2.0 / beta - 1.0, abs=1e-12)
+    kv = K.tau_kernel(1.5, 2.0)
+    assert kv.route == "contour"
+    assert abs(kv.value - _rule_tau(1.5, 2.0)) <= 1e-8
 
 
 @pytest.mark.parametrize("beta", CROSS_ROUTE_BETAS)
 def test_tau_cross_route_agreement(beta):
+    # the contour against the spectral rule
     for t in (0.0, 0.5, 2.0, 10.0, 20.0):
-        p = K.tau_kernel(beta, t, "primary")
-        a = K.tau_kernel(beta, t, "alternate")
-        assert abs(p.value - a.value) <= 1e-6
+        assert abs(K.tau_kernel(beta, t).value - _rule_tau(beta, t)) <= 1e-6
 
 
 @pytest.mark.parametrize("beta", (1.2, 1.5, 1.8))
 def test_tau_positive_and_decreasing(beta):
     ts = np.linspace(0.0, 25.0, 40)
-    vals = [K.tau_kernel(beta, float(t), "primary").value for t in ts]
+    vals = [K.tau_kernel(beta, float(t)).value for t in ts]
     assert all(v > 0.0 for v in vals)
     assert all(a >= b - 1e-10 for a, b in zip(vals[:-1], vals[1:]))
 
@@ -109,16 +111,16 @@ def test_phi_closed_forms():
 
 @pytest.mark.parametrize("beta", CROSS_ROUTE_BETAS)
 def test_phi_cross_route_agreement(beta):
+    # the contour against the spectral rule
+    phi_vec = K.phi_callable(beta)
     for t in (0.5, 2.0, 10.0, 20.0):
-        p = K.phi(beta, t, "primary")
-        a = K.phi(beta, t, "alternate")
-        assert abs(p.value - a.value) <= 1e-6
+        assert abs(K.phi(beta, t).value - float(phi_vec(t)[0])) <= 1e-6
 
 
 def test_phi_matches_endpoint_limits_nearby():
     for t in (0.3, 1.0, 3.0):
-        assert K.phi(1.001, t, "primary").value == pytest.approx(math.exp(-t), abs=2e-3)
-        assert K.phi(1.999, t, "primary").value == pytest.approx(math.sin(t), abs=2e-3)
+        assert K.phi(1.001, t).value == pytest.approx(math.exp(-t), abs=2e-3)
+        assert K.phi(1.999, t).value == pytest.approx(math.sin(t), abs=2e-3)
 
 
 # Within 2.5e-4 of b = 1 and b = 2, where exp(-t) and sin t
@@ -152,15 +154,13 @@ BAND_BETAS = (1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.00001, 1.0001, 1.0002, 1.00
 
 @pytest.mark.parametrize("beta", BAND_BETAS)
 def test_band_phi_and_psi_match_the_series(beta, eta_series):
-    # both routes converge right up to b = 1 and 2, each within its own
-    # error estimate
+    # the contour converges right up to b = 1 and 2, within its own error
+    # estimate
     for t in (0.01, 0.5, 1.0, 2.0, 6.0, 12.0, 18.85, 20.0):
         phi_series = eta_series(0.0, beta, t)
         for kv, want in ((K.phi(beta, t), phi_series), (K.psi(beta, t), eta_series(1.0, beta, t))):
-            assert kv.route == "quadrature_primary"
+            assert kv.route == "contour"
             assert abs(kv.value - want) <= kv.err_estimate + 1e-12, (t, kv)
-        kv = K.phi(beta, t, "alternate")
-        assert abs(kv.value - phi_series) <= kv.err_estimate + 1e-12, t
     for beta, t in ((1.0, 0.7), (2.0, 0.7), (1.0, 20.0), (2.0, 20.0)):
         assert K.phi(beta, t).route == K.psi(beta, t).route == "closed_form"
         assert K.phi(beta, t).err_estimate == K.psi(beta, t).err_estimate == 0.0
@@ -168,8 +168,8 @@ def test_band_phi_and_psi_match_the_series(beta, eta_series):
 
 @pytest.mark.parametrize("beta", (1.001, 1.02, 1.1, 1.5, 1.9, 1.999))
 def test_primary_routes_match_the_series(beta, eta_series):
-    # tau, phi and psi on the arctangent route, and tau and phi on the
-    # contour, within their own error estimates, down to t = 1e-8
+    # tau, phi and psi on the contour, the one scalar route, within their
+    # own error estimates, down to t = 1e-8
     for t in (1e-8, 4.4e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0):
         psi_series, phi_series = eta_series(1.0, beta, t), eta_series(0.0, beta, t)
         tau_series = psi_series - K.rho_kernel(beta, t)
@@ -177,20 +177,20 @@ def test_primary_routes_match_the_series(beta, eta_series):
             (K.tau_kernel(beta, t), tau_series),
             (K.phi(beta, t), phi_series),
             (K.psi(beta, t), psi_series),
-            (K.tau_kernel(beta, t, "alternate"), tau_series),
-            (K.phi(beta, t, "alternate"), phi_series),
         ):
             assert abs(kv.value - want) <= kv.err_estimate + 1e-12, (t, kv)
 
 
 @pytest.mark.parametrize("beta", BAND_BETAS + (1.001, 1.02, 1.1, 1.5, 1.9, 1.999))
 def test_contour_routes_match_the_series(beta, eta_series):
-    # the alternate tau and phi return at every t, tau(0) = 2/b - 1 and
-    # phi(0) = 0 exactly, and each is within its own error estimate
+    # tau, phi and psi return at every t, tau(0) = 2/b - 1 and phi(0) =
+    # psi(0) = 0 exactly, and each is within its own error estimate
     for t in (0.0, 1e-8, 1e-6, 1e-4, 0.01, 0.5, 2.0, 6.0, 12.0, 18.85, 20.0, 40.0):
-        tau_series = eta_series(1.0, beta, t) - K.rho_kernel(beta, t)
-        for kv, want in ((K.tau_kernel(beta, t, "alternate"), tau_series),
-                         (K.phi(beta, t, "alternate"), eta_series(0.0, beta, t))):
+        psi_series = eta_series(1.0, beta, t)
+        tau_series = psi_series - K.rho_kernel(beta, t)
+        for kv, want in ((K.tau_kernel(beta, t), tau_series),
+                         (K.phi(beta, t), eta_series(0.0, beta, t)),
+                         (K.psi(beta, t), psi_series)):
             assert kv.route == "contour"
             assert abs(kv.value - want) <= kv.err_estimate + 1e-12, (t, kv)
 
@@ -199,7 +199,7 @@ def test_psi_values_and_contract():
     assert K.psi(2.0, PI).value == pytest.approx(2.0, abs=1e-12)
     assert K.psi(1.0, 1.0).value == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
     for beta in (1.0, 1.3, 1.5, 1.8, 2.0):
-        assert abs(K.psi(beta, 0.0).value) <= 1e-9
+        assert K.psi(beta, 0.0).value == 0.0 and K.psi(beta, 0.0).err_estimate == 0.0
     ts = np.linspace(0.0, 30.0, 50)
     for beta in (1.2, 1.6):
         vals = [K.psi(beta, float(t)).value for t in ts]
@@ -209,20 +209,22 @@ def test_psi_values_and_contract():
 
 
 def test_psi_decomposition_identity():
+    # psi = rho + tau, psi on the spectral rule and tau on the contour
     for beta in (1.25, 1.6, 1.85):
+        rule = K.spectral_rule(beta)
         for t in (0.3, 2.0, 7.0):
-            p = K.psi(beta, t)
-            r = K.rho_kernel(beta, t)
-            tau = K.tau_kernel(beta, t, "alternate")
-            assert abs(p.value - r - tau.value) <= p.err_estimate + tau.err_estimate + 1e-12
+            tau = K.tau_kernel(beta, t)
+            gap = float(rule.psi_values(t)[0]) - K.rho_kernel(beta, t) - tau.value
+            assert abs(gap) <= tau.err_estimate + 1e-12
 
 
 def test_psi_matches_integral_of_phi():
-    # definition route: direct quadrature of phi over [0, t]
+    # definition route: direct quadrature of the contour's phi over [0, t],
+    # against the spectral rule's psi
     beta = 1.5
     for t in (0.5, 2.0, 5.0):
-        integral, _ = integrate(lambda s: K.phi(beta, s, "primary").value, 0.0, t)
-        assert K.psi(beta, t).value == pytest.approx(integral, abs=1e-6)
+        integral, _ = integrate(lambda s: K.phi(beta, s).value, 0.0, t)
+        assert K.spectral_rule(beta).psi_values(t)[0] == pytest.approx(integral, abs=1e-6)
 
 
 def test_psi_endpoint_convergence_modes():
@@ -515,24 +517,24 @@ def test_rule_values_match_written_out_formulas(beta):
 
 @pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.8, 1.98))
 def test_phi_table_matches_adaptive_route(beta):
-    # pin the spectral rule's phi to both adaptive routes at 130 points of the
-    # former phi table's knot grid over [1e-8, 40]; only the alternate route
-    # is independent of the rule's integral
+    # pin the spectral rule's phi to the contour, a route independent of the
+    # rule's integral, at 130 points of the former phi table's knot grid
+    # over [1e-8, 40]
     knots = np.concatenate(
         [np.geomspace(1e-8, 1.0, 400, endpoint=False), np.arange(1.0, 40.0 + 0.05, 0.05)]
     )
     knots = knots[knots <= 40.0]
     ts = knots[np.linspace(0, knots.size - 1, 130).round().astype(int)]
     phi_vec = K.phi_callable(beta)
-    for route in ("primary", "alternate"):
-        adaptive = np.array([K.phi(beta, float(t), route).value for t in ts])
-        assert np.max(np.abs(phi_vec(ts) - adaptive)) <= 1e-8, route
+    adaptive = np.array([K.phi(beta, float(t)).value for t in ts])
+    assert np.max(np.abs(phi_vec(ts) - adaptive)) <= 1e-8
     assert phi_vec(0.0)[0] == 0.0
 
 
 def test_phi_primary_resolves_small_t_tail():
-    # r e^{-t r} peaks at r = 1/t, near w = 1.6e-9 at this point
-    kv = K.phi(1.98, 1.4454e-4, "primary")
+    # the rule's r e^{-t r} peaks at r = 1/t, near w = 1.6e-9 at this point;
+    # the contour agrees there
+    kv = K.phi(1.98, 1.4454e-4)
     gap = abs(kv.value - K.spectral_rule(1.98).phi_values(1.4454e-4)[0])
     assert gap <= 1e-12
     assert gap <= kv.err_estimate + 1e-12
@@ -541,7 +543,7 @@ def test_phi_primary_resolves_small_t_tail():
 @pytest.mark.parametrize("beta", (1.02, 1.3, 1.5, 1.98))
 def test_phi_alternate_at_tiny_t(beta):
     # the contour at t = 1e-8 against the spectral rule
-    kv = K.phi(beta, 1e-8, "alternate")
+    kv = K.phi(beta, 1e-8)
     assert abs(kv.value - K.spectral_rule(beta).phi_values(1e-8)[0]) <= 1e-9
 
 
@@ -730,22 +732,22 @@ def test_eta_values_rejects_negative_and_nan_t():
             rule.eta_values(0.5, ts)
 
 
-@pytest.mark.parametrize("bad", (-1.0, math.nan))
+@pytest.mark.parametrize("bad", (-1.0, math.nan, math.inf))
 def test_every_kernel_route_rejects_negative_and_nan_t(bad):
     # a DomainError at the boundary, not an overflow warning, a quadrature
     # failure or a NaN value from the numerics
     scalar_routes = [
         lambda: K.rho_kernel(1.5, bad),
         lambda: K.tau_kernel(1.5, bad),
-        lambda: K.tau_kernel(1.5, bad, "alternate"),
         lambda: K.phi(1.5, bad),
-        lambda: K.phi(1.5, bad, "alternate"),
         lambda: K.phi(1.0, bad),
+        lambda: K.phi(2.0, bad),
         lambda: K.psi(1.5, bad),
         lambda: K.psi(2.0, bad),
         lambda: K.eta(0.5, 1.5, bad),
-        lambda: K.kappa(0.5, bad),
     ]
+    if bad != math.inf:  # kappa's t^(a-1) has a limit there
+        scalar_routes.append(lambda: K.kappa(0.5, bad))
     rule = K.spectral_rule(1.5)
     array_routes = [
         lambda: K.phi_callable(1.5)([1.0, bad]),
@@ -1049,6 +1051,19 @@ def test_eta_accepts_every_positive_alpha(alpha, eta_series):
     assert math.isfinite(K.eta(5e-324, 1.5, 2.0).value)
 
 
+@pytest.mark.parametrize("beta", (1.0 + 1e-9, 1.5, 1.99, 2.0))
+@pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, "1 - b"))
+def test_contour_at_tiny_t_matches_the_series(alpha, beta, eta_series):
+    # where the contour encloses the poles at sigma = 32/t, s^b would
+    # overflow and s^-a go subnormal; summed in w = t s, every value is
+    # finite, with no warning, and within its estimate, subnormal ones too
+    alpha = 1.0 - beta if alpha == "1 - b" else alpha
+    for t in (1e-300, 1e-250, 1e-200, 1e-160, 1e-132, 1e-100):
+        value, err = K._contour(alpha, beta, t)
+        want = eta_series(alpha, beta, t)
+        assert math.isfinite(value) and abs(value - want) <= err, (t, value, want, err)
+
+
 @pytest.mark.parametrize("beta", (1.0, 1.0 + 1e-9, 1.0001, 1.3, 1.5, 1.9, 1.9998, 2.0 - 1e-9, 2.0))
 def test_eta_matches_the_series(beta, eta_series):
     # at b = 1 and 2 exactly as inside, for alpha > 1 too, and out to t = 80
@@ -1070,7 +1085,7 @@ def test_eta_is_the_oracle_where_eta_grid_fails_near_one(eta_series):
 
 def test_eta_is_independent_of_the_scans():
     # it builds no spectral rule and loads no scipy module (a fresh
-    # interpreter, as other tests load scipy for the primary routes)
+    # interpreter, as other tests load scipy for ``laplace_check``)
     code = (
         "import sys; from dagum import kernels as K; K._RULES.cache_clear(); "
         "[K.eta(a, b, t) for a in (0.05, 0.5, 1.0, 2.0) for b in (1.0, 1.02, 1.5, 1.98, 2.0)"
@@ -1105,5 +1120,6 @@ def test_laplace_check_rejects_nan_x(kernel):
 
 
 def test_kernel_value_contract():
-    with pytest.raises(ValueError):
-        K.KernelValue(1.0, -1.0, "closed_form")
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            K.KernelValue(1.0, bad, "closed_form")

@@ -46,20 +46,6 @@ def test_nonconvergence_reports_partial():
     assert "maximum number of subdivisions (4000)" in str(exc.value)
 
 
-def test_knots_are_break_points_on_a_finite_range_only():
-    # |s - 1| e^{-s} plus a box of mass ~1 on [3, 3 + 1e-6], found only through its knots
-    f = lambda s: abs(s - 1.0) * math.exp(-s)  # noqa: E731
-    hi = 3.0 + 1e-6
-    box = lambda s: f(s) + (1e6 if 3.0 < s < hi else 0.0)  # noqa: E731
-    v, _ = integrate(box, 0.0, 40.0, knots=[-1.0, 1.0, 3.0, hi])
-    assert v == pytest.approx(2.0 / math.e - 40.0 * math.exp(-40.0) + 1e6 * (hi - 3.0), abs=1e-10)
-    # QUADPACK takes no break points on an infinite range; knots outside (lo, hi) are dropped
-    with pytest.raises(ValueError, match="Infinity inputs cannot be used with break points"):
-        integrate(f, 0.0, math.inf, knots=[1.0])
-    v, _ = integrate(f, 0.0, math.inf, knots=[-1.0, 0.0])
-    assert v == pytest.approx(2.0 / math.e, abs=1e-12)
-
-
 def test_maximize_one_minus_cos():
     t, v = maximize_1d(lambda t: 1.0 - np.cos(t), 0.0, 2.0 * PI, 1e-10)
     assert t == pytest.approx(PI, abs=1e-6)
