@@ -208,13 +208,15 @@ def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
     left = sigma * t >= 3.0
     if not left:
         sigma = max(32.0 / t, 6.25 * sigma0)
+    # sigma t; 32/t overflows below t = 1.8e-307, where sigma t is 32
+    st = sigma * t if sigma < math.inf else 32.0
     h = 3.0 / 32.0
-    u = h * np.arange(1 + int(math.sqrt((37.0 / (sigma * t) + 0.1309) / 0.1194) / h))
+    u = h * np.arange(1 + int(math.sqrt((37.0 / st + 0.1309) / 0.1194) / h))
     # below t = 1 (enclosing, sigma = 32/t) the sum runs in w = t s, as e^w w^-a
     # / (t^b + w^b) times t^(a+b-1) <= 1: at a tiny t, s^b overflows and s^-a
     # underflows; above, t^(a+b-1) may overflow where the value does not
     in_w = t < 1.0
-    r, tr, one = (sigma * t, 1.0, t ** beta) if in_w else (sigma, t, 1.0)
+    r, tr, one = (st, 1.0, t ** beta) if in_w else (sigma, t, 1.0)
     z = r * (0.1309 - 0.1194 * u * u + 0.25j * u)
     # e^{tz} F(z) z'(u) h / (2 pi i), over both halves; the u = 0 term is halved
     scale = r * h / PI * (0.25 + 0.2388j * u)

@@ -1,6 +1,8 @@
 import json
 import math
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -154,20 +156,27 @@ def test_psi_max_scans_psi_and_phi_from_one_block(monkeypatch):
 
 def test_psi_max_on_a_grid_scans_each_beta_once(monkeypatch):
     # the array form: one 127-point order-1 scan per beta inside (1, 2), one
-    # scan call per group, and Newton steps over the open cells of every beta
-    # of a group, each cell on its own rule
+    # scan call per group of at most BETA_CACHE_SIZE betas, and Newton steps
+    # over the open cells of every beta of a group, each cell on its own rule;
+    # lanes finish in any order, so the calls are taken sorted by beta
     betas = np.concatenate([[1.0], np.linspace(1.001, 1.999, 70), [2.0]])
-    calls = _record_jets(monkeypatch)
-    values = C.psi_max(betas)
-    scans = [(group, which) for order, group, _, which, _ in calls if order == 1]
-    steps = [which for order, _, _, which, _ in calls if order != 1]
-    groups = -(-70 // K.BETA_CACHE_SIZE)
-    assert np.concatenate([group for group, _ in scans]).tolist() == betas[1:-1].tolist()
-    assert all((np.bincount(which, minlength=group.size) == 127).all() for group, which in scans)
-    assert len(scans) == groups and all(order in (1, 2) for order, *_ in calls)
-    assert len(steps) <= 12 * groups
-    assert max(int(which.max()) for which in steps) == K.BETA_CACHE_SIZE - 1
-    assert values[0] == 1.0 and values[-1] == 2.0
+    for lanes in (1, 2):
+        monkeypatch.setattr(C, "_CPUS", lanes)
+        calls = _record_jets(monkeypatch)
+        values = C.psi_max(betas)
+        scans = sorted(((group, which) for order, group, _, which, _ in calls if order == 1),
+                       key=lambda scan: scan[0][0])
+        steps = [group for order, group, *_ in calls if order != 1]
+        groups = -(-70 // (K.BETA_CACHE_SIZE * lanes)) * lanes
+        assert np.concatenate([group for group, _ in scans]).tolist() == betas[1:-1].tolist()
+        assert all((np.bincount(which, minlength=group.size) == 127).all() for group, which in scans)
+        assert len(scans) == groups and all(order in (1, 2) for order, *_ in calls)
+        assert max(group.size for group, _ in scans) <= K.BETA_CACHE_SIZE
+        for group, _ in scans:  # at most 12 Newton steps, each on the betas of one group
+            assert 1 <= sum(np.array_equal(step, group) for step in steps) <= 12
+        assert len(steps) <= 12 * groups
+        assert values[0] == 1.0 and values[-1] == 2.0
+        monkeypatch.undo()
 
 
 def _grid_betas():
@@ -189,6 +198,67 @@ def test_psi_max_on_a_grid_equals_psi_max_at_each_beta(betas):
     assert isinstance(values, np.ndarray) and values.shape == betas.shape
     assert values.tobytes() == np.array([C.psi_max(float(b)) for b in betas]).tobytes()
     assert type(C.psi_max(float(betas[1]))) is float
+
+
+def test_psi_max_on_a_grid_is_the_same_on_any_number_of_lanes(monkeypatch):
+    # 3 lanes is more threads than a 2-CPU host has; a short switch interval
+    # interleaves the lanes' writes into the one result array
+    grids = _grid_betas()
+    monkeypatch.setattr(C, "_CPUS", 1)
+    serial = [C.psi_max(betas) for betas in grids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for lanes in (2, 3):
+            monkeypatch.setattr(C, "_CPUS", lanes)
+            for betas, want in zip(grids, serial):
+                assert np.array_equal(C.psi_max(betas), want), (lanes, betas.size)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_psi_max_at_one_beta_starts_no_thread(monkeypatch):
+    # a single beta, and so l(b) and the beta* solve, runs on the caller alone
+    monkeypatch.setattr(C, "_CPUS", 4)
+    monkeypatch.setattr(C.threading, "Thread", lambda *a, **k: pytest.fail("a thread started"))
+    assert 1.0 < C.psi_max(1.5) < 2.0
+    assert C.l_of_beta(1.5) > 0.0
+    assert 1.7 < C.beta_star() < 1.8
+    assert C.psi_max(np.linspace(1.2, 1.3, 16)).shape == (16,)
+
+
+def test_psi_max_lanes_run_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(C, "_CPUS", 3)
+    real, seen = C._psi_max_group, []
+    monkeypatch.setattr(C, "_psi_max_group", lambda bs: seen.append(np.geterr()["over"]) or real(bs))
+    with np.errstate(over="raise"):
+        C.psi_max(np.linspace(1.0, 2.0, 101))
+    assert len(seen) == 6 and set(seen) == {"raise"}
+
+
+@pytest.mark.parametrize("lanes", (2, 3))
+def test_psi_max_raises_the_first_error_in_group_order(monkeypatch, lanes):
+    # every group but the first raises, each error naming its first beta: the
+    # second group's is raised (the first and second groups always run, each
+    # first on its lane), after every lane has ended, though the threads'
+    # groups raise last
+    monkeypatch.setattr(C, "_CPUS", lanes)
+    real, betas, starts = C._psi_max_group, np.linspace(1.0, 2.0, 101), []
+
+    def group(bs):
+        starts.append(bs[0])
+        if bs[0] != betas[1]:
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            raise ValueError(bs[0])
+        return real(bs)
+
+    monkeypatch.setattr(C, "_psi_max_group", group)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as raised:
+        C.psi_max(betas)
+    assert threading.active_count() == before
+    assert len(starts) > 2 and raised.value.args == (sorted(starts)[1],)
 
 
 @pytest.mark.parametrize("bad", (math.nan, 0.999, 2.001, -math.inf))

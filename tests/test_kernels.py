@@ -1056,9 +1056,10 @@ def test_eta_accepts_every_positive_alpha(alpha, eta_series):
 def test_contour_at_tiny_t_matches_the_series(alpha, beta, eta_series):
     # where the contour encloses the poles at sigma = 32/t, s^b would
     # overflow and s^-a go subnormal; summed in w = t s, every value is
-    # finite, with no warning, and within its estimate, subnormal ones too
+    # finite, with no warning, and within its estimate, subnormal ones too,
+    # also at a subnormal t, where 32/t overflows
     alpha = 1.0 - beta if alpha == "1 - b" else alpha
-    for t in (1e-300, 1e-250, 1e-200, 1e-160, 1e-132, 1e-100):
+    for t in (5e-324, 1e-310, 1e-300, 1e-250, 1e-200, 1e-160, 1e-132, 1e-100):
         value, err = K._contour(alpha, beta, t)
         want = eta_series(alpha, beta, t)
         assert math.isfinite(value) and abs(value - want) <= err, (t, value, want, err)
