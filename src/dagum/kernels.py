@@ -1,42 +1,42 @@
 """Laplace-inversion kernels for the auxiliary family 1/(x^a (1+x^b)).
 
 The central object is phi_b, the density whose Laplace transform is
-1/(1+x^b) for 1 < b < 2.  Everything else is built from it:
+1/(1+x^b) for 1 <= b <= 2.  Everything else is built from it:
 
     psi_b(t)   = integral of phi_b over [0, t]   (transform 1/(x(1+x^b)))
     rho_b      = the oscillatory closed-form part of psi_b
     tau_b      = psi_b - rho_b, completely monotonic
-    eta_{a,b}  = fractional integral of phi_b; its sign decides complete
-                 monotonicity of 1/(x^a (1+x^b))
+    eta_{a,b}  = fractional integral of phi_b (transform 1/(x^a (1+x^b)));
+                 its sign decides complete monotonicity of 1/(x^a (1+x^b))
     kappa_a(t) = t^(a-1)/Gamma(a), the power-law Laplace density
 
-Each of phi, psi and eta is the residue term of the poles x = e^{+-i pi/b}
-of 1/(1+x^b), written once as ``_osc``, plus a branch-cut integral.
-``_closed_forms`` (which checks beta in [1, 2]) serves b = 1 and 2 exactly;
-the contour and the spectral rule below serve all of 1 < b < 2.
+``_closed_forms`` (which checks beta in [1, 2]) serves phi and psi at b = 1
+and 2 exactly.  Inside (1, 2) each kernel has two independent routes, which
+acceptance criterion 04 compares.
 
-Evaluation notes.  Each kernel has two routes inside (1, 2).  The scalar
-route of tau, phi, psi and ``eta`` inverts the closed-form transforms
-(``_contour``): 1/(1+s^b) for phi, s^(b-1)/(1+s^b) for 1 - psi (so psi,
-and tau = psi - rho) and s^-a/(1+s^b) for eta, by the trapezoid rule on a
-parabola around the branch cut, 30 to 109 complex exponentials a value,
-with no quadrature and no spectral rule.
+The contour (``_contour``) is the scalar route of tau, phi, psi and ``eta``,
+and of ``eta_grid`` at b = 1 and 2: it inverts the closed-form transforms
+1/(1+s^b) for phi, s^(b-1)/(1+s^b) for 1 - psi (so psi, and tau = psi -
+rho) and s^-a/(1+s^b) for eta, by the trapezoid rule on one parabola right
+of the poles, 30 to 1300 complex exponentials a value, with no quadrature
+and no spectral rule.
 
-Grid work, and so every command, goes through the spectral rule: one composite
-Gauss-Legendre rule of 800 nodes on the arctangent-substituted tau integral
-(``rule_rows``, for a group of betas at once), whose Laplace sums give psi,
-phi = rho' + tau', phi' (``psi_jets``) and eta, with alpha-dependent weights
-on the same nodes, on whole grids.  Its panels (``_panel_rule``) are the
-module's one composite rule: at b = 1 and 2 ``eta_grid`` integrates the
-closed-form phi on them, stretched over [0, 1].  The eta sign scans run on one
-grid t = k h (``eta_scan_grid``), where exp(-k h d) factors into a per-block
-and a per-row part: ``eta_scan`` is one matrix product per block, not one exp
-per (t, node).  Every Laplace-sum exponent is floored at -600, off numpy's slow
-exp range (-745, -707.7).  The contour checks it by an independent method.
+The spectral rule serves every grid, and so every command: the residue term
+of the poles x = e^{+-i pi/b} of 1/(1+x^b), written once as ``_osc``, plus
+the branch-cut integral on one composite Gauss-Legendre rule of 800 nodes
+(``_panel_rule``) on the arctangent-substituted tau integral (``rule_rows``,
+for a group of betas at once).  Its Laplace sums give psi, phi = rho' +
+tau', phi' (``psi_jets``) and eta, with alpha-dependent weights on the same
+nodes, on whole grids.  The eta sign scans run on one grid t = k h
+(``eta_scan_grid``), where exp(-k h d) factors into a per-block and a
+per-row part: ``eta_scan`` is one matrix product per block, not one exp per
+(t, node).  Every Laplace-sum exponent is floored at -600, off numpy's slow
+exp range (-745, -707.7).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -46,7 +46,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .numerics import integrate
 
 PI = math.pi
@@ -113,11 +113,11 @@ _GAUSS_LEGENDRE = tuple(
 _UNIT_BREAKS = np.array(sorted(set(_ladder(0.0, 1.0, (50, 30)) + [0.0, 1.0])))
 
 
-def _panel_rule(lo: float, hi) -> Tuple[np.ndarray, np.ndarray]:
+def _panel_rule(hi) -> Tuple[np.ndarray, np.ndarray]:
     """The spectral rule's (nodes, weights): ``_GAUSS_LEGENDRE`` on each of the
-    80 panels of ``_UNIT_BREAKS`` stretched over [lo, hi]; for a column of
+    80 panels of ``_UNIT_BREAKS`` stretched over [0, hi]; for a column of
     ``hi``, one row of each per hi, as if for that hi alone."""
-    breaks = lo + (hi - lo) * _UNIT_BREAKS
+    breaks = hi * _UNIT_BREAKS
     xg, wg = _GAUSS_LEGENDRE
     h = 0.5 * np.diff(breaks)[..., None]
     nodes = 0.5 * (breaks[..., :-1] + breaks[..., 1:])[..., None] + h * xg
@@ -179,59 +179,54 @@ def rho_kernel(beta: float, t: float) -> float:
 
 def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
     """(value, err_estimate) of eta_{a,b}(t), the inverse Laplace transform of
-    s^-a / (1 + s^b), for any real a, 1 <= b <= 2 and a finite t > 0: phi_b at
-    a = 0, 1 - psi_b at a = 1 - b.
+    s^-a / (1 + s^b), for real a >= 1 - b, 1 <= b <= 2 and a finite t > 0:
+    phi_b at a = 0, 1 - psi_b at a = 1 - b.  ConvergenceError if the sum is
+    not finite (s^-a overflows for a large a).
 
-    The trapezoid rule of step h = 3/32 on the parabola s = sigma z(u), z(u) =
-    0.1309 - 0.1194 u^2 + 0.25 i u (Weideman & Trefethen, Math. Comp. 76 (2007)
-    1341), which opens left around the branch cut s <= 0; by conjugate
-    symmetry over u >= 0 only, cut where e^(sigma t Re z) < e^-37.  It meets
-    the poles s^b = -1, at e^{+-i pi/b}, at sigma = sigma_0.  Where sigma =
-    min(0.4 sigma_0, 32/t) gives sigma t >= 3, it passes left of them and
-    their residues are added, ``_osc`` with shift (1 - a) pi/b; else sigma =
-    max(32/t, 6.25 sigma_0) and it encloses them, summed in w = t s for t < 1,
-    so that no power overflows at a tiny t.  So sigma t <= 47,
-    and e^(t Re s) < e^(0.1309 sigma t) < 500 bounds the sum's cancellation.  The
-    error estimate is |I_h - I_2h|, the gap to the sum on every other node
-    (the rule converges geometrically in 1/h), plus 64 eps times the moduli
-    of the terms and, on the left, (1 + t) times the residues' amplitude: the
-    rounding of the sum and of the residues' phase; in w, 2^-1074 (1 + the
-    moduli) more, for t^(a+b-1) and the value where they are subnormal.
+    The trapezoid rule on the parabola s(y) = v - c y^2 + i y, which passes
+    right of the poles x + i y0 = e^{+-i pi/b} and around the branch cut s <= 0
+    (Weideman & Trefethen, Math. Comp. 76 (2007) 1341; Garrappa, SIAM J.
+    Numer. Anal. 53 (2015) 1350): m = min(1/2, 3/t), v = max(4.19/t, x +
+    2 m y0) and c = min(1/(4v), (v - x - m y0)/y0^2), so it clears the pole by
+    m y0 at height y0 and e^(v t) <= e^6 bounds the sum's cancellation.  The
+    value is (h/pi) times the sum over nodes y = k h >= 0 (conjugate symmetry)
+    of Re[e^(s t) F(s) (1 + 2 i c y)], the first halved, cut where
+    e^(t Re s) = e^-37.  The step is h = 2 pi d / (55 + t d), d the distance
+    in y to the nearest root of s(y) = 0 or s(y) = x + i y0.  All of it runs
+    in w = r s, r = min(t, 1) (x, y0, v and y times r, c over r), as
+    e^(w t/r) w^-a / (r^b + w^b) times r^(a+b-1) <= 1, so that no power of s
+    overflows or underflows at a tiny t.
+    The error estimate is |I_h - I_2h|, the gap to the sum on every other
+    node (the rule converges geometrically in 1/h), plus 64 eps times the
+    moduli of the terms, for the rounding of the sum, and 2^-1074 (1 + the
+    moduli), where r^(a+b-1) and the value are subnormal.
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"the contour needs a finite t > 0, got {t}")
-    x, y = math.cos(PI / beta), math.sin(PI / beta)
-    # sigma_0 z(y / (0.25 sigma_0)) = x + iy: 0.1309 sigma_0^2 - x sigma_0 = q
-    q = 0.1194 / 0.25 ** 2 * y * y
-    sigma0 = 2.0 * q / (math.sqrt(x * x + 4.0 * 0.1309 * q) - x)
-    sigma = min(0.4 * sigma0, 32.0 / t)
-    left = sigma * t >= 3.0
-    if not left:
-        sigma = max(32.0 / t, 6.25 * sigma0)
-    # sigma t; 32/t overflows below t = 1.8e-307, where sigma t is 32
-    st = sigma * t if sigma < math.inf else 32.0
-    h = 3.0 / 32.0
-    u = h * np.arange(1 + int(math.sqrt((37.0 / st + 0.1309) / 0.1194) / h))
-    # below t = 1 (enclosing, sigma = 32/t) the sum runs in w = t s, as e^w w^-a
-    # / (t^b + w^b) times t^(a+b-1) <= 1: at a tiny t, s^b overflows and s^-a
-    # underflows; above, t^(a+b-1) may overflow where the value does not
-    in_w = t < 1.0
-    r, tr, one = (st, 1.0, t ** beta) if in_w else (sigma, t, 1.0)
-    z = r * (0.1309 - 0.1194 * u * u + 0.25j * u)
-    # e^{tz} F(z) z'(u) h / (2 pi i), over both halves; the u = 0 term is halved
-    scale = r * h / PI * (0.25 + 0.2388j * u)
-    terms = np.exp(tr * z) * z ** -alpha / (one + z ** beta) * scale
+    r = min(t, 1.0)
+    tr, x, y0 = t / r, r * math.cos(PI / beta), r * math.sin(PI / beta)
+    m = min(0.5, 3.0 / t)
+    v = max(4.19 / tr, x + 2.0 * m * y0)
+    c = 0.25 / v
+    if y0 * y0 != 0.0:  # 0 at b = 1 and a tiny t, where the pole is on the axis
+        c = min(c, (v - x - m * y0) / (y0 * y0))
+    d = math.inf
+    for z in (0.0, complex(x, y0)):  # both roots y of c y^2 - i y + z - v = 0
+        q = cmath.sqrt(4.0 * c * (v - z) - 1.0)
+        d = min(d, abs(((1j + q) / (2.0 * c)).imag), abs(((1j - q) / (2.0 * c)).imag))
+    h = 2.0 * PI * d / (55.0 + tr * d)
+    y = h * np.arange(1 + int(math.sqrt((37.0 / tr + v) / c) / h))
+    w, dw = v - c * y * y + 1j * y, h / PI * (1.0 + 2j * c * y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(tr * w) * w ** -alpha / (r ** beta + w ** beta) * dw
     terms[0] *= 0.5
+    moduli = float(np.abs(terms).sum())
+    if not moduli < math.inf:  # also a NaN
+        raise ConvergenceError(f"the contour sum is not finite at (a, b, t) = {(alpha, beta, t)}")
     fine = float(terms.real.sum())
-    err = abs(fine - 2.0 * float(terms.real[::2].sum()))
-    rounding = float(np.abs(terms).sum())
-    if in_w:  # t^(a+b-1) and the product each round by up to 2^-1075 if subnormal
-        unit, err = t ** (alpha + beta - 1.0), err + 64.0 * sys.float_info.epsilon * rounding
-        return fine * unit, err * unit + (1.0 + rounding) * math.ulp(0.0)
-    if left:
-        fine += float(_osc(beta, t, (1.0 - alpha) * (PI / beta)))
-        rounding += (1.0 + t) * (2.0 / beta) * math.exp(t * x)
-    return fine, err + 64.0 * sys.float_info.epsilon * rounding
+    err = abs(fine - 2.0 * float(terms.real[::2].sum())) + 64.0 * sys.float_info.epsilon * moduli
+    unit = r ** (alpha + beta - 1.0)
+    return fine * unit, err * unit + (1.0 + moduli) * math.ulp(0.0)
 
 
 def _on_contour(alpha: float, beta: float, t: float, at_zero: float) -> Tuple[float, float]:
@@ -277,7 +272,7 @@ def psi(beta: float, t: float) -> KernelValue:
     return KernelValue(1.0 - v, e, "contour")
 
 
-# Rows of t per block of a Laplace sum, and of ``eta_grid`` at b = 1 and 2:
+# Rows of t per block of a Laplace sum:
 # 256 rows x 800 nodes is about 1.6 MB; rows gathered from several rules go
 # 16 to a block (``psi_jets``), and the sign scan reuses one block of 128 rows
 # (``PsiEvaluator.eta_scan``).
@@ -291,8 +286,8 @@ _SCAN_POINTS = 4096  # of the sign-scan grid: 32 blocks of ``_SCAN_ROWS``
 def eta_scan_grid(beta: float) -> np.ndarray:
     """The one grid of every eta sign scan: t_k = k h, k < 4096, on
     [0, scan_range(b, 6) = 6 pi / sin(pi/b)], so h = t_max / 4095 (at least
-    4.6e-3, at b = 2).  ``eta_scan`` and ``classify.eta_negative_witness``
-    both read it."""
+    4.6e-3, at b = 2; 146 at b = 1 + 1e-5).  ``eta_scan`` and
+    ``classify.eta_negative_witness`` both read it."""
     return np.arange(_SCAN_POINTS) * (scan_range(beta, 6.0) / (_SCAN_POINTS - 1))
 
 
@@ -378,7 +373,7 @@ def rule_rows(betas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     small-y kink at w = (2-b) pi."""
     consts = [(*_consts(b), (2.0 - b) * PI, 1.0 / b) for b in betas.tolist()]
     sigma, c, span, power = np.array(consts).T[:, :, None]
-    d, weights = _panel_rule(0.0, span)
+    d, weights = _panel_rule(span)
     np.subtract(np.divide(sigma, np.tan(d, out=d), out=d), c, out=d)  # the nodes, in place
     return np.power(np.maximum(d, 0.0, out=d), power, out=d), weights
 
@@ -441,7 +436,8 @@ class PsiEvaluator:
         B is floored, plus the residue ``_osc``.  B and E but for v come from
         ``_scan_basis``, held for the next scan of the same beta (a ``c_bounds``
         bisection).  Values differ from ``eta_values`` and ``phi_values`` by
-        rounding (about 1e-14).  DomainError for a outside [0, 1]; a NaN a gives NaN.
+        rounding (about 1e-14), which may differ between BLAS thread counts.
+        DomainError for a outside [0, 1]; a NaN a gives NaN.
         """
         if alpha < 0.0 or alpha > 1.0:
             raise DomainError(f"the scan requires 0 <= alpha <= 1, got {alpha}")
@@ -527,15 +523,17 @@ def phi_callable(beta: float) -> Callable:
 
 def eta(alpha: float, beta: float, t: float) -> KernelValue:
     """Fractional integral (1/Gamma(a)) int_0^t (t-s)^(a-1) phi_b(s) ds, for
-    every a > 0, b in [1, 2] and finite t > 0.
+    every finite a > 0, b in [1, 2] and finite t > 0.
 
     The sign of eta decides complete monotonicity of 1/(x^a (1+x^b)); at
     a = 1 it reduces to psi_b(t).  ``_contour`` inverts its Laplace transform
     s^-a / (1+s^b): no quadrature and no spectral rule, so it checks
-    ``eta_grid`` and the sign scans independently.
+    ``eta_grid`` inside (1, 2) and the sign scans independently.
+    DomainError for an a that is not finite and > 0; ConvergenceError where
+    s^-a overflows on the contour (a in the hundreds).
     """
-    if not alpha > 0.0:
-        raise DomainError(f"eta requires alpha > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:  # also a NaN
+        raise DomainError(f"eta requires a finite alpha > 0, got {alpha}")
     _closed_forms(beta)  # DomainError unless 1 <= b <= 2
     return KernelValue(*_contour(alpha, beta, t), "contour")
 
@@ -560,27 +558,18 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     near 0.8: about 1e-9 at b = 1 + 1e-5, 1e-8 at 1 + 1e-6 and 2e-7 at
     1 + 1e-7; for t >= 0.005, 6e-5 at 1 + 1e-9 and 0.2 at 1 + 1e-12; below
     t = 0.005 more: at (b, a, t) = (1 + 1e-9, 0.01, 1e-6) it returns 1.305
-    where eta is 0.876 (``eta`` is the oracle there).  At
-    b = 1 and 2, for any a > 0, eta(t) = (t^a / Gamma(1 + a)) int_0^1
-    phi(t (1 - xi^(1/a))) d(xi) with the closed-form phi, on the spectral
-    rule's panels over [0, 1] (``_panel_rule(0, 1)``), ``_BLOCK_ROWS`` rows
-    of t at a time; within about 1e-11 of the exact value for a in [0.01, 6]
-    and t up to 18.  t is read by ``_grid``: the result has its shape, at
-    least one dimension, at every b.
+    where eta is 0.876 (``eta`` is the oracle there).  At b = 1 and 2,
+    for any finite a > 0, it is ``eta`` at each t > 0, one contour each, and
+    0 at t = 0.  t is read by ``_grid``: the result has its shape, at least
+    one dimension, at every b.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
     ts = _grid(ts)
-    forms = _closed_forms(beta)
-    if forms is None:
+    if _closed_forms(beta) is None:
         return spectral_rule(beta).eta_values(alpha, ts)
-    xi, wq = _panel_rule(0.0, 1.0)
-    shrink, flat = 1.0 - xi ** (1.0 / alpha), ts.ravel()
-    sums = np.empty(flat.size)
-    for start in range(0, flat.size, _BLOCK_ROWS):
-        rows = flat[start : start + _BLOCK_ROWS]
-        sums[start : start + _BLOCK_ROWS] = forms[0](np.outer(rows, shrink)) @ wq
-    return ts ** alpha / math.gamma(1.0 + alpha) * sums.reshape(ts.shape)
+    values = [eta(alpha, beta, t).value if t else 0.0 for t in ts.ravel().tolist()]
+    return np.array(values).reshape(ts.shape)
 
 
 def laplace_check(kernel: str, beta: float, x: float, alpha: Optional[float] = None) -> float:
