@@ -17,9 +17,8 @@ acceptance criterion 04 compares.
 The contour (``_contour``) is the scalar route of tau, phi, psi and ``eta``,
 and of ``eta_grid`` at b = 1 and 2: it inverts the closed-form transforms
 1/(1+s^b) for phi, s^(b-1)/(1+s^b) for 1 - psi (so psi, and tau = psi -
-rho) and s^-a/(1+s^b) for eta, by the trapezoid rule on one parabola right
-of the poles, 30 to 1300 complex exponentials a value, with no quadrature
-and no spectral rule.
+rho) and s^-a/(1+s^b) for eta, by the trapezoid rule on a parabola (at most
+about 3500 nodes), with no quadrature and no spectral rule.
 
 The spectral rule serves every grid, and so every command: the residue term
 of the poles x = e^{+-i pi/b} of 1/(1+x^b), written once as ``_osc``, plus
@@ -180,53 +179,60 @@ def rho_kernel(beta: float, t: float) -> float:
 def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
     """(value, err_estimate) of eta_{a,b}(t), the inverse Laplace transform of
     s^-a / (1 + s^b), for real a >= 1 - b, 1 <= b <= 2 and a finite t > 0:
-    phi_b at a = 0, 1 - psi_b at a = 1 - b.  ConvergenceError if the sum is
-    not finite (s^-a overflows for a large a).
+    phi_b at a = 0, 1 - psi_b at a = 1 - b; ConvergenceError if it overflows.
 
-    The trapezoid rule on the parabola s(y) = v - c y^2 + i y, which passes
-    right of the poles x + i y0 = e^{+-i pi/b} and around the branch cut s <= 0
-    (Weideman & Trefethen, Math. Comp. 76 (2007) 1341; Garrappa, SIAM J.
-    Numer. Anal. 53 (2015) 1350): m = min(1/2, 3/t), v = max(4.19/t, x +
-    2 m y0) and c = min(1/(4v), (v - x - m y0)/y0^2), so it clears the pole by
-    m y0 at height y0 and e^(v t) <= e^6 bounds the sum's cancellation.  The
-    value is (h/pi) times the sum over nodes y = k h >= 0 (conjugate symmetry)
-    of Re[e^(s t) F(s) (1 + 2 i c y)], the first halved, cut where
-    e^(t Re s) = e^-37.  The step is h = 2 pi d / (55 + t d), d the distance
-    in y to the nearest root of s(y) = 0 or s(y) = x + i y0.  All of it runs
-    in w = r s, r = min(t, 1) (x, y0, v and y times r, c over r), as
-    e^(w t/r) w^-a / (r^b + w^b) times r^(a+b-1) <= 1, so that no power of s
-    overflows or underflows at a tiny t.
-    The error estimate is |I_h - I_2h|, the gap to the sum on every other
-    node (the rule converges geometrically in 1/h), plus 64 eps times the
-    moduli of the terms, for the rounding of the sum, and 2^-1074 (1 + the
-    moduli), where r^(a+b-1) and the value are subnormal.
+    The trapezoid rule, in w = t s, on the parabola w(y) = v - c y^2 + i y
+    around the branch cut (Weideman & Trefethen, Math. Comp. 76 (2007) 1341;
+    Garrappa, SIAM J. Numer. Anal. 53 (2015) 1350) that takes fewer nodes of
+    two: the one right of the poles x + i y0 = t e^{+-i pi/b}, clear of them
+    by m y0, m = min(1/2, 3/t): v = max(4.19, x + 2 m y0), c = min(1/(4v),
+    (v - x - m y0)/y0^2) (about 12 t nodes at b = 2); and the free one, v =
+    4.19, c = 1/(4v) (32 nodes, more near a pole).  Poles right of the parabola
+    (at a large t) add their residues -(2/b) e^x cos(y0 + (1 - a) pi/b).  The
+    step is h = 2 pi d / (55 + d), d the distance in y to the nearest root of
+    w(y) = 0 or, if x >= -74 (a pole further left has residues below e^-74),
+    of w(y) = x + i y0.  The value is h/pi times the sum over y = k h >= 0 of
+    Re[e^w w^-a (1 + 2 i c y) / (r^b + (w/q)^b)], the first term halved, cut
+    at Re w = -37, times r^(a+b-1) q^(a-1), r = min(t, 1) and q = max(t, 1),
+    so that no power of w overflows at any t.  At most about 3500 nodes (3434
+    at b = 1.1681, t = 82.27, the most found).  The error estimate is
+    |I_h - I_2h| (I_2h on every other node), plus 64 eps times the terms'
+    moduli, 2^-1074 (1 + the moduli) for a subnormal value, and 64 eps (1 + t
+    + |1 - a|), at most 2, times the residues' amplitude.
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"the contour needs a finite t > 0, got {t}")
-    r = min(t, 1.0)
-    tr, x, y0 = t / r, r * math.cos(PI / beta), r * math.sin(PI / beta)
-    m = min(0.5, 3.0 / t)
-    v = max(4.19 / tr, x + 2.0 * m * y0)
-    c = 0.25 / v
-    if y0 * y0 != 0.0:  # 0 at b = 1 and a tiny t, where the pole is on the axis
-        c = min(c, (v - x - m * y0) / (y0 * y0))
-    d = math.inf
-    for z in (0.0, complex(x, y0)):  # both roots y of c y^2 - i y + z - v = 0
-        q = cmath.sqrt(4.0 * c * (v - z) - 1.0)
-        d = min(d, abs(((1j + q) / (2.0 * c)).imag), abs(((1j - q) / (2.0 * c)).imag))
-    h = 2.0 * PI * d / (55.0 + tr * d)
-    y = h * np.arange(1 + int(math.sqrt((37.0 / tr + v) / c) / h))
+    turn = PI / beta - 0.5 * PI  # exact, so that x = 0 at b = 2
+    x, y0 = -t * math.sin(turn), t * math.cos(turn)
+    m, yy = min(0.5, 3.0 / t), y0 * y0  # yy is 0 at b = 1 and a tiny t, inf at a huge t
+    v = max(4.19, x + 2.0 * m * y0)
+    c = min(0.25 / v, (v - x - m * y0) / yy) if 0.0 < yy < math.inf else 0.25 / v
+    points = (0.0, complex(x, y0)) if x >= -74.0 else (0.0,)
+    n = math.inf
+    for v_, c_ in ((v, c), (4.19, 0.25 / 4.19)):
+        roots = [cmath.sqrt(4.0 * c_ * (v_ - z) - 1.0) for z in points]  # y = (i +- root) / 2c
+        d = min(abs(((1j + sign * root) / (2.0 * c_)).imag) for root in roots for sign in (1.0, -1.0))
+        h_ = 2.0 * PI * d / (55.0 + d)
+        if h_ > 0.0 and math.sqrt((37.0 + v_) / c_) / h_ < n:
+            v, c, h, n = v_, c_, h_, math.sqrt((37.0 + v_) / c_) / h_
+    y = h * np.arange(1 + int(n))
+    r, q = min(t, 1.0), max(t, 1.0)
     w, dw = v - c * y * y + 1j * y, h / PI * (1.0 + 2j * c * y)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(tr * w) * w ** -alpha / (r ** beta + w ** beta) * dw
+        terms = np.exp(w) * w ** -alpha / (r ** beta + (w / q) ** beta) * dw
+        unit = float(np.power(r, alpha + beta - 1.0) * np.power(q, alpha - 1.0))
     terms[0] *= 0.5
     moduli = float(np.abs(terms).sum())
-    if not moduli < math.inf:  # also a NaN
+    if not moduli * unit < math.inf:  # also a NaN
         raise ConvergenceError(f"the contour sum is not finite at (a, b, t) = {(alpha, beta, t)}")
     fine = float(terms.real.sum())
     err = abs(fine - 2.0 * float(terms.real[::2].sum())) + 64.0 * sys.float_info.epsilon * moduli
-    unit = r ** (alpha + beta - 1.0)
-    return fine * unit, err * unit + (1.0 + moduli) * math.ulp(0.0)
+    value, err = fine * unit, err * unit + (1.0 + moduli) * math.ulp(0.0)
+    if x > v - c * yy:  # the poles lie right of the parabola
+        amp = (2.0 / beta) * math.exp(x)
+        value -= amp * math.cos(y0 + (1.0 - alpha) * (PI / beta))
+        err += min(2.0, 64.0 * sys.float_info.epsilon * (1.0 + t + abs(1.0 - alpha))) * amp
+    return value, err
 
 
 def _on_contour(alpha: float, beta: float, t: float, at_zero: float) -> Tuple[float, float]:
@@ -530,7 +536,8 @@ def eta(alpha: float, beta: float, t: float) -> KernelValue:
     s^-a / (1+s^b): no quadrature and no spectral rule, so it checks
     ``eta_grid`` inside (1, 2) and the sign scans independently.
     DomainError for an a that is not finite and > 0; ConvergenceError where
-    s^-a overflows on the contour (a in the hundreds).
+    the contour's sum or its factor t^(a-1) overflows (a in the hundreds, or
+    a = 3 at t = 1e300).
     """
     if not 0.0 < alpha < math.inf:  # also a NaN
         raise DomainError(f"eta requires a finite alpha > 0, got {alpha}")
@@ -560,14 +567,17 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     t = 0.005 more: at (b, a, t) = (1 + 1e-9, 0.01, 1e-6) it returns 1.305
     where eta is 0.876 (``eta`` is the oracle there).  At b = 1 and 2,
     for any finite a > 0, it is ``eta`` at each t > 0, one contour each, and
-    0 at t = 0.  t is read by ``_grid``: the result has its shape, at least
-    one dimension, at every b.
+    0 at t = 0; an infinite or NaN a raises DomainError there, whatever t
+    holds.  t is read by ``_grid``: the result has its shape, at least one
+    dimension, at every b.
     """
     if alpha <= 0.0:
         raise DomainError("eta requires alpha > 0")
     ts = _grid(ts)
-    if _closed_forms(beta) is None:
+    if _closed_forms(beta) is None:  # a NaN alpha gives NaN here, as in ``eta_values``
         return spectral_rule(beta).eta_values(alpha, ts)
+    if not alpha < math.inf:  # also a NaN, and at t = 0 or an empty t too
+        raise DomainError(f"eta requires a finite alpha > 0, got {alpha}")
     values = [eta(alpha, beta, t).value if t else 0.0 for t in ts.ravel().tolist()]
     return np.array(values).reshape(ts.shape)
 

@@ -39,6 +39,38 @@ def eta_series():
 
 
 @pytest.fixture(scope="session")
+def eta_cut():
+    """eta_{a,b}(t) for 1 < b <= 2 at any t, also where the series would need
+    more digits than e^t has: the residues -(2/b) e^{t cos A} cos(t sin A +
+    (1-a) A), A = pi/b, of the poles of s^-a / (1 + s^b), at 30 + log10(t)
+    digits, so that the phase keeps 30; the powers t^(a-kb-1) / Gamma(a-kb) of
+    its terms (-1)^k s^(kb-a) for kb <= a; and, at 30 digits, the branch-cut
+    integral (1/pi) int_0^inf e^{-rt} Im G(r e^{-i pi}) dr of the rest
+    G = (-1)^n s^(nb-a) / (1 + s^b), n the first k with kb > a, regular at
+    r = 0."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def cut(alpha: float, beta: float, t: float) -> float:
+        with mpmath.workdps(30 + max(0, int(mpmath.log10(t)))):
+            a, b, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(t)
+            turn = mpmath.pi / b
+            phase = t * mpmath.sin(turn) + (1 - a) * turn
+            total = -2 / b * mpmath.exp(t * mpmath.cos(turn)) * mpmath.cos(phase)
+        with mpmath.workdps(30):
+            n = 0
+            while n * b - a <= 0:
+                total += (-1) ** n * t ** (a - n * b - 1) * mpmath.rgamma(a - n * b)
+                n += 1
+            c = n * b - a
+            rest = lambda u: mpmath.exp(-u) * mpmath.im(  # noqa: E731
+                (u / t) ** c * mpmath.expjpi(-c) / (1 + (u / t) ** b * mpmath.expjpi(-b)))
+            total += (-1) ** n * mpmath.quad(rest, [0, 1, 10, 60, mpmath.inf]) / (mpmath.pi * t)
+            return float(total)
+
+    return cut
+
+
+@pytest.fixture(scope="session")
 def psi_objective():
     """rule -> the golden-section oracles' objective, psi_b on that rule: a
     float at one t and an array on an array of t, as ``maximize_1d`` calls it."""

@@ -968,8 +968,9 @@ def test_eta_grid_domain():
     # the endpoint bands take any finite alpha > 0
     assert K.eta_grid(1.5, 2.0, [0.0])[0] == 0.0
     for alpha, beta in ((math.inf, 1.0), (math.nan, 2.0)):
-        with pytest.raises(DomainError, match="alpha"):
-            K.eta_grid(alpha, beta, [0.5])
+        for ts in ([0.5], [0.0], []):
+            with pytest.raises(DomainError, match="alpha"):
+                K.eta_grid(alpha, beta, ts)
 
 
 def test_held_gauss_legendre_table():
@@ -1044,6 +1045,9 @@ def test_eta_domain():
     for alpha, t in ((1000.0, 10.0), (1e308, 2.0)):
         with pytest.raises(ConvergenceError):
             K.eta(alpha, 1.5, t)
+    # t^(a-1) overflows where the value does: 1e600 / 2 at a = 3, t = 1e300
+    with pytest.raises(ConvergenceError):
+        K.eta(3.0, 1.5, 1e300)
     with pytest.raises(DomainError):
         K.eta(0.5, 1.5, 0.0)
     with pytest.raises(DomainError):
@@ -1072,6 +1076,33 @@ def test_contour_at_tiny_t_matches_the_series(alpha, beta, eta_series):
         value, err = K._contour(alpha, beta, t)
         want = eta_series(alpha, beta, t)
         assert math.isfinite(value) and abs(value - want) <= err, (t, value, want, err)
+
+
+@pytest.mark.parametrize("beta", (1.5, 1.9, 2.0))
+@pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, "1 - b", 2.0))
+def test_contour_at_large_t_matches_the_cut_integral(alpha, beta, eta_cut):
+    # past the series' reach; at b = 2 the residues keep amplitude 1, and their
+    # phase t sin(pi/b) rounds by about t eps, which the estimate holds
+    alpha = 1.0 - beta if alpha == "1 - b" else alpha
+    for t in (1e3, 1e6, 1e12, 1e300):
+        value, err = K._contour(alpha, beta, t)
+        want = eta_cut(alpha, beta, t)
+        assert math.isfinite(value) and abs(value - want) <= err, (t, value, want, err)
+        assert t > 1e6 or abs(value - want) <= 1e-10 * max(1.0, abs(want)), (t, value, want)
+
+
+def test_contour_takes_a_bounded_number_of_nodes(monkeypatch):
+    # at most about 3500 nodes at every t: the parabola that encloses the
+    # poles takes about 12 t of them at b = 2 and 42 sqrt(t) at b = 1.5, and
+    # the free one is summed there; 3434 is the most found, at b = 1.1681
+    counts = []
+    arange = np.arange
+    monkeypatch.setattr(np, "arange", lambda n: counts.append(n) or arange(n))
+    for beta in (1.0, 1.0 + 1e-9, 1.1681084021, 1.5, 1.9, 2.0 - 1e-9, 2.0):
+        for t in (5e-324, 1e-3, 1.0, 10.0, 82.26592835, 1e3, 1e6, 1e12, 1e31, 1e300):
+            K._contour(0.5, beta, t)
+            assert counts[-1] <= 3500, (beta, t, counts[-1])
+    assert max(counts) > 3000  # the ridge at b = 1.1681, t = 82.27
 
 
 @pytest.mark.parametrize("beta", (1.0, 1.0 + 1e-9, 1.0001, 1.3, 1.5, 1.9, 1.9998, 2.0 - 1e-9, 2.0))
