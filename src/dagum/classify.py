@@ -9,17 +9,15 @@ upgrades a verdict to Proven in the positive direction.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
-import os
-import threading
 from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import models as M
+from . import numerics as N
 from . import taylor as ta
 from .errors import DomainError
 from .kernels import (
@@ -35,9 +33,6 @@ from .kernels import (
 from .numerics import find_root
 
 PI = math.pi
-
-# CPUs the process may run on: the most threads ``psi_max`` runs a grid on.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Citation labels carried verbatim in verdicts so downstream consumers can
 # audit the basis of each decision (see README for the label vocabulary).
@@ -96,12 +91,12 @@ def psi_max(beta):
     just the best one: near b = 2 two humps are almost equally high.  The n
     betas inside go in evenly sized groups of at most ``BETA_CACHE_SIZE``, their
     count a multiple of the lanes, min(CPUs the process may run on, ceil(n /
-    16)): the caller runs every lanes-th group from the first, and one thread
-    per further lane from its own first group, in a copy of the caller's
-    context (so ``np.errstate`` holds there too).  One beta, or up to 16,
-    starts no thread.  The first error in group order is raised once every
-    lane has ended.  Each group's rules are built at once by ``rule_rows``
-    (not taken from the rule cache) and its grids as one array.
+    16)), on ``numerics.run_lanes``: the caller is lane 0, each further lane a
+    thread in a copy of the caller's context (so ``np.errstate`` holds there
+    too).  One beta, or up to 16, starts no thread.  The first error in group
+    order is raised once every lane has ended.  Each group's rules are built
+    at once by ``rule_rows`` (not taken from the rule cache) and its grids as
+    one array.
     The scan is one ``psi_jets`` call of psi and phi for the whole group, each
     beta's grid its own one-rule block.  The roots come from bracketed Newton
     on phi, each step one ``psi_jets`` call of psi, phi and phi' for the open
@@ -114,28 +109,14 @@ def psi_max(beta):
     if not ((1.0 <= flat) & (flat <= 2.0)).all():
         raise DomainError("psi_max requires beta in [1, 2]")
     inner = np.flatnonzero((1.0 < flat) & (flat < 2.0))  # Psi(1) = 1, Psi(2) = 2
-    lanes = max(1, min(_CPUS, -(-inner.size // 16)))
+    lanes = max(1, min(N.CPUS, -(-inner.size // 16)))
     count = -(-inner.size // (BETA_CACHE_SIZE * lanes)) * lanes
     groups = np.array_split(inner, count) if count else []
-    errors = {}
 
-    def lane(first: int) -> None:
-        for k in range(first, len(groups), lanes):
-            try:  # each group writes its own betas of flat
-                flat[groups[k]] = _psi_max_group(flat[groups[k]].tolist())
-            except BaseException as exc:  # raised by the caller, after the join
-                errors[k] = exc
-                return
+    def group(k: int) -> None:  # each group writes its own betas of flat
+        flat[groups[k]] = _psi_max_group(flat[groups[k]].tolist())
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(lane, first))
-               for first in range(1, lanes)]
-    for thread in threads:
-        thread.start()
-    lane(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[min(errors)]
+    N.run_lanes(group, count, lanes)
     return float(out) if out.ndim == 0 else out
 
 

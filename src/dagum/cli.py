@@ -220,13 +220,7 @@ def _cmd_psd(ns: argparse.Namespace) -> str:
         dims = [int(d) for d in ns.dims.split(",") if d]
     except ValueError:
         raise DomainError(f"--dims must be comma-separated integers, got {ns.dims!r}") from None
-    if not dims or min(dims) < 1 or ns.n < 2 or ns.sets < 1:
-        raise DomainError("need dims >= 1, n >= 2, sets >= 1")
-    reports = []
-    for d in dims:
-        for k in range(ns.sets):
-            ps = F.random_point_set(d, ns.n, ns.seed, trial=k)
-            reports.append(F.psd_check(ns.model, params, ps, ns.convention))
+    reports = F.psd_checks(ns.model, params, dims, ns.n, ns.sets, ns.seed, ns.convention)
     return psd_reports_to_csv(reports)
 
 

@@ -11,13 +11,16 @@ Conflating the two is the most likely usage bug.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import models as M
+from . import numerics as N
 from .errors import DegenerateFitError, DomainError, NotPermissibleError, NumericOverflowError
 
 EIG_TOL = 1e-8
@@ -36,6 +39,11 @@ FIT_POINTS = 17
 _PROFILE_STREAM = 2024
 _SEARCH_STREAM = 77
 
+# numpy's eigvalsh holds the GIL unless its stack has more than this many
+# matrix rows in all (measured on numpy 2.4.6), so ``psd_checks`` solves its
+# sets in stacks of the fewest that pass it.
+_GIL_FREE_ROWS = 500
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -52,7 +60,7 @@ class PointSet:
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
         object.__setattr__(self, "points", pts)
-        pairs = _sq_distances(pts)[np.tri(len(pts), k=-1, dtype=bool)]
+        pairs = _sq_distances(pts)
         if not pairs.all():  # an equal or underflowing pair
             raise DomainError("points must be distinct")
         object.__setattr__(self, "_sq_pairs", pairs)
@@ -84,13 +92,27 @@ class Profile:
     params: Dict[str, float]
 
 
+@functools.lru_cache(maxsize=4)
+def _lower(n: int) -> np.ndarray:
+    """``np.tri(n, k=-1)`` as a read-only mask, so that threads may share it:
+    the pairs i > j of n points, row by row."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _sq_distances(pts: np.ndarray) -> np.ndarray:
-    # Even and odd coordinates summed apart, then added, one (n, n) square at a
-    # time: the two-lane order of einsum("ijk,ijk->ij"), so psd rows keep their bits.
+    # One squared distance per pair i > j, in _lower order: c[i] is c repeated
+    # 0, 1, ..., n - 1 times, c[j] the masked rows of c broadcast to (n, n).
+    # Even and odd coordinates summed apart, then added: the two-lane order
+    # of einsum("ijk,ijk->ij"), so psd rows keep their bits.
+    n = len(pts)
+    lower = _lower(n)
     lanes = [0.0, 0.0]
     with np.errstate(over="ignore"):
         for k, c in enumerate(pts.T):
-            sq = np.subtract.outer(c, c)
+            sq = np.repeat(c, np.arange(n))
+            sq -= np.broadcast_to(c, (n, n))[lower]
             lanes[k % 2] = np.add(lanes[k % 2], np.square(sq, out=sq), out=sq)
         d2 = np.add(lanes[0], lanes[1], out=lanes[0])
     if not d2.max(initial=0.0) < math.inf:  # the sums are >= 0 or inf
@@ -117,13 +139,13 @@ def gram_matrix(
     p, evaluator = M.make_model(model_id, params)
     # One evaluation per unordered pair, written to both (i, j) and (j, i);
     # distinct points have positive distances, where every family is defined.
-    lower = np.tri(ps.n_points, k=-1, dtype=bool)
     arg = np.sqrt(ps._sq_pairs) if convention == "plain_distance" else ps._sq_pairs
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = evaluator(p, arg)
     del arg  # freed before the n x n output is allocated
     if not np.isfinite(values).all():
         raise NumericOverflowError(f"{model_id} leaves the float range")
+    lower = _lower(ps.n_points)
     out = np.ones(lower.shape)
     out[lower] = out.T[lower] = values
     return out
@@ -141,15 +163,15 @@ def psd_check(
     finding is a concrete witness against positive definiteness in this
     dimension.
     """
-    g = gram_matrix(model_id, params, ps, convention)
-    return _psd_report(g, model_id, params, ps, convention)
+    eigs = np.linalg.eigvalsh(gram_matrix(model_id, params, ps, convention))
+    return _psd_report(eigs, model_id, params, ps, convention)
 
 
 def _psd_report(
-    g: np.ndarray, model_id: str, params: Mapping[str, float], ps: PointSet, convention: str
+    eigs: np.ndarray, model_id: str, params: Mapping[str, float], ps: PointSet, convention: str
 ) -> PsdReport:
-    # the verdict rule of psd_check and nonpsd_search, on a Gram matrix built once
-    eigs = np.linalg.eigvalsh(g)
+    # the verdict rule of psd_check, psd_checks and nonpsd_search, on the
+    # ascending eigenvalues of the set's Gram matrix
     mn, mx = float(eigs[0]), float(eigs[-1])
     return PsdReport(
         model_id=model_id,
@@ -178,6 +200,62 @@ def random_point_set(dimension: int, n_points: int, seed: int, trial: int = 0) -
     rng = _rng(seed, _SEARCH_STREAM, trial)
     pts = rng.uniform(0.0, 10.0, size=(n_points, dimension))
     return PointSet(dimension, pts, id=f"uniform-d{dimension}-n{n_points}-s{seed}-t{trial}")
+
+
+def psd_checks(
+    model_id: str,
+    params: Mapping[str, float],
+    dims: Sequence[int],
+    n_points: int,
+    n_sets: int,
+    seed: int = 0,
+    convention: str = "squared_distance",
+) -> List[PsdReport]:
+    """``psd_check`` of sets 0 .. n_sets - 1 of ``random_point_set(d, n_points,
+    seed, set)`` for each d in ``dims``, in (dimension, set) order.
+
+    The sets go in chunks of consecutive sets, each of the fewest k with
+    k n_points > 500 (3 at n = 200), where numpy's stacked ``eigvalsh``
+    releases the GIL.  A chunk's point sets and Gram matrices are built in
+    turn and solved by one stacked ``eigvalsh`` call, which gives each matrix
+    the bits of its own call.  The chunks run on ``numerics.run_lanes``, on
+    min(CPUs the process may run on // BLAS threads, chunks) lanes, at least
+    one.  BLAS threads is ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
+    else the CPU count, as OpenBLAS reads them, so a process that leaves them
+    unset starts no thread.  Once every lane has ended, the first error in
+    set order is raised.
+    """
+    dims = list(dims)
+    if not dims or min(dims) < 1 or n_points < 2 or n_sets < 1:
+        raise DomainError("need dims >= 1, n >= 2, sets >= 1")
+    sets = [(d, k) for d in dims for k in range(n_sets)]
+    size = _GIL_FREE_ROWS // n_points + 1
+    chunks = [sets[s:s + size] for s in range(0, len(sets), size)]
+    reports: List[List[PsdReport]] = [[] for _ in chunks]
+
+    def solve(c: int) -> None:  # each chunk writes its own reports
+        pss, grams = [], np.empty((len(chunks[c]), n_points, n_points))
+        for g, (d, k) in zip(grams, chunks[c]):
+            pss.append(random_point_set(d, n_points, seed, k))
+            g[...] = gram_matrix(model_id, params, pss[-1], convention)
+        eigs = np.linalg.eigvalsh(grams)
+        reports[c] = [_psd_report(e, model_id, params, ps, convention) for e, ps in zip(eigs, pss)]
+
+    lanes = max(1, min(N.CPUS // _blas_threads(), len(chunks)))
+    N.run_lanes(solve, len(chunks), lanes)
+    return [r for chunk in reports for r in chunk]
+
+
+def _blas_threads() -> int:
+    # OpenBLAS's own rule: the first positive count of these, else one per CPU
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return N.CPUS
 
 
 def nonpsd_search(
@@ -230,7 +308,7 @@ def nonpsd_search(
         g = gram_matrix(model_id, params, ps, convention)
         if screen and _cholesky_completes(g):
             continue
-        report = _psd_report(g, model_id, params, ps, convention)
+        report = _psd_report(np.linalg.eigvalsh(g), model_id, params, ps, convention)
         if report.verdict == "indefinite":
             return ps, report
     return None

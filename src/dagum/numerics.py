@@ -1,4 +1,5 @@
-"""Adaptive quadrature, 1-D maximization and bracketed root-finding.
+"""Adaptive quadrature, 1-D maximization, bracketed root-finding and the
+lanes that run a list of independent jobs on several CPUs.
 
 Quadrature is QUADPACK (Piessens et al., 1983) via ``scipy.integrate.quad``,
 imported on the first call so that importing this module does not load scipy.
@@ -6,12 +7,18 @@ imported on the first call so that importing this module does not load scipy.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, NoSignChangeError
+
+# CPUs the process may run on: the most lanes a caller asks ``run_lanes`` for.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # QUADPACK's absolute and relative tolerance and subdivision budget, per call.
 QUAD_TOL, QUAD_LIMIT = 1e-9, 4000
@@ -106,3 +113,34 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         else:
             b, fb = c, fc
             fa, kept = (0.5 * fa if kept == -1 else fa), -1
+
+
+def run_lanes(job: Callable[[int], None], count: int, lanes: int) -> None:
+    """``job(k)`` for every k in range(count), on ``lanes`` lanes.
+
+    The caller runs every lanes-th k from 0, and one thread per further lane
+    every lanes-th k from its own first, in a copy of the caller's context (so
+    ``np.errstate`` holds there too).  One lane starts no thread.  A lane stops
+    at its first error; once every lane has ended, the first error in k order
+    is raised.  Lanes overlap only in numpy calls that release the GIL, and
+    each job must write only its own results.
+    """
+    errors = {}
+
+    def lane(first: int) -> None:
+        for k in range(first, count, lanes):
+            try:
+                job(k)
+            except BaseException as exc:  # raised by the caller, after the join
+                errors[k] = exc
+                return
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(lane, first))
+               for first in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    lane(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dagum import classify as C
 from dagum import kernels as K
+from dagum import numerics as N
 from dagum import taylor as ta
 from dagum.errors import DomainError
 from dagum.kernels import PsiEvaluator, spectral_rule
@@ -161,7 +162,7 @@ def test_psi_max_on_a_grid_scans_each_beta_once(monkeypatch):
     # lanes finish in any order, so the calls are taken sorted by beta
     betas = np.concatenate([[1.0], np.linspace(1.001, 1.999, 70), [2.0]])
     for lanes in (1, 2):
-        monkeypatch.setattr(C, "_CPUS", lanes)
+        monkeypatch.setattr(N, "CPUS", lanes)
         calls = _record_jets(monkeypatch)
         values = C.psi_max(betas)
         scans = sorted(((group, which) for order, group, _, which, _ in calls if order == 1),
@@ -204,13 +205,13 @@ def test_psi_max_on_a_grid_is_the_same_on_any_number_of_lanes(monkeypatch):
     # 3 lanes is more threads than a 2-CPU host has; a short switch interval
     # interleaves the lanes' writes into the one result array
     grids = _grid_betas()
-    monkeypatch.setattr(C, "_CPUS", 1)
+    monkeypatch.setattr(N, "CPUS", 1)
     serial = [C.psi_max(betas) for betas in grids]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for lanes in (2, 3):
-            monkeypatch.setattr(C, "_CPUS", lanes)
+            monkeypatch.setattr(N, "CPUS", lanes)
             for betas, want in zip(grids, serial):
                 assert np.array_equal(C.psi_max(betas), want), (lanes, betas.size)
     finally:
@@ -219,8 +220,8 @@ def test_psi_max_on_a_grid_is_the_same_on_any_number_of_lanes(monkeypatch):
 
 def test_psi_max_at_one_beta_starts_no_thread(monkeypatch):
     # a single beta, and so l(b) and the beta* solve, runs on the caller alone
-    monkeypatch.setattr(C, "_CPUS", 4)
-    monkeypatch.setattr(C.threading, "Thread", lambda *a, **k: pytest.fail("a thread started"))
+    monkeypatch.setattr(N, "CPUS", 4)
+    monkeypatch.setattr(N.threading, "Thread", lambda *a, **k: pytest.fail("a thread started"))
     assert 1.0 < C.psi_max(1.5) < 2.0
     assert C.l_of_beta(1.5) > 0.0
     assert 1.7 < C.beta_star() < 1.8
@@ -228,7 +229,7 @@ def test_psi_max_at_one_beta_starts_no_thread(monkeypatch):
 
 
 def test_psi_max_lanes_run_under_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(C, "_CPUS", 3)
+    monkeypatch.setattr(N, "CPUS", 3)
     real, seen = C._psi_max_group, []
     monkeypatch.setattr(C, "_psi_max_group", lambda bs: seen.append(np.geterr()["over"]) or real(bs))
     with np.errstate(over="raise"):
@@ -242,7 +243,7 @@ def test_psi_max_raises_the_first_error_in_group_order(monkeypatch, lanes):
     # second group's is raised (the first and second groups always run, each
     # first on its lane), after every lane has ended, though the threads'
     # groups raise last
-    monkeypatch.setattr(C, "_CPUS", lanes)
+    monkeypatch.setattr(N, "CPUS", lanes)
     real, betas, starts = C._psi_max_group, np.linspace(1.0, 2.0, 101), []
 
     def group(bs):

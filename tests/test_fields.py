@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dagum import cli
 from dagum import fields as F
 from dagum import models as M
+from dagum import numerics as N
 from dagum.errors import DomainError, NotPermissibleError, NumericOverflowError
 
 
@@ -69,6 +74,114 @@ def test_proven_cm_models_pass_psd_on_random_sets():
                 ps = F.random_point_set(d, 60, seed=11, trial=trial)
                 report = F.psd_check(model, params, ps, "squared_distance")
                 assert report.verdict == "psd", (model, params, d, trial)
+
+
+# (model, params, dims, n, sets, convention): 14 sets in chunks of 3, the last
+# of 2; 14 in chunks of 9 and 5; 40 in chunks of 17, 17 and 6
+PSD_LANE_CASES = (
+    ("cauchy", {"theta": 1.5, "eta": 0.7}, (1, 3), 200, 7, "squared_distance"),
+    ("cauchy", {"theta": 1.5, "eta": 0.7}, (1, 3), 60, 7, "squared_distance"),
+    ("dagum5", {"gamma": 1.0, "epsilon": 0.5}, (1, 3), 30, 20, "plain_distance"),
+)
+
+
+@pytest.mark.parametrize("case", PSD_LANE_CASES, ids=("n200", "n60", "n30"))
+def test_psd_checks_are_the_same_on_any_number_of_lanes(monkeypatch, case):
+    # each set's report is psd_check's on that set, in (dimension, set) order;
+    # 3 lanes is more threads than a 2-CPU host has, and a short switch
+    # interval interleaves the lanes
+    model_id, params, dims, n, sets, convention = case
+    want = cli.psd_reports_to_csv([
+        F.psd_check(model_id, params, F.random_point_set(d, n, 5, k), convention)
+        for d in dims for k in range(sets)
+    ])
+    chunks = -(-len(dims) * sets // (500 // n + 1))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    real, started = N.threading.Thread, []
+    monkeypatch.setattr(N.threading, "Thread", lambda *a, **k: started.append(1) or real(*a, **k))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(N, "CPUS", lanes)
+            started.clear()
+            got = F.psd_checks(model_id, params, dims, n, sets, 5, convention)
+            assert cli.psd_reports_to_csv(got) == want, lanes
+            assert len(started) == min(lanes, chunks) - 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "cpus, env, lanes",
+    (
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (6, {}, 1),
+        (6, {"OPENBLAS_NUM_THREADS": "6"}, 1),
+        (6, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+        (6, {"OMP_NUM_THREADS": "6"}, 1),
+        (6, {"OPENBLAS_NUM_THREADS": "x"}, 1),
+        (6, {"OPENBLAS_NUM_THREADS": "2"}, 3),
+        (6, {"OMP_NUM_THREADS": "3"}, 2),
+        (6, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"}, 4),
+        (6, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "3"}, 2),
+    ),
+)
+def test_psd_checks_take_the_cpus_the_blas_leaves_free(monkeypatch, cpus, env, lanes):
+    # BLAS threads: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per
+    # CPU; lanes: CPUs // BLAS threads, at most the 4 chunks, and at least one,
+    # which starts no thread
+    monkeypatch.setattr(N, "CPUS", cpus)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    real, started = N.threading.Thread, []
+
+    def thread(*args, **kwargs):
+        if lanes == 1:
+            pytest.fail("a thread started")
+        started.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(N.threading, "Thread", thread)
+    reports = F.psd_checks("dagum", {"beta": 0.5, "gamma": 1.0}, (1, 2, 3), 30, 20, seed=1)
+    assert [r.point_set_id for r in reports] == [
+        f"uniform-d{d}-n30-s1-t{k}" for d in (1, 2, 3) for k in range(20)
+    ]
+    assert len(started) == lanes - 1
+
+
+@pytest.mark.parametrize("lanes", (2, 3))
+def test_psd_checks_raise_the_first_error_in_set_order(monkeypatch, lanes):
+    # chunks of 3 sets: every set past the first chunk raises, naming itself;
+    # the second chunk's first set is raised (the first and second chunks
+    # always run, each first on its lane), after every lane has ended, though
+    # the threads' chunks raise last
+    monkeypatch.setattr(N, "CPUS", lanes)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    real, built = F.gram_matrix, []
+
+    def gram(model_id, params, ps, convention):
+        built.append(ps.id)
+        if not ps.id.endswith(("-t0", "-t1", "-t2")):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            raise ValueError(ps.id)
+        return real(model_id, params, ps, convention)
+
+    monkeypatch.setattr(F, "gram_matrix", gram)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as raised:
+        F.psd_checks("dagum", {"beta": 0.5, "gamma": 1.0}, (1,), 200, 12)
+    assert threading.active_count() == before
+    assert len(built) == 3 + lanes and raised.value.args == ("uniform-d1-n200-s0-t3",)
+
+
+def test_psd_checks_reject_empty_budgets():
+    for dims, n, sets in (((), 5, 1), ((0, 1), 5, 1), ((1,), 1, 1), ((1,), 5, 0)):
+        with pytest.raises(DomainError, match="^need dims >= 1, n >= 2, sets >= 1$"):
+            F.psd_checks("dagum", {"beta": 0.5, "gamma": 1.0}, dims, n, sets)
 
 
 def test_nonpsd_search_proven_cm_finds_nothing():
@@ -350,15 +463,15 @@ def test_gram_entries_are_the_model_evaluator(model_id, convention):
     for d in (1, 3):
         ps = F.random_point_set(d, 30, seed=9)
         g = F.gram_matrix(model_id, params, ps, convention)
-        arg = F._sq_distances(ps.points)
+        arg = F._sq_distances(ps.points)  # the pairs of the strict lower triangle
         if convention == "plain_distance":
             arg = np.sqrt(arg)
-        off = ~np.eye(30, dtype=bool)
-        assert np.array_equal(g[off], ref(arg[off]))
+        lower = np.tri(30, k=-1, dtype=bool)
+        assert np.array_equal(g[lower], ref(arg)) and np.array_equal(g.T[lower], ref(arg))
         assert np.all(np.diag(g) == 1.0)
         # the scalar path agrees up to the last bit of numpy's array power
-        scalar = [rho(float(x)) for x in arg[off]]
-        assert np.allclose(g[off], scalar, rtol=1e-12, atol=0.0)
+        scalar = [rho(float(x)) for x in arg]
+        assert np.allclose(g[lower], scalar, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("spacing", (math.nan, math.inf, 0.0, -1.0))
@@ -452,10 +565,9 @@ def test_sq_distances_sum_even_and_odd_coordinates_apart(d):
     rng = np.random.default_rng(d)
     for _ in range(3):
         pts = rng.uniform(-10.0, 10.0, (37, d)) * rng.uniform(1e-3, 1e3, d)
-        d2 = F._sq_distances(pts)
-        assert d2.tobytes() == _sq_distances_written_out(pts).tobytes()
-        assert np.array_equal(d2, d2.T)
-        assert np.all(np.diag(d2) == 0.0)
+        lower = np.tri(len(pts), k=-1, dtype=bool)
+        want = _sq_distances_written_out(pts)
+        assert F._sq_distances(pts).tobytes() == want[lower].tobytes()
 
 
 @pytest.mark.parametrize(
