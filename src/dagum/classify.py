@@ -62,7 +62,7 @@ class Certificate:
     """Refutation witness: a sign violation at a concrete location."""
 
     kind: str  # derivative_sign | eta_sign
-    location: float | str
+    location: float
     order: Optional[int]
     value: float
 
@@ -211,7 +211,7 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
     if near.size > 1 or abs(vals[i] - ETA_NEGATIVE_THRESHOLD) <= 1e-12:
         vals[near] = scan(ts[near])
         i = int(near[np.argmin(vals[near])])
-    if vals[i] >= ETA_NEGATIVE_THRESHOLD:
+    if not vals[i] < ETA_NEGATIVE_THRESHOLD:
         return None
     fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)], 64)
     fvals = scan(fine)

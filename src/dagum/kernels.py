@@ -14,23 +14,23 @@ The central object is phi_b, the density whose Laplace transform is
 and 2 exactly.  Inside (1, 2) each kernel has two independent routes, which
 acceptance criterion 04 compares.
 
-The contour (``_contour``) is the scalar route of tau, phi, psi and ``eta``,
-and of ``eta_grid`` at b = 1 and 2: it inverts the closed-form transforms
-1/(1+s^b) for phi, s^(b-1)/(1+s^b) for 1 - psi (so psi, and tau = psi -
-rho) and s^-a/(1+s^b) for eta, by the trapezoid rule on a parabola (at most
-about 3500 nodes), with no quadrature and no spectral rule.
+The contour (``_contour``) is the scalar route of tau, phi, psi and ``eta``:
+it inverts the closed-form transforms 1/(1+s^b) for phi, s^(b-1)/(1+s^b) for
+1 - psi (so psi, and tau = psi - rho) and s^-a/(1+s^b) for eta, by the
+trapezoid rule on a parabola (at most about 3500 nodes), with no quadrature
+and no spectral rule.
 
-The spectral rule serves every grid, and so every command: the residue term
-of the poles x = e^{+-i pi/b} of 1/(1+x^b), written once as ``_osc``, plus
-the branch-cut integral on one composite Gauss-Legendre rule of 800 nodes
-(``_panel_rule``) on the arctangent-substituted tau integral (``rule_rows``,
-for a group of betas at once).  Its Laplace sums give psi, phi = rho' +
-tau', phi' (``psi_jets``) and eta, with alpha-dependent weights on the same
-nodes, on whole grids.  The eta sign scans run on one grid t = k h
-(``eta_scan_grid``), where exp(-k h d) factors into a per-block and a
-per-row part: ``eta_scan`` is one matrix product per block, not one exp per
-(t, node).  Every Laplace-sum exponent is floored at -600, off numpy's slow
-exp range (-745, -707.7).
+The spectral rule serves the grids from t = 1e-6 on (``_routed``), and so
+every command: the residue term of the poles x = e^{+-i pi/b} of 1/(1+x^b),
+written once as ``_osc``, plus the branch-cut integral on one composite
+Gauss-Legendre rule of 800 nodes (``_panel_rule``) on the
+arctangent-substituted tau integral (``rule_rows``, for a group of betas at
+once).  Its Laplace sums give psi, phi = rho' + tau', phi' (``psi_jets``)
+and eta, with alpha-dependent weights on the same nodes, on whole grids.
+The eta sign scans run on one grid t = k h (``eta_scan_grid``), where
+exp(-k h d) factors into a per-block and a per-row part: ``eta_scan`` is
+one matrix product per block, not one exp per (t, node).  Every Laplace-sum
+exponent is floored at -600, off numpy's slow exp range (-745, -707.7).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .numerics import integrate
 
 PI = math.pi
 
-ETA_GRID_T_FLOOR = 1e-6  # smallest positive t of eta on the rule; scans start above 4.6e-3
+ETA_GRID_T_FLOOR = 1e-6  # smallest t > 0 of the grid kernels on the rule; scans start above 4.6e-3
 
 
 @dataclass(frozen=True)
@@ -409,8 +409,8 @@ class PsiEvaluator:
         return psi_jets(np.array([self.beta]), self._decay[None], self._weights[None], order)(ts)
 
     def _eta_weights(self, alpha: float) -> np.ndarray:
-        """The v_i of ``eta_grid``'s branch-cut sum; DomainError unless
-        0 < a <= 1 (a NaN passes and gives NaN weights)."""
+        """The v_i of ``eta_values``; DomainError unless 0 < a <= 1 (a NaN
+        passes and gives NaN weights)."""
         if alpha <= 0.0 or alpha > 1.0:
             raise DomainError(f"eta on the rule requires 0 < alpha <= 1, got {alpha}")
         b, d = self.beta, self._decay
@@ -419,8 +419,16 @@ class PsiEvaluator:
         ) / (PI * _consts(b)[0] * b)
 
     def eta_values(self, alpha: float, ts) -> np.ndarray:
-        """eta_{a,b} by the branch-cut sum of ``eta_grid``: DomainError unless
-        0 < a <= 1 and each t is 0 or >= ``ETA_GRID_T_FLOOR``; NaN a gives NaN."""
+        """eta_{a,b}(t) = t^(a-1)/Gamma(a) - (2/b) e^{t cos A} cos(t sin A +
+        (1-a) A) + sum_i v_i e^{-t d_i} (A = pi/b, nodes d_i, weights w_i,
+        v_i = w_i d_i^(1-a) [sin(pi (b-a)) - d_i^b sin(pi a)] / (pi sigma b)),
+        the branch-cut inversion of 1/(x^a (1+x^b)) - x^-a, and 0 at t = 0.
+        It holds for a < b + 1, but does not resolve d^(1-a) at a > 1 (4e-6 off
+        at b = 1.5, a = 2), nor the cancellation below t = 1e-6 (-27061 for
+        eta = 6e-9 at b = 1.98, t = 1e-8): DomainError unless 0 < a <= 1 and
+        each t is 0 or >= ``ETA_GRID_T_FLOOR``; a NaN a gives NaN.  It drifts
+        toward b = 1 (0.2 off at 1 + 1e-12) and at t near 1e-6 toward b = 2
+        (4e-10 at 2 - 1e-8, 3e-8 at 2 - 1e-12)."""
         v = self._eta_weights(alpha)
         ts = np.asarray(ts, dtype=float)
         if np.any((ts != 0.0) & ~(ts >= ETA_GRID_T_FLOOR)):  # also a negative or NaN t
@@ -517,14 +525,27 @@ def spectral_rule(beta: float) -> PsiEvaluator:
         return _RULES(beta)
 
 
-def phi_callable(beta: float) -> Callable:
-    """Vectorized t -> phi_b(t) for t >= 0.
+def _routed(ts, rule: Optional[Callable], scalar: Callable) -> np.ndarray:
+    """The grid kernels' route rule, in ``_grid(ts)``'s shape: the array route
+    ``rule`` (None if none serves) at t = 0 and each t >= ``ETA_GRID_T_FLOOR``,
+    ``scalar`` (the contour) at every other t > 0, and 0 at t = 0 without one."""
+    ts = _grid(ts)
+    far = (rule is not None) & ((ts == 0.0) | (ts >= ETA_GRID_T_FLOOR))
+    out = np.zeros(ts.shape)
+    if far.any():
+        out[far] = rule(ts[far])
+    near = ~far & (ts > 0.0)
+    out[near] = [scalar(t).value for t in ts[near].tolist()]
+    return out
 
-    exp(-t) and sin t at b = 1 and b = 2; on 1 < b < 2 the spectral rule's
-    ``phi_values`` (the phi of ``psi_max``).  Each keeps t's shape, at least 1-D.
-    """
+
+def phi_callable(beta: float) -> Callable:
+    """Vectorized t -> phi_b(t) for t >= 0, in t's shape, at least 1-D: by
+    ``_routed``, exp(-t) or sin t at b = 1 or 2, else the spectral rule's
+    ``phi_values`` (the phi of ``psi_max``), and ``phi``."""
     forms = _closed_forms(beta)
-    return forms[0] if forms else spectral_rule(beta).phi_values
+    rule = forms[0] if forms else spectral_rule(beta).phi_values
+    return lambda ts: _routed(ts, rule, lambda t: phi(beta, t))
 
 
 def eta(alpha: float, beta: float, t: float) -> KernelValue:
@@ -533,8 +554,8 @@ def eta(alpha: float, beta: float, t: float) -> KernelValue:
 
     The sign of eta decides complete monotonicity of 1/(x^a (1+x^b)); at
     a = 1 it reduces to psi_b(t).  ``_contour`` inverts its Laplace transform
-    s^-a / (1+s^b): no quadrature and no spectral rule, so it checks
-    ``eta_grid`` inside (1, 2) and the sign scans independently.
+    s^-a / (1+s^b): no quadrature and no spectral rule, so it checks the
+    rule's ``eta_values`` and the sign scans independently.
     DomainError for an a that is not finite and > 0; ConvergenceError where
     the contour's sum or its factor t^(a-1) overflows (a in the hundreds, or
     a = 3 at t = 1e300).
@@ -546,40 +567,17 @@ def eta(alpha: float, beta: float, t: float) -> KernelValue:
 
 
 def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
-    """Vectorized eta_{a,b} over a grid of t >= 0 (for threshold scans).
-
-    For 1 < b < 2, the branch-cut inversion of 1/(x^a (1+x^b)) - x^(-a) on
-    the spectral rule's nodes d_i, weights w_i (A = pi/b, sigma = -sin(b pi)):
-
-        eta(t) = t^(a-1)/Gamma(a) - (2/b) e^{t cos A} cos(t sin A + (1-a) A)
-                 + sum_i v_i e^{-t d_i},   eta(0) = 0,
-        v_i = w_i d_i^(1-a) [sin(pi (b-a)) - d_i^b sin(pi a)] / (pi sigma b).
-
-    It holds for 0 < a < b + 1, but for a > 1 the rule does not resolve the
-    endpoint singularity of d^(1-a) (4e-6 off at b = 1.5, a = 2), so a <= 1
-    is required.  As t -> 0 the t^(a-1) term and the sum cancel beyond what
-    the rule resolves (-27061 for eta = 6e-9 at b = 1.98, t = 1e-8), so a
-    positive t below ``ETA_GRID_T_FLOOR`` = 1e-6 raises DomainError.  Against
-    a 60-digit series, for a in [0.05, 1] and t from 1e-6 to 18, the error is
-    at most about 1e-10 for b >= 1.0001 and grows toward b = 1, most for a
-    near 0.8: about 1e-9 at b = 1 + 1e-5, 1e-8 at 1 + 1e-6 and 2e-7 at
-    1 + 1e-7; for t >= 0.005, 6e-5 at 1 + 1e-9 and 0.2 at 1 + 1e-12; below
-    t = 0.005 more: at (b, a, t) = (1 + 1e-9, 0.01, 1e-6) it returns 1.305
-    where eta is 0.876 (``eta`` is the oracle there).  At b = 1 and 2,
-    for any finite a > 0, it is ``eta`` at each t > 0, one contour each, and
-    0 at t = 0; an infinite or NaN a raises DomainError there, whatever t
-    holds.  t is read by ``_grid``: the result has its shape, at least one
-    dimension, at every b.
+    """Vectorized eta_{a,b} over a grid of t >= 0 (for threshold scans), on
+    ``eta``'s domain, with eta(0) = 0, in t's shape, at least 1-D: by
+    ``_routed``, the spectral rule's ``eta_values`` where 1.0001 <= b <= 1.9999
+    and a <= 1, within 1.2e-10 of max(1, |eta|) of the contour there, and ``eta``.
     """
-    if alpha <= 0.0:
-        raise DomainError("eta requires alpha > 0")
-    ts = _grid(ts)
-    if _closed_forms(beta) is None:  # a NaN alpha gives NaN here, as in ``eta_values``
-        return spectral_rule(beta).eta_values(alpha, ts)
-    if not alpha < math.inf:  # also a NaN, and at t = 0 or an empty t too
+    if not 0.0 < alpha < math.inf:  # also a NaN
         raise DomainError(f"eta requires a finite alpha > 0, got {alpha}")
-    values = [eta(alpha, beta, t).value if t else 0.0 for t in ts.ravel().tolist()]
-    return np.array(values).reshape(ts.shape)
+    _closed_forms(beta)  # DomainError unless 1 <= b <= 2
+    on_rule = 1.0001 <= beta <= 1.9999 and alpha <= 1.0
+    rule = (lambda s: spectral_rule(beta).eta_values(alpha, s)) if on_rule else None
+    return _routed(ts, rule, lambda t: eta(alpha, beta, t))
 
 
 def laplace_check(kernel: str, beta: float, x: float, alpha: Optional[float] = None) -> float:

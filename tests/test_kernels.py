@@ -706,10 +706,13 @@ def test_adaptive_eta_at_small_alpha_matches_grid(beta):
 
 @pytest.mark.parametrize("beta", (1.9, 1.98, 1.999))
 def test_eta_grid_small_t_floor(beta, eta_series):
+    # below ETA_GRID_T_FLOOR the contour serves, the rule from there on
     for alpha in (0.05, 0.5):
         for t in (1e-8, 1e-7):
-            with pytest.raises(DomainError):
-                K.eta_grid(alpha, beta, [0.0, t, 1.0])
+            grid = K.eta_grid(alpha, beta, [0.0, t, 1.0])
+            assert grid[0] == 0.0 and grid[1] == K.eta(alpha, beta, t).value
+            assert grid[2] == K.spectral_rule(beta).eta_values(alpha, [1.0])[0]
+            assert abs(grid[1] - eta_series(alpha, beta, t)) <= 1e-9
         ts = np.array([1e-6, 1e-5, 1e-4, 1e-3])
         for t, value in zip(ts, K.eta_grid(alpha, beta, ts)):
             assert abs(value - eta_series(alpha, beta, t)) <= 1e-9
@@ -958,19 +961,20 @@ def test_eta_grid_domain():
         K.eta_grid(0.0, 1.5, [1.0])
     with pytest.raises(DomainError):
         K.eta_grid(0.5, 1.5, [-1.0])
-    with pytest.raises(DomainError):
-        K.eta_grid(0.5, 2.5, [1.0])
-    # a >= b + 1 has no branch-cut inversion; 1 < a < b + 1 is outside
-    # what the fixed rule resolves
-    for alpha in (2.5, 3.0, 1.5):
-        with pytest.raises(DomainError):
-            K.eta_grid(alpha, 1.5, [1.0])
-    # the endpoint bands take any finite alpha > 0
-    assert K.eta_grid(1.5, 2.0, [0.0])[0] == 0.0
-    for alpha, beta in ((math.inf, 1.0), (math.nan, 2.0)):
-        for ts in ([0.5], [0.0], []):
-            with pytest.raises(DomainError, match="alpha"):
-                K.eta_grid(alpha, beta, ts)
+    for beta in (2.5, 0.5, math.nan):
+        for ts in ([1.0], [0.0], []):
+            with pytest.raises(DomainError, match="beta"):
+                K.eta_grid(0.5, beta, ts)
+    # every b takes every finite alpha > 0, eta's domain: past the rule's
+    # a <= 1, the contour serves
+    for beta in (1.0, 1.5, 2.0):
+        assert K.eta_grid(1.5, beta, [0.0])[0] == 0.0
+        for alpha in (1.5, 2.5, 3.0):
+            assert K.eta_grid(alpha, beta, [1.0])[0] == K.eta(alpha, beta, 1.0).value
+        for alpha in (math.inf, math.nan, -1.0):
+            for ts in ([0.5], [0.0], []):
+                with pytest.raises(DomainError, match="alpha"):
+                    K.eta_grid(alpha, beta, ts)
 
 
 def test_held_gauss_legendre_table():
@@ -1119,12 +1123,46 @@ def test_eta_matches_the_series(beta, eta_series):
 
 
 def test_eta_is_the_oracle_where_eta_grid_fails_near_one(eta_series):
-    # eta_grid returns 1.305 at this point; the contour is within its own
-    # error estimate of the series, with no slack
+    # the spectral rule gave 1.305 at this point; the contour is within its
+    # own error estimate of the series, with no slack
     beta, alpha, t = 1.0 + 1e-9, 0.01, 1e-6
     kv, want = K.eta(alpha, beta, t), eta_series(alpha, beta, t)
     assert want == pytest.approx(0.876, abs=1e-3)
     assert abs(kv.value - want) <= kv.err_estimate
+
+
+# One fixed sweep across the route rule's bounds: b = 1.0001 and 1.9999,
+# a = 1 and t = ETA_GRID_T_FLOOR, with b at and near both ends, t to 1e-300
+SWEEP_BETAS = (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.00005, 1.0001, 1.02, 1.5, 1.98, 2.0 - 1e-9, 2.0)
+SWEEP_TS = (0.0, 1e-300, 1e-12, 1e-8, 1e-6, 1e-3, 0.5, 7.0, 18.0, 60.0)
+
+
+@pytest.mark.parametrize("beta", SWEEP_BETAS)
+def test_grid_kernels_are_their_scalar_kernels_at_every_beta(beta):
+    # each grid value within the scalar kernel's error estimate plus
+    # 1.2e-10 max(1, |value|), the rule's measured gap to the contour
+    def check(grid, kernel, alpha=None):
+        for t, value in zip(SWEEP_TS[1:], grid[1:]):
+            kv = kernel(t)
+            assert abs(value - kv.value) <= kv.err_estimate + 1.2e-10 * max(1.0, abs(kv.value)), (alpha, t)
+
+    ts = np.array(SWEEP_TS)
+    phi = K.phi_callable(beta)(ts)
+    assert phi[0] == K.phi(beta, 0.0).value
+    check(phi, lambda t: K.phi(beta, t))
+    for alpha in (1e-12, 0.01, 0.3, 1.0, 1.5, 3.0, 6.0):
+        grid = K.eta_grid(alpha, beta, ts)
+        assert grid[0] == 0.0
+        check(grid, lambda t: K.eta(alpha, beta, t), alpha)
+
+
+def test_grid_kernels_at_the_points_the_rule_missed(eta_series):
+    # the rule gave 1.305 (eta 0.876) and 0.487 (phi 1.01e-6) here
+    assert K.eta_grid(0.01, 1.0 + 1e-9, [1e-6])[0] == pytest.approx(0.8759, abs=1e-4)
+    assert K.phi_callable(1.02)([1e-300])[0] == pytest.approx(1.0113e-6, rel=1e-4)
+    # and 6e-10 and 3e-8 off here, at t near 1e-6 within 1e-8 of b = 2
+    for beta, alpha, t in ((2.0 - 1e-9, 0.9, 1.81e-6), (2.0 - 1e-12, 0.85, 1.35e-6)):
+        assert abs(K.eta_grid(alpha, beta, [t])[0] - eta_series(alpha, beta, t)) <= 1e-12
 
 
 def test_eta_is_independent_of_the_scans():
