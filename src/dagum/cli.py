@@ -17,7 +17,8 @@ import math
 import os
 import sys
 import tempfile
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -40,11 +41,6 @@ EXIT_PERMISSIBILITY = 4
 
 # One flag per wire name, in order of first appearance in MODELS.
 _PARAMS = tuple(dict.fromkeys(name for row in M.MODELS.values() for name in row.names))
-
-
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    for name in _PARAMS:
-        p.add_argument(f"--{name}", type=float, default=None)
 
 
 def _params(ns: argparse.Namespace) -> Dict[str, float]:
@@ -105,71 +101,6 @@ def psd_reports_to_csv(reports: Sequence[F.PsdReport]) -> str:
 def profile_to_csv(profile: F.Profile) -> str:
     rows = (f"{i},{i * profile.spacing!r},{float(v)!r}" for i, v in enumerate(profile.values))
     return _csv(PROFILE_CSV_HEADER, rows)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dagum",
-        description="Complete-monotonicity toolkit for the Dagum correlation family",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a model at a point or on a grid")
-    p.add_argument("model", choices=sorted(M.MODELS))
-    _add_param_flags(p)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--grid", default=None, help="start:stop:count")
-
-    p = sub.add_parser("classify", help="three-valued permissibility verdict")
-    p.add_argument("family", choices=tuple(C.CLASSIFIERS))
-    _add_param_flags(p)
-    p.add_argument("--tol", type=float, default=None, help="dagum and aux-lcm only")
-
-    p = sub.add_parser("figure1", help="threshold curves Psi, 1 + 1/beta, l, and beta*")
-    p.add_argument("--grid", default="1:2:101", help="start:stop:count over beta")
-
-    p = sub.add_parser("psd", help="eigenvalue checks on random point sets")
-    p.add_argument("model", choices=sorted(M.MODELS))
-    _add_param_flags(p)
-    p.add_argument("--dims", default="1,2,3,5")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--sets", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--convention", choices=F.CONVENTIONS, default="squared_distance")
-
-    p = sub.add_parser("search", help="random search for an indefinite configuration")
-    p.add_argument("model", choices=sorted(M.MODELS))
-    _add_param_flags(p)
-    p.add_argument("--dmax", type=int, default=5)
-    p.add_argument("--n", type=int, default=60)
-    p.add_argument("--trials", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--convention", choices=F.CONVENTIONS, default="squared_distance")
-
-    p = sub.add_parser("simulate", help="deterministic Gaussian profile draw")
-    p.add_argument("model", choices=sorted(M.MODELS))
-    _add_param_flags(p)
-    p.add_argument("--n", type=int, default=512)
-    p.add_argument("--spacing", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("decouple", help="analytic local/tail exponent estimates")
-    p.add_argument("--family", required=True, choices=sorted(M.MODELS))
-    _add_param_flags(p)
-
-    for p in sub.choices.values():  # last in each parser, as --help lists it
-        p.add_argument("--output", "-o", default=None)
-    return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call and then shared.
-
-    ``parse_args`` leaves a parser unchanged and parses into a fresh
-    namespace, so repeated and concurrent calls may share one.
-    """
-    return build_parser()
 
 
 def _cmd_eval(ns: argparse.Namespace) -> str:
@@ -246,21 +177,131 @@ def _cmd_decouple(ns: argparse.Namespace) -> str:
     return _csv("family,params,local_exponent,tail_exponent", [row])
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "classify": _cmd_classify,
-    "figure1": _cmd_figure1,
-    "psd": _cmd_psd,
-    "search": _cmd_search,
-    "simulate": _cmd_simulate,
-    "decouple": _cmd_decouple,
+class Flag(NamedTuple):
+    """One ``--name`` option of a command, as ``add_argument`` takes it."""
+
+    name: str
+    type: Optional[Callable[[str], Any]] = None
+    default: Any = None
+    choices: Optional[Sequence[str]] = None
+    help: Optional[str] = None
+    required: bool = False
+    short: Optional[str] = None
+
+
+class Command(NamedTuple):
+    """One subcommand: its handler, its help, its positional (None for none)
+    with that positional's choices, and its flags in ``--help`` order."""
+
+    run: Callable[[argparse.Namespace], str]
+    help: str
+    positional: Optional[str]
+    choices: Sequence[str]
+    flags: Tuple[Flag, ...]
+
+
+_MODEL_IDS = sorted(M.MODELS)
+_PARAM_FLAGS = tuple(Flag(name, float) for name in _PARAMS)
+_SEED = Flag("seed", int, 0)
+_CONVENTION = Flag("convention", default="squared_distance", choices=F.CONVENTIONS)
+_OUTPUT = Flag("output", short="-o")  # last in each command, as --help lists it
+
+# The one declaration of the commands and their flags, in ``--help`` order.
+_COMMANDS: Dict[str, Command] = {
+    "eval": Command(_cmd_eval, "evaluate a model at a point or on a grid", "model", _MODEL_IDS, (
+        *_PARAM_FLAGS, Flag("x", float), Flag("grid", help="start:stop:count"), _OUTPUT)),
+    "classify": Command(_cmd_classify, "three-valued permissibility verdict", "family",
+                        tuple(C.CLASSIFIERS), (
+        *_PARAM_FLAGS, Flag("tol", float, help="dagum and aux-lcm only"), _OUTPUT)),
+    "figure1": Command(_cmd_figure1, "threshold curves Psi, 1 + 1/beta, l, and beta*", None, (), (
+        Flag("grid", default="1:2:101", help="start:stop:count over beta"), _OUTPUT)),
+    "psd": Command(_cmd_psd, "eigenvalue checks on random point sets", "model", _MODEL_IDS, (
+        *_PARAM_FLAGS, Flag("dims", default="1,2,3,5"), Flag("n", int, 200),
+        Flag("sets", int, 20), _SEED, _CONVENTION, _OUTPUT)),
+    "search": Command(_cmd_search, "random search for an indefinite configuration", "model",
+                      _MODEL_IDS, (
+        *_PARAM_FLAGS, Flag("dmax", int, 5), Flag("n", int, 60), Flag("trials", int, 40),
+        _SEED, _CONVENTION, _OUTPUT)),
+    "simulate": Command(_cmd_simulate, "deterministic Gaussian profile draw", "model", _MODEL_IDS, (
+        *_PARAM_FLAGS, Flag("n", int, 512), Flag("spacing", float, 1.0), _SEED, _OUTPUT)),
+    "decouple": Command(_cmd_decouple, "analytic local/tail exponent estimates", None, (), (
+        Flag("family", required=True, choices=_MODEL_IDS), *_PARAM_FLAGS, _OUTPUT)),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse parser of ``_COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="dagum",
+        description="Complete-monotonicity toolkit for the Dagum correlation family",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.positional is not None:
+            p.add_argument(cmd.positional, choices=cmd.choices)
+        for f in cmd.flags:
+            p.add_argument(f"--{f.name}", *([f.short] if f.short else []), type=f.type,
+                           default=f.default, choices=f.choices, help=f.help, required=f.required)
+    return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses for a command line that is not canonical,
+    built on the first such call and then shared.
+
+    ``parse_args`` leaves a parser unchanged and parses into a fresh
+    namespace, so repeated and concurrent calls may share one.
+    """
+    return build_parser()
+
+
+def _read_canonical(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for a
+    canonical command line; None for any other.
+
+    Canonical is a command, its positional, then ``--flag value`` pairs of
+    exact ``_COMMANDS`` names, each flag at most once and no value starting
+    with '-', each value of its flag's type and choices, and every required
+    flag given.  Help, errors, abbreviations, ``--flag=value``, repeats and
+    every other line are argparse's.
+    """
+    cmd = _COMMANDS.get(argv[0]) if argv else None
+    if cmd is None:
+        return None
+    values: Dict[str, Any] = {"command": argv[0]}
+    if cmd.positional is not None:
+        if len(argv) < 2 or argv[1] not in cmd.choices:
+            return None
+        values[cmd.positional] = argv[1]
+    pairs = argv[len(values):]
+    if len(pairs) % 2:
+        return None
+    values.update((f.name, f.default) for f in cmd.flags)
+    unset = {f"--{f.name}": f for f in cmd.flags}
+    for option, text in zip(pairs[::2], pairs[1::2]):
+        f = unset.pop(option, None)
+        if f is None or text.startswith("-"):
+            return None
+        try:
+            value = text if f.type is None else f.type(text)
+        except ValueError:
+            return None
+        if f.choices is not None and value not in f.choices:
+            return None
+        values[f.name] = value
+    if any(f.required for f in unset.values()):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    ns = _parser().parse_args(argv)
+    ns = _read_canonical(sys.argv[1:] if argv is None else argv)
+    if ns is None:
+        ns = _parser().parse_args(argv)
     try:
-        _emit(_COMMANDS[ns.command](ns), ns.output)
+        _emit(_COMMANDS[ns.command].run(ns), ns.output)
         return EXIT_OK
     except (DomainError, UnsupportedExpressionError) as exc:
         print(f"dagum: invalid parameters: {exc}", file=sys.stderr)

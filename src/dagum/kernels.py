@@ -176,6 +176,15 @@ def rho_kernel(beta: float, t: float) -> float:
     return float(1.0 + _osc(beta, t, 0.0))
 
 
+def _power(base: float, x: float, y: float) -> float:
+    """base^(x + y) with the exponent unrounded: base^s base^e, (s, e) the
+    TwoSum of x and y, s + e = x + y exactly (Knuth)."""
+    s = x + y
+    y_ = s - x
+    e = (x - (s - y_)) + (y - y_)
+    return np.power(base, s) * np.power(base, e)
+
+
 def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
     """(value, err_estimate) of eta_{a,b}(t), the inverse Laplace transform of
     s^-a / (1 + s^b), for real a >= 1 - b, 1 <= b <= 2 and a finite t > 0:
@@ -194,7 +203,8 @@ def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
     of w(y) = x + i y0.  The value is h/pi times the sum over y = k h >= 0 of
     Re[e^w w^-a (1 + 2 i c y) / (r^b + (w/q)^b)], the first term halved, cut
     at Re w = -37, times r^(a+b-1) q^(a-1), r = min(t, 1) and q = max(t, 1),
-    so that no power of w overflows at any t.  At most about 3500 nodes (3434
+    so that no power of w overflows at any t, each exponent taken unrounded
+    as a + (b - 1) and a + (-1) (``_power``; b - 1 is exact for 1 <= b <= 2).  At most about 3500 nodes (3434
     at b = 1.1681, t = 82.27, the most found).  The error estimate is
     |I_h - I_2h| (I_2h on every other node), plus 64 eps times the terms'
     moduli, 2^-1074 (1 + the moduli) for a subnormal value, and 64 eps (1 + t
@@ -220,7 +230,7 @@ def _contour(alpha: float, beta: float, t: float) -> Tuple[float, float]:
     w, dw = v - c * y * y + 1j * y, h / PI * (1.0 + 2j * c * y)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.exp(w) * w ** -alpha / (r ** beta + (w / q) ** beta) * dw
-        unit = float(np.power(r, alpha + beta - 1.0) * np.power(q, alpha - 1.0))
+        unit = float(_power(r, alpha, beta - 1.0) * _power(q, alpha, -1.0))
     terms[0] *= 0.5
     moduli = float(np.abs(terms).sum())
     if not moduli * unit < math.inf:  # also a NaN

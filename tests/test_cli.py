@@ -17,6 +17,8 @@ from dagum import cli
 from dagum import fields as F
 from dagum import models as M
 
+import stdout_ops
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -443,6 +445,8 @@ def test_tol_rejected_where_classifier_takes_none(argv, capsys):
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):
+    # canonical lines build no parser; the first line argparse reads (an error
+    # here, --help below) builds the one parser every later such line shares
     builds = []
 
     def counting_build(real=cli.build_parser):
@@ -457,12 +461,86 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
         ["eval", "dagum", "--beta", "1", "--gamma", "1", "--x", "1"],
     ):
         assert run(argv, capsys)[0] == 0
+    assert builds == []
     with pytest.raises(SystemExit):
         cli.main(["classify", "matern"])
     capsys.readouterr()
     assert len(builds) == 1
+    assert run(["classify", "g", "--alpha=0.5", "--lambda=0.5"], capsys)[0] == 0
+    assert len(builds) == 1
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    with pytest.raises(SystemExit):
+        cli.main(["psd", "--help"])
+    capsys.readouterr()
+    assert len(builds) == 2
     monkeypatch.undo()
     assert cli.build_parser() is not cli.build_parser()
+
+
+def _parsed(argv):
+    """argparse's namespace for argv, as repr (so that NaN equals NaN)."""
+    return repr(cli._parser().parse_args(argv))
+
+
+def test_reader_is_argparse_on_every_stdout_op():
+    # the bench's certify and fields seeds 1-10 and figure1, and CI's op list
+    ops = stdout_ops.OPS + stdout_ops.bench_ops("certify", range(4, 11))
+    ops += stdout_ops.bench_ops("fields", range(4, 11))
+    for argv in ops:
+        ns = cli._read_canonical(argv)
+        if argv in stdout_ops.NOT_CANONICAL:
+            assert ns is None, argv
+        else:
+            assert repr(ns) == _parsed(argv), argv
+
+
+def _canonical_line(draw):
+    """A canonical command line drawn from cli._COMMANDS: its command, its
+    positional, then some of its flags once each in any order, every
+    required one among them, each with a value of its type and choices."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    cmd = cli._COMMANDS[name]
+    argv = [name] + ([draw(st.sampled_from(cmd.choices))] if cmd.positional else [])
+    flags, k = draw(st.permutations(cmd.flags)), draw(st.integers(0, len(cmd.flags)))
+    for f in flags[:k] + [f for f in flags[k:] if f.required]:
+        if f.choices is not None:
+            value = st.sampled_from(f.choices)
+        elif f.type is float:
+            value = st.one_of(st.floats(min_value=0.0).map(repr),
+                              st.sampled_from(["nan", "inf", "1_0", " 2", "1e-3 ", "+0.5"]))
+        elif f.type is int:
+            value = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["1_0", " 2", "+3"]))
+        else:
+            value = st.text(max_size=12).filter(lambda s: not s.startswith("-"))
+        argv += [f"--{f.name}", draw(value)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_reader_is_argparse_on_canonical_lines(data):
+    argv = _canonical_line(data.draw)
+    ns = cli._read_canonical(argv)
+    assert ns is not None and repr(ns) == _parsed(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    *stdout_ops.NOT_CANONICAL,
+    [], ["--help"], ["-h"], ["classify", "--help"], ["classify", "dagum", "-h"],
+    ["classify", "dagum", "--beta", "0.5", "--gamma", "1", "-o", "out.json"],
+    ["classify", "dagum", "--beta", "0.5", "--bogus", "1"],
+    ["classify", "dagum", "--beta", "x"], ["psd", "dagum", "--n", "1.5"],
+    ["psd", "cauchy", "--convention", "nope"], ["classify", "matern"], ["matern"],
+    ["classify"], ["classify", "--beta", "0.5"], ["figure1", "extra"],
+    ["decouple", "--alpha", "0.5"], ["decouple", "--family", "nope"],
+    ["classify", "dagum", "--beta"], ["classify", "dagum", "--beta", "--gamma", "1"],
+    ["classify", "dagum", "--beta", "-1"], ["classify", "dagum", "--", "--beta", "1"],
+    ["eval", "dagum", "--grid", "-1:1:3"],
+])
+def test_reader_hands_other_lines_to_argparse(argv):
+    assert cli._read_canonical(argv) is None
 
 
 def test_no_state_carries_between_calls(tmp_path, capsys):
@@ -493,9 +571,9 @@ def test_concurrent_main_calls_match_serial(tmp_path):
         assert cli.main(argv + ["--output", str(tmp_path / f"serial{k}.json")]) == 0
         serial.append((tmp_path / f"serial{k}.json").read_text())
 
-    def work(k):
+    def work(k):  # -o is argparse's, --output the canonical reader's
         return [
-            cli.main(queries[k] + ["--output", str(tmp_path / f"thread{k}_{r}.json")])
+            cli.main(queries[k] + ["-o" if r % 2 else "--output", str(tmp_path / f"thread{k}_{r}.json")])
             for r in range(5)
         ]
 

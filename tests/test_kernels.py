@@ -1095,6 +1095,22 @@ def test_contour_at_large_t_matches_the_cut_integral(alpha, beta, eta_cut):
         assert t > 1e6 or abs(value - want) <= 1e-10 * max(1.0, abs(want)), (t, value, want)
 
 
+def test_contour_exponents_are_not_rounded(eta_series):
+    # r^(a+b-1) and q^(a-1) with each exponent an exact pair: the rounded
+    # a + b - 1 cost 1.5e-13 relative at t = 1e-300
+    value, want = K._contour(1.0, 1.0001, 1e-300)[0], eta_series(1.0, 1.0001, 1e-300)
+    assert abs(value - want) <= 1e-15 * want, (value, want)
+    # from t = 1e50 on at (0.01, 1.5) the sum does not depend on t, so the
+    # value over the exact t^(a-1) is one number; the rounded a - 1 moved it
+    # by 5e-15 relative between t = 1e50 and 1e300 (the sum itself is 8.8e-13
+    # off 1/Gamma(0.01), from rounding and its cut, inside err_estimate)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ratios = [mpmath.mpf(K._contour(0.01, 1.5, t)[0]) / mpmath.mpf(t) ** (mpmath.mpf(0.01) - 1)
+                  for t in (1e50, 1e100, 1e200, 1e250, 1e300)]
+        assert max(ratios) - min(ratios) <= 1e-15 * ratios[0], ratios
+
+
 def test_contour_takes_a_bounded_number_of_nodes(monkeypatch):
     # at most about 3500 nodes at every t: the parabola that encloses the
     # poles takes about 12 t of them at b = 2 and 42 sqrt(t) at b = 1.5, and
