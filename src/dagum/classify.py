@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -96,9 +96,9 @@ def psi_max(beta):
     too).  One beta, or up to 16, starts no thread.  The first error in group
     order is raised once every lane has ended.  Each group's rules are built
     at once by ``rule_rows`` (not taken from the rule cache) and its grids as
-    one array.
-    The scan is one ``psi_jets`` call of psi and phi for the whole group, each
-    beta's grid its own one-rule block.  The roots come from bracketed Newton
+    one (G, 127) block.
+    The scan is one ``psi_jets`` call of psi and phi for the whole block, each
+    beta's row its own one-rule block.  The roots come from bracketed Newton
     on phi, each step one ``psi_jets`` call of psi, phi and phi' for the open
     cells of all betas of the group, from each cell's secant point, a step
     that leaves the bracket replaced by its midpoint, until |phi/phi'| or the
@@ -122,15 +122,15 @@ def psi_max(beta):
 
 def _psi_max_group(betas: list) -> np.ndarray:
     """``psi_max`` at each beta in (1, 2) of ``betas``, from one rule build, one
-    scan call over all their grids and one Newton jet."""
+    scan call over their grid block and one Newton jet."""
     b = np.array(betas)
     rules = (b,) + rule_rows(b)
-    ts, which = _scan_grid(np.array([scan_range(x) for x in betas]))
-    psis, phis = psi_jets(*rules, 1, True)(ts, which)
-    best = np.maximum.reduceat(psis, np.searchsorted(which, np.arange(b.size)))
-    # a cell: phi from > 0 to <= 0 between two points of one grid
-    i = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0) & (which[:-1] == which[1:]))
-    which, lo, up, phi_lo, phi_up = which[i], ts[i], ts[i + 1], phis[i], phis[i + 1]
+    ts = _scan_grid(np.array([scan_range(x) for x in betas]))
+    psis, phis = psi_jets(*rules, 1, True)(ts)
+    best = psis.max(axis=1)
+    # a cell: phi from > 0 to <= 0 between two points of one row
+    which, i = np.nonzero((phis[:, :-1] > 0.0) & (phis[:, 1:] <= 0.0))
+    lo, up, phi_lo, phi_up = ts[which, i], ts[which, i + 1], phis[which, i], phis[which, i + 1]
     jet = psi_jets(*rules, 2)
     t = lo + phi_lo * (up - lo) / (phi_lo - phi_up)
     while t.size:
@@ -144,13 +144,13 @@ def _psi_max_group(betas: list) -> np.ndarray:
     return best
 
 
-def _scan_grid(his: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``psi_max``'s scan grids for the spans ``his``, one after another: (ts,
-    which), ts[r] a point of grid which[r].  Grid j holds the points of
-    np.linspace(0, his[j], 65) but 0 and of np.geomspace(1e-2, his[j], 64),
-    sorted, each once, bit for bit as numpy builds them, ends pinned, without
-    calling either; all grids are built as one (G, 127) array.  It starts above
-    t = 0: psi = phi = 0 there, and its exp row would keep every node."""
+def _scan_grid(his: np.ndarray) -> np.ndarray:
+    """``psi_max``'s scan grids for the spans ``his`` as one (G, 127) block, row
+    j the points of np.linspace(0, his[j], 65) but its ends and of
+    np.geomspace(1e-2, his[j], 64), sorted, bit for bit as numpy builds them,
+    without calling either.  A point of both would stand twice in its row and
+    move neither its maximum nor a sign change of phi.  It starts above t = 0:
+    psi = phi = 0 there, and its exp row would keep every node."""
     hi, ts = his[:, None], np.empty((his.size, 127))
     # linspace: k (hi/64), its last point pinned to hi, which geomspace ends on
     np.multiply(np.arange(1.0, 64.0), hi / 64, out=ts[:, :63])
@@ -158,9 +158,7 @@ def _scan_grid(his: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     np.power(10.0, np.arange(64.0) * ((np.log10(hi) + 2.0) / 63) - 2.0, out=ts[:, 63:])
     ts[:, 63], ts[:, 126] = 1e-2, his
     ts.sort()
-    keep = np.ones(ts.shape, dtype=bool)
-    keep[:, 1:] = ts[:, 1:] != ts[:, :-1]  # a point of both: kept once
-    return ts[keep], np.nonzero(keep)[0]
+    return ts
 
 
 def l_of_beta(beta: float) -> float:
@@ -180,9 +178,11 @@ def beta_star() -> float:
 
 # -- eta sign scans -----------------------------------------------------------
 
-# A grid minimum below this is treated as a genuine negative value.  The
-# spectral rule's eta values are accurate to about 1e-13 on the scan grids
-# (eps t^(a-1) at the first positive t), far below it.
+# A grid minimum below this is treated as a genuine negative value.  For b in
+# [1.0001, 1.9999] the spectral rule's eta values are accurate to about 1e-13
+# on the scan grids (eps t^(a-1) at the first positive t), far below it.
+# Outside that band they drift much further, measured at 0.2 at b = 1 + 1e-12
+# and 5.3e-2 at b = 2 - ulp (ROADMAP item 23).
 ETA_NEGATIVE_THRESHOLD = -1e-7
 
 
@@ -193,18 +193,16 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
     Negativity refutes complete monotonicity of 1/(x^a (1+x^b)) exactly;
     absence of negativity on a finite grid proves nothing.  Sign changes
     are refined locally before reporting.  At a = 0 the kernel degenerates
-    to phi_b itself (the power-law factor becomes a point mass).  A value
-    that is not finite (a NaN from invalid input) never becomes a witness.
-    At b = 1 no witness exists, as 1/(x^a (1+x)) is CM (Theorem 3(i)), so
-    None returns before any grid is built.  DomainError unless 1 <= b <= 2.
+    to phi_b itself (the power-law factor becomes a point mass).  DomainError
+    unless 1 < b < 2 and 0 <= a <= 1, a NaN included: the callers' domain,
+    as b = 1 and b = 2 are settled by Theorem 3(i) and Lemma 1.
     """
-    if not 1.0 <= beta <= 2.0:
-        raise DomainError(f"eta_negative_witness requires beta in [1, 2], got {beta}")
-    if beta == 1.0:
-        return None
+    if not (1.0 < beta < 2.0 and 0.0 <= alpha <= 1.0):
+        raise DomainError("eta_negative_witness requires 1 < beta < 2 and 0 <= alpha <= 1, "
+                          f"got alpha {alpha}, beta {beta}")
     ts = eta_scan_grid(beta)
     scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
-    vals = spectral_rule(beta).eta_scan(alpha) if 1.0 < beta < 2.0 else scan(ts)
+    vals = spectral_rule(beta).eta_scan(alpha)
     i = int(np.argmin(vals))
     # eta_scan moves by up to 7e-15 with the BLAS thread count: ``scan`` decides close calls
     near = np.flatnonzero(vals <= vals[i] + 1e-12)
@@ -216,8 +214,6 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
     fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)], 64)
     fvals = scan(fine)
     j = int(np.argmin(fvals))
-    if not math.isfinite(fvals[j]):
-        return None
     return Certificate("eta_sign", float(fine[j]), None, float(fvals[j]))
 
 
@@ -256,38 +252,31 @@ DEFAULT_SCAN_GRID = tuple(np.geomspace(1e-2, 1e2, 48))
 
 
 def cm_scan(
-    expr: str,
-    params: Mapping[str, float],
-    max_order: int = DEFAULT_SCAN_ORDER,
-    x_grid: Sequence[float] = DEFAULT_SCAN_GRID,
+    expr: str, params: Mapping[str, float], max_order: int = DEFAULT_SCAN_ORDER
 ) -> Optional[Certificate]:
-    """Search for (x, n) with (-1)^n f^(n)(x) < 0 beyond rounding slack.
+    """Search ``DEFAULT_SCAN_GRID`` for (x, n) with (-1)^n f^(n)(x) < 0 beyond
+    rounding slack.
 
     Derivatives come from truncated-series arithmetic, exact to rounding,
     one jet per grid point from one ``taylor_eval`` call.  Returns the first
     violating certificate in grid order, or None (which proves nothing).
     """
-    return _derivative_scan(expr, params, max_order, x_grid, False)
+    return _derivative_scan(expr, params, max_order, False)
 
 
 def lcm_scan(
-    expr: str,
-    params: Mapping[str, float],
-    max_order: int = DEFAULT_SCAN_ORDER,
-    x_grid: Sequence[float] = DEFAULT_SCAN_GRID,
+    expr: str, params: Mapping[str, float], max_order: int = DEFAULT_SCAN_ORDER
 ) -> Optional[Certificate]:
     """As cm_scan, applied to -(log f)': order n checks the n-th derivative
     of the negated logarithmic derivative."""
-    return _derivative_scan(expr, params, max_order, x_grid, True)
+    return _derivative_scan(expr, params, max_order, True)
 
 
-def _derivative_scan(expr, params, max_order, x_grid, log: bool) -> Optional[Certificate]:
+def _derivative_scan(expr, params, max_order, log: bool) -> Optional[Certificate]:
     if max_order < 2:
         raise DomainError("max_order must be >= 2")
     fn = M.catalog_function(expr, params)
-    xs = np.asarray(x_grid, dtype=float)
-    if not ((0.0 < xs) & (xs < math.inf)).all():
-        raise DomainError("scan grid points must be finite and positive")
+    xs = np.array(DEFAULT_SCAN_GRID)
     with np.errstate(all="ignore"):  # as Python floats: inf and nan without a warning
         series = ta.taylor_eval(fn, xs, max_order + log)
         coeffs = np.array((ta.log(series) if log else series).coeffs)

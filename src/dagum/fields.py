@@ -87,9 +87,6 @@ class PsdReport:
 class Profile:
     spacing: float
     values: np.ndarray
-    seed: int
-    model_id: str
-    params: Dict[str, float]
 
 
 @functools.lru_cache(maxsize=4)
@@ -349,7 +346,7 @@ def simulate_profile(
         if lam.min() >= -EIG_TOL * lam.max():
             z = _rng(seed, _PROFILE_STREAM).standard_normal(m)
             values = np.fft.irfft(np.sqrt(np.maximum(lam, 0.0)) * np.fft.rfft(z), m)[:n]
-            return Profile(spacing, values, seed, model_id, dict(params))
+            return Profile(spacing, values)
     raise NotPermissibleError(
         f"circulant embedding of {model_id} at n={n}, spacing={spacing} stays indefinite"
         f" up to size {m}: smallest eigenvalue {float(lam.min())!r}"

@@ -355,23 +355,23 @@ def psi_jets(betas: np.ndarray, decays: np.ndarray, weights: np.ndarray, order: 
     shape (at least 1-D), on rule 0, or on rule which[r] at t = ts[r] of a
     1-D ``ts``: _osc(b, t, k pi/b) + (-1)^k sum_i w_i d_i^k e^(-t d_i) / (b pi),
     plus 1 for k = 0, phi_b(0) = 0 exactly; a value does not depend on the
-    other t.  Rows of several rules are gathered; with ``runs``, ``which`` is
-    non-decreasing and each rule's run of t is one rule's block alone.
+    other t.  Rows of several rules are gathered; with ``runs``, ``ts`` is a
+    (G, n) block and its row j is on rule j, one rule's block alone.
     """
     turn = np.array([(math.cos(PI / b), math.sin(PI / b)) for b in betas.tolist()]).T
     k = np.arange(order + 1)[:, None]
 
     def jet(ts, which=None) -> np.ndarray:
-        which = None if betas.size == 1 else which  # one rule: nothing to gather or cut
-        grid, pick = _grid(ts), 0 if which is None else which
+        grid = _grid(ts)
         ts = grid.ravel()
+        which = np.repeat(np.arange(betas.size), grid.shape[1]) if runs else which
+        pick = 0 if which is None else which
         b = betas[pick]
         out = _osc(b, ts, k * (PI / b), turn[:, pick])
         out[0] += 1.0
-        if runs and which is not None:  # each rule's run of t a one-rule block
-            parts = np.split(ts, np.searchsorted(which, np.arange(1, betas.size)))
-            sums = np.hstack([_laplace_sums(p, decays[j : j + 1], weights[j : j + 1], order)
-                              for j, p in enumerate(parts)])
+        if runs:  # each row a one-rule block
+            sums = np.hstack([_laplace_sums(row, decays[j : j + 1], weights[j : j + 1], order)
+                              for j, row in enumerate(grid)])
         else:
             sums = _laplace_sums(ts, decays, weights, order, which)
         out += sums / (b * PI)

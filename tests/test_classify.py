@@ -143,7 +143,7 @@ def test_psi_max_scans_psi_and_phi_from_one_block(monkeypatch):
         monkeypatch.setattr(K.PsiEvaluator, name, lambda *a: pytest.fail("a separate psi or phi call"))
     calls = _record_jets(monkeypatch)
     C.psi_max(beta)
-    (scan_order, _, ts, _, (_, phis)), *steps = calls
+    (scan_order, _, (ts,), _, (_, (phis,))), *steps = calls
     cells = np.flatnonzero((phis[:-1] > 0.0) & (phis[1:] <= 0.0))
     assert scan_order == 1 and cells.size == 2 and steps
     sizes = []
@@ -156,7 +156,7 @@ def test_psi_max_scans_psi_and_phi_from_one_block(monkeypatch):
 
 
 def test_psi_max_on_a_grid_scans_each_beta_once(monkeypatch):
-    # the array form: one 127-point order-1 scan per beta inside (1, 2), one
+    # the array form: one 127-point order-1 scan row per beta inside (1, 2), one
     # scan call per group of at most BETA_CACHE_SIZE betas, and Newton steps
     # over the open cells of every beta of a group, each cell on its own rule;
     # lanes finish in any order, so the calls are taken sorted by beta
@@ -165,12 +165,12 @@ def test_psi_max_on_a_grid_scans_each_beta_once(monkeypatch):
         monkeypatch.setattr(N, "CPUS", lanes)
         calls = _record_jets(monkeypatch)
         values = C.psi_max(betas)
-        scans = sorted(((group, which) for order, group, _, which, _ in calls if order == 1),
+        scans = sorted(((group, ts) for order, group, ts, _, _ in calls if order == 1),
                        key=lambda scan: scan[0][0])
         steps = [group for order, group, *_ in calls if order != 1]
         groups = -(-70 // (K.BETA_CACHE_SIZE * lanes)) * lanes
         assert np.concatenate([group for group, _ in scans]).tolist() == betas[1:-1].tolist()
-        assert all((np.bincount(which, minlength=group.size) == 127).all() for group, which in scans)
+        assert all(ts.shape == (group.size, 127) for group, ts in scans)
         assert len(scans) == groups and all(order in (1, 2) for order, *_ in calls)
         assert max(group.size for group, _ in scans) <= K.BETA_CACHE_SIZE
         for group, _ in scans:  # at most 12 Newton steps, each on the betas of one group
@@ -289,21 +289,28 @@ def test_psi_max_on_overlapping_grids_from_threads():
 
 
 def test_psi_max_scan_grid_is_the_set_union_without_zero(monkeypatch):
-    # the sorted, deduplicated grid equals the sorted set of the uniform and the
-    # geometric points, less t = 0
+    # the scanned row equals the sorted set of the uniform and the geometric
+    # points, less t = 0: at these betas no point is both
     calls = _record_jets(monkeypatch)
     for beta in np.linspace(1.001, 1.999, 37):
         hi = C.scan_range(float(beta))
         calls.clear()
         C.psi_max(float(beta))
         old = sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)})
-        assert np.array_equal(calls[0][2], old[1:]) and old[0] == 0.0
+        assert np.array_equal(calls[0][2], [old[1:]]) and old[0] == 0.0
+
+
+def _numpy_scan_grid(hi):
+    """The points of np.linspace(0, hi, 65) but its ends and of np.geomspace(1e-2,
+    hi, 64), which ends on hi too, sorted."""
+    return np.sort(np.concatenate([np.linspace(0.0, hi, 65)[1:-1], np.geomspace(1e-2, hi, 64)]))
 
 
 def test_psi_max_scan_grid_is_built_as_numpy_builds_it():
-    # the direct build equals the linspace/geomspace union without 0, bit for
-    # bit, on 2000 random betas, the 99 interior figure1 betas and near the
-    # ends, every grid of a group built at once in groups of 1, 7 and 32
+    # the direct build equals the sorted linspace points without its ends and
+    # geomspace points, bit for bit, on 2000 random betas, the 99 interior
+    # figure1 betas and near the ends, every grid of a group built at once in
+    # groups of 1, 7 and 32
     betas = np.concatenate(
         [
             np.random.default_rng(27).uniform(1.0, 2.0, 2000),
@@ -312,20 +319,35 @@ def test_psi_max_scan_grid_is_built_as_numpy_builds_it():
         ]
     )
     his = np.array([C.scan_range(beta) for beta in map(float, betas)])
-    old = [np.array(sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)})[1:]) for hi in his]
+    old = [_numpy_scan_grid(hi) for hi in his]
     for size in (1, 7, 32):
         for start in range(0, his.size, size):
-            ts, which = C._scan_grid(his[start : start + size])
-            assert np.array_equal(which, np.sort(which))
+            ts = C._scan_grid(his[start : start + size])
+            assert ts.shape == (his[start : start + size].size, 127)
             for j, row in enumerate(old[start : start + size]):
-                assert ts[which == j].tobytes() == row.tobytes(), betas[start + j]
+                assert ts[j].tobytes() == row.tobytes(), betas[start + j]
     # a span of 0.64 puts uniform points on geometric ones (0.01 among them):
-    # that row alone is deduplicated
-    ts, which = C._scan_grid(np.array([his[0], 0.64, his[1]]))
-    assert np.bincount(which)[[0, 2]].tolist() == [127, 127] and np.bincount(which)[1] < 127
-    for j, hi in enumerate((his[0], 0.64, his[1])):
-        row = sorted({*np.linspace(0.0, hi, 65), *np.geomspace(1e-2, hi, 64)})[1:]
-        assert ts[which == j].tobytes() == np.array(row).tobytes()
+    # that row holds each of them twice
+    ts = C._scan_grid(np.array([his[0], 0.64, his[1]]))
+    assert (np.diff(ts[1]) == 0.0).any()
+    for row, hi in zip(ts, (his[0], 0.64, his[1])):
+        assert row.tobytes() == _numpy_scan_grid(hi).tobytes()
+
+
+def test_psi_max_needs_no_dedupe_of_its_scan_grid(monkeypatch):
+    # a point repeated in every row, first, inside or last, moves neither a
+    # row's maximum nor a sign change of phi: psi_max keeps its bits, so the
+    # scan block needs no dedupe
+    betas = np.concatenate([np.linspace(1.0, 2.0, 101), np.linspace(1.9993, 1.99999, 8)])
+    want = C.psi_max(betas)
+    real = C._scan_grid
+    for at in (0, 40, 63, 126):
+        def repeated(his, at=at):
+            ts = real(his)
+            return np.insert(ts, at, ts[:, at], axis=1)
+
+        monkeypatch.setattr(C, "_scan_grid", repeated)
+        assert C.psi_max(betas).tobytes() == want.tobytes(), at
 
 
 def test_psi_max_matches_oracle_on_figure1_grid(psi_objective):
@@ -610,13 +632,13 @@ def test_proven_cm_dagum_consistent_with_scan():
 
 
 def test_cm_scan_examples():
-    cert = C.cm_scan("aux", {"alpha": 0.0, "beta": 2.0}, 2, [0.1, 0.5, 1.0])
-    assert cert is not None and cert.order == 2 and cert.location == 0.1
-    x0 = 0.1
+    cert = C.cm_scan("aux", {"alpha": 0.0, "beta": 2.0}, 2)
+    x0 = C.DEFAULT_SCAN_GRID[0]
+    assert cert is not None and cert.order == 2 and cert.location == x0
     closed_form = (6.0 * x0**2 - 2.0) / (1.0 + x0**2) ** 3
     assert cert.value == pytest.approx(closed_form, rel=1e-9)
 
-    assert C.cm_scan("aux", {"alpha": 1.0, "beta": 1.0}, 6, np.geomspace(0.01, 10, 32)) is None
+    assert C.cm_scan("aux", {"alpha": 1.0, "beta": 1.0}, 6) is None
 
     cert = C.cm_scan("reduced_dagum", {"beta": 1.5, "gamma": 2.0 / 3.0})
     assert cert is not None and cert.order == 2 and cert.location < 0.5
@@ -633,8 +655,6 @@ def test_lcm_scan_examples():
 def test_scan_budget_validation():
     with pytest.raises(DomainError):
         C.cm_scan("aux", {"alpha": 0.0, "beta": 2.0}, 1)
-    with pytest.raises(DomainError):
-        C.cm_scan("aux", {"alpha": 0.0, "beta": 2.0}, 4, [0.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -650,15 +670,12 @@ def test_catalog_parameters_are_checked(expr, params):
         C.cm_scan(expr, params)
 
 
-def scan_oracle(expr, params, max_order=C.DEFAULT_SCAN_ORDER, x_grid=C.DEFAULT_SCAN_GRID, log=False):
+def scan_oracle(expr, params, max_order=C.DEFAULT_SCAN_ORDER, log=False):
     """cm_scan (lcm_scan with ``log``) one grid point and one order at a time."""
     if max_order < 2:
         raise DomainError("max_order must be >= 2")
     fn = catalog_function(expr, params)
-    for x in x_grid:
-        x = float(x)
-        if not 0.0 < x < math.inf:
-            raise DomainError("scan grid points must be finite and positive")
+    for x in map(float, C.DEFAULT_SCAN_GRID):
         series = ta.taylor_eval(fn, x, max_order + log)
         c = ta.log(series).coeffs if log else series.coeffs
         for n in range(max_order + 1):
@@ -675,22 +692,22 @@ def scan_oracle(expr, params, max_order=C.DEFAULT_SCAN_ORDER, x_grid=C.DEFAULT_S
 
 
 SCAN_CASES = [
-    ("aux", {"alpha": 0.0, "beta": 2.0}, 2, [0.1, 0.5, 1.0]),
-    ("aux", {"alpha": 1.0, "beta": 1.0}, 6, np.geomspace(0.01, 10, 32)),
-    ("aux", {"alpha": 1.0, "beta": 2.0}, 6, C.DEFAULT_SCAN_GRID),
-    ("reduced_dagum", {"beta": 1.5, "gamma": 2.0 / 3.0}, 8, C.DEFAULT_SCAN_GRID),
-    ("reduced_dagum", {"beta": 1.9, "gamma": 0.4}, 8, C.DEFAULT_SCAN_GRID),
-    ("g", {"alpha": 0.5, "lambda": 0.5}, 8, C.DEFAULT_SCAN_GRID),
-    ("cauchy", {"theta": 1.7, "eta": 0.4}, 8, [3.0, 0.02, 40.0]),
-    ("aux", {"alpha": 1.0, "beta": 0.0}, 4, []),  # 1/(2x), on an empty grid
+    ("aux", {"alpha": 0.0, "beta": 2.0}, 2),
+    ("aux", {"alpha": 1.0, "beta": 1.0}, 6),
+    ("aux", {"alpha": 1.0, "beta": 2.0}, 6),
+    ("reduced_dagum", {"beta": 1.5, "gamma": 2.0 / 3.0}, 8),
+    ("reduced_dagum", {"beta": 1.9, "gamma": 0.4}, 8),
+    ("g", {"alpha": 0.5, "lambda": 0.5}, 8),
+    ("cauchy", {"theta": 1.7, "eta": 0.4}, 8),
+    ("aux", {"alpha": 1.0, "beta": 0.0}, 4),  # 1/(2x)
 ]
 
 
 @pytest.mark.parametrize("log", (False, True))
-@pytest.mark.parametrize("expr,params,order,grid", SCAN_CASES)
-def test_scans_equal_pointwise_oracle(expr, params, order, grid, log):
+@pytest.mark.parametrize("expr,params,order", SCAN_CASES)
+def test_scans_equal_pointwise_oracle(expr, params, order, log):
     scan = C.lcm_scan if log else C.cm_scan
-    assert scan(expr, params, order, grid) == scan_oracle(expr, params, order, grid, log)
+    assert scan(expr, params, order) == scan_oracle(expr, params, order, log)
 
 
 @PROPERTY_SETTINGS
@@ -701,15 +718,6 @@ def test_dagum_scan_equals_pointwise_oracle(beta, share):
     for log in (False, True):
         scan = C.lcm_scan if log else C.cm_scan
         assert scan("reduced_dagum", params) == scan_oracle("reduced_dagum", params, log=log)
-
-
-@pytest.mark.parametrize("log", (False, True))
-@pytest.mark.parametrize("grid", ([math.nan, 1.0], [0.0], [-1.0, 2.0], [math.inf]))
-def test_scan_bad_grids_match_oracle(grid, log):
-    scan = C.lcm_scan if log else C.cm_scan
-    for fn in (scan, lambda *a: scan_oracle(*a, log=log)):
-        with pytest.raises(DomainError, match="grid points"):
-            fn("reduced_dagum", {"beta": 1.5, "gamma": 0.3}, 8, grid)
 
 
 def test_threshold_table_invariants(coarse_table):
@@ -806,13 +814,6 @@ def test_classifiers_reject_non_finite(bad):
             fn(*args)
 
 
-@pytest.mark.parametrize("scan", (C.cm_scan, C.lcm_scan))
-@pytest.mark.parametrize("bad", (math.nan, math.inf, 0.0))
-def test_scan_grid_points_must_be_finite_and_positive(scan, bad):
-    with pytest.raises(DomainError, match="grid points"):
-        scan("reduced_dagum", {"beta": 1.5, "gamma": 0.3}, x_grid=(bad, 1.0))
-
-
 @pytest.mark.parametrize("alpha_tol", (math.nan, math.inf, 0.0, -1e-3))
 def test_c_bounds_alpha_tol_must_be_finite_and_positive(alpha_tol):
     with pytest.raises(DomainError, match="alpha_tol"):
@@ -831,26 +832,30 @@ def test_classifier_tol_must_be_finite_and_positive(tol):
             classify(*args, tol=tol)
 
 
-def test_eta_witness_never_from_nan():
-    assert C.eta_negative_witness(math.nan, 1.5) is None
-
-
-@pytest.mark.parametrize("beta", (0.0, math.inf, -1.0, 0.5, math.nan))
-def test_eta_witness_checks_beta_first(beta):
-    with pytest.raises(DomainError, match="beta"):
-        C.eta_negative_witness(0.5, beta)
-
-
-@pytest.mark.parametrize("alpha", (0.0, 0.3, 1.0))
-def test_eta_witness_at_beta_one_scans_nothing(alpha, monkeypatch):
-    # 1/(x^a (1+x)) is CM (Theorem 3(i)); sin(pi/1) rounds to 1.2e-16, so a
-    # grid built at b = 1 would span [0, 1.5e17] and look at nothing
+def _scan_nothing(monkeypatch):
+    """Patch every grid and rule builder ``eta_negative_witness`` reads to fail."""
     def no_scan(*args):
-        raise AssertionError("a scan ran at beta = 1")
+        raise AssertionError("a scan ran outside the witness domain")
 
     for name in ("eta_grid", "phi_callable", "eta_scan_grid", "spectral_rule"):
         monkeypatch.setattr(C, name, no_scan)
-    assert C.eta_negative_witness(alpha, 1.0) is None
+
+
+@pytest.mark.parametrize("beta", (0.0, math.inf, -1.0, 0.5, math.nan, 1.0, 2.0))
+def test_eta_witness_checks_beta_first(beta, monkeypatch):
+    # outside 1 < b < 2, b = 1 and 2 included (Theorem 3(i) and Lemma 1 settle
+    # them), the witness raises before any grid or rule is built
+    _scan_nothing(monkeypatch)
+    with pytest.raises(DomainError, match="eta_negative_witness requires 1 < beta < 2"):
+        C.eta_negative_witness(0.5, beta)
+
+
+@pytest.mark.parametrize("alpha", (-0.1, 1.5, math.nan))
+def test_eta_witness_checks_alpha(alpha, monkeypatch):
+    # so it does outside 0 <= a <= 1, a NaN included
+    _scan_nothing(monkeypatch)
+    with pytest.raises(DomainError, match="0 <= alpha <= 1"):
+        C.eta_negative_witness(alpha, 1.5)
 
 
 @pytest.mark.parametrize("beta", (1.0 + 1e-9, 1.0 + 1e-12, 1.0000000000000002))

@@ -366,23 +366,21 @@ def test_psi_jet_phi_prime_matches_central_differences(beta):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([0, 1, 2]))
 def test_psi_jets_runs_and_gathered_rows_equal_each_rule_alone(seed, order):
-    # one call over contiguous one-rule runs of several rules (of any length,
-    # an empty one included) and one over gathered rows give, for each t, the
-    # bits of that rule's own one-rule jet; one rule takes no ``which``
+    # one call over a block whose row j is on rule j (rows of any length) and one
+    # over the same t as gathered rows give, for each t, the bits of that
+    # rule's own one-rule jet
     rng = np.random.default_rng(seed)
     betas = rng.uniform(1.0, 2.0, 5)
     decays, weights = K.rule_rows(betas)
-    sizes = rng.integers(0, 140, betas.size)
-    which = np.repeat(np.arange(betas.size), sizes)
-    ts = np.concatenate([np.sort(rng.uniform(0.0, 60.0, n)) for n in sizes])
-    runs = K.psi_jets(betas, decays, weights, order, True)(ts, which)
-    gathered = K.psi_jets(betas, decays, weights, order)(ts, which)
+    block = np.sort(rng.uniform(0.0, 60.0, (betas.size, rng.integers(1, 140))))
+    which = np.repeat(np.arange(betas.size), block.shape[1])
+    runs = K.psi_jets(betas, decays, weights, order, True)(block)
+    gathered = K.psi_jets(betas, decays, weights, order)(block.ravel(), which)
+    assert runs.shape == (order + 1,) + block.shape
     for j, beta in enumerate(betas):
-        alone = K.PsiEvaluator(float(beta)).psi_jet(ts[which == j], order)
-        assert runs[:, which == j].tobytes() == alone.tobytes()
+        alone = K.PsiEvaluator(float(beta)).psi_jet(block[j], order)
+        assert runs[:, j].tobytes() == alone.tobytes()
         assert gathered[:, which == j].tobytes() == alone.tobytes()
-    one = K.psi_jets(betas[:1], decays[:1], weights[:1], order, True)
-    assert one(ts).tobytes() == one(ts, np.zeros(ts.size, int)).tobytes()
 
 
 def _unit_breaks(levels):
@@ -881,7 +879,7 @@ def _psi_max_scan_grid(beta):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(C, "psi_jets", psi_jets)
         C.psi_max(beta)
-    ((_, ts),) = [g for g in grids if g[0] == 1]
+    ((_, (ts,)),) = [g for g in grids if g[0] == 1]
     return ts
 
 
