@@ -9,9 +9,10 @@ upgrades a verdict to Proven in the positive direction.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
@@ -75,7 +76,15 @@ class Verdict:
     notes: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        """The verdict as ``json.dumps(asdict(v), indent=2, sort_keys=True,
+        allow_nan=False)`` writes it, plus a newline, from a fixed layout: each
+        scalar by ``json.dumps``, so ValueError for a NaN or an infinity."""
+        token, cert = functools.partial(json.dumps, allow_nan=False), self.certificate
+        fields = "null" if cert is None else (
+            '{\n    "kind": %s,\n    "location": %s,\n    "order": %s,\n    "value": %s\n  }'
+            % tuple(map(token, (cert.kind, cert.location, cert.order, cert.value))))
+        return ('{\n  "basis": %s,\n  "certificate": %s,\n  "notes": %s,\n  "status": %s\n}\n'
+                % (token(self.basis), fields, token(self.notes), token(self.status)))
 
 
 # -- threshold machinery ------------------------------------------------------
@@ -197,24 +206,33 @@ def eta_negative_witness(alpha: float, beta: float) -> Optional[Certificate]:
     unless 1 < b < 2 and 0 <= a <= 1, a NaN included: the callers' domain,
     as b = 1 and b = 2 are settled by Theorem 3(i) and Lemma 1.
     """
+    i = _eta_negative_index(alpha, beta)
+    if i is None:
+        return None
+    ts = eta_scan_grid(beta)
+    scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
+    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)], 64)
+    fvals = scan(fine)
+    j = int(np.argmin(fvals))
+    return Certificate("eta_sign", float(fine[j]), None, float(fvals[j]))
+
+
+def _eta_negative_index(alpha: float, beta: float) -> Optional[int]:
+    """``eta_negative_witness``'s decision without its refine: the index on
+    ``eta_scan_grid`` of the lowest eta value if it is below
+    ``ETA_NEGATIVE_THRESHOLD``, else None (all that ``c_bounds`` reads)."""
     if not (1.0 < beta < 2.0 and 0.0 <= alpha <= 1.0):
         raise DomainError("eta_negative_witness requires 1 < beta < 2 and 0 <= alpha <= 1, "
                           f"got alpha {alpha}, beta {beta}")
-    ts = eta_scan_grid(beta)
-    scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
     vals = spectral_rule(beta).eta_scan(alpha)
     i = int(np.argmin(vals))
     # eta_scan moves by up to 7e-15 with the BLAS thread count: ``scan`` decides close calls
     near = np.flatnonzero(vals <= vals[i] + 1e-12)
     if near.size > 1 or abs(vals[i] - ETA_NEGATIVE_THRESHOLD) <= 1e-12:
-        vals[near] = scan(ts[near])
+        scan = phi_callable(beta) if alpha == 0.0 else (lambda s: eta_grid(alpha, beta, s))
+        vals[near] = scan(eta_scan_grid(beta)[near])
         i = int(near[np.argmin(vals[near])])
-    if not vals[i] < ETA_NEGATIVE_THRESHOLD:
-        return None
-    fine = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)], 64)
-    fvals = scan(fine)
-    j = int(np.argmin(fvals))
-    return Certificate("eta_sign", float(fine[j]), None, float(fvals[j]))
+    return i if vals[i] < ETA_NEGATIVE_THRESHOLD else None
 
 
 def c_bounds(beta: float, alpha_tol: float = 1e-3) -> Tuple[float, float]:
@@ -238,7 +256,7 @@ def c_bounds(beta: float, alpha_tol: float = 1e-3) -> Tuple[float, float]:
         mid = 0.5 * (lower + upper)
         if not lower < mid < upper:
             break
-        if eta_negative_witness(mid, beta) is not None:
+        if _eta_negative_index(mid, beta) is not None:
             lower = mid
         else:
             upper = mid

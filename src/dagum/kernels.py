@@ -22,14 +22,15 @@ and no spectral rule.
 
 The spectral rule serves the grids from t = 1e-6 on (``_routed``), and so
 every command: the residue term of the poles x = e^{+-i pi/b} of 1/(1+x^b),
-written once as ``_osc``, plus the branch-cut integral on one composite
+written as ``_osc``, plus the branch-cut integral on one composite
 Gauss-Legendre rule of 800 nodes (``_panel_rule``) on the
 arctangent-substituted tau integral (``rule_rows``, for a group of betas at
 once).  Its Laplace sums give psi, phi = rho' + tau', phi' (``psi_jets``)
 and eta, with alpha-dependent weights on the same nodes, on whole grids.
 The eta sign scans run on one grid t = k h (``eta_scan_grid``), where
 exp(-k h d) factors into a per-block and a per-row part: ``eta_scan`` is
-one matrix product per block, not one exp per (t, node).  Every Laplace-sum
+one matrix product per block, not one exp per (t, node), and the residue
+e^{t z}, z = e^{i pi/b}, factors the same way.  Every Laplace-sum
 exponent is floored at -600, off numpy's slow exp range (-745, -707.7).
 """
 
@@ -457,7 +458,8 @@ class PsiEvaluator:
         On that grid exp(-(k R + j) h d_i) = exp(-k R h d_i) exp(-j h d_i): the
         scan is one product of B[j, i] = exp(-j h d_i), R = ``_SCAN_ROWS`` rows,
         and E[i, k] = v_i exp(-k R h d_i), 0 below ``_EXP_FLOOR``, k < 32, where
-        B is floored, plus the residue ``_osc``.  B and E but for v come from
+        B is floored, plus the residue ``_osc``, as Re(r e^{i shift}) of the held
+        r = -(2/b) e^{t z}, z = e^{i pi/b}.  B, E but for v and r come from
         ``_scan_basis``, held for the next scan of the same beta (a ``c_bounds``
         bisection).  Values differ from ``eta_values`` and ``phi_values`` by
         rounding (about 1e-14), which may differ between BLAS thread counts.
@@ -471,8 +473,9 @@ class PsiEvaluator:
         else:
             v, shift = self._eta_weights(alpha), (1.0 - alpha) * (PI / b)
         with _BETA_LOCK:  # another beta's scan rewrites the basis in place
-            ts, keep, block, cols = self._scan_basis()
-            out = _osc(b, ts, shift)
+            ts, re, im, keep, block, cols = self._scan_basis()
+            out = re * math.cos(shift)
+            out -= im * math.sin(shift)
             out += (block @ (cols * v[keep, None])).T.ravel()
             if alpha != 0.0:
                 out[1:] += kappa(alpha, ts[1:])
@@ -481,19 +484,29 @@ class PsiEvaluator:
 
     def _scan_basis(self) -> tuple:
         """``eta_scan``'s alpha-free arrays for this beta, held from call to
-        call, read-only: t, the kept nodes, B and exp(-k R h d_i).  Call under
-        ``_BETA_LOCK``: but for the node mask they are views of one buffer,
-        rewritten for a new beta, as a freed basis would page-fault afresh."""
+        call, read-only: t, the real and imaginary parts of the residue
+        r = -(2/b) e^{t z}, z = e^{i pi/b}, the kept nodes, B and
+        exp(-k R h d_i).  At t = (k R + j) h, r is e^{k R h z} times
+        -(2/b) e^{j h z}: 32 + 128 exponentials and one product, not one exp
+        and one cos per t.  Call under ``_BETA_LOCK``: but for the node mask
+        they are views of one buffer, rewritten for a new beta, as a freed
+        basis would page-fault afresh."""
         if _SCAN_SLOT[0] != self.beta:
             _SCAN_SLOT[:] = [None, None]  # invalid while the buffer is rewritten
-            n, rows = _SCAN_POINTS, _SCAN_ROWS
+            n, rows, b = _SCAN_POINTS, _SCAN_ROWS, self.beta
             buffer = _scan_buffer(self._decay.size)
-            ts = buffer[:n]
-            ts[:] = eta_scan_grid(self.beta)
+            ts, re, im = buffer[: 3 * n].reshape(3, n)
+            ts[:] = eta_scan_grid(b)
             h = float(ts[1])
+            # e^{x z} at x = k R h, k < 32, then at x = j h, j < R
+            x = h * np.concatenate([np.arange(0, n, rows), np.arange(rows)])
+            cos_a, sin_a = math.cos(PI / b), math.sin(PI / b)
+            turn = np.exp(x * cos_a) * (np.cos(x * sin_a) + 1j * np.sin(x * sin_a))
+            r = np.multiply.outer(turn[: n // rows], (-2.0 / b) * turn[n // rows :]).ravel()
+            re[:], im[:] = r.real, r.imag
             keep = h * self._decay <= _EXP_UNDERFLOW  # the rest add nothing at any t > 0
             d = self._decay[keep]
-            rest = buffer[n : n + (rows + n // rows) * d.size]
+            rest = buffer[3 * n : 3 * n + (rows + n // rows) * d.size]
             # explicit shapes: near b = 1 no node may be kept (d.size = 0)
             block = rest[: rows * d.size].reshape(rows, d.size)
             cols = rest[rows * d.size :].reshape(d.size, n // rows)
@@ -503,9 +516,9 @@ class PsiEvaluator:
             np.multiply.outer(d, -(h * np.arange(0, n, rows)), out=cols)
             np.exp(cols, out=cols, where=cols >= _EXP_FLOOR)
             cols[cols < _EXP_FLOOR] = 0.0  # the entries exp left as they were
-            for arr in (ts, keep, block, cols):
+            for arr in (ts, re, im, keep, block, cols):
                 arr.flags.writeable = False
-            _SCAN_SLOT[:] = [self.beta, (ts, keep, block, cols)]
+            _SCAN_SLOT[:] = [b, (ts, re, im, keep, block, cols)]
         return _SCAN_SLOT[1]
 
 
@@ -525,7 +538,7 @@ _SCAN_SLOT: list = [None, None]
 def _scan_buffer(nodes: int) -> np.ndarray:
     """The one buffer that ``_scan_basis`` rewrites, with room for every node of
     a rule (1.1 MB for 800), allocated by the first scan of the process."""
-    return np.empty(_SCAN_POINTS + (_SCAN_ROWS + _SCAN_POINTS // _SCAN_ROWS) * nodes)
+    return np.empty(3 * _SCAN_POINTS + (_SCAN_ROWS + _SCAN_POINTS // _SCAN_ROWS) * nodes)
 
 
 def spectral_rule(beta: float) -> PsiEvaluator:

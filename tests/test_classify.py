@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -91,17 +92,46 @@ def test_c_bounds_stops_at_float_spacing(monkeypatch):
     # a tolerance below the spacing of floats ends where the midpoint no
     # longer falls strictly inside the bracket
     scans = []
-    real = C.eta_negative_witness
+    real = C._eta_negative_index
 
     def counted(alpha, beta):
         scans.append(alpha)
         assert len(scans) <= 100, "c_bounds is still bisecting"
         return real(alpha, beta)
 
-    monkeypatch.setattr(C, "eta_negative_witness", counted)
+    monkeypatch.setattr(C, "_eta_negative_index", counted)
     lo, hi = C.c_bounds(1.5, alpha_tol=1e-300)
     assert 0.0 < lo < hi <= 0.75
     assert not lo < 0.5 * (lo + hi) < hi
+    assert len(scans) > 50  # every step was decided by the helper
+
+
+# about 20 betas over (1, 2), its ends included, where the scans drift most
+C_BOUNDS_BETAS = (1.0001, 1.0003, 1.02, 1.07, 1.13, 1.2, 1.27, 1.33, 1.41, 1.5,
+                  1.57, 1.63, 1.7, 1.738, 1.8, 1.86, 1.93, 1.98, 1.995, 1.9999)
+
+
+def test_c_bounds_steps_decide_as_the_witness(monkeypatch):
+    # c_bounds reads the witness decision without its refine: at every step
+    # its decision is whether eta_negative_witness finds a certificate
+    steps = []
+    real = C._eta_negative_index
+
+    def recorded(alpha, beta):
+        steps.append((alpha, beta, real(alpha, beta)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(C, "_eta_negative_index", recorded)
+    for beta in C_BOUNDS_BETAS:
+        C.c_bounds(beta)
+    monkeypatch.undo()
+    assert len(steps) >= 8 * len(C_BOUNDS_BETAS)
+    hits = 0
+    for alpha, beta, index in steps:
+        witness = C.eta_negative_witness(alpha, beta)
+        assert (index is not None) == (witness is not None), (alpha, beta)
+        hits += witness is not None
+    assert 0 < hits < len(steps)  # both branches of the bisection were taken
 
 
 def _record_jets(monkeypatch):
@@ -876,3 +906,26 @@ def test_verdict_json_is_strict():
     verdict = C.Verdict("ProvenNotCM", C.NUMERIC_BASIS, C.Certificate("eta_sign", 1.0, None, math.nan))
     with pytest.raises(ValueError):
         verdict.to_json()
+
+
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\U0001f600ab '), max_size=12)
+JSON_FLOATS = st.floats() | st.sampled_from((-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(status=JSON_TEXT, basis=JSON_TEXT, notes=JSON_TEXT, kind=JSON_TEXT,
+       location=JSON_FLOATS, order=st.sampled_from((None, 0, 8)), value=JSON_FLOATS,
+       certified=st.booleans())
+def test_verdict_json_equals_json_dumps(status, basis, notes, kind, location, order, value, certified):
+    # the fixed layout writes what json.dumps(asdict(...)) writes, and raises
+    # where it raises: at a NaN or an infinity
+    certificate = C.Certificate(kind, location, order, value) if certified else None
+    verdict = C.Verdict(status, basis, certificate, notes)
+    try:
+        expected = json.dumps(dataclasses.asdict(verdict), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        assert certified and not (math.isfinite(location) and math.isfinite(value))
+        with pytest.raises(ValueError):
+            verdict.to_json()
+    else:
+        assert verdict.to_json() == expected

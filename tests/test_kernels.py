@@ -820,12 +820,26 @@ def test_eta_scan_held_basis_equals_fresh_evaluator():
         key, basis = K._SCAN_SLOT
         assert key == beta and not any(arr.flags.writeable for arr in basis)
         # every array but the node mask is rewritten in place in the one buffer
-        ts, keep, *rest = basis
-        assert all(np.shares_memory(arr, K._scan_buffer(800)) for arr in [ts] + rest)
+        ts, re, im, keep, block, cols = basis
+        assert all(np.shares_memory(arr, K._scan_buffer(800)) for arr in (ts, re, im, block, cols))
     held = K._SCAN_SLOT[1]
     for alpha in (0.0, 0.3, 1.0):  # a c_bounds bisection: one basis for every step
         K.spectral_rule(beta).eta_scan(alpha)
         assert K._SCAN_SLOT[1] is held
+
+
+@pytest.mark.parametrize("beta", (1.0001, 1.0003, 1.3, 1.5, 1.9, 1.9999))
+def test_eta_scan_held_residue_equals_osc(beta):
+    # the residue is held as -(2/b) e^{t z}, a product of per-block and per-row
+    # exponentials; turned by each scan's shift, it is _osc on the whole grid
+    ts = K.eta_scan_grid(beta)
+    rule = K.spectral_rule(beta)
+    for alpha in (0.0, 1e-9, 0.5, 1.0):
+        rule.eta_scan(alpha)
+        _, re, im, *_ = K._SCAN_SLOT[1]
+        shift = PI / beta if alpha == 0.0 else (1.0 - alpha) * (PI / beta)
+        held = re * math.cos(shift) - im * math.sin(shift)
+        assert np.max(np.abs(held - K._osc(beta, ts, shift))) <= 1e-14, alpha
 
 
 def test_eta_scan_basis_failed_rewrite_is_not_reused():
@@ -929,21 +943,22 @@ def test_eta_scan_one_product_matches_rule_values(beta):
     rule = K.spectral_rule(beta)
     ts = K.eta_scan_grid(beta)
     rule.eta_scan(0.5)
-    held, keep, block, cols = K._SCAN_SLOT[1]
+    held, re, im, keep, block, cols = K._SCAN_SLOT[1]
     assert block.shape == (K._SCAN_ROWS, keep.sum()) and cols.shape == (keep.sum(), 32)
     assert np.array_equal(keep, ts[1] * rule._decay <= 746.0)
-    # the slot holds exactly t, the kept nodes, B and E, read-only; all but the
-    # node mask are views of the one buffer, which has room for nothing else
+    # the slot holds exactly t, the residue's real and imaginary parts, the
+    # kept nodes, B and E, read-only; all but the node mask are views of the
+    # one buffer, which has room for nothing else
     h, d = ts[1], rule._decay[keep]
     exps = np.multiply.outer(d, -(h * np.arange(0, 4096, K._SCAN_ROWS)))
     assert np.array_equal(held, ts)
     assert np.array_equal(block, np.exp(np.maximum(np.multiply.outer(-h * np.arange(128), d),
                                                    K._EXP_FLOOR)))
     assert np.array_equal(cols, np.where(exps >= K._EXP_FLOOR, np.exp(exps), 0.0))
-    assert not any(arr.flags.writeable for arr in (held, keep, block, cols))
+    assert not any(arr.flags.writeable for arr in (held, re, im, keep, block, cols))
     buffer = K._scan_buffer(800)
-    assert all(np.shares_memory(arr, buffer) for arr in (held, block, cols))
-    assert buffer.size == 4096 + (K._SCAN_ROWS + 32) * 800
+    assert all(np.shares_memory(arr, buffer) for arr in (held, re, im, block, cols))
+    assert buffer.size == 3 * 4096 + (K._SCAN_ROWS + 32) * 800
     if beta == 1.0003:
         assert ts[-1] > 1.9e4 and np.count_nonzero(~keep) > 0.4 * keep.size
     # the values on both sides of every column boundary
