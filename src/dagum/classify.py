@@ -9,7 +9,6 @@ upgrades a verdict to Proven in the positive direction.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ from . import numerics as N
 from . import taylor as ta
 from .errors import DomainError
 from .kernels import (
-    BETA_CACHE_SIZE,
     eta_grid,
     eta_scan_grid,
     phi_callable,
@@ -56,6 +54,8 @@ NUMERIC_BASIS = "numeric certificate"
 
 # Equality band for the sharp boundary beta*gamma = 1.
 _PRODUCT_BAND = 1e-12
+_PSI_MAX_GROUP = 32  # most betas whose rules ``psi_max`` builds at once
+_JSON_TOKEN = json.JSONEncoder(allow_nan=False).encode  # json.dumps(x, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class Verdict:
         """The verdict as ``json.dumps(asdict(v), indent=2, sort_keys=True,
         allow_nan=False)`` writes it, plus a newline, from a fixed layout: each
         scalar by ``json.dumps``, so ValueError for a NaN or an infinity."""
-        token, cert = functools.partial(json.dumps, allow_nan=False), self.certificate
+        token, cert = _JSON_TOKEN, self.certificate
         fields = "null" if cert is None else (
             '{\n    "kind": %s,\n    "location": %s,\n    "order": %s,\n    "value": %s\n  }'
             % tuple(map(token, (cert.kind, cert.location, cert.order, cert.value))))
@@ -98,7 +98,7 @@ def psi_max(beta):
     coarse grid (uniform plus geometric, for a peak at small t near b = 1) and
     at a root of phi = psi_b' in every cell where phi goes from > 0 to <= 0, not
     just the best one: near b = 2 two humps are almost equally high.  The n
-    betas inside go in evenly sized groups of at most ``BETA_CACHE_SIZE``, their
+    betas inside go in evenly sized groups of at most ``_PSI_MAX_GROUP``, their
     count a multiple of the lanes, min(CPUs the process may run on, ceil(n /
     16)), on ``numerics.run_lanes``: the caller is lane 0, each further lane a
     thread in a copy of the caller's context (so ``np.errstate`` holds there
@@ -119,7 +119,7 @@ def psi_max(beta):
         raise DomainError("psi_max requires beta in [1, 2]")
     inner = np.flatnonzero((1.0 < flat) & (flat < 2.0))  # Psi(1) = 1, Psi(2) = 2
     lanes = max(1, min(N.CPUS, -(-inner.size // 16)))
-    count = -(-inner.size // (BETA_CACHE_SIZE * lanes)) * lanes
+    count = -(-inner.size // (_PSI_MAX_GROUP * lanes)) * lanes
     groups = np.array_split(inner, count) if count else []
 
     def group(k: int) -> None:  # each group writes its own betas of flat

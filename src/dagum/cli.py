@@ -5,8 +5,10 @@ degenerate exponent fit or an ``eval`` value, ``psd``/``search`` Gram entry or
 ``simulate`` model value whose float arithmetic overflows (or divides by an
 underflowed power), 4 a ``simulate`` model whose circulant embedding stays
 indefinite.  Each command returns its text and ``main`` writes it once: to
-stdout or, with --output, atomically (temp file + rename).  CSV uses a header
-row, '.' decimals, repr-formatted floats (round-trip exact), newline-terminated.
+stdout or, with --output, atomically (temp file + rename); an --output path
+that cannot be written (a missing directory, a directory) exits 2 and leaves
+no temp file.  CSV uses a header row, '.' decimals, repr-formatted floats
+(round-trip exact), newline-terminated.
 """
 
 from __future__ import annotations
@@ -64,15 +66,17 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dagum-tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dagum-tmp-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise DomainError(f"cannot write --output {output}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 PSD_CSV_HEADER = ("model,params,point_set_id,convention,n_points,dimension,"

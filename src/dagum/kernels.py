@@ -30,8 +30,10 @@ and eta, with alpha-dependent weights on the same nodes, on whole grids.
 The eta sign scans run on one grid t = k h (``eta_scan_grid``), where
 exp(-k h d) factors into a per-block and a per-row part: ``eta_scan`` is
 one matrix product per block, not one exp per (t, node), and the residue
-e^{t z}, z = e^{i pi/b}, factors the same way.  Every Laplace-sum
-exponent is floored at -600, off numpy's slow exp range (-745, -707.7).
+e^{t z}, z = e^{i pi/b}, factors the same way.  ``spectral_rule`` caches
+the rule of the last beta asked for, and a rule holds these alpha-free scan
+arrays from its first scan on.  Every Laplace-sum exponent is floored at
+-600, off numpy's slow exp range (-745, -707.7).
 """
 
 from __future__ import annotations
@@ -405,6 +407,7 @@ class PsiEvaluator:
             raise DomainError("PsiEvaluator requires beta in (1, 2)")
         self.beta = beta
         (self._decay,), (self._weights,) = rule_rows(np.array([beta]))
+        self._basis: Optional[tuple] = None  # ``_scan_basis``, built by the first scan
 
     def psi_values(self, ts) -> np.ndarray:
         """psi_b = rho_b + tau_b, with tau_b the Laplace sum of the weights."""
@@ -460,10 +463,10 @@ class PsiEvaluator:
         and E[i, k] = v_i exp(-k R h d_i), 0 below ``_EXP_FLOOR``, k < 32, where
         B is floored, plus the residue ``_osc``, as Re(r e^{i shift}) of the held
         r = -(2/b) e^{t z}, z = e^{i pi/b}.  B, E but for v and r come from
-        ``_scan_basis``, held for the next scan of the same beta (a ``c_bounds``
-        bisection).  Values differ from ``eta_values`` and ``phi_values`` by
-        rounding (about 1e-14), which may differ between BLAS thread counts.
-        DomainError for a outside [0, 1]; a NaN a gives NaN.
+        ``_scan_basis``, which this evaluator holds for its next scan (a
+        ``c_bounds`` bisection).  Values differ from ``eta_values`` and
+        ``phi_values`` by rounding (about 1e-14), which may differ between BLAS
+        thread counts.  DomainError for a outside [0, 1]; a NaN a gives NaN.
         """
         if alpha < 0.0 or alpha > 1.0:
             raise DomainError(f"the scan requires 0 <= alpha <= 1, got {alpha}")
@@ -472,78 +475,59 @@ class PsiEvaluator:
             v, shift = self._weights * self._decay / (-b * PI), PI / b
         else:
             v, shift = self._eta_weights(alpha), (1.0 - alpha) * (PI / b)
-        with _BETA_LOCK:  # another beta's scan rewrites the basis in place
-            ts, re, im, keep, block, cols = self._scan_basis()
-            out = re * math.cos(shift)
-            out -= im * math.sin(shift)
-            out += (block @ (cols * v[keep, None])).T.ravel()
-            if alpha != 0.0:
-                out[1:] += kappa(alpha, ts[1:])
+        ts, re, im, keep, block, cols = self._scan_basis()
+        out = re * math.cos(shift)
+        out -= im * math.sin(shift)
+        out += (block @ (cols * v[keep, None])).T.ravel()
+        if alpha != 0.0:
+            out[1:] += kappa(alpha, ts[1:])
         out[0] = 0.0
         return out
 
     def _scan_basis(self) -> tuple:
-        """``eta_scan``'s alpha-free arrays for this beta, held from call to
-        call, read-only: t, the real and imaginary parts of the residue
-        r = -(2/b) e^{t z}, z = e^{i pi/b}, the kept nodes, B and
-        exp(-k R h d_i).  At t = (k R + j) h, r is e^{k R h z} times
-        -(2/b) e^{j h z}: 32 + 128 exponentials and one product, not one exp
-        and one cos per t.  Call under ``_BETA_LOCK``: but for the node mask
-        they are views of one buffer, rewritten for a new beta, as a freed
-        basis would page-fault afresh."""
-        if _SCAN_SLOT[0] != self.beta:
-            _SCAN_SLOT[:] = [None, None]  # invalid while the buffer is rewritten
+        """``eta_scan``'s alpha-free arrays, built as fresh read-only arrays by
+        the first scan and then held by this evaluator: t, the real and
+        imaginary parts of the residue r = -(2/b) e^{t z}, z = e^{i pi/b}, the
+        kept nodes, B and exp(-k R h d_i).  At t = (k R + j) h, r is
+        e^{k R h z} times -(2/b) e^{j h z}: 32 + 128 exponentials and one
+        product, not one exp and one cos per t.  A build that fails holds
+        nothing; two threads that both build hold equal arrays."""
+        if self._basis is None:
             n, rows, b = _SCAN_POINTS, _SCAN_ROWS, self.beta
-            buffer = _scan_buffer(self._decay.size)
-            ts, re, im = buffer[: 3 * n].reshape(3, n)
-            ts[:] = eta_scan_grid(b)
+            ts = eta_scan_grid(b)
             h = float(ts[1])
             # e^{x z} at x = k R h, k < 32, then at x = j h, j < R
             x = h * np.concatenate([np.arange(0, n, rows), np.arange(rows)])
             cos_a, sin_a = math.cos(PI / b), math.sin(PI / b)
             turn = np.exp(x * cos_a) * (np.cos(x * sin_a) + 1j * np.sin(x * sin_a))
             r = np.multiply.outer(turn[: n // rows], (-2.0 / b) * turn[n // rows :]).ravel()
-            re[:], im[:] = r.real, r.imag
+            re, im = np.array([r.real, r.imag])
             keep = h * self._decay <= _EXP_UNDERFLOW  # the rest add nothing at any t > 0
             d = self._decay[keep]
-            rest = buffer[3 * n : 3 * n + (rows + n // rows) * d.size]
-            # explicit shapes: near b = 1 no node may be kept (d.size = 0)
-            block = rest[: rows * d.size].reshape(rows, d.size)
-            cols = rest[rows * d.size :].reshape(d.size, n // rows)
-            np.multiply.outer(-h * np.arange(rows), d, out=block)
+            block = np.multiply.outer(-h * np.arange(rows), d)
             np.exp(np.maximum(block, _EXP_FLOOR, out=block), out=block)
             # column k is exp(-k R h d_i), exactly 0 below the floor
-            np.multiply.outer(d, -(h * np.arange(0, n, rows)), out=cols)
+            cols = np.multiply.outer(d, -(h * np.arange(0, n, rows)))
             np.exp(cols, out=cols, where=cols >= _EXP_FLOOR)
             cols[cols < _EXP_FLOOR] = 0.0  # the entries exp left as they were
             for arr in (ts, re, im, keep, block, cols):
                 arr.flags.writeable = False
-            _SCAN_SLOT[:] = [b, (ts, re, im, keep, block, cols)]
-        return _SCAN_SLOT[1]
+            self._basis = (ts, re, im, keep, block, cols)
+        return self._basis
 
 
 # -- per-beta cache of spectral rules ----------------------------------------
 
-# Distinct betas kept, least recently used dropped first (a rule is 12.8 kB:
-# 800 decays and 800 weights); ``classify.psi_max`` takes a beta grid in
-# groups of this many, on rules of its own, not from this cache.
-BETA_CACHE_SIZE = 32
-_RULES = functools.lru_cache(maxsize=BETA_CACHE_SIZE)(PsiEvaluator)
+# One beta, the last asked for: a command asks for one (``classify.psi_max``
+# builds the rules of its beta grid itself, not from this cache).
+_RULES = functools.lru_cache(maxsize=1)(PsiEvaluator)
 _BETA_LOCK = threading.Lock()
-# The last eta scan's [beta, alpha-free arrays] (``PsiEvaluator._scan_basis``).
-_SCAN_SLOT: list = [None, None]
-
-
-@functools.lru_cache(maxsize=None)
-def _scan_buffer(nodes: int) -> np.ndarray:
-    """The one buffer that ``_scan_basis`` rewrites, with room for every node of
-    a rule (1.1 MB for 800), allocated by the first scan of the process."""
-    return np.empty(3 * _SCAN_POINTS + (_SCAN_ROWS + _SCAN_POINTS // _SCAN_ROWS) * nodes)
 
 
 def spectral_rule(beta: float) -> PsiEvaluator:
-    """The cached PsiEvaluator for beta in (1, 2).  The lock makes the lookup
-    and a build one step, so two threads never build two rules for one beta."""
+    """The cached PsiEvaluator for beta in (1, 2), with its eta-scan basis once
+    it has scanned.  The lock makes the lookup and a build one step, so two
+    threads never build two rules for one beta; a failed build is not kept."""
     with _BETA_LOCK:
         return _RULES(beta)
 

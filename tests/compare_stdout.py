@@ -5,7 +5,8 @@ worst relative deviation of each numeric field is printed as a Markdown table.
     python tests/compare_stdout.py base.txt run.txt
 
 exits 1 if an op differs beyond its numbers or the op counts differ.  CI runs
-it on the default run against runs under other numpy and OpenBLAS CPU kernels.
+it on the default run against runs under other numpy and OpenBLAS CPU kernels,
+and on the parent commit's run against this commit's.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ OPS = [*bench_ops("certify", (1, 2, 3)), *bench_ops("figure1", (1,)), *bench_ops
 # the eta certificates and c_bounds brackets of seven more certify seeds
 OPS += [op["argv"] for seed in range(4, 11) for op in workloads.build("certify", seed)
         if op["kind"] in ("eta_cert", "undetermined")]
-# 1001 betas: many groups of cached rules, the last one short
+# 1001 betas: many groups of psi_max's rules, the last one short
 OPS += [["figure1", "--grid", "1:2:1001"]]
 # eta sign scans on the spectral rule within 2.5e-4 of b = 2 and b = 1
 OPS += [["classify", "aux-cm", "--alpha", a, "--beta", b]

@@ -187,7 +187,7 @@ def test_psi_max_scans_psi_and_phi_from_one_block(monkeypatch):
 
 def test_psi_max_on_a_grid_scans_each_beta_once(monkeypatch):
     # the array form: one 127-point order-1 scan row per beta inside (1, 2), one
-    # scan call per group of at most BETA_CACHE_SIZE betas, and Newton steps
+    # scan call per group of at most _PSI_MAX_GROUP betas, and Newton steps
     # over the open cells of every beta of a group, each cell on its own rule;
     # lanes finish in any order, so the calls are taken sorted by beta
     betas = np.concatenate([[1.0], np.linspace(1.001, 1.999, 70), [2.0]])
@@ -198,11 +198,11 @@ def test_psi_max_on_a_grid_scans_each_beta_once(monkeypatch):
         scans = sorted(((group, ts) for order, group, ts, _, _ in calls if order == 1),
                        key=lambda scan: scan[0][0])
         steps = [group for order, group, *_ in calls if order != 1]
-        groups = -(-70 // (K.BETA_CACHE_SIZE * lanes)) * lanes
+        groups = -(-70 // (C._PSI_MAX_GROUP * lanes)) * lanes
         assert np.concatenate([group for group, _ in scans]).tolist() == betas[1:-1].tolist()
         assert all(ts.shape == (group.size, 127) for group, ts in scans)
         assert len(scans) == groups and all(order in (1, 2) for order, *_ in calls)
-        assert max(group.size for group, _ in scans) <= K.BETA_CACHE_SIZE
+        assert max(group.size for group, _ in scans) <= C._PSI_MAX_GROUP == 32
         for group, _ in scans:  # at most 12 Newton steps, each on the betas of one group
             assert 1 <= sum(np.array_equal(step, group) for step in steps) <= 12
         assert len(steps) <= 12 * groups
@@ -815,19 +815,26 @@ def test_classifier_domain_errors():
 
 
 def test_psi_max_concurrent_matches_serial():
-    # fresh betas, each asked for twice, from more threads than cores
+    # fresh betas, each asked for twice, from more threads than cores; and
+    # one new beta's rule, asked for by 8 threads at once
     betas = [1.311, 1.472, 1.623, 1.311, 1.834, 1.472, 1.623, 1.834]
+    start = threading.Barrier(8, timeout=60)
+
+    def rule(beta):
+        start.wait()
+        return spectral_rule(beta)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            rules = list(pool.map(spectral_rule, betas[::-1]))
-            concurrent = list(pool.map(C.psi_max, betas))
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            misses = K._RULES.cache_info().misses
+            rules = list(pool.map(rule, [1.5791] * 8, timeout=60))
+            concurrent = list(pool.map(C.psi_max, betas, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    by_beta = {}
-    for b, rule in zip(betas[::-1], rules):
-        assert by_beta.setdefault(b, rule) is rule  # one cached rule per beta
+    assert all(r is rules[0] for r in rules)  # one rule for the one beta
+    assert K._RULES.cache_info().misses == misses + 1
     assert concurrent == [C.psi_max(b) for b in betas]
 
 

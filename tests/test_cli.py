@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dagum import classify as C
 from dagum import cli
 from dagum import fields as F
+from dagum import kernels as K
 from dagum import models as M
 
 import stdout_ops
@@ -784,6 +785,34 @@ def test_output_file_holds_the_bytes_stdout_would(argv, tmp_path, capsys):
     assert run([*argv, "-o", str(target)], capsys) == (0, "", "")
     assert target.read_bytes() == out.encode()
     assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
+
+
+@pytest.mark.parametrize("flag", ("--output", "-o"))
+def test_unwritable_output_exits_2_without_a_temp_file(flag, tmp_path, capsys):
+    # a missing directory, and a directory given as the path; --output is the
+    # canonical reader's, -o argparse's
+    argv = ["classify", "g", "--alpha", "1", "--lambda", "0.5", flag]
+    assert (cli._read_canonical(argv + ["x"]) is None) == (flag == "-o")
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(argv + [str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"dagum: invalid parameters: cannot write --output {target}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_a_command_builds_at_most_one_spectral_rule(capsys):
+    # an eta certificate or a c_bounds bracket asks the rule cache for its one
+    # beta; psi_max (lcm, dagum_open, figure1) builds its own rules, and a
+    # theorem label none
+    builds = {}
+    for op in stdout_ops.workloads.build("certify", 1) + stdout_ops.workloads.build("figure1", 1):
+        K._RULES.cache_clear()
+        assert cli.main(list(op["argv"])) == 0
+        builds.setdefault(op["kind"], set()).add(K._RULES.cache_info().misses)
+    capsys.readouterr()
+    assert builds == {"eta_cert": {1}, "undetermined": {1}, "label": {0}, "lcm": {0},
+                      "dagum_open": {0}, "figure1": {0}}
 
 
 @pytest.mark.parametrize("beta", ("1.000000001", "1.000000000001", "1.0000000000000002"))

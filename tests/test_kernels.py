@@ -546,15 +546,27 @@ def test_phi_alternate_at_tiny_t(beta):
 
 
 def test_beta_cache_is_bounded():
-    betas = np.linspace(1.401, 1.409, K.BETA_CACHE_SIZE + 5)
-    rules = [K.spectral_rule(float(b)) for b in betas]
+    # one rule, of the last beta asked for
+    first = K.spectral_rule(1.401)
     info = K._RULES.cache_info()
-    assert info.currsize == info.maxsize == K.BETA_CACHE_SIZE
-    assert K.spectral_rule(float(betas[-1])) is rules[-1]  # a hit
+    assert info.currsize == info.maxsize == 1
+    assert K.spectral_rule(1.401) is first  # a hit
     assert K._RULES.cache_info().hits == info.hits + 1
-    # the least recently used beta was dropped, so asking for it builds a new rule
-    assert K.spectral_rule(float(betas[0])) is not rules[0]
-    assert K._RULES.cache_info().misses == info.misses + 1
+    K.spectral_rule(1.402)
+    # 1.401 was dropped, so asking for it builds a new rule
+    assert K.spectral_rule(1.401) is not first
+    assert K._RULES.cache_info().misses == info.misses + 2
+    # a build that fails keeps nothing and drops nothing
+    held = K.spectral_rule(1.401)
+
+    def broken(*args, **kwargs):
+        raise MemoryError
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "rule_rows", broken)
+        with pytest.raises(MemoryError):
+            K.spectral_rule(1.403)
+    assert K._RULES.cache_info().currsize == 1 and K.spectral_rule(1.401) is held
 
 
 def test_eta_alpha_one_is_psi():
@@ -804,28 +816,24 @@ def test_eta_at_subnormal_alpha_is_phi(beta):
 
 
 def _fresh_scan(beta, alpha):
-    K._SCAN_SLOT[:] = [None, None]
     return K.PsiEvaluator(beta).eta_scan(alpha)
 
 
 def test_eta_scan_held_basis_equals_fresh_evaluator():
-    # the alpha-free basis is held in one slot across scans; interleaved
-    # betas and alphas must each give a fresh evaluator's bits
+    # each rule holds its alpha-free basis across scans; interleaved betas
+    # and alphas must each give a fresh evaluator's bits
     cases = [(b, a) for b in (1.0003, 1.2, 1.5, 1.8) for a in (0.0, 0.3, 1.0)]
     expected = {case: _fresh_scan(*case).tobytes() for case in cases}
     order = np.random.default_rng(3).permutation(len(cases) * 3) % len(cases)
     for case in cases + [cases[i] for i in order]:
         beta, alpha = case
-        assert K.spectral_rule(beta).eta_scan(alpha).tobytes() == expected[case], case
-        key, basis = K._SCAN_SLOT
-        assert key == beta and not any(arr.flags.writeable for arr in basis)
-        # every array but the node mask is rewritten in place in the one buffer
-        ts, re, im, keep, block, cols = basis
-        assert all(np.shares_memory(arr, K._scan_buffer(800)) for arr in (ts, re, im, block, cols))
-    held = K._SCAN_SLOT[1]
+        rule = K.spectral_rule(beta)
+        assert rule.eta_scan(alpha).tobytes() == expected[case], case
+        assert not any(arr.flags.writeable for arr in rule._scan_basis())
+    held = rule._scan_basis()
     for alpha in (0.0, 0.3, 1.0):  # a c_bounds bisection: one basis for every step
         K.spectral_rule(beta).eta_scan(alpha)
-        assert K._SCAN_SLOT[1] is held
+        assert K.spectral_rule(beta)._scan_basis() is held
 
 
 @pytest.mark.parametrize("beta", (1.0001, 1.0003, 1.3, 1.5, 1.9, 1.9999))
@@ -836,17 +844,16 @@ def test_eta_scan_held_residue_equals_osc(beta):
     rule = K.spectral_rule(beta)
     for alpha in (0.0, 1e-9, 0.5, 1.0):
         rule.eta_scan(alpha)
-        _, re, im, *_ = K._SCAN_SLOT[1]
+        _, re, im, *_ = rule._scan_basis()
         shift = PI / beta if alpha == 0.0 else (1.0 - alpha) * (PI / beta)
         held = re * math.cos(shift) - im * math.sin(shift)
         assert np.max(np.abs(held - K._osc(beta, ts, shift))) <= 1e-14, alpha
 
 
 def test_eta_scan_basis_failed_rewrite_is_not_reused():
-    # a rewrite that fails halfway leaves no key behind, so the next scan of
-    # the old grid builds its basis again instead of reading the torn buffer
-    rule = K.spectral_rule(1.5)
-    first = rule.eta_scan(0.3).tobytes()
+    # a basis build that fails halfway holds no basis, so the next scan
+    # builds it again and gives a fresh evaluator's bits
+    rule = K.PsiEvaluator(1.6)
 
     def broken(*args, **kwargs):
         raise MemoryError
@@ -854,12 +861,13 @@ def test_eta_scan_basis_failed_rewrite_is_not_reused():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "exp", broken)
         with pytest.raises(MemoryError):
-            K.spectral_rule(1.6).eta_scan(0.3)
-    assert rule.eta_scan(0.3).tobytes() == first
+            rule.eta_scan(0.3)
+    assert rule._basis is None
+    assert rule.eta_scan(0.3).tobytes() == _fresh_scan(1.6, 0.3).tobytes()
 
 
 def test_eta_scan_threads_match_serial():
-    # scans of two betas from more threads than cores contend for the one slot
+    # scans of two betas from more threads than cores contend for the one cached rule
     serial = {b: _fresh_scan(b, 0.3).tobytes() for b in (1.3, 1.7)}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -926,8 +934,7 @@ def test_laplace_sum_exponents_stay_above_the_floor():
         lowest.append(np.min(x, where=kwargs.get("where", True), initial=np.inf))
         return real(x, *args, **kwargs)
 
-    rule = K.spectral_rule(1.5)
-    K._SCAN_SLOT[:] = [None, None]  # the scan builds its held basis here
+    rule = K.PsiEvaluator(1.5)  # the scan builds its held basis here
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "exp", exp)
         C.psi_max(1.5)
@@ -943,12 +950,11 @@ def test_eta_scan_one_product_matches_rule_values(beta):
     rule = K.spectral_rule(beta)
     ts = K.eta_scan_grid(beta)
     rule.eta_scan(0.5)
-    held, re, im, keep, block, cols = K._SCAN_SLOT[1]
+    held, re, im, keep, block, cols = rule._scan_basis()
     assert block.shape == (K._SCAN_ROWS, keep.sum()) and cols.shape == (keep.sum(), 32)
     assert np.array_equal(keep, ts[1] * rule._decay <= 746.0)
-    # the slot holds exactly t, the residue's real and imaginary parts, the
-    # kept nodes, B and E, read-only; all but the node mask are views of the
-    # one buffer, which has room for nothing else
+    # the basis is exactly t, the residue's real and imaginary parts, the
+    # kept nodes, B and E, read-only
     h, d = ts[1], rule._decay[keep]
     exps = np.multiply.outer(d, -(h * np.arange(0, 4096, K._SCAN_ROWS)))
     assert np.array_equal(held, ts)
@@ -956,9 +962,6 @@ def test_eta_scan_one_product_matches_rule_values(beta):
                                                    K._EXP_FLOOR)))
     assert np.array_equal(cols, np.where(exps >= K._EXP_FLOOR, np.exp(exps), 0.0))
     assert not any(arr.flags.writeable for arr in (held, re, im, keep, block, cols))
-    buffer = K._scan_buffer(800)
-    assert all(np.shares_memory(arr, buffer) for arr in (held, re, im, block, cols))
-    assert buffer.size == 3 * 4096 + (K._SCAN_ROWS + 32) * 800
     if beta == 1.0003:
         assert ts[-1] > 1.9e4 and np.count_nonzero(~keep) > 0.4 * keep.size
     # the values on both sides of every column boundary
