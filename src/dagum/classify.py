@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,8 +57,7 @@ _PSI_MAX_GROUP = 32  # most betas whose rules ``psi_max`` builds at once
 _JSON_TOKEN = json.JSONEncoder(allow_nan=False).encode  # json.dumps(x, allow_nan=False)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Refutation witness: a sign violation at a concrete location."""
 
     kind: str  # derivative_sign | eta_sign
@@ -68,17 +66,17 @@ class Certificate:
     value: float
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # ProvenCM | ProvenNotCM | ProvenLCM | ProvenNotLCM | Undetermined
     basis: str  # citation label, or "numeric certificate"
     certificate: Optional[Certificate] = None
     notes: str = ""
 
     def to_json(self) -> str:
-        """The verdict as ``json.dumps(asdict(v), indent=2, sort_keys=True,
-        allow_nan=False)`` writes it, plus a newline, from a fixed layout: each
-        scalar by ``json.dumps``, so ValueError for a NaN or an infinity."""
+        """The verdict as ``json.dumps`` writes ``v._asdict()``, with the
+        certificate's ``_asdict()``, at ``indent=2, sort_keys=True,
+        allow_nan=False``, plus a newline, from a fixed layout: each scalar by
+        ``json.dumps``, so ValueError for a NaN or an infinity."""
         token, cert = _JSON_TOKEN, self.certificate
         fields = "null" if cert is None else (
             '{\n    "kind": %s,\n    "location": %s,\n    "order": %s,\n    "value": %s\n  }'
@@ -473,8 +471,7 @@ CLASSIFIERS = {
 # -- threshold table ----------------------------------------------------------
 
 
-@dataclass
-class ThresholdTable:
+class ThresholdTable(NamedTuple):
     """Tabulated Psi, l and beta* over a beta grid (what ``figure1`` prints);
     the monotonicity facts are validated by the test suite."""
 

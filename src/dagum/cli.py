@@ -13,19 +13,18 @@ no temp file.  CSV uses a header row, '.' decimals, repr-formatted floats
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
 import tempfile
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple)
+from types import SimpleNamespace
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
 from . import classify as C
-from . import fields as F
 from . import models as M
 from .errors import (
     ConvergenceError,
@@ -36,6 +35,11 @@ from .errors import (
     UnsupportedExpressionError,
 )
 
+if TYPE_CHECKING:  # annotations only: the field commands load fields, build_parser argparse
+    import argparse
+
+    from . import fields as F
+
 EXIT_OK = 0
 EXIT_PARAM = 2
 EXIT_NUMERIC = 3
@@ -45,7 +49,7 @@ EXIT_PERMISSIBILITY = 4
 _PARAMS = tuple(dict.fromkeys(name for row in M.MODELS.values() for name in row.names))
 
 
-def _params(ns: argparse.Namespace) -> Dict[str, float]:
+def _params(ns: SimpleNamespace) -> Dict[str, float]:
     """The model parameters given on the command line, by wire name."""
     return {k: getattr(ns, k) for k in _PARAMS if getattr(ns, k) is not None}
 
@@ -107,7 +111,7 @@ def profile_to_csv(profile: F.Profile) -> str:
     return _csv(PROFILE_CSV_HEADER, rows)
 
 
-def _cmd_eval(ns: argparse.Namespace) -> str:
+def _cmd_eval(ns: SimpleNamespace) -> str:
     p, evaluator = M.make_model(ns.model, _params(ns))
     if (ns.x is None) == (ns.grid is None):
         raise DomainError("provide exactly one of --x or --grid")
@@ -126,7 +130,7 @@ def _cmd_eval(ns: argparse.Namespace) -> str:
     return _csv("x,value", (f"{x!r},{v!r}" for x, v in zip(xs, values)))
 
 
-def _cmd_classify(ns: argparse.Namespace) -> str:
+def _cmd_classify(ns: SimpleNamespace) -> str:
     classifier, model_id, takes_tol = C.CLASSIFIERS[ns.family]
     if ns.tol is not None:
         if not (math.isfinite(ns.tol) and ns.tol > 0.0):
@@ -138,7 +142,7 @@ def _cmd_classify(ns: argparse.Namespace) -> str:
     return verdict.to_json()
 
 
-def _cmd_figure1(ns: argparse.Namespace) -> str:
+def _cmd_figure1(ns: SimpleNamespace) -> str:
     betas = _parse_grid(ns.grid)
     if betas[0] < 1.0 or betas[-1] > 2.0:
         raise DomainError("figure1 grid must lie within [1, 2]")
@@ -149,7 +153,9 @@ def _cmd_figure1(ns: argparse.Namespace) -> str:
     return _csv("beta,psi_max,one_plus_inv_beta,l_beta", rows)
 
 
-def _cmd_psd(ns: argparse.Namespace) -> str:
+def _cmd_psd(ns: SimpleNamespace) -> str:
+    from . import fields as F
+
     params = _params(ns)
     try:
         dims = [int(d) for d in ns.dims.split(",") if d]
@@ -159,7 +165,9 @@ def _cmd_psd(ns: argparse.Namespace) -> str:
     return psd_reports_to_csv(reports)
 
 
-def _cmd_search(ns: argparse.Namespace) -> str:
+def _cmd_search(ns: SimpleNamespace) -> str:
+    from . import fields as F
+
     params = _params(ns)
     found = F.nonpsd_search(ns.model, params, ns.dmax, ns.n, ns.trials, ns.seed, ns.convention)
     if found is not None:
@@ -169,11 +177,15 @@ def _cmd_search(ns: argparse.Namespace) -> str:
     return _csv(PSD_CSV_HEADER, [none])
 
 
-def _cmd_simulate(ns: argparse.Namespace) -> str:
+def _cmd_simulate(ns: SimpleNamespace) -> str:
+    from . import fields as F
+
     return profile_to_csv(F.simulate_profile(ns.model, _params(ns), ns.n, ns.spacing, ns.seed))
 
 
-def _cmd_decouple(ns: argparse.Namespace) -> str:
+def _cmd_decouple(ns: SimpleNamespace) -> str:
+    from . import fields as F
+
     params = _params(ns)
     local = F.estimate_local_exponent(ns.family, params)
     tail = F.estimate_hurst_exponent(ns.family, params)
@@ -197,7 +209,7 @@ class Command(NamedTuple):
     """One subcommand: its handler, its help, its positional (None for none)
     with that positional's choices, and its flags in ``--help`` order."""
 
-    run: Callable[[argparse.Namespace], str]
+    run: Callable[[SimpleNamespace], str]
     help: str
     positional: Optional[str]
     choices: Sequence[str]
@@ -207,7 +219,7 @@ class Command(NamedTuple):
 _MODEL_IDS = sorted(M.MODELS)
 _PARAM_FLAGS = tuple(Flag(name, float) for name in _PARAMS)
 _SEED = Flag("seed", int, 0)
-_CONVENTION = Flag("convention", default="squared_distance", choices=F.CONVENTIONS)
+_CONVENTION = Flag("convention", default="squared_distance", choices=M.CONVENTIONS)
 _OUTPUT = Flag("output", short="-o")  # last in each command, as --help lists it
 
 # The one declaration of the commands and their flags, in ``--help`` order.
@@ -234,7 +246,9 @@ _COMMANDS: Dict[str, Command] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh argparse parser of ``_COMMANDS``."""
+    """A fresh argparse parser of ``_COMMANDS``; the one place that loads argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dagum",
         description="Complete-monotonicity toolkit for the Dagum correlation family",
@@ -261,9 +275,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _read_canonical(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """The namespace ``build_parser().parse_args(argv)`` returns, for a
-    canonical command line; None for any other.
+def _read_canonical(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The attributes of the namespace ``build_parser().parse_args(argv)``
+    returns, in its order, for a canonical command line; None for any other.
 
     Canonical is a command, its positional, then ``--flag value`` pairs of
     exact ``_COMMANDS`` names, each flag at most once and no value starting
@@ -297,13 +311,13 @@ def _read_canonical(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         values[f.name] = value
     if any(f.required for f in unset.values()):
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     ns = _read_canonical(sys.argv[1:] if argv is None else argv)
     if ns is None:
-        ns = _parser().parse_args(argv)
+        ns = _parser().parse_args(argv, SimpleNamespace())
     try:
         _emit(_COMMANDS[ns.command].run(ns), ns.output)
         return EXIT_OK

@@ -22,11 +22,10 @@ import numpy as np
 from . import models as M
 from . import numerics as N
 from .errors import DegenerateFitError, DomainError, NotPermissibleError, NumericOverflowError
+from .models import CONVENTIONS
 
 EIG_TOL = 1e-8
 EMBED_DOUBLINGS = 4
-
-CONVENTIONS = ("squared_distance", "plain_distance")
 
 # Fixed analytic fit windows: deep enough into the limiting regimes that the
 # window bias stays below ~0.006 for exponents down to 0.25.

@@ -43,8 +43,7 @@ import functools
 import math
 import sys
 import threading
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,15 +55,19 @@ PI = math.pi
 ETA_GRID_T_FLOOR = 1e-6  # smallest t > 0 of the grid kernels on the rule; scans start above 4.6e-3
 
 
-@dataclass(frozen=True)
-class KernelValue:
+class _KernelValue(NamedTuple):
     value: float
     err_estimate: float
     route: str  # closed_form | contour
 
-    def __post_init__(self):
-        if not self.err_estimate >= 0.0:  # also a NaN
+
+class KernelValue(_KernelValue):
+    __slots__ = ()
+
+    def __new__(cls, value: float, err_estimate: float, route: str) -> "KernelValue":
+        if not err_estimate >= 0.0:  # also a NaN
             raise ValueError("err_estimate must be >= 0")
+        return super().__new__(cls, value, err_estimate, route)
 
 
 def _consts(beta: float) -> Tuple[float, float]:

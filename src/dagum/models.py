@@ -62,6 +62,8 @@ def _g_domain(alpha, lam):
 # are checked against the domain here, written ``not x >= 0.0`` so that NaN
 # fails too; arrays go through the checks of ``ta.powr`` (the Gram matrices
 # pass positive distances, ``eval`` object arrays of floats), series unchecked.
+# ``reduced_dagum_eval`` checks x > 0 on arrays too, as its power
+# x^(beta gamma - 1) lets x = 0 through.
 _UNCHECKED = (ta.TaylorSeries, np.ndarray)
 
 
@@ -105,7 +107,7 @@ def reduced_dagum_eval(p, x):
     monotonicity of the Dagum correlation with the same parameters: it is
     -rho'(x) up to the constant factor beta*gamma.
     """
-    if not isinstance(x, ta.TaylorSeries) and not x > 0.0:
+    if not isinstance(x, ta.TaylorSeries) and not np.all(x > 0.0):  # a float or every entry
         raise DomainError("reduced dagum needs x > 0")
     beta, gamma = p
     return ta.powr(x, beta * gamma - 1.0) / ta.powr(1.0 + ta.powr(x, beta), gamma + 1.0)
@@ -139,6 +141,9 @@ def _g_semivariogram(p, t: float) -> float:
 
 
 # -- model registry (CLI / fields wire names) --------------------------------
+
+# The distance conventions of ``dagum.fields``: rho of squared or of plain distances.
+CONVENTIONS = ("squared_distance", "plain_distance")
 
 
 class Model(NamedTuple):

@@ -1,6 +1,7 @@
 """Two-tier comparison of two outputs of ``tests/stdout_ops.py``: exit codes,
 statuses, bases, certificate kinds and all other text must be equal, and the
-worst relative deviation of each numeric field is printed as a Markdown table.
+worst relative deviation of each numeric field is printed as a Markdown table,
+after a line that counts the ops whose bytes differ.
 
     python tests/compare_stdout.py base.txt run.txt
 
@@ -57,6 +58,8 @@ def main(base_path: str, run_path: str) -> int:
         if not same:
             bad.append(head)
 
+    differ = sum(a != b for a, b in itertools.zip_longest(base, run))
+    print(f"Ops whose bytes differ: {differ} of {len(run)}\n")
     print("| field | worst relative deviation |\n| --- | --- |")
     for field in sorted(worst):
         print(f"| {field} | {worst[field]:.2e} |")

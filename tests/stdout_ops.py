@@ -68,6 +68,14 @@ OPS += [["eval", "g", "--alpha", "0", "--lambda", "0.5", "--x", "1e200"],
 # Dagum at b = 2 exactly, decided by Remark 4(iv), once at a gamma where
 # 1 - 2g and 1 + g both round to 1.0
 OPS += [["classify", "dagum", "--beta", "2", "--gamma", g] for g in ("0.2", "1e-17")]
+# the cauchy and g semivariograms, which only decouple reaches
+OPS += [["decouple", "--family", "cauchy", "--theta", "1.5", "--eta", "0.5"],
+        ["decouple", "--family", "g", "--alpha", "0", "--lambda", "0.7"]]
+# contour values: eta near b = 1, where each close call of the witness search
+# goes to the contour (4095 calls), and an eta_sign certificate near b = 2
+# refined on the contour
+OPS += [["classify", "aux-cm", "--alpha", "1e-12", "--beta", "1.0000001"],
+        ["classify", "aux-cm", "--alpha", "0.5", "--beta", "1.99999999"]]
 # lines that are not canonical, so argparse parses them: abbreviated flags,
 # --flag=value, a repeated flag (the last one holds), a flag before the
 # positional and a value that starts with '-'

@@ -480,9 +480,35 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert cli.build_parser() is not cli.build_parser()
 
 
+def test_a_command_loads_only_the_modules_it_runs(capsys):
+    # a fresh interpreter: the package loads no module of its own, dagum.cli
+    # neither fields nor dataclasses nor argparse, and a psd line loads fields
+    # and prints what a process that loaded fields up front prints
+    argv = ["psd", "dagum", "--beta", "0.5", "--gamma", "1", "--dims", "2", "--n", "5", "--sets", "1"]
+    code = (
+        "import contextlib, io, sys\n"
+        "import dagum\n"
+        "print(sorted(m for m in sys.modules if m.startswith('dagum.')))\n"
+        "from dagum import cli\n"
+        "print([m for m in ('dagum.fields', 'dataclasses', 'argparse') if m in sys.modules])\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    rc = cli.main({argv!r})\n"
+        "print(rc, 'dagum.fields' in sys.modules, 'argparse' in sys.modules)\n"
+        "sys.stdout.write(out.getvalue())\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True, timeout=60)
+    package, command, ran, psd = proc.stdout.split("\n", 3)
+    assert (package, command, ran) == ("[]", "[]", "0 True False")
+    assert run(argv, capsys) == (0, psd, "")
+
+
 def _parsed(argv):
-    """argparse's namespace for argv, as repr (so that NaN equals NaN)."""
-    return repr(cli._parser().parse_args(argv))
+    """The attributes of argparse's namespace for argv, in its order, as repr
+    (so that NaN equals NaN)."""
+    return repr(vars(cli._parser().parse_args(argv)))
 
 
 def test_reader_is_argparse_on_every_stdout_op():
@@ -494,7 +520,7 @@ def test_reader_is_argparse_on_every_stdout_op():
         if argv in stdout_ops.NOT_CANONICAL:
             assert ns is None, argv
         else:
-            assert repr(ns) == _parsed(argv), argv
+            assert repr(vars(ns)) == _parsed(argv), argv
 
 
 def _canonical_line(draw):
@@ -524,7 +550,7 @@ def _canonical_line(draw):
 def test_reader_is_argparse_on_canonical_lines(data):
     argv = _canonical_line(data.draw)
     ns = cli._read_canonical(argv)
-    assert ns is not None and repr(ns) == _parsed(argv)
+    assert ns is not None and repr(vars(ns)) == _parsed(argv)
 
 
 @pytest.mark.parametrize("argv", [
