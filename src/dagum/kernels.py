@@ -14,11 +14,11 @@ The central object is phi_b, the density whose Laplace transform is
 and 2 exactly.  Inside (1, 2) each kernel has two independent routes, which
 acceptance criterion 04 compares.
 
-The contour (``_contour``) is the scalar route of tau, phi, psi and ``eta``:
-it inverts the closed-form transforms 1/(1+s^b) for phi, s^(b-1)/(1+s^b) for
-1 - psi (so psi, and tau = psi - rho) and s^-a/(1+s^b) for eta, by the
-trapezoid rule on a parabola (at most about 3500 nodes), with no quadrature
-and no spectral rule.
+The contour (``_contour``) is the scalar route of phi, psi and ``eta``: it
+inverts the closed-form transforms 1/(1+s^b) for phi, s^(b-1)/(1+s^b) for
+1 - psi and s^-a/(1+s^b) for eta, by the trapezoid rule on a parabola (at
+most about 3500 nodes), with no quadrature and no spectral rule.  tau =
+psi - rho on the contour, criterion 04's test oracle, is in tests/oracles.py.
 
 The spectral rule serves the grids from t = 1e-6 on (``_routed``), and so
 every command: the residue term of the poles x = e^{+-i pi/b} of 1/(1+x^b),
@@ -48,7 +48,6 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import integrate
 
 PI = math.pi
 
@@ -175,13 +174,6 @@ def kappa(alpha: float, t):
     return t ** (alpha - 1.0) / math.gamma(alpha)
 
 
-def rho_kernel(beta: float, t: float) -> float:
-    """1 - (2/b) exp(t cos(pi/b)) cos(t sin(pi/b)); closed form on [1, 2]."""
-    _closed_forms(beta)  # DomainError unless 1 <= b <= 2
-    _grid(t)  # DomainError unless t is finite and >= 0
-    return float(1.0 + _osc(beta, t, 0.0))
-
-
 def _power(base: float, x: float, y: float) -> float:
     """base^(x + y) with the exponent unrounded: base^s base^e, (s, e) the
     TwoSum of x and y, s + e = x + y exactly (Knuth)."""
@@ -256,17 +248,6 @@ def _on_contour(alpha: float, beta: float, t: float, at_zero: float) -> Tuple[fl
     DomainError unless t is finite and >= 0."""
     _grid(t)
     return (at_zero, 0.0) if t == 0.0 else _contour(alpha, beta, t)
-
-
-def tau_kernel(beta: float, t: float) -> KernelValue:
-    """Completely monotonic remainder tau_b(t) = psi_b(t) - rho_b(t) for
-    1 < b < 2: -_osc(b, t, 0) - (1 - psi_b), with 1 - psi_b the contour's
-    inversion of s^(b-1) / (1 + s^b); tau_b(0) = 2/b - 1 exactly.
-    """
-    if not 1.0 < beta < 2.0:
-        raise DomainError("tau kernel requires beta in (1, 2)")
-    v, e = _on_contour(1.0 - beta, beta, t, 1.0)
-    return KernelValue(-float(_osc(beta, t, 0.0)) - v, e, "contour")
 
 
 def phi(beta: float, t: float) -> KernelValue:
@@ -588,33 +569,3 @@ def eta_grid(alpha: float, beta: float, ts) -> np.ndarray:
     on_rule = 1.0001 <= beta <= 1.9999 and alpha <= 1.0
     rule = (lambda s: spectral_rule(beta).eta_values(alpha, s)) if on_rule else None
     return _routed(ts, rule, lambda t: eta(alpha, beta, t))
-
-
-def laplace_check(kernel: str, beta: float, x: float, alpha: Optional[float] = None) -> float:
-    """|numeric Laplace transform - closed-form target| as a validation probe.
-
-    Targets: phi -> 1/(1+x^b); psi -> 1/(x(1+x^b));
-    eta (needs alpha) -> 1/(x^a (1+x^b)).
-    """
-    if not x > 0.0:
-        raise DomainError("laplace check requires x > 0")
-    forms = _closed_forms(beta)
-
-    if kernel == "phi":
-        phi_vec = phi_callable(beta)
-        f = lambda t: math.exp(-x * t) * float(phi_vec(t)[0])  # noqa: E731
-        target = 1.0 / (1.0 + x ** beta)
-    elif kernel == "psi":
-        psi_vec = forms[1] if forms else spectral_rule(beta).psi_values
-        f = lambda t: math.exp(-x * t) * float(psi_vec(t)[0])  # noqa: E731
-        target = 1.0 / (x * (1.0 + x ** beta))
-    elif kernel == "eta":
-        if alpha is None or alpha <= 0.0:
-            raise DomainError("eta kernel needs alpha > 0")
-        f = lambda t: math.exp(-x * t) * eta(alpha, beta, t).value if t > 0 else 0.0  # noqa: E731
-        target = 1.0 / (x ** alpha * (1.0 + x ** beta))
-    else:
-        raise ValueError("kernel must be one of 'phi', 'psi', 'eta'")
-
-    value, _ = integrate(f, 0.0, math.inf)
-    return abs(value - target)

@@ -107,8 +107,9 @@ def reduced_dagum_eval(p, x):
     monotonicity of the Dagum correlation with the same parameters: it is
     -rho'(x) up to the constant factor beta*gamma.
     """
-    if not isinstance(x, ta.TaylorSeries) and not np.all(x > 0.0):  # a float or every entry
-        raise DomainError("reduced dagum needs x > 0")
+    with np.errstate(invalid="ignore"):  # ``>`` warns on an object array's NaN entry
+        if not isinstance(x, ta.TaylorSeries) and not np.all(x > 0.0):  # a float or every entry
+            raise DomainError("reduced dagum needs x > 0")
     beta, gamma = p
     return ta.powr(x, beta * gamma - 1.0) / ta.powr(1.0 + ta.powr(x, beta), gamma + 1.0)
 

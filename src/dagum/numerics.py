@@ -1,8 +1,8 @@
-"""Adaptive quadrature, 1-D maximization, bracketed root-finding and the
-lanes that run a list of independent jobs on several CPUs.
-
-Quadrature is QUADPACK (Piessens et al., 1983) via ``scipy.integrate.quad``,
-imported on the first call so that importing this module does not load scipy.
+"""Bracketed root-finding and the lanes that run independent jobs on several
+CPUs; and quadrature (QUADPACK, Piessens et al., 1983, via ``scipy.integrate.quad``,
+imported on the first call: scipy is in the ``test`` extra only) and 1-D
+maximization, which only tests call and which stay only because
+``bench/spans.py`` wraps them by name, until ROADMAP item 14(c).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ QUAD_TOL, QUAD_LIMIT = 1e-9, 4000
 def integrate(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
     """``(value, err_estimate)`` of the integral of ``f`` over [lo, hi]; ``hi`` may be inf.
 
-    A QUADPACK failure raises ConvergenceError with the partial value.
+    A QUADPACK failure raises ConvergenceError with the partial value.  Only
+    the tests call it (``laplace_check`` in ``tests/oracles.py``).
     """
     from scipy.integrate import quad
 
@@ -52,7 +53,8 @@ def maximize_1d(f: Callable, lo: float, hi: float, tol: float = 1e-7) -> Tuple[f
     psi_b at b = 2 - 2.02e-7 it refines the hump near 3 pi, 1.008e-6 below
     the hump near pi.  ``f`` must accept an ndarray as well as a float: the scan
     is one call on the whole grid, the refinement calls it on floats.
-    Returns ``(t_star, f_star)``; ValueError unless lo < hi.
+    Returns ``(t_star, f_star)``; ValueError unless lo < hi.  Only the tests
+    call it, as the ``psi_max`` oracle.
     """
     if not lo < hi:
         raise ValueError("bracket requires lo < hi")

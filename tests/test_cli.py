@@ -803,6 +803,29 @@ def test_one_of_each_covers_every_command():
     assert sorted(argv[0] for argv in ONE_OF_EACH) == sorted(cli._COMMANDS)
 
 
+def test_commands_run_without_scipy(capsys):
+    # numpy is the only runtime dependency: a fresh interpreter whose import
+    # system refuses scipy runs one canonical line of each command, plus an
+    # eta sign scan, and prints what an in-process run prints
+    lines = [*ONE_OF_EACH, ["classify", "aux-cm", "--alpha", "0.05", "--beta", "1.5"]]
+    assert all(cli._read_canonical(argv) is not None for argv in lines)
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from dagum import cli\n"
+        f"print([cli.main(argv) for argv in {lines!r}], file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == f"{[0] * len(lines)}\n"
+    assert proc.stdout == "".join(run(argv, capsys)[1] for argv in lines)
+
+
 @pytest.mark.parametrize("argv", ONE_OF_EACH, ids=lambda argv: argv[0])
 def test_output_file_holds_the_bytes_stdout_would(argv, tmp_path, capsys):
     code, out, err = run(argv, capsys)

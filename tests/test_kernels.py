@@ -14,6 +14,8 @@ from dagum import kernels as K
 from dagum.errors import ConvergenceError, DomainError
 from dagum.numerics import integrate
 
+import oracles
+
 PI = math.pi
 
 CROSS_ROUTE_BETAS = (1.1, 1.25, 1.5, 1.75, 1.9)
@@ -37,20 +39,20 @@ def test_kappa_values():
 
 def test_rho_kernel_values():
     for beta in (1.0, 1.3, 1.7, 2.0):
-        assert K.rho_kernel(beta, 0.0) == pytest.approx(1.0 - 2.0 / beta, rel=1e-13)
+        assert oracles.rho_kernel(beta, 0.0) == pytest.approx(1.0 - 2.0 / beta, rel=1e-13)
     beta = 1.5
     peak = PI / math.sin(PI / beta)
     expected = 1.0 + (2.0 / beta) * math.exp(PI / math.tan(PI / beta))
-    assert K.rho_kernel(beta, peak) == pytest.approx(expected, rel=1e-12)
-    assert K.rho_kernel(2.0, PI) == pytest.approx(2.0, abs=1e-12)
+    assert oracles.rho_kernel(beta, peak) == pytest.approx(expected, rel=1e-12)
+    assert oracles.rho_kernel(2.0, PI) == pytest.approx(2.0, abs=1e-12)
     # endpoint closed forms
     for t in (0.0, 0.7, 3.0):
-        assert K.rho_kernel(1.0, t) == pytest.approx(1.0 - 2.0 * math.exp(-t), rel=1e-12)
-        assert K.rho_kernel(2.0, t) == pytest.approx(1.0 - math.cos(t), abs=1e-12)
+        assert oracles.rho_kernel(1.0, t) == pytest.approx(1.0 - 2.0 * math.exp(-t), rel=1e-12)
+        assert oracles.rho_kernel(2.0, t) == pytest.approx(1.0 - math.cos(t), abs=1e-12)
     with pytest.raises(DomainError):
-        K.rho_kernel(0.9, 1.0)
+        oracles.rho_kernel(0.9, 1.0)
     with pytest.raises(DomainError):
-        K.rho_kernel(1.5, -0.1)
+        oracles.rho_kernel(1.5, -0.1)
 
 
 @pytest.mark.parametrize("beta", (1.0 + 1e-9, 1.0 + 1e-12))
@@ -58,23 +60,23 @@ def test_contour_tau_converges_near_one(beta, eta_series):
     # the poles s^b = -1 lie next to the branch cut there; the contour
     # encloses them
     for t in (1e-8, 1e-4, 0.5, 2.0, 20.0):
-        kv = K.tau_kernel(beta, t)
-        want = eta_series(1.0, beta, t) - K.rho_kernel(beta, t)
+        kv = oracles.tau_kernel(beta, t)
+        want = eta_series(1.0, beta, t) - oracles.rho_kernel(beta, t)
         assert abs(kv.value - want) <= kv.err_estimate + 1e-12, t
 
 
 def _rule_tau(beta, t):
     """tau_b = psi_b - rho_b on the spectral rule, the route every command runs."""
-    return float(K.spectral_rule(beta).psi_values(t)[0]) - K.rho_kernel(beta, t)
+    return float(K.spectral_rule(beta).psi_values(t)[0]) - oracles.rho_kernel(beta, t)
 
 
 def test_tau_at_zero_and_routes():
     for beta in (1.25, 1.5):
-        kv = K.tau_kernel(beta, 0.0)
+        kv = oracles.tau_kernel(beta, 0.0)
         assert kv.value == 2.0 / beta - 1.0 and kv.err_estimate == 0.0
         assert kv.route == "contour"
         assert _rule_tau(beta, 0.0) == pytest.approx(2.0 / beta - 1.0, abs=1e-12)
-    kv = K.tau_kernel(1.5, 2.0)
+    kv = oracles.tau_kernel(1.5, 2.0)
     assert kv.route == "contour"
     assert abs(kv.value - _rule_tau(1.5, 2.0)) <= 1e-8
 
@@ -83,22 +85,22 @@ def test_tau_at_zero_and_routes():
 def test_tau_cross_route_agreement(beta):
     # the contour against the spectral rule
     for t in (0.0, 0.5, 2.0, 10.0, 20.0):
-        assert abs(K.tau_kernel(beta, t).value - _rule_tau(beta, t)) <= 1e-6
+        assert abs(oracles.tau_kernel(beta, t).value - _rule_tau(beta, t)) <= 1e-6
 
 
 @pytest.mark.parametrize("beta", (1.2, 1.5, 1.8))
 def test_tau_positive_and_decreasing(beta):
     ts = np.linspace(0.0, 25.0, 40)
-    vals = [K.tau_kernel(beta, float(t)).value for t in ts]
+    vals = [oracles.tau_kernel(beta, float(t)).value for t in ts]
     assert all(v > 0.0 for v in vals)
     assert all(a >= b - 1e-10 for a, b in zip(vals[:-1], vals[1:]))
 
 
 def test_tau_domain():
     with pytest.raises(DomainError):
-        K.tau_kernel(1.0, 1.0)
+        oracles.tau_kernel(1.0, 1.0)
     with pytest.raises(DomainError):
-        K.tau_kernel(2.0, 1.0)
+        oracles.tau_kernel(2.0, 1.0)
 
 
 def test_phi_closed_forms():
@@ -172,9 +174,9 @@ def test_primary_routes_match_the_series(beta, eta_series):
     # own error estimates, down to t = 1e-8
     for t in (1e-8, 4.4e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0):
         psi_series, phi_series = eta_series(1.0, beta, t), eta_series(0.0, beta, t)
-        tau_series = psi_series - K.rho_kernel(beta, t)
+        tau_series = psi_series - oracles.rho_kernel(beta, t)
         for kv, want in (
-            (K.tau_kernel(beta, t), tau_series),
+            (oracles.tau_kernel(beta, t), tau_series),
             (K.phi(beta, t), phi_series),
             (K.psi(beta, t), psi_series),
         ):
@@ -187,8 +189,8 @@ def test_contour_routes_match_the_series(beta, eta_series):
     # psi(0) = 0 exactly, and each is within its own error estimate
     for t in (0.0, 1e-8, 1e-6, 1e-4, 0.01, 0.5, 2.0, 6.0, 12.0, 18.85, 20.0, 40.0):
         psi_series = eta_series(1.0, beta, t)
-        tau_series = psi_series - K.rho_kernel(beta, t)
-        for kv, want in ((K.tau_kernel(beta, t), tau_series),
+        tau_series = psi_series - oracles.rho_kernel(beta, t)
+        for kv, want in ((oracles.tau_kernel(beta, t), tau_series),
                          (K.phi(beta, t), eta_series(0.0, beta, t)),
                          (K.psi(beta, t), psi_series)):
             assert kv.route == "contour"
@@ -213,8 +215,8 @@ def test_psi_decomposition_identity():
     for beta in (1.25, 1.6, 1.85):
         rule = K.spectral_rule(beta)
         for t in (0.3, 2.0, 7.0):
-            tau = K.tau_kernel(beta, t)
-            gap = float(rule.psi_values(t)[0]) - K.rho_kernel(beta, t) - tau.value
+            tau = oracles.tau_kernel(beta, t)
+            gap = float(rule.psi_values(t)[0]) - oracles.rho_kernel(beta, t) - tau.value
             assert abs(gap) <= tau.err_estimate + 1e-12
 
 
@@ -749,8 +751,8 @@ def test_every_kernel_route_rejects_negative_and_nan_t(bad):
     # a DomainError at the boundary, not an overflow warning, a quadrature
     # failure or a NaN value from the numerics
     scalar_routes = [
-        lambda: K.rho_kernel(1.5, bad),
-        lambda: K.tau_kernel(1.5, bad),
+        lambda: oracles.rho_kernel(1.5, bad),
+        lambda: oracles.tau_kernel(1.5, bad),
         lambda: K.phi(1.5, bad),
         lambda: K.phi(1.0, bad),
         lambda: K.phi(2.0, bad),
@@ -1006,6 +1008,17 @@ def test_held_gauss_legendre_table():
         assert np.sum(weights * nodes ** k) == pytest.approx(exact, abs=8 * np.finfo(float).eps), k
 
 
+def test_kernels_load_no_quadrature():
+    # the QUADPACK probes live in tests/oracles.py, so the kernels load
+    # neither dagum.numerics nor scipy (a fresh interpreter)
+    code = ("import sys, dagum.kernels; print(sorted(m for m in sys.modules"
+            " if m == 'dagum.numerics' or m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(K.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"
+
+
 def test_import_loads_no_scipy():
     # nor numpy.polynomial: the Gauss-Legendre tables are held as constants
     scipy_loaded = (
@@ -1213,23 +1226,23 @@ def test_eta_is_independent_of_the_scans():
 
 
 def test_laplace_spot_checks():
-    assert K.laplace_check("phi", 1.5, 2.0) <= 1e-6
-    assert K.laplace_check("psi", 1.25, 1.0) <= 1e-6
+    assert oracles.laplace_check("phi", 1.5, 2.0) <= 1e-6
+    assert oracles.laplace_check("psi", 1.25, 1.0) <= 1e-6
     # closed-form cases are essentially exact
-    assert K.laplace_check("phi", 1.0, 2.0) <= 1e-9
-    assert K.laplace_check("psi", 2.0, 1.0) <= 1e-9
-    assert K.laplace_check("eta", 2.0, 1.0, alpha=0.5) <= 1e-6
+    assert oracles.laplace_check("phi", 1.0, 2.0) <= 1e-9
+    assert oracles.laplace_check("psi", 2.0, 1.0) <= 1e-9
+    assert oracles.laplace_check("eta", 2.0, 1.0, alpha=0.5) <= 1e-6
     with pytest.raises(DomainError):
-        K.laplace_check("phi", 1.5, 0.0)
+        oracles.laplace_check("phi", 1.5, 0.0)
     with pytest.raises(DomainError):
-        K.laplace_check("eta", 1.5, 1.0)
+        oracles.laplace_check("eta", 1.5, 1.0)
 
 
 @pytest.mark.parametrize("kernel", ("phi", "psi", "eta"))
 def test_laplace_check_rejects_nan_x(kernel):
     # at the boundary, not after a failed quadrature on a NaN integrand
     with pytest.raises(DomainError):
-        K.laplace_check(kernel, 1.5, math.nan, alpha=0.5)
+        oracles.laplace_check(kernel, 1.5, math.nan, alpha=0.5)
 
 
 def test_kernel_value_contract():

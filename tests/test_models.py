@@ -171,7 +171,8 @@ def test_reduced_dagum_on_arrays():
     assert f(np.array(xs, dtype=object)).tolist() == per_point
     assert np.allclose(f(np.array(xs)), per_point, rtol=1e-14, atol=0.0)
     # the domain x > 0 holds for array entries too
-    for arr in (np.array([1.0, 0.0]), np.array([-1.0, 2.0], dtype=object), np.array([0.5, math.nan])):
+    for arr in (np.array([1.0, 0.0]), np.array([-1.0, 2.0], dtype=object), np.array([0.5, math.nan]),
+                np.array([1.0, math.nan], dtype=object)):
         with pytest.raises(DomainError, match="x > 0"):
             f(arr)
 
