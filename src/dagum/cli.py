@@ -13,7 +13,6 @@ no temp file.  CSV uses a header row, '.' decimals, repr-formatted floats
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
@@ -264,17 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses for a command line that is not canonical,
-    built on the first such call and then shared.
-
-    ``parse_args`` leaves a parser unchanged and parses into a fresh
-    namespace, so repeated and concurrent calls may share one.
-    """
-    return build_parser()
-
-
 def _read_canonical(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     """The attributes of the namespace ``build_parser().parse_args(argv)``
     returns, in its order, for a canonical command line; None for any other.
@@ -317,7 +305,7 @@ def _read_canonical(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 def main(argv: Optional[List[str]] = None) -> int:
     ns = _read_canonical(sys.argv[1:] if argv is None else argv)
     if ns is None:
-        ns = _parser().parse_args(argv, SimpleNamespace())
+        ns = build_parser().parse_args(argv, SimpleNamespace())
     try:
         _emit(_COMMANDS[ns.command].run(ns), ns.output)
         return EXIT_OK

@@ -10,7 +10,8 @@ class UnsupportedExpressionError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive routine exhausted its budget before reaching tolerance.
+    """Adaptive routine exhausted its budget before reaching tolerance, or the
+    sum of ``kernels._contour`` is not finite (no partial result: ``value`` None).
 
     Carries the best available partial result in ``value`` / ``err_estimate``.
     """

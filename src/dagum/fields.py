@@ -14,8 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,33 +43,36 @@ _SEARCH_STREAM = 77
 _GIL_FREE_ROWS = 500
 
 
-@dataclass(frozen=True)
-class PointSet:
+class _PointSet(NamedTuple):
     dimension: int
     points: np.ndarray  # shape (n, dimension)
     id: str
-    # squared distances of the strict lower triangle, row by row: one per pair
-    _sq_pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_pairs: np.ndarray  # squared distances of the strict lower triangle, row by row
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dimension or self.dimension < 1:
+
+class PointSet(_PointSet):
+    __slots__ = ()
+
+    def __new__(cls, dimension: int, points: np.ndarray, id: str) -> "PointSet":
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != dimension or dimension < 1:
             raise DomainError("points must be an (n, d) array matching dimension")
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
-        object.__setattr__(self, "points", pts)
         pairs = _sq_distances(pts)
         if not pairs.all():  # an equal or underflowing pair
             raise DomainError("points must be distinct")
-        object.__setattr__(self, "_sq_pairs", pairs)
+        return super().__new__(cls, dimension, pts, id, pairs)
+
+    def __getnewargs__(self):  # copy and pickle construct the set again from these
+        return self[:3]
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     model_id: str
     params: Dict[str, float]
     point_set_id: str
@@ -82,8 +84,7 @@ class PsdReport:
     verdict: str  # psd | indefinite
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     spacing: float
     values: np.ndarray
 
@@ -135,7 +136,7 @@ def gram_matrix(
     p, evaluator = M.make_model(model_id, params)
     # One evaluation per unordered pair, written to both (i, j) and (j, i);
     # distinct points have positive distances, where every family is defined.
-    arg = np.sqrt(ps._sq_pairs) if convention == "plain_distance" else ps._sq_pairs
+    arg = np.sqrt(ps.sq_pairs) if convention == "plain_distance" else ps.sq_pairs
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = evaluator(p, arg)
     del arg  # freed before the n x n output is allocated

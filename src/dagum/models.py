@@ -214,12 +214,8 @@ def catalog_function(expr: str, params: Mapping[str, float]) -> Callable:
     """Closed-form expression by id, as a generic (float or series) callable.
 
     Known ids: the ``MODELS`` ids, and ``reduced_dagum``, which takes the
-    parameters of the ``dagum`` row.
+    parameters of the ``dagum`` row; ``make_model`` resolves both.
     """
-    model_id = "dagum" if expr == "reduced_dagum" else expr
-    if model_id not in MODELS:
-        raise UnsupportedExpressionError(f"unknown expression id {expr!r}")
-    row = MODELS[model_id]
-    p = check(model_id, *take_params(f"expression {expr!r}", params, row.names))
-    evaluator = reduced_dagum_eval if expr == "reduced_dagum" else row.evaluator
+    p, evaluator = make_model("dagum" if expr == "reduced_dagum" else expr, params)
+    evaluator = reduced_dagum_eval if expr == "reduced_dagum" else evaluator
     return lambda x: evaluator(p, x)

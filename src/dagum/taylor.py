@@ -159,13 +159,9 @@ def _series_powr(u: TaylorSeries, r: float) -> TaylorSeries:
 def powr(u: Scalar, r: float) -> Scalar:
     """u**r for real r, elementwise on an ndarray; u must be nonnegative
     (nonzero for r < 0; the constant term positive for series)."""
-    if type(u) is float:  # the per-point path of model evaluation: no numpy call
-        bad = u < 0.0 or (u == 0.0 and r < 0.0)
-    elif isinstance(u, TaylorSeries):
+    if isinstance(u, TaylorSeries):
         return _series_powr(u, r)
-    else:
-        bad = np.any(u < 0.0) or (r < 0.0 and np.any(u == 0.0))
-    if bad:
+    if np.any(u < 0.0) or (r < 0.0 and np.any(u == 0.0)):  # a float or every entry
         raise DomainError("real power requires a nonnegative base")
     return u ** r
 

@@ -445,9 +445,9 @@ def test_tol_rejected_where_classifier_takes_none(argv, capsys):
     assert "takes no --tol" in err
 
 
-def test_main_builds_the_parser_once(monkeypatch, capsys):
-    # canonical lines build no parser; the first line argparse reads (an error
-    # here, --help below) builds the one parser every later such line shares
+def test_main_builds_a_parser_for_each_line_argparse_reads(monkeypatch, capsys):
+    # canonical lines build no parser; each line argparse reads (an error,
+    # a --flag=value line, --help) builds its own
     builds = []
 
     def counting_build(real=cli.build_parser):
@@ -455,7 +455,6 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
         return real()
 
     monkeypatch.setattr(cli, "build_parser", counting_build)
-    cli._parser.cache_clear()
     for argv in (
         ["classify", "dagum", "--beta", "0.5", "--gamma", "1"],
         ["classify", "g", "--alpha", "0.5", "--lambda", "0.5"],
@@ -468,14 +467,13 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(builds) == 1
     assert run(["classify", "g", "--alpha=0.5", "--lambda=0.5"], capsys)[0] == 0
-    assert len(builds) == 1
-    cli._parser.cache_clear()
+    assert len(builds) == 2
     with pytest.raises(SystemExit):
         cli.main(["--help"])
     with pytest.raises(SystemExit):
         cli.main(["psd", "--help"])
     capsys.readouterr()
-    assert len(builds) == 2
+    assert len(builds) == 4
     monkeypatch.undo()
     assert cli.build_parser() is not cli.build_parser()
 
@@ -505,10 +503,13 @@ def test_a_command_loads_only_the_modules_it_runs(capsys):
     assert run(argv, capsys) == (0, psd, "")
 
 
+_PARSER = cli.build_parser()
+
+
 def _parsed(argv):
     """The attributes of argparse's namespace for argv, in its order, as repr
     (so that NaN equals NaN)."""
-    return repr(vars(cli._parser().parse_args(argv)))
+    return repr(vars(_PARSER.parse_args(argv)))
 
 
 def test_reader_is_argparse_on_every_stdout_op():
@@ -604,7 +605,6 @@ def test_concurrent_main_calls_match_serial(tmp_path):
             for r in range(5)
         ]
 
-    cli._parser.cache_clear()  # the threads race to build the first parser
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -806,7 +806,8 @@ def test_one_of_each_covers_every_command():
 def test_commands_run_without_scipy(capsys):
     # numpy is the only runtime dependency: a fresh interpreter whose import
     # system refuses scipy runs one canonical line of each command, plus an
-    # eta sign scan, and prints what an in-process run prints
+    # eta sign scan, prints what an in-process run prints, and has loaded
+    # neither dataclasses nor argparse
     lines = [*ONE_OF_EACH, ["classify", "aux-cm", "--alpha", "0.05", "--beta", "1.5"]]
     assert all(cli._read_canonical(argv) is not None for argv in lines)
     code = (
@@ -818,11 +819,12 @@ def test_commands_run_without_scipy(capsys):
         "sys.meta_path.insert(0, NoScipy())\n"
         "from dagum import cli\n"
         f"print([cli.main(argv) for argv in {lines!r}], file=sys.stderr)\n"
+        "print([m for m in ('dataclasses', 'argparse') if m in sys.modules], file=sys.stderr)\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
-    assert proc.stderr == f"{[0] * len(lines)}\n"
+    assert proc.stderr == f"{[0] * len(lines)}\n[]\n"
     assert proc.stdout == "".join(run(argv, capsys)[1] for argv in lines)
 
 

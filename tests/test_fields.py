@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import threading
 import time
@@ -420,6 +422,11 @@ def test_point_set_validation():
         F.PointSet(2, np.array([[0.0, 0.0], [0.0, 0.0]]), "dup")
     with pytest.raises(DomainError):
         F.PointSet(3, np.array([[0.0, 1.0]]), "shape")
+    # copy and pickle build a valid set again from its dimension, points and id
+    ps = F.random_point_set(2, 5, seed=1)
+    for twin in (copy.copy(ps), copy.deepcopy(ps), pickle.loads(pickle.dumps(ps))):
+        assert type(twin) is F.PointSet and twin.id == ps.id
+        assert np.array_equal(twin.points, ps.points) and np.array_equal(twin.sq_pairs, ps.sq_pairs)
 
 
 def test_point_set_distinct_means_positive_squared_distance():

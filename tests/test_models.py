@@ -230,3 +230,8 @@ def test_make_model_wire_format():
 def test_catalog_unknown_expression():
     with pytest.raises(UnsupportedExpressionError):
         M.catalog_function("airy", {})
+    # a missing and an unknown parameter, for a MODELS id and for reduced_dagum
+    for expr in ("dagum", "reduced_dagum"):
+        for params in ({"beta": 1.0}, {"beta": 1.0, "gamma": 1.0, "theta": 1.0}):
+            with pytest.raises(DomainError):
+                M.catalog_function(expr, params)

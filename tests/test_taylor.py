@@ -82,6 +82,11 @@ def test_powr_and_log_match_closed_form_series(x0, r):
     # log(x0 + h) = log x0 - sum_{k >= 1} (-h/x0)^k / k
     logs = [math.log(x0)] + [-((-1.0 / x0) ** k) / k for k in range(1, order + 1)]
     assert np.allclose(ta.log(x).coeffs, logs, rtol=1e-13, atol=0.0)
+    # a float, a float array and an object array: u ** r bit for bit
+    for u in (x0, np.array([x0, 1.0, 1e-300]), np.array([x0, 1.0, 1e-300], dtype=object)):
+        got, want = ta.powr(u, r), u ** r
+        assert type(got) is type(want)
+        assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 def test_domain_errors():
@@ -89,6 +94,11 @@ def test_domain_errors():
         ta.log(ta.TaylorSeries([-1.0, 1.0], 0.0))
     with pytest.raises(DomainError):
         ta.powr(ta.TaylorSeries([-1.0, 1.0], 0.0), 0.5)
+    # a negative base, and 0 with r < 0, as a float, a float array and an object array
+    for bad, r in ((-1.0, 0.5), (-1e-300, 2.0), (0.0, -0.5), (-0.0, -1.0)):
+        for u in (bad, np.array([1.0, bad]), np.array([1.0, bad], dtype=object)):
+            with pytest.raises(DomainError, match="^real power requires a nonnegative base$"):
+                ta.powr(u, r)
     with pytest.raises(DomainError):
         series_of("aux", {"alpha": 1.0, "beta": 2.0}, -1.0, 3)
     with pytest.raises(ZeroDivisionError):
