@@ -43,33 +43,14 @@ _SEARCH_STREAM = 77
 _GIL_FREE_ROWS = 500
 
 
-class _PointSet(NamedTuple):
+class PointSet(NamedTuple):
     dimension: int
-    points: np.ndarray  # shape (n, dimension)
+    points: np.ndarray  # shape (n, dimension); ``gram_matrix`` checks them
     id: str
-    sq_pairs: np.ndarray  # squared distances of the strict lower triangle, row by row
-
-
-class PointSet(_PointSet):
-    __slots__ = ()
-
-    def __new__(cls, dimension: int, points: np.ndarray, id: str) -> "PointSet":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != dimension or dimension < 1:
-            raise DomainError("points must be an (n, d) array matching dimension")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("points must be finite")
-        pairs = _sq_distances(pts)
-        if not pairs.all():  # an equal or underflowing pair
-            raise DomainError("points must be distinct")
-        return super().__new__(cls, dimension, pts, id, pairs)
-
-    def __getnewargs__(self):  # copy and pickle construct the set again from these
-        return self[:3]
 
     @property
     def n_points(self) -> int:
-        return self.points.shape[0]
+        return len(self.points)
 
 
 class PsdReport(NamedTuple):
@@ -127,22 +108,33 @@ def gram_matrix(
 
     ``squared_distance`` feeds rho the squared Euclidean distances (the
     complete-monotonicity side of the Schoenberg correspondence);
-    ``plain_distance`` feeds it the distances themselves.  An entry that
-    leaves the float range (x^beta overflowing, then inf/inf) raises
-    ``NumericOverflowError`` before any factorization or eigen-solve sees it.
+    ``plain_distance`` feeds it the distances themselves.  DomainError first
+    unless the points are an (n, dimension) array of finite, distinct points
+    with finite squared distances.  An entry that leaves the float range
+    (x^beta overflowing, then inf/inf) raises ``NumericOverflowError`` before
+    any factorization or eigen-solve sees it.
     """
+    pts = np.asarray(ps.points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != ps.dimension or ps.dimension < 1:
+        raise DomainError("points must be an (n, d) array matching dimension")
+    if not np.isfinite(pts).all():
+        raise DomainError("points must be finite")
+    arg = _sq_distances(pts)
+    if not arg.all():  # an equal or underflowing pair
+        raise DomainError("points must be distinct")
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
     p, evaluator = M.make_model(model_id, params)
     # One evaluation per unordered pair, written to both (i, j) and (j, i);
     # distinct points have positive distances, where every family is defined.
-    arg = np.sqrt(ps.sq_pairs) if convention == "plain_distance" else ps.sq_pairs
+    if convention == "plain_distance":
+        np.sqrt(arg, out=arg)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = evaluator(p, arg)
     del arg  # freed before the n x n output is allocated
     if not np.isfinite(values).all():
         raise NumericOverflowError(f"{model_id} leaves the float range")
-    lower = _lower(ps.n_points)
+    lower = _lower(len(pts))
     out = np.ones(lower.shape)
     out[lower] = out.T[lower] = values
     return out
@@ -217,10 +209,10 @@ def psd_checks(
     turn and solved by one stacked ``eigvalsh`` call, which gives each matrix
     the bits of its own call.  The chunks run on ``numerics.run_lanes``, on
     min(CPUs the process may run on // BLAS threads, chunks) lanes, at least
-    one.  BLAS threads is ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
-    else the CPU count, as OpenBLAS reads them, so a process that leaves them
-    unset starts no thread.  Once every lane has ended, the first error in
-    set order is raised.
+    one.  BLAS threads is ``OPENBLAS_NUM_THREADS``, else ``GOTO_NUM_THREADS``,
+    else ``OMP_NUM_THREADS``, else the CPU count, as OpenBLAS reads them, so a
+    process that leaves them unset starts no thread.  Once every lane has
+    ended, the first error in set order is raised.
     """
     dims = list(dims)
     if not dims or min(dims) < 1 or n_points < 2 or n_sets < 1:
@@ -245,7 +237,7 @@ def psd_checks(
 
 def _blas_threads() -> int:
     # OpenBLAS's own rule: the first positive count of these, else one per CPU
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             threads = int(os.environ.get(name, ""))
         except ValueError:

@@ -54,19 +54,10 @@ PI = math.pi
 ETA_GRID_T_FLOOR = 1e-6  # smallest t > 0 of the grid kernels on the rule; scans start above 4.6e-3
 
 
-class _KernelValue(NamedTuple):
+class KernelValue(NamedTuple):
     value: float
-    err_estimate: float
+    err_estimate: float  # finite and >= 0 from every producer
     route: str  # closed_form | contour
-
-
-class KernelValue(_KernelValue):
-    __slots__ = ()
-
-    def __new__(cls, value: float, err_estimate: float, route: str) -> "KernelValue":
-        if not err_estimate >= 0.0:  # also a NaN
-            raise ValueError("err_estimate must be >= 0")
-        return super().__new__(cls, value, err_estimate, route)
 
 
 def _consts(beta: float) -> Tuple[float, float]:

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dagum import classify as C
 from dagum import cli
 from dagum import fields as F
+from dagum import kernels as K
 from dagum import models as M
 from dagum import numerics as N
 from dagum.errors import DomainError, NotPermissibleError, NumericOverflowError
@@ -127,14 +129,19 @@ def test_psd_checks_are_the_same_on_any_number_of_lanes(monkeypatch, case):
         (6, {"OMP_NUM_THREADS": "3"}, 2),
         (6, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"}, 4),
         (6, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "3"}, 2),
+        (6, {"GOTO_NUM_THREADS": "2"}, 3),
+        (6, {"GOTO_NUM_THREADS": "6"}, 1),
+        (6, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "6"}, 4),
+        (6, {"GOTO_NUM_THREADS": "0", "OMP_NUM_THREADS": "3"}, 2),
+        (6, {"OPENBLAS_NUM_THREADS": "3", "GOTO_NUM_THREADS": "1"}, 2),
     ),
 )
 def test_psd_checks_take_the_cpus_the_blas_leaves_free(monkeypatch, cpus, env, lanes):
-    # BLAS threads: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per
-    # CPU; lanes: CPUs // BLAS threads, at most the 4 chunks, and at least one,
-    # which starts no thread
+    # BLAS threads: OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else
+    # OMP_NUM_THREADS, else one per CPU, OpenBLAS's order; lanes: CPUs // BLAS
+    # threads, at most the 4 chunks, and at least one, which starts no thread
     monkeypatch.setattr(N, "CPUS", cpus)
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -417,34 +424,113 @@ def test_decoupling_local_exponent_invariant_to_tail_parameter():
     assert all(s == pytest.approx(0.5, abs=0.02) for s in slopes)
 
 
+def _raises_at_gram(ps, match):
+    # gram_matrix checks the points, so psd_check, psd and search do too, before
+    # the convention and the model
+    for call in (F.gram_matrix, F.psd_check):
+        with pytest.raises(DomainError, match=match):
+            call("dagum", {"beta": 0.5, "gamma": 1.0}, ps, "squared_distance")
+    with pytest.raises(DomainError, match=match):
+        F.gram_matrix("nope", {}, ps, "euclid")
+
+
 def test_point_set_validation():
-    with pytest.raises(DomainError):
-        F.PointSet(2, np.array([[0.0, 0.0], [0.0, 0.0]]), "dup")
-    with pytest.raises(DomainError):
-        F.PointSet(3, np.array([[0.0, 1.0]]), "shape")
-    # copy and pickle build a valid set again from its dimension, points and id
-    ps = F.random_point_set(2, 5, seed=1)
-    for twin in (copy.copy(ps), copy.deepcopy(ps), pickle.loads(pickle.dumps(ps))):
-        assert type(twin) is F.PointSet and twin.id == ps.id
-        assert np.array_equal(twin.points, ps.points) and np.array_equal(twin.sq_pairs, ps.sq_pairs)
+    _raises_at_gram(F.PointSet(2, np.array([[0.0, 0.0], [0.0, 0.0]]), "dup"), "^points must be distinct$")
+    _raises_at_gram(F.PointSet(3, np.array([[0.0, 1.0]]), "shape"), "^points must be an")
+    _raises_at_gram(F.PointSet(0, np.zeros((2, 0)), "empty"), "^points must be an")
+    _raises_at_gram(F.PointSet(1, np.array([0.0, 1.0]), "flat"), "^points must be an")
 
 
 def test_point_set_distinct_means_positive_squared_distance():
     # 1e-170 squared underflows to 0, so the pair is as good as a duplicate
-    with pytest.raises(DomainError, match="distinct"):
-        F.PointSet(1, np.array([[0.0], [1e-170]]), "underflow")
+    _raises_at_gram(F.PointSet(1, np.array([[0.0], [1e-170]]), "underflow"), "distinct")
     # a duplicate that is not the neighbouring row
     pts = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0], [0.0, 1.0, 2.0]])
-    with pytest.raises(DomainError, match="distinct"):
-        F.PointSet(3, pts, "dup-far")
-    assert F.PointSet(1, np.array([[0.0], [1e-150]]), "tiny").n_points == 2
+    _raises_at_gram(F.PointSet(3, pts, "dup-far"), "distinct")
+    tiny = F.PointSet(1, np.array([[0.0], [1e-150]]), "tiny")
+    assert tiny.n_points == 2
+    assert F.psd_check("cauchy", {"theta": 1.0, "eta": 1.0}, tiny, "plain_distance").n_points == 2
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_point_set_rejects_non_finite(bad):
     # checked before the distances, so no Gram matrix is built from a NaN
-    with pytest.raises(DomainError, match="finite"):
-        F.PointSet(2, np.array([[0.0, 1.0], [bad, 2.0]]), "bad")
+    _raises_at_gram(F.PointSet(2, np.array([[0.0, 1.0], [bad, 2.0]]), "bad"), "^points must be finite$")
+    _raises_at_gram(F.PointSet(2, np.array([[bad, 1.0]]), "solo"), "^points must be finite$")
+
+
+def _fresh_twins(ps, points):
+    # _replace and _make build a set without any check of their own
+    yield ps._replace(points=points)
+    yield F.PointSet._make((ps.dimension, points, ps.id))
+
+
+def test_replaced_point_set_gives_the_gram_matrix_of_a_fresh_set():
+    cauchy = ("cauchy", {"theta": 1.0, "eta": 1.0})
+    ps = F.PointSet(1, np.array([[0.0], [1.0]]), "pair")
+    for twin in _fresh_twins(ps, np.array([[0.0], [3.0]])):
+        g = F.gram_matrix(*cauchy, twin, "plain_distance")
+        assert g[0, 1] == g[1, 0] == 0.25  # rho(3), not rho(1) = 0.5
+        fresh = F.PointSet(1, np.array([[0.0], [3.0]]), "pair")
+        for convention in F.CONVENTIONS:
+            want = F.gram_matrix(*cauchy, fresh, convention)
+            assert F.gram_matrix(*cauchy, twin, convention).tobytes() == want.tobytes()
+            assert F.psd_check(*cauchy, twin, convention) == F.psd_check(*cauchy, fresh, convention)
+    big = F.random_point_set(3, 20, seed=4)
+    moved = big.points[::-1] * 0.5
+    for twin in _fresh_twins(big, moved):
+        want = F.gram_matrix(*cauchy, F.PointSet(3, moved, big.id), "squared_distance")
+        assert F.gram_matrix(*cauchy, twin, "squared_distance").tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "points, match",
+    (
+        ([[0.0], [0.0]], "^points must be distinct$"),
+        ([[0.0], [math.nan]], "^points must be finite$"),
+        ([[0.0, 1.0], [2.0, 3.0]], "^points must be an"),
+        ([[0.0], [1e200]], "^squared distances must be finite"),
+    ),
+    ids=("duplicate", "nan", "misshapen", "far"),
+)
+def test_replaced_point_set_is_checked_at_gram(points, match):
+    ps = F.PointSet(1, np.array([[0.0], [1.0]]), "pair")
+    for twin in _fresh_twins(ps, np.array(points)):
+        _raises_at_gram(twin, match)
+    # a list of points is checked the same way
+    _raises_at_gram(ps._replace(points=points), match)
+
+
+def _same(a, b):
+    # equal values of the same types, arrays by dtype, shape and bytes
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_records_round_trip_copy_and_pickle():
+    certificate = C.Certificate("eta_sign", 7.25, None, -1e-3)
+    params = {"gamma": 1.0, "epsilon": 0.5}
+    ps = F.random_point_set(2, 5, seed=1)
+    records = (
+        certificate,
+        C.Verdict("ProvenNotCM", "numeric certificate", certificate, "a note"),
+        C.ThresholdTable(np.linspace(1.0, 2.0, 11), np.arange(11.0), np.arange(11.0) / 2, 1.738),
+        K.phi(1.5, 2.0),
+        ps,
+        F.psd_check("dagum5", params, ps, "squared_distance"),
+        F.simulate_profile("dagum5", params, 8, 0.5, seed=1),
+    )
+    assert {type(r).__name__ for r in records} == {
+        "Certificate", "Verdict", "ThresholdTable", "KernelValue", "PointSet", "PsdReport", "Profile"
+    }
+    for r in records:
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert _same(twin, r), type(r).__name__
 
 
 # The closed forms on arrays, written out independently of dagum.models.
@@ -587,8 +673,7 @@ def test_sq_distances_sum_even_and_odd_coordinates_apart(d):
 )
 def test_point_set_rejects_overflowing_squared_distances(pts):
     pts = np.array(pts)
-    with pytest.raises(DomainError, match="squared distances must be finite"):
-        F.PointSet(pts.shape[1], pts, "far")
+    _raises_at_gram(F.PointSet(pts.shape[1], pts, "far"), "^squared distances must be finite")
 
 
 def test_simulate_rejects_overflowing_spacing():
@@ -597,9 +682,10 @@ def test_simulate_rejects_overflowing_spacing():
 
 
 def test_gram_working_set_is_small():
-    # Point sets keep one squared distance per pair; the model's temporaries
-    # and the distances go before the n x n output.  simulate builds no Gram
-    # matrix: its working set is a few vectors of the embedding's size 2(n-1).
+    # gram_matrix computes one squared distance per pair; the model's
+    # temporaries and the distances go before the n x n output.  simulate
+    # builds no Gram matrix: its working set is a few vectors of the
+    # embedding's size 2(n-1).
     params = {"gamma": 1.0, "epsilon": 0.5}
     F.simulate_profile("dagum5", params, 16, 0.5, seed=1)
     n = 512

@@ -1245,7 +1245,23 @@ def test_laplace_check_rejects_nan_x(kernel):
         oracles.laplace_check(kernel, 1.5, math.nan, alpha=0.5)
 
 
-def test_kernel_value_contract():
-    for bad in (-1.0, math.nan):
-        with pytest.raises(ValueError):
-            K.KernelValue(1.0, bad, "closed_form")
+def test_every_kernel_value_producer_gives_a_finite_nonnegative_err_estimate():
+    # KernelValue is a plain record: its producers hold the invariant, the
+    # closed forms with 0.0 and the contour with a sum of moduli it has checked
+    # to be finite.  eta at alpha = 3, t = 1e300 overflows, as documented.
+    for beta in (1.0, 1.0 + 1e-12, 1.5, 2.0 - 1e-12, 2.0):
+        closed = beta in (1.0, 2.0)
+        for t in (0.0, 1e-300, 1e-6, 1.0, 80.0, 1e300):
+            values = [(K.phi(beta, t), closed), (K.psi(beta, t), closed)]
+            for alpha in (5e-324, 1e-310, 1e-12, 0.5, 1.0, 3.0) if t > 0.0 else ():
+                if alpha == 3.0 and t == 1e300:
+                    with pytest.raises(ConvergenceError):
+                        K.eta(alpha, beta, t)
+                    continue
+                values.append((K.eta(alpha, beta, t), False))
+            for kv, on_closed_form in values:
+                assert type(kv) is K.KernelValue, (beta, t)
+                assert kv.route == ("closed_form" if on_closed_form else "contour"), (beta, t)
+                assert math.isfinite(kv.value) and 0.0 <= kv.err_estimate < math.inf, (beta, t, kv)
+                if on_closed_form or t == 0.0:
+                    assert kv.err_estimate == 0.0, (beta, t, kv)
