@@ -9,7 +9,6 @@ upgrades a verdict to Proven in the positive direction.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Mapping, NamedTuple, Optional, Tuple
 
@@ -54,7 +53,6 @@ NUMERIC_BASIS = "numeric certificate"
 # Equality band for the sharp boundary beta*gamma = 1.
 _PRODUCT_BAND = 1e-12
 _PSI_MAX_GROUP = 32  # most betas whose rules ``psi_max`` builds at once
-_JSON_TOKEN = json.JSONEncoder(allow_nan=False).encode  # json.dumps(x, allow_nan=False)
 
 
 class Certificate(NamedTuple):
@@ -79,7 +77,9 @@ class Verdict(NamedTuple):
         ``json.dumps``, so ValueError for a NaN or an infinity.  It is fixed for
         speed: ``json.dumps(..., indent=2)`` leaves reference cycles (390 gen-0 and 35
         gen-1 collections per 10000 verdicts, none here); certify ran 10 % slower on it."""
-        token, cert = _JSON_TOKEN, self.certificate
+        import json  # here, so only the commands that encode a verdict load it
+
+        token, cert = json.JSONEncoder(allow_nan=False).encode, self.certificate
         fields = "null" if cert is None else (
             '{\n    "kind": %s,\n    "location": %s,\n    "order": %s,\n    "value": %s\n  }'
             % tuple(map(token, (cert.kind, cert.location, cert.order, cert.value))))

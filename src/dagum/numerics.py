@@ -2,7 +2,7 @@
 CPUs; and quadrature (QUADPACK, Piessens et al., 1983, via ``scipy.integrate.quad``,
 imported on the first call: scipy is in the ``test`` extra only) and 1-D
 maximization, which only tests call and which stay only because
-``bench/spans.py`` wraps them by name, until ROADMAP item 14(c).
+``bench/spans.py`` wraps them by name, until ROADMAP item 30(c).
 """
 
 from __future__ import annotations

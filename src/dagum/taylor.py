@@ -8,10 +8,12 @@ order, so the n-th derivative of any catalog expression comes out exact to
 rounding -- repeated finite differencing is hopeless beyond order ~4, the
 recurrences below are not.
 
-On a grid (vector mode), ``x0`` and each coefficient are equal-shape float
-arrays and every recurrence runs elementwise in the same IEEE operations, so
-column i is the series at ``x0[i]`` bit for bit: constant terms of logs and
-powers come from Python's libm per element, not numpy's.
+``taylor_eval`` expands at a grid of any shape, a point being a 0-d grid.
+Coefficients are float arrays of that shape, or plain floats (the variable's
+1.0 and 0.0) equal at every point; every recurrence runs elementwise in the
+same IEEE operations, so column i does not depend on the other columns: it is
+the series at ``x0[i]`` alone, bit for bit.  Constant terms of logs and powers
+come from Python's libm per element, not numpy's.
 
 ``powr`` accepts plain floats and ndarrays as well, so a model written
 against it evaluates identically in ordinary, array and series arithmetic.
@@ -86,16 +88,10 @@ class TaylorSeries:
         n = len(self.coeffs)
         a, b = self.coeffs, o.coeffs
         out = [0.0] * n
-        for i in range(n):
-            ai = a[i]
-            if isinstance(ai, np.ndarray):
-                # skip per element: x + (-0.0) is x, also for x = -0.0
-                zero = ai == 0.0
-                for j in range(n - i):
-                    out[i + j] = out[i + j] + np.where(zero, -0.0, ai * b[j])
-            elif ai != 0.0:
-                for j in range(n - i):
-                    out[i + j] += ai * b[j]
+        for i, ai in enumerate(a):
+            zero = ai == 0.0  # skip a zero a[i] per element: x + (-0.0) is x, also for x = -0.0
+            for j in range(n - i):
+                out[i + j] = out[i + j] + np.where(zero, -0.0, ai * b[j])
         return TaylorSeries(out, self.x0)
 
     __rmul__ = __mul__
@@ -119,10 +115,8 @@ class TaylorSeries:
 
 
 def _libm(f: Callable[[float], float], c0):
-    """f of a constant term, per element through Python floats on a grid."""
-    if isinstance(c0, np.ndarray):
-        return np.array([f(c) for c in c0.tolist()], dtype=float)
-    return f(c0)
+    """f of a constant term per element, through Python floats."""
+    return np.array([f(c) for c in np.ravel(c0).tolist()], dtype=float).reshape(np.shape(c0))
 
 
 def log(u: TaylorSeries) -> TaylorSeries:
@@ -169,21 +163,15 @@ def powr(u: Scalar, r: float) -> Scalar:
 def taylor_eval(fn: Callable[[Scalar], Scalar], x0, order: int) -> TaylorSeries:
     """Series of ``fn`` at ``x0``: coefficient k is f^(k)(x0)/k!.
 
-    ``x0`` is a point or a grid; on a grid every coefficient is an array with
-    one element per point, equal bit for bit to the series at that point.
-    ``fn`` must be written against ``powr`` and the arithmetic operators.
-    Domain restrictions (positivity for powers) surface from the expression
-    itself, so a polynomial may be expanded anywhere.
+    ``x0`` is a grid of any shape, a point being a 0-d grid: every coefficient
+    is an array of that shape, element i equal bit for bit to the series at
+    ``x0[i]`` alone.  ``fn`` must be written against ``powr`` and the
+    arithmetic operators.  Domain restrictions (positivity for powers) surface
+    from the expression itself, so a polynomial may be expanded anywhere.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if np.ndim(x0) == 0:
-        x = TaylorSeries.variable(x0, order)
-        y = fn(x)
-        return y if isinstance(y, TaylorSeries) else TaylorSeries.constant(float(y), x)
     xs = np.asarray(x0, dtype=float)
     with np.errstate(all="ignore"):  # Python float arithmetic gives inf and nan silently
         y = fn(TaylorSeries.variable(xs, order))
-    coeffs = y.coeffs if isinstance(y, TaylorSeries) else [y] + [0.0] * order
+    coeffs = y.coeffs if isinstance(y, TaylorSeries) else [float(y)] + [0.0] * order
     return TaylorSeries([np.broadcast_to(c, xs.shape) for c in coeffs], xs)
 

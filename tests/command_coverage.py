@@ -7,7 +7,9 @@ writes Markdown: per module, the statements the ops run out of the total,
 then the public functions and methods that no op enters.  The ops' own
 output is discarded.  A statement is a line that holds bytecode; a function
 is entered if the first statement of its body runs.  The README sorts every
-function that no op enters into its lists of code only tests reach.
+function that no op enters, as ``module.name``, into its lists under "Code
+that no command runs"; the exit status is 1 if one is missing there, or if
+a function listed there is entered.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import os
+import re
 import sys
 import threading
 import trace
@@ -47,6 +50,12 @@ def public_functions(path: Path):
                 yield (f"{owner}.{fn.name}" if owner else fn.name), body[0].lineno
 
 
+def readme_listed(readme: Path) -> set:
+    """The code-quoted names in the README's section "Code that no command runs"."""
+    section = readme.read_text().split("\n## Code that no command runs\n")[1].split("\n## ")[0]
+    return set(re.findall(r"`([^`]+)`", section))
+
+
 def main() -> int:
     # no ``ignoredirs``: ``trace`` keeps its ignore decision per bare module name,
     # so an ignored ``numpy/__init__.py`` would drop ``dagum/__init__.py`` too
@@ -61,14 +70,23 @@ def main() -> int:
     for name, line in counts:
         ran_lines.setdefault(Path(name).resolve(), set()).add(line)
     print("| module | statements run | statements |\n| --- | --- | --- |")
-    unentered = []
+    entered, unentered = [], []
     for path in sorted(package.glob("*.py")):
         ran = ran_lines.get(path, set())
         lines = statement_lines(path)
         print(f"| `dagum.{path.stem}` | {len(lines & ran)} | {len(lines)} |")
-        unentered += [f"`{path.stem}.{name}`" for name, line in public_functions(path) if line not in ran]
-    print(f"\nPublic functions that no op enters ({len(unentered)}): {', '.join(unentered)}")
-    return 0
+        for name, line in public_functions(path):
+            (entered if line in ran else unentered).append(f"{path.stem}.{name}")
+    print(f"\nPublic functions that no op enters ({len(unentered)}): "
+          + ", ".join(f"`{name}`" for name in unentered))
+    listed = readme_listed(Path(__file__).resolve().parent.parent / "README.md")
+    missing = [name for name in unentered if name not in listed]
+    stale = [name for name in entered if name in listed]
+    if missing:
+        print(f"No op enters these, and the README does not list them: {', '.join(missing)}", file=sys.stderr)
+    if stale:
+        print(f"An op enters these, and the README lists them: {', '.join(stale)}", file=sys.stderr)
+    return 1 if missing or stale else 0
 
 
 if __name__ == "__main__":

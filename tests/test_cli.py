@@ -828,6 +828,24 @@ def test_commands_run_without_scipy(capsys):
     assert proc.stdout == "".join(run(argv, capsys)[1] for argv in lines)
 
 
+def test_only_verdicts_load_json():
+    # a fresh interpreter runs the canonical line of every command but classify
+    # and has not loaded json; the classify line, which encodes a verdict, then loads it
+    others = [argv for argv in ONE_OF_EACH if argv[0] != "classify"]
+    verdict = next(argv for argv in ONE_OF_EACH if argv[0] == "classify")
+    code = (
+        "import sys\n"
+        "from dagum import cli\n"
+        f"codes = [cli.main(argv) for argv in {others!r}]\n"
+        "print(codes, 'json' in sys.modules, file=sys.stderr)\n"
+        f"print(cli.main({verdict!r}), 'json' in sys.modules, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == f"{[0] * len(others)} False\n0 True\n"
+
+
 @pytest.mark.parametrize("argv", ONE_OF_EACH, ids=lambda argv: argv[0])
 def test_output_file_holds_the_bytes_stdout_would(argv, tmp_path, capsys):
     code, out, err = run(argv, capsys)

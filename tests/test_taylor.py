@@ -105,6 +105,37 @@ def test_domain_errors():
         ta.TaylorSeries([1.0, 0.0]) / ta.TaylorSeries([0.0, 1.0])
 
 
+def float_cauchy_product(a, b):
+    """The truncated product in Python floats, skipping a zero a[i]."""
+    out = [0.0] * len(a)
+    for i, ai in enumerate(a):
+        if ai != 0.0:
+            for j in range(len(a) - i):
+                out[i + j] += ai * b[j]
+    return out
+
+
+COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 3e-310, -1e300, 1e300, math.inf, -math.inf])
+POINTS = 3
+
+
+@pytest.mark.parametrize("kind", ("float", "array", "mixed"))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_product_is_the_float_cauchy_product_bit_for_bit(kind, data, n):
+    # a float coefficient stands for its value at every point, an array holds one per point
+    arrays = st.lists(COEFFICIENTS, min_size=POINTS, max_size=POINTS).map(np.array)
+    coefficient = {"float": COEFFICIENTS, "array": arrays, "mixed": COEFFICIENTS | arrays}[kind]
+    a, b = ([data.draw(coefficient) for _ in range(n)] for _ in range(2))
+    with np.errstate(all="ignore"):  # as taylor_eval runs it: inf and nan without a warning
+        got = (ta.TaylorSeries(a) * ta.TaylorSeries(b)).coeffs
+    if kind == "float":
+        assert all(type(c) is float for c in got)
+    for i in range(POINTS):
+        column = [[float(np.broadcast_to(c, POINTS)[i]) for c in s] for s in (a, b, got)]
+        assert np.array(column[2]).tobytes() == np.array(float_cauchy_product(*column[:2])).tobytes()
+
+
 def test_mixed_order_and_point_rejected():
     a = ta.TaylorSeries.variable(1.0, 3)
     b = ta.TaylorSeries.variable(1.0, 4)
@@ -141,6 +172,7 @@ def test_grid_jets_equal_pointwise_jets_bit_for_bit(expr, p, q, xs):
         points = [lift(ta.taylor_eval(fn, x, order)) for x in xs]
         assert all(c.shape == (len(xs),) for c in grid.coeffs)
         assert np.array(grid.coeffs).tobytes() == np.array([s.coeffs for s in points]).T.tobytes()
+    assert all(c.shape == () for c in ta.taylor_eval(fn, xs[0], 8).coeffs)  # a point is a 0-d grid
 
 
 def test_grid_jets_keep_zero_skip_and_domain_checks():
@@ -160,5 +192,6 @@ def test_grid_jets_keep_zero_skip_and_domain_checks():
             series_of("aux", {"alpha": 1.0, "beta": 2.0}, bad, 3)
         with pytest.raises(DomainError):
             ta.log(ta.taylor_eval(lambda x: x, np.array(bad), 3))
-    const = ta.taylor_eval(lambda x: 2.0, np.array([0.5, 1.5]), 2)
+    const = ta.taylor_eval(lambda x: 2, np.array([0.5, 1.5]), 2)  # a number: its float everywhere
     assert np.array(const.coeffs).tolist() == [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
+    assert np.array(const.coeffs).dtype == float
